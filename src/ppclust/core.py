@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 # Enumeration costs explode in high dimension; boxes only.
 MAX_DIMENSION = 8
@@ -77,9 +78,6 @@ class Window:
         wrapped[wrapped >= self.sides] = 0.0
         return self.lower + wrapped
 
-    def with_metric(self, metric: str) -> "Window":
-        return Window(self.lower, self.upper, metric)
-
 
 def box(*bounds, metric: str = "periodic") -> Window:
     """Window from per-axis (low, high) pairs: box((0, 10), (0, 10))."""
@@ -138,16 +136,6 @@ def distance(a, b, w: Window) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
-def distances_to(point, points: np.ndarray, w: Window) -> np.ndarray:
-    """Distances from one point to each row of an (n, d) array."""
-    if points.shape[0] == 0:
-        return np.empty(0)
-    delta = np.abs(points - as_point(point))
-    if w.metric == "periodic":
-        delta = np.minimum(delta, w.sides - delta)
-    return np.sqrt(np.sum(delta * delta, axis=1))
-
-
 def pairwise_distances(points: np.ndarray, w: Window) -> np.ndarray:
     """Full (n, n) distance matrix under the window's metric."""
     n = points.shape[0]
@@ -157,6 +145,39 @@ def pairwise_distances(points: np.ndarray, w: Window) -> np.ndarray:
     if w.metric == "periodic":
         delta = np.minimum(delta, w.sides - delta)
     return np.sqrt(np.sum(delta * delta, axis=2))
+
+
+def pair_distances(points: np.ndarray, pairs: np.ndarray, w: Window) -> np.ndarray:
+    """Distance of each (i, j) row of pairs under the window's metric."""
+    delta = np.abs(points[pairs[:, 0]] - points[pairs[:, 1]])
+    if w.metric == "periodic":
+        delta = np.minimum(delta, w.sides - delta)
+    return np.sqrt(np.sum(delta**2, axis=1))
+
+
+def neighbor_pairs(points: np.ndarray, w: Window, cutoff: float) -> np.ndarray:
+    """Index pairs (i < j, lexicographic order) of points that may lie
+    within the cutoff, as an (m, 2) int64 array.
+
+    One KD-tree query, periodic through ``boxsize`` on a torus.  The query
+    radius carries a small slack, so the result is a superset of the pairs
+    within the cutoff: callers compare pair_distances against their own
+    radius, and ties on the boundary follow that one formula.  A zero
+    cutoff still returns coincident points, which lie within it.
+    """
+    if points.shape[0] < 2 or not cutoff >= 0:
+        return np.empty((0, 2), dtype=np.int64)
+    shifted = points - w.lower
+    boxsize = None
+    if w.metric == "periodic":
+        # A point just below upper can round up to the full side length.
+        shifted[shifted >= w.sides] = 0.0
+        boxsize = w.sides
+    # Relative slack for the tree's rounding, absolute slack for the shift.
+    radius = cutoff * (1 + 1e-9) + 1e-12 * float(np.max(np.abs(w.lower) + w.sides))
+    pairs = cKDTree(shifted, boxsize=boxsize).query_pairs(radius, output_type="ndarray")
+    pairs = pairs.astype(np.int64, copy=False)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def volume(w: Window) -> float:

@@ -209,16 +209,40 @@ def support_upper(dist: CountDistribution) -> int:
         weights, comps = p
         return max(support_upper(c) for c in comps)
     # Infinite support: walk out until the remaining tail is below tolerance.
+    # The running total alone can stall just short of 1 - tol through rounding
+    # in the summed pmf values, so the tail is also bounded geometrically.
     tol = dist.truncation_tolerance
     total = 0.0
     i = 0
     mu = mean(dist)
     while i < _MAX_SUPPORT:
-        total += pmf(dist, i)
-        if total >= 1.0 - tol and i >= mu:
-            return i
+        mass = pmf(dist, i)
+        total += mass
+        if i >= mu:
+            if total >= 1.0 - tol:
+                return i
+            q = _tail_ratio_bound(dist, i)
+            if q < 1.0 and mass * q / (1.0 - q) <= tol:
+                return i
         i += 1
     raise RuntimeError("support truncation failed to converge")
+
+
+def _tail_ratio_bound(dist: CountDistribution, i: int) -> float:
+    """Upper bound on pmf(j + 1) / pmf(j) over all j >= i (infinite-support laws).
+
+    When it is below 1, the tail beyond i is at most pmf(i) * q / (1 - q).
+    """
+    kind, p = dist.kind, dist.params
+    if kind == "poisson":
+        return p[0] / (i + 1)
+    if kind == "geometric":
+        return 1.0 - p[0]
+    if kind == "neg_binomial":
+        r, prob = p
+        # (r + j) / (j + 1) decreases in j when r >= 1 and rises to 1 when r < 1.
+        return prob * max(1.0, (r + i) / (i + 1))
+    raise AssertionError(kind)
 
 
 def pmf_table(dist: CountDistribution) -> np.ndarray:

@@ -7,6 +7,12 @@ components (bulk statistic, periodic windows) and the probability that one
 component spans from the left to the right face (crossing statistic,
 Euclidean windows).  The critical radius is located by bisecting the
 crossing probability at 1/2 with common random numbers across radii.
+
+Every kernel here gets its point pairs from one periodic KD-tree query
+(core.neighbor_pairs) and its components from scipy's connected_components
+on the kept edges.  A radius sweep queries once at the largest radius,
+sorts the pairs by length, and reads the graph at each radius as a prefix
+of that order.
 """
 
 from __future__ import annotations
@@ -17,10 +23,18 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointPattern, RandomStream, Window, run_indexed, unit_ball_volume
+from .core import (
+    PointPattern,
+    RandomStream,
+    Window,
+    neighbor_pairs,
+    pair_distances,
+    run_indexed,
+    unit_ball_volume,
+)
 from .procgen import GeneratorSpec, sample
 from .shotnoise import ResponseFunction, coverage_field
 from .summaries import EstimateWithError
@@ -69,88 +83,9 @@ class Graph:
         return degrees
 
 
-class DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_components = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_components -= 1
-        return True
-
-    def component_sizes(self) -> list:
-        sizes = [self.size[i] for i in range(len(self.parent)) if self.find(i) == i]
-        return sorted(sizes, reverse=True)
-
-
-def _pair_distance_vector(points: np.ndarray, pairs: np.ndarray, w: Window) -> np.ndarray:
-    delta = np.abs(points[pairs[:, 0]] - points[pairs[:, 1]])
-    if w.metric == "periodic":
-        delta = np.minimum(delta, w.sides - delta)
-    return np.sqrt(np.sum(delta**2, axis=1))
-
-
-# Below this size a vectorized all-pairs sweep beats the bucket grid.
-_BRUTE_PAIR_LIMIT = 2048
-
-
-def _candidate_pairs(points: np.ndarray, w: Window, cutoff: float) -> np.ndarray:
-    """All index pairs possibly within the cutoff, via a bucket grid with
-    cell side >= cutoff so only neighboring cells need checking."""
-    n = points.shape[0]
-    if n < 2 or cutoff <= 0:
-        return np.empty((0, 2), dtype=np.int64)
-    counts = np.maximum((w.sides / cutoff).astype(int), 1)
-    if n <= _BRUTE_PAIR_LIMIT or np.any(counts < 3):
-        iu = np.triu_indices(n, k=1)
-        return np.column_stack(iu).astype(np.int64)
-    cell_sides = w.sides / counts
-    idx = np.minimum((points - w.lower) // cell_sides, counts - 1).astype(np.int64)
-    buckets: dict = {}
-    for p, key in enumerate(map(tuple, idx)):
-        buckets.setdefault(key, []).append(p)
-    periodic = w.metric == "periodic"
-    offsets = list(product((-1, 0, 1), repeat=w.dim))
-    pairs = set()
-    for key, members in buckets.items():
-        for off in offsets:
-            nb = tuple(
-                (k + o) % c if periodic else k + o for k, o, c in zip(key, off, counts)
-            )
-            if not periodic and any(k < 0 or k >= c for k, c in zip(nb, counts)):
-                continue
-            others = buckets.get(nb)
-            if others is None:
-                continue
-            if nb == key:
-                for a_i, a in enumerate(members):
-                    for b in members[a_i + 1 :]:
-                        pairs.add((a, b) if a < b else (b, a))
-            elif nb > key:
-                for a in members:
-                    for b in others:
-                        pairs.add((a, b) if a < b else (b, a))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(sorted(pairs), dtype=np.int64)
+# The per-replication pair query of every Gilbert kernel.  The benchmark's
+# tracer wraps it under this name to count candidate pairs.
+_candidate_pairs = neighbor_pairs
 
 
 def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
@@ -163,14 +98,10 @@ def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
             "2r must stay below half the window side on a torus; larger radii "
             "make wraparound adjacency ambiguous"
         )
-    n = pattern.points.shape[0]
-    if n < 2 or r == 0:
+    if r == 0:  # even coincident points stay unjoined
         return np.empty((0, 2), dtype=np.int64)
     pairs = _candidate_pairs(pattern.points, w, 2 * r)
-    if pairs.shape[0] == 0:
-        return pairs
-    dist = _pair_distance_vector(pattern.points, pairs, w)
-    return pairs[dist <= 2 * r]
+    return pairs[pair_distances(pattern.points, pairs, w) <= 2 * r]
 
 
 def gilbert_graph(pattern: PointPattern, r: float) -> Graph:
@@ -181,19 +112,22 @@ def gilbert_graph(pattern: PointPattern, r: float) -> Graph:
 
 
 def _component_labels(n: int, edge_array: np.ndarray) -> np.ndarray:
-    adjacency = coo_matrix(
+    adjacency = csr_matrix(
         (np.ones(edge_array.shape[0], dtype=np.int8), (edge_array[:, 0], edge_array[:, 1])),
         shape=(n, n),
     )
     return connected_components(adjacency, directed=False)[1]
 
 
+def _component_sizes(n: int, edge_array: np.ndarray) -> np.ndarray:
+    """Component sizes in descending order."""
+    return np.sort(np.bincount(_component_labels(n, edge_array)))[::-1]
+
+
 def components(g: Graph) -> list:
     """Connected-component sizes in descending order."""
-    ds = DisjointSet(g.n_vertices)
-    for i, j in g.edges:
-        ds.union(i, j)
-    return ds.component_sizes()
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    return _component_sizes(g.n_vertices, edges).tolist()
 
 
 @dataclass(frozen=True)
@@ -223,10 +157,11 @@ def component_fraction_sweep(
 ) -> PercolationSweep:
     """Mean fractions of nodes in the largest and second-largest component.
 
-    Each replication sorts candidate edges by length once and grows the
-    union-find structure incrementally, so a whole radius sweep costs
-    little more than the largest-radius graph.  Empty patterns are skipped
-    (with an error if they are the majority).
+    Each replication makes one pair query at the largest radius and sorts
+    the pairs by length once; the graph at each radius is then a prefix of
+    that order (found by searchsorted), whose components come from scipy's
+    connected_components.  Empty patterns are skipped (with an error if
+    they are the majority).
     """
     radii = [float(r) for r in radii]
     if not radii or any(r < 0 for r in radii) or any(np.diff(radii) <= 0):
@@ -242,23 +177,15 @@ def component_fraction_sweep(
         if n == 0:
             return None
         pairs = _candidate_pairs(pattern.points, w, 2 * radii[-1])
-        if pairs.shape[0]:
-            dist = _pair_distance_vector(pattern.points, pairs, w)
-            order = np.argsort(dist, kind="stable")
-            pairs, dist = pairs[order], dist[order]
-        ds = DisjointSet(n)
-        cursor = 0
-        largest = np.empty(len(radii))
-        second = np.empty(len(radii))
-        for k, r in enumerate(radii):
-            while cursor < pairs.shape[0] and dist[cursor] <= 2 * r:
-                ds.union(int(pairs[cursor, 0]), int(pairs[cursor, 1]))
-                cursor += 1
-            sizes = ds.component_sizes()
-            largest[k] = sizes[0] / n
-            second[k] = (sizes[1] / n) if len(sizes) > 1 else 0.0
-        return largest, second
-
+        dist = pair_distances(pattern.points, pairs, w)
+        order = np.argsort(dist, kind="stable")
+        pairs = pairs[order]
+        prefixes = np.searchsorted(dist[order], 2 * np.array(radii), side="right")
+        fractions = np.zeros((2, len(radii)))
+        for k, m in enumerate(prefixes):
+            sizes = _component_sizes(n, pairs[:m])[:2]
+            fractions[: sizes.size, k] = sizes / n
+        return fractions
     results = run_indexed(reps, one, threads)
     used = [r for r in results if r is not None]
     if len(used) * 2 < reps:
@@ -271,8 +198,8 @@ def component_fraction_sweep(
             ests.append(EstimateWithError(float(np.mean(col)), se, len(col)))
         return tuple(ests)
 
-    largest_rows = np.array([a for a, _ in used])
-    second_rows = np.array([b for _, b in used])
+    largest_rows = np.array([f[0] for f in used])
+    second_rows = np.array([f[1] for f in used])
     return PercolationSweep(tuple(radii), reduce(largest_rows), reduce(second_rows))
 
 

@@ -22,7 +22,8 @@ from .core import (
     RandomStream,
     Window,
     ball_volume,
-    pairwise_distances,
+    neighbor_pairs,
+    pair_distances,
     run_indexed,
     unit_ball_volume,
     volume,
@@ -146,19 +147,17 @@ def _mean_and_se(values: np.ndarray) -> tuple:
     return mean, se
 
 
-def _pair_distances(pattern: PointPattern) -> np.ndarray:
-    """Unordered pair distances as a flat vector."""
-    n = pattern.points.shape[0]
-    if n < 2:
-        return np.empty(0)
-    dm = pairwise_distances(pattern.points, pattern.window)
-    iu = np.triu_indices(n, k=1)
-    return dm[iu]
+def _pair_distances(pattern: PointPattern, cutoff: float) -> np.ndarray:
+    """Distances of the unordered pairs that may lie within the cutoff, as a
+    flat vector.  The pairs are a superset of those within the cutoff, so
+    callers compare the distances against their own scales."""
+    pairs = neighbor_pairs(pattern.points, pattern.window, cutoff)
+    return pair_distances(pattern.points, pairs, pattern.window)
 
 
 def close_pair_count(pattern: PointPattern, r: float) -> int:
     """Number of ordered pairs of distinct points at distance <= r."""
-    d = _pair_distances(pattern)
+    d = _pair_distances(pattern, r)
     return 2 * int(np.count_nonzero(d <= r))
 
 
@@ -221,7 +220,7 @@ def ripley_k(
         n = pattern.points.shape[0]
         if n == 0:
             return None
-        dists = np.sort(_pair_distances(pattern))
+        dists = np.sort(_pair_distances(pattern, grid[-1]))
         counts = 2.0 * np.searchsorted(dists, grid, side="right")
         return n, counts
 
@@ -279,7 +278,7 @@ def pair_correlation(
     def one(i: int):
         pattern = sample(spec, w, stream.derive(i))
         n = pattern.points.shape[0]
-        dists = _pair_distances(pattern)
+        dists = _pair_distances(pattern, grid[-1] + bandwidth)
         if dists.size == 0:
             return n, np.zeros(grid.size)
         u = (grid[:, None] - dists[None, :]) / bandwidth

@@ -152,3 +152,62 @@ def test_sort_points_lexicographic():
     pts = np.array([[2.0, 1.0], [1.0, 5.0], [1.0, 2.0]])
     out = core.sort_points(pts)
     assert np.allclose(out, [[1.0, 2.0], [1.0, 5.0], [2.0, 1.0]])
+
+
+def _brute_pairs(points, w, cutoff):
+    """Pairs (i < j) within the cutoff, one distance call per pair."""
+    n = points.shape[0]
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if core.distance(points[i], points[j], w) <= cutoff
+    }
+
+
+class TestNeighborPairs:
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_brute_force_in_every_dimension(self, d, metric):
+        side = {1: 40.0, 2: 7.0, 3: 4.0}[d]
+        w = core.cube(side, d, origin=-1.3, metric=metric)
+        rng = np.random.default_rng(d)
+        points = w.lower + rng.random((60, d)) * w.sides
+        for cutoff in (0.3, 0.8, 1.5):
+            pairs = core.neighbor_pairs(points, w, cutoff)
+            assert pairs.dtype == np.int64 and pairs.shape[1] == 2
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            # Lexicographic, so also free of duplicates.
+            assert np.all(np.diff(pairs[:, 0] * points.shape[0] + pairs[:, 1]) > 0)
+            kept = pairs[core.pair_distances(points, pairs, w) <= cutoff]
+            assert set(map(tuple, kept.tolist())) == _brute_pairs(points, w, cutoff)
+
+    def test_point_rounding_up_to_the_torus_side(self):
+        # -1.3 + 4 = 2.7, and the largest double below 2.7 minus -1.3
+        # rounds to 4.0: the shifted point lands on the box side.
+        w = core.box((-1.3, 2.7), (-1.3, 2.7))
+        top = np.nextafter(2.7, -np.inf)
+        points = np.array([[top, 0.0], [-1.3, 0.0], [0.5, 0.5], [top, top], [-1.3, -1.3]])
+        assert points[0, 0] - w.lower[0] == w.sides[0]
+        pairs = core.neighbor_pairs(points, w, 0.1)
+        kept = pairs[core.pair_distances(points, pairs, w) <= 0.1]
+        assert set(map(tuple, kept.tolist())) == _brute_pairs(points, w, 0.1)
+        assert {(0, 1), (3, 4)} <= set(map(tuple, kept.tolist()))
+
+    @pytest.mark.parametrize(
+        "points, cutoff",
+        [
+            (np.empty((0, 2)), 1.0),
+            (np.array([[1.0, 1.0]]), 1.0),
+            (np.array([[1.0, 1.0], [1.5, 1.0]]), 0.0),
+            (np.array([[1.0, 1.0], [1.5, 1.0]]), -1.0),
+        ],
+    )
+    def test_empty_results(self, points, cutoff):
+        pairs = core.neighbor_pairs(points, core.cube(4.0, 2), cutoff)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+
+    def test_zero_cutoff_keeps_coincident_points(self):
+        points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+        pairs = core.neighbor_pairs(points, core.cube(4.0, 2), 0.0)
+        assert pairs.tolist() == [[0, 2]]

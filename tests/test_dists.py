@@ -109,6 +109,14 @@ def test_stop_loss_at_zero_equals_mean(d):
     assert dists.stop_loss(d, 0.0) == pytest.approx(dists.mean(d), abs=1e-9)
 
 
+def test_support_upper_converges_when_summed_pmf_stalls_below_one():
+    # The float sum of this law's pmf stalls about 1.2e-14 short of 1, above
+    # the 1e-14 tolerance; the geometric tail bound still ends the walk.
+    d = dists.neg_binomial(4.49363108615508, 0.890625)
+    assert dists.mean(d) <= dists.support_upper(d) < 1000
+    assert dists.stop_loss(d, 0.0) == pytest.approx(dists.mean(d), abs=1e-9)
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=simple_dists)
 def test_stop_loss_convex_nonincreasing(d):

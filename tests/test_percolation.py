@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import ppclust.dists as dists
-import ppclust.percolation as perc
 import ppclust.procgen as pg
 import ppclust.shotnoise as sn
 from oracles import bfs_component_sizes, brute_force_gilbert_edges
@@ -101,9 +100,7 @@ class TestGilbertGraph:
             assert set(gilbert_graph(pattern, r).edges) == expected
 
     @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
-    def test_bucket_grid_matches_brute_force(self, metric, monkeypatch):
-        # Force the bucket-grid path even for small patterns.
-        monkeypatch.setattr(perc, "_BRUTE_PAIR_LIMIT", 0)
+    def test_bucket_grid_matches_brute_force(self, metric):
         w = cube(9.0, 2, metric=metric)
         pattern = pg.sample(pg.homogeneous_poisson(1.0), w, STREAM.derive(2))
         for r in (0.15, 0.4, 0.8, 1.6):
@@ -112,14 +109,34 @@ class TestGilbertGraph:
             )
             assert set(gilbert_graph(pattern, r).edges) == expected
 
-    def test_bucket_grid_three_dimensional(self, monkeypatch):
-        monkeypatch.setattr(perc, "_BRUTE_PAIR_LIMIT", 0)
+    def test_bucket_grid_three_dimensional(self):
         w = cube(6.0, 3)
         pattern = pg.sample(pg.homogeneous_poisson(0.6), w, STREAM.derive(3))
         expected = brute_force_gilbert_edges(
             pattern.points.tolist(), w.lower.tolist(), w.upper.tolist(), "periodic", 0.5
         )
         assert set(gilbert_graph(pattern, 0.5).edges) == expected
+
+    # (origin, a, b): b - a is exactly 2r in floating point.  In the last two
+    # cases shifting by the origin rounds that pair apart, so a KD-tree query
+    # at exactly 2r, or at 2r plus a relative slack when 2r is tiny, would
+    # miss it.
+    @pytest.mark.parametrize(
+        "origin, a, b",
+        [(0.0, 1.0, 1.5), (-1.3, -0.4, -0.2), (-1.3, -0.3, -0.299999999999)],
+    )
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    def test_pair_at_exactly_2r_is_kept_and_one_ulp_beyond_dropped(self, metric, origin, a, b):
+        w = cube(4.0, 2, origin=origin, metric=metric)
+        r = (b - a) / 2
+        points = np.array([[a, a], [b, a], [a, a + 2.0], [np.nextafter(b, np.inf), a + 2.0]])
+        assert points[1, 0] - points[0, 0] == 2 * r
+        assert points[3, 0] - points[2, 0] > 2 * r
+        expected = brute_force_gilbert_edges(
+            points.tolist(), w.lower.tolist(), w.upper.tolist(), metric, r
+        )
+        assert expected == {(0, 1)}
+        assert gilbert_graph(PointPattern(w, points), r).edges == ((0, 1),)
 
     def test_single_point(self):
         w = euclid(4.0)
@@ -209,8 +226,8 @@ class TestComponentFractionSweep:
 
     def test_single_replication_matches_bfs_oracle(self):
         # With one replication the sweep's means are that replication's own
-        # fractions, so its incremental union-find must reproduce, radius by
-        # radius, a breadth-first count on the brute-force edge set.
+        # fractions, so its prefix-of-sorted-edges components must reproduce,
+        # radius by radius, a breadth-first count on the brute-force edge set.
         spec = pg.perturbed_lattice(
             0.93, dists.neg_binomial(1, 0.5), pg.uniform_in_cell()
         )

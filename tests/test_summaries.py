@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ppclust.core import PointPattern, RandomStream, cube
+import ppclust.summaries as summaries
+from ppclust.core import PointPattern, RandomStream, cube, pairwise_distances
 from ppclust.dists import deterministic
 from ppclust.procgen import (
     binomial_process,
@@ -13,6 +14,7 @@ from ppclust.procgen import (
     matern_cluster,
     perturbed_lattice,
     square_lattice,
+    sample,
     thomas_cluster,
     uniform_in_cell,
 )
@@ -72,6 +74,42 @@ class TestPairCounting:
         w = periodic(4.0)
         pat = PointPattern(w, np.array([[0.1, 2.0], [3.9, 2.0]]))
         assert close_pair_count(pat, 0.25) == 2
+
+
+def dense_pair_distances(pattern, cutoff):
+    """Every unordered pair distance, read off the full distance matrix."""
+    n = pattern.points.shape[0]
+    return pairwise_distances(pattern.points, pattern.window)[np.triu_indices(n, k=1)]
+
+
+class TestAgainstDensePairs:
+    # The KD-tree pair query must give the estimators exactly the distances
+    # the full n x n matrix gives, up to the pairs beyond every scale.
+    SPECS = {
+        "poisson": homogeneous_poisson(1.0),
+        "thomas": thomas_cluster(0.2, 5.0, 0.4),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_estimators_match_the_dense_path(self, name, d, monkeypatch):
+        spec = self.SPECS[name]
+        w = cube(40.0 if d == 1 else 7.0, d)
+        grid = np.linspace(0.2, 2.4, 12)
+        stream = STREAM.derive(80 + d)
+        fast = (
+            ripley_k(spec, w, grid, reps=4, stream=stream),
+            pair_correlation(spec, w, grid, reps=4, stream=stream),
+        )
+        pattern = sample(spec, w, stream.derive(0))
+        counts = [close_pair_count(pattern, r) for r in (0.0, 0.5, 1.7)]
+        monkeypatch.setattr(summaries, "_pair_distances", dense_pair_distances)
+        assert ripley_k(spec, w, grid, reps=4, stream=stream) == fast[0]
+        dense_g = pair_correlation(spec, w, grid, reps=4, stream=stream)
+        for got, want in zip(fast[1].estimates, dense_g.estimates):
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+            assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
+        assert [close_pair_count(pattern, r) for r in (0.0, 0.5, 1.7)] == counts
 
 
 class TestRipleyK:
