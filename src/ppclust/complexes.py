@@ -15,11 +15,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
 from .core import PointPattern, RandomStream, box, run_indexed
+from .graphs import _neighbor_sets
 from .percolation import _edge_index_array
 from .procgen import GeneratorSpec, sample
 
@@ -94,68 +95,77 @@ def miniball_radius(points) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need a non-empty (m, d) array of points")
-    m, d = pts.shape
-    best = math.inf
+    return float(_miniball_radii(pts[None])[0])
+
+
+def _miniball_radii(pts: np.ndarray) -> np.ndarray:
+    """Smallest-enclosing-ball radii of an (F, m, d) stack of faces.
+
+    Each support subset is tried on the whole stack at once: its
+    circumcenter comes from one stacked solve, and a face keeps the
+    smallest radius whose ball holds all its vertices.  Affinely dependent
+    supports (a singular or non-finite solve) are skipped face by face.
+    """
+    f, m, d = pts.shape
+    best = np.full(f, math.inf)
     for size in range(1, min(m, d + 1) + 1):
         for sub in combinations(range(m), size):
-            center = _circumcenter(pts[list(sub)])
-            if center is None:
-                continue
-            dist = np.sqrt(np.sum((pts - center) ** 2, axis=1))
-            radius = float(np.max(dist[list(sub)]))
-            if radius < best and np.all(dist <= radius + MINIBALL_TOLERANCE):
-                best = radius
+            support = pts[:, list(sub)]
+            base = support[:, 0]
+            valid = np.ones(f, dtype=bool)
+            if size > 1:
+                span = support[:, 1:] - base[:, None]
+                gram = span @ span.transpose(0, 2, 1)
+                diag = np.diagonal(gram, axis1=1, axis2=2)[..., None]
+                coeffs = _solve_each(2.0 * gram, diag)
+                valid = np.all(np.isfinite(coeffs), axis=(1, 2))
+                # Zeroed coefficients give a finite center that is never kept.
+                coeffs[~valid] = 0.0
+                base = base + (span.transpose(0, 2, 1) @ coeffs)[..., 0]
+            dist = np.sqrt(np.sum((pts - base[:, None]) ** 2, axis=2))
+            radius = np.max(dist[:, list(sub)], axis=1)
+            valid &= radius < best
+            valid &= np.all(dist <= (radius + MINIBALL_TOLERANCE)[:, None], axis=1)
+            best = np.where(valid, radius, best)
     return best
 
 
-def _circumcenter(sub: np.ndarray):
-    """Center of the smallest ball with all given points on its boundary,
-    or None if they are affinely dependent."""
-    if sub.shape[0] == 1:
-        return sub[0]
-    base = sub[0]
-    span = sub[1:] - base
-    gram = span @ span.T
+def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve; when any matrix is exactly singular, the stack is
+    solved one matrix at a time and the singular ones give NaN."""
     try:
-        coeffs = np.linalg.solve(2.0 * gram, np.diag(gram).copy())
+        return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(coeffs)):
-        return None
-    return base + span.T @ coeffs
-
-
-def _neighbor_sets(n: int, edges: np.ndarray) -> list:
-    neighbors = [set() for _ in range(n)]
-    for i, j in edges:
-        neighbors[int(i)].add(int(j))
-        neighbors[int(j)].add(int(i))
-    return neighbors
+        out = np.full(rhs.shape, np.nan)
+        for i in range(lhs.shape[0]):
+            try:
+                out[i] = np.linalg.solve(lhs[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _clique_levels(n: int, edges: np.ndarray, max_dim: int, keep=None) -> list:
-    """Faces of the clique complex, level by level; an optional predicate
-    filters each candidate face (its sub-faces are already accepted)."""
+    """Faces of the clique complex, level by level.
+
+    An optional predicate filters each level of dimension >= 2: it takes
+    the level's candidate faces (their sub-faces are already accepted) and
+    returns a boolean mask of the faces to keep.
+    """
     levels = [tuple((i,) for i in range(n))]
     if max_dim == 0:
         return levels
     neighbors = _neighbor_sets(n, edges)
-    level = [tuple(sorted((int(i), int(j)))) for i, j in edges]
-    level.sort()
-    if keep is not None:
-        level = [f for f in level if keep(f)]
-    levels.append(tuple(level))
+    levels.append(tuple(sorted(tuple(sorted((int(i), int(j)))) for i, j in edges)))
     for dim in range(2, max_dim + 1):
-        nxt = []
+        candidates = []
         for face in levels[-1]:
             common = set.intersection(*(neighbors[v] for v in face))
-            for v in sorted(common):
-                if v > face[-1]:
-                    candidate = face + (v,)
-                    if keep is None or keep(candidate):
-                        nxt.append(candidate)
-        nxt.sort()
-        levels.append(tuple(nxt))
+            candidates.extend(face + (v,) for v in sorted(common) if v > face[-1])
+        candidates.sort()
+        if keep is not None and candidates:
+            candidates = list(compress(candidates, keep(candidates)))
+        levels.append(tuple(candidates))
     return levels
 
 
@@ -186,10 +196,8 @@ def cech_complex(pattern: PointPattern, r: float, max_dim: int = 2) -> Simplicia
     points = pattern.points
     edges = _edge_index_array(pattern, r)
 
-    def keep(face) -> bool:
-        if len(face) <= 2:
-            return True
-        return miniball_radius(points[list(face)]) <= r + MINIBALL_TOLERANCE
+    def keep(faces: list) -> np.ndarray:
+        return _miniball_radii(points[np.array(faces)]) <= r + MINIBALL_TOLERANCE
 
     levels = _clique_levels(points.shape[0], edges, max_dim, keep)
     return SimplicialComplex(max_dim, tuple(levels))

@@ -13,6 +13,7 @@ which is exact and cheap for motifs of at most 5 vertices.
 
 from __future__ import annotations
 
+import heapq
 import io
 import math
 from dataclasses import dataclass
@@ -135,9 +136,11 @@ def rgg(pattern: PointPattern, r: float) -> Graph:
     )
 
 
-def _neighbor_sets(g: Graph) -> list:
-    neighbors = [set() for _ in range(g.n_vertices)]
-    for i, j in g.edges:
+def _neighbor_sets(n: int, edges) -> list:
+    """Adjacency sets of the graph on vertices 0..n-1 with the given edge
+    pairs (a sequence of pairs or an (E, 2) integer array)."""
+    neighbors = [set() for _ in range(n)]
+    for i, j in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
         neighbors[i].add(j)
         neighbors[j].add(i)
     return neighbors
@@ -178,7 +181,7 @@ def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
     """
     if motif.k > MAX_MOTIF_VERTICES:
         raise ValueError("motif too large")
-    neighbors = _neighbor_sets(g)
+    neighbors = _neighbor_sets(g.n_vertices, g.edges)
     target = motif.canonical_form()
     k = motif.k
 
@@ -286,23 +289,40 @@ def _max_clique(neighbors: list, n: int) -> int:
 
 
 def _dsatur_greedy(neighbors: list, n: int) -> int:
-    """Number of colors used by the saturation-order greedy coloring."""
-    if n == 0:
-        return 0
+    """Number of colors used by the saturation-order greedy coloring, which
+    picks the most saturated vertex, then the highest degree, then the
+    lowest index."""
+    return max(_dsatur_colors(neighbors, n), default=-1) + 1
+
+
+def _dsatur_colors(neighbors: list, n: int) -> list:
+    """Saturation-order greedy coloring, one color index per vertex.
+
+    Each step colors, with its smallest free color, the uncolored vertex
+    with the most distinct neighbor colors; ties go to the higher degree,
+    then to the lower index.  A heap keyed (-saturation, -degree, vertex)
+    picks that vertex; a vertex is pushed again whenever its saturation
+    grows, and entries left behind by an older saturation are skipped.
+    """
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), len(neighbors[u])),
-        )
+    heap = [(0, -len(neighbors[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg_saturation, _, v = heapq.heappop(heap)
+        if colors[v] != -1 or -neg_saturation != len(neighbor_colors[v]):
+            continue
         c = 0
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
         for u in neighbors[v]:
-            neighbor_colors[u].add(c)
-    return max(colors) + 1
+            if colors[u] == -1 and c not in neighbor_colors[u]:
+                neighbor_colors[u].add(c)
+                heapq.heappush(
+                    heap, (-len(neighbor_colors[u]), -len(neighbors[u]), u)
+                )
+    return colors
 
 
 def _colorable(neighbors: list, n: int, k: int) -> bool:
@@ -342,7 +362,7 @@ def graph_stats(
     """Clique number (exact), max degree (exact), and chromatic number
     (exact up to the size limit, else a flagged greedy upper bound)."""
     n = g.n_vertices
-    neighbors = _neighbor_sets(g)
+    neighbors = _neighbor_sets(n, g.edges)
     max_degree = max((len(s) for s in neighbors), default=0)
     clique = _max_clique(neighbors, n)
     greedy = _dsatur_greedy(neighbors, n)

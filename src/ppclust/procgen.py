@@ -11,6 +11,7 @@ effective spacing is side/count (exact when side/spacing is an integer).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -451,31 +452,19 @@ def _sample_mixed_poisson(spec, w, rng):
 
 
 # The field covariance factorization depends only on (spec, window geometry);
-# caching it keeps repeated replications from redoing the Cholesky.
-_COX_CACHE: dict = {}
-
-
-def _cox_cholesky(spec, w):
-    key = (
-        spec.get("sigma"),
-        spec.get("corr_length"),
-        spec.get("grid_n"),
-        tuple(w.lower),
-        tuple(w.upper),
-        w.metric,
-    )
-    hit = _COX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    centers = grid_centers(w, spec.get("grid_n"))
+# caching it keeps repeated replications from redoing the Cholesky.  The
+# cache is shared by worker threads, so its arrays are made read-only.
+@functools.lru_cache(maxsize=8)
+def _cox_cholesky(sigma, corr_length, grid_n, lower, upper, metric):
+    w = Window(np.array(lower), np.array(upper), metric)
+    centers = grid_centers(w, grid_n)
     dist = pairwise_distances(centers, w)
-    cov = spec.get("sigma") ** 2 * np.exp(-dist / spec.get("corr_length"))
+    cov = sigma**2 * np.exp(-dist / corr_length)
     # Tiny diagonal jitter keeps the factorization stable at high correlation.
-    cov[np.diag_indices_from(cov)] += 1e-10 * max(spec.get("sigma") ** 2, 1.0)
+    cov[np.diag_indices_from(cov)] += 1e-10 * max(sigma**2, 1.0)
     chol = np.linalg.cholesky(cov)
-    if len(_COX_CACHE) > 8:
-        _COX_CACHE.clear()
-    _COX_CACHE[key] = (centers, chol)
+    centers.setflags(write=False)
+    chol.setflags(write=False)
     return centers, chol
 
 
@@ -483,7 +472,14 @@ def _sample_log_gaussian_cox(spec, w, rng):
     grid_n = spec.get("grid_n")
     if grid_n**w.dim > MAX_COX_CELLS or (w.dim == 2 and grid_n > MAX_COX_GRID_2D):
         raise ValueError("field grid too large for dense Cholesky")
-    centers, chol = _cox_cholesky(spec, w)
+    centers, chol = _cox_cholesky(
+        spec.get("sigma"),
+        spec.get("corr_length"),
+        grid_n,
+        tuple(w.lower),
+        tuple(w.upper),
+        w.metric,
+    )
     eta = spec.get("mu_g") + chol @ rng.standard_normal(centers.shape[0])
     cell_sides = w.sides / grid_n
     cell_vol = float(np.prod(cell_sides))

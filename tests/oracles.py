@@ -165,3 +165,65 @@ def bfs_component_sizes(n, edges):
                     queue.append(other)
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def brute_force_miniball_radius(points, tol=1e-12):
+    """Smallest enclosing ball radius, one support subset and one solve at
+    a time: every subset of at most d+1 points whose circumcenter exists
+    is a candidate, and the smallest candidate ball holding every point
+    (within tol) wins."""
+    from itertools import combinations
+
+    import numpy as np
+
+    def circumcenter(sub):
+        if sub.shape[0] == 1:
+            return sub[0]
+        base = sub[0]
+        span = sub[1:] - base
+        gram = span @ span.T
+        try:
+            coeffs = np.linalg.solve(2.0 * gram, np.diag(gram).copy())
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(coeffs)):
+            return None
+        return base + span.T @ coeffs
+
+    pts = np.asarray(points, dtype=float)
+    m, d = pts.shape
+    best = math.inf
+    for size in range(1, min(m, d + 1) + 1):
+        for sub in combinations(range(m), size):
+            center = circumcenter(pts[list(sub)])
+            if center is None:
+                continue
+            dist = np.sqrt(np.sum((pts - center) ** 2, axis=1))
+            radius = float(np.max(dist[list(sub)]))
+            if radius < best and np.all(dist <= radius + tol):
+                best = radius
+    return best
+
+
+def scan_dsatur_colors(n, edges):
+    """Saturation-order greedy coloring by a full scan per step: color the
+    uncolored vertex with the most distinct neighbor colors (ties: higher
+    degree, then lower index) with its smallest free color."""
+    neighbors = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] == -1),
+            key=lambda u: (len(neighbor_colors[u]), len(neighbors[u])),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        for u in neighbors[v]:
+            neighbor_colors[u].add(c)
+    return colors

@@ -6,7 +6,7 @@ import pytest
 import ppclust.complexes as cx
 import ppclust.percolation as perc
 import ppclust.procgen as pg
-from oracles import naive_betti_numbers
+from oracles import brute_force_miniball_radius, naive_betti_numbers
 from ppclust.complexes import (
     BettiVector,
     SimplicialComplex,
@@ -106,6 +106,72 @@ class TestMiniball:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             miniball_radius(np.empty((0, 2)))
+
+
+def degenerate_stacks(rng, m, d):
+    """Face stacks whose support subsets include singular systems."""
+    line = rng.uniform(-1, 1, size=(40, m, 1)) * rng.uniform(-1, 1, size=(40, 1, d))
+    coincident = rng.uniform(0, 1, size=(40, m, d))
+    coincident[:, 1] = coincident[:, 0]
+    lattice = rng.integers(0, 2, size=(40, m, d)).astype(float)
+    return {"collinear": line, "coincident": coincident, "lattice": lattice}
+
+
+class TestBatchedMiniball:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_matches_per_face_oracle(self, m, d):
+        rng = STREAM.derive(30 + 10 * d + m).generator()
+        stacks = {"random": rng.uniform(-2, 2, size=(60, m, d))}
+        stacks.update(degenerate_stacks(rng, m, d))
+        # One stack mixing every kind, so singular faces share a batch with
+        # regular ones.
+        stacks["mixed"] = np.concatenate(list(stacks.values()))
+        for name, stack in stacks.items():
+            radii = cx._miniball_radii(stack)
+            expected = [brute_force_miniball_radius(face) for face in stack]
+            np.testing.assert_allclose(radii, expected, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_singular_matrix_skipped_within_batch(self):
+        lhs = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]]])
+        rhs = np.array([[[1.0], [2.0]], [[1.0], [1.0]]])
+        out = cx._solve_each(lhs, rhs)
+        assert np.array_equal(out[0], np.linalg.solve(lhs[0], rhs[0]))
+        assert np.all(np.isnan(out[1]))
+
+    @pytest.mark.parametrize(
+        "lattice, r",
+        [
+            ("square", 1 / math.sqrt(2)),
+            ("square", math.nextafter(1 / math.sqrt(2), 1.0)),
+            ("square", 0.75),
+            ("hex", 0.5),
+            ("hex", 1 / math.sqrt(3)),
+        ],
+    )
+    def test_cech_faces_match_per_face_oracle_filter_on_lattice(self, lattice, r):
+        # Lattice faces sit on the tolerance boundary: a unit square's
+        # circumradius is 1/sqrt(2), a unit triangle's is 1/sqrt(3).
+        w = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
+        spec = getattr(pg, f"{lattice}_lattice")(1.0, stationary=False)
+        pattern = pg.sample(spec, w, STREAM)
+        points = pattern.points
+        rips = vietoris_rips(pattern, r, max_dim=3).faces
+        expected = [rips[0], rips[1]]
+        for level in rips[2:]:
+            accepted = set(expected[-1])
+            expected.append(
+                tuple(
+                    face
+                    for face in level
+                    if all(
+                        face[:omit] + face[omit + 1 :] in accepted
+                        for omit in range(len(face))
+                    )
+                    and brute_force_miniball_radius(points[list(face)]) <= r + 1e-12
+                )
+            )
+        assert cech_complex(pattern, r, max_dim=3).faces == tuple(expected)
 
 
 class TestVietorisRips:

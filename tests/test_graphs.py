@@ -11,6 +11,7 @@ from oracles import (
     brute_force_motif_count,
     count_connected_subsets,
     ordered_tuple_sum,
+    scan_dsatur_colors,
 )
 from ppclust.core import PointPattern, RandomStream, box, cube
 from ppclust.graphs import (
@@ -259,6 +260,33 @@ class TestGraphStats:
     def test_sandwich_violation_rejected(self):
         with pytest.raises(ValueError, match="clique"):
             GraphStats(3, 1, 2, True)
+
+
+class TestDsatur:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pg.homogeneous_poisson(1.5),
+            pg.square_lattice(1.0, stationary=False),
+            pg.hex_lattice(1.0, stationary=False),
+            pg.square_lattice(1.0),
+        ],
+        ids=["poisson", "square", "hex", "square_stationary"],
+    )
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.3])
+    def test_heap_order_matches_scan_oracle(self, spec, r):
+        # Lattice graphs are full of saturation and degree ties, so the
+        # colorings agree only if both break ties the same way.
+        pattern = pg.sample(spec, cube(9.0, 2, metric="euclidean"), STREAM.derive(11))
+        g = rgg(pattern, r)
+        neighbors = gr._neighbor_sets(g.n_vertices, g.edges)
+        colors = gr._dsatur_colors(neighbors, g.n_vertices)
+        assert colors == scan_dsatur_colors(g.n_vertices, g.edges)
+        assert gr._dsatur_greedy(neighbors, g.n_vertices) == max(colors) + 1
+
+    def test_empty_graph(self):
+        assert gr._dsatur_colors([], 0) == []
+        assert gr._dsatur_greedy([], 0) == 0
 
 
 class TestScalingExperiment:

@@ -1,6 +1,8 @@
 """Sampler correctness: intensities, exact counts, determinism, mean-count bands."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,6 +95,23 @@ class TestDeterminism:
         a = procgen.sample(spec, w, s)
         b = procgen.sample(spec, w, s)
         assert np.array_equal(a.points, b.points)
+
+    def test_lgcp_patterns_survive_cache_eviction_across_threads(self):
+        # Twelve window geometries overflow the eight-entry factorization
+        # cache, so worker threads evict entries while others read them.
+        spec = procgen.log_gaussian_cox(0.0, 0.8, 1.0, 8)
+        jobs = [(core.cube(4.0 + i % 12, 2), RandomStream(31).derive(i)) for i in range(48)]
+        serial = [procgen.sample(spec, w, s).points for w, s in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(
+                    pool.map(lambda job: procgen.sample(spec, *job).points, jobs, timeout=60)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_points_sorted(self):
         w = core.cube(8.0, 2)
