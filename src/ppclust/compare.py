@@ -26,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, Window, ball_volume, cube, run_indexed
+from .core import RandomStream, Window, ball_volume, check_replications, cube, replicate
 from .procgen import GeneratorSpec, intensity, sample
 from .summaries import (
     _counts_in_regions,
+    _estimates,
+    _falling_factorial,
+    _proportion,
     _random_centers,
     ball,
     box,
@@ -136,13 +139,6 @@ def overall_verdict(reports) -> str:
     return "inconclusive"
 
 
-def _falling_factorial(counts: np.ndarray, k: int) -> np.ndarray:
-    stat = np.ones_like(counts, dtype=float)
-    for j in range(k):
-        stat = stat * (counts - j)
-    return stat
-
-
 def weak_poisson_test(
     spec: GeneratorSpec,
     w: Window,
@@ -171,14 +167,12 @@ def weak_poisson_test(
     min_side = float(np.min(w.sides))
     if max(scales) * 2 > min_side:
         raise ValueError("largest scale does not fit the window as a ball diameter")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    check_replications(reps, stream)
     lam = intensity(spec, d=w.dim, w=w).value
     n_scales = len(scales)
     orders = list(range(2, k_max + 1))
 
-    def one(i: int):
-        rep = stream.derive(i)
+    def one(rep: RandomStream):
         pattern = sample(spec, w, rep.derive(0))
         rng = rep.derive(1).generator()
         voids = np.empty(n_scales)
@@ -193,18 +187,15 @@ def weak_poisson_test(
                 moments[j, c] = np.mean(_falling_factorial(counts, k))
         return voids, moments
 
-    results = run_indexed(reps, one, threads)
+    results = replicate(reps, stream, threads, one)
     void_mat = np.array([v for v, _ in results])  # (reps, scales)
     mom_mat = np.array([m for _, m in results])  # (reps, scales, orders)
 
     def summarize(mat: np.ndarray, refs) -> tuple:
-        rows = []
-        for j, s in enumerate(scales):
-            col = mat[:, j]
-            est = float(np.mean(col))
-            se = float(np.std(col, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-            rows.append(ScaleComparison(s, est, refs[j], _z_score(est - refs[j], se)))
-        return tuple(rows)
+        return tuple(
+            ScaleComparison(s, e.value, ref, _z_score(e.value - ref, e.std_error))
+            for s, e, ref in zip(scales, _estimates(mat), refs)
+        )
 
     d = w.dim
     void_refs = [math.exp(-lam * ball_volume(s, d)) for s in scales]
@@ -254,8 +245,7 @@ def compare_two(
     scales = [float(s) for s in scales]
     if not scales or any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    check_replications(reps, stream)
     lam_a = intensity(spec_a, d=w.dim, w=w).value
     lam_b = intensity(spec_b, d=w.dim, w=w).value
     if abs(lam_a - lam_b) > INTENSITY_MATCH_RTOL * 0.5 * (lam_a + lam_b):
@@ -314,8 +304,7 @@ def concentration_check(
     n_list = [int(n) for n in n_list]
     if any(n < 16 for n in n_list):
         raise ValueError("window volumes below 16 are too small to be informative")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    check_replications(reps, stream)
     lam = intensity(spec, d=d).value
     if not math.isclose(lam, 1.0, rel_tol=0.0, abs_tol=UNIT_INTENSITY_ATOL):
         raise ValueError(
@@ -332,17 +321,14 @@ def concentration_check(
         side = n ** (1.0 / d)
         w_n = cube(side, d, metric="periodic")
         threshold = n**a
-        scale_stream = stream.derive(idx)
 
-        def one(i: int) -> float:
-            pattern = sample(spec, w_n, scale_stream.derive(i))
+        def one(rep: RandomStream) -> float:
+            pattern = sample(spec, w_n, rep)
             return float(abs(pattern.points.shape[0] - n) >= threshold)
 
-        hits = np.array(run_indexed(reps, one, threads))
-        empirical = float(np.mean(hits))
-        se = math.sqrt(empirical * (1.0 - empirical) / reps)
-        status = "holds" if empirical <= bound + 3.0 * se else "fails"
-        rows.append(ConcentrationRow(n, empirical, bound, se, status))
+        est = _proportion(replicate(reps, stream.derive(idx), threads, one))
+        status = "holds" if est.value <= bound + 3.0 * est.std_error else "fails"
+        rows.append(ConcentrationRow(n, est.value, bound, est.std_error, status))
     return rows
 
 

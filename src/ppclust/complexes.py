@@ -19,10 +19,11 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .core import PointPattern, RandomStream, box, run_indexed
-from .graphs import _neighbor_sets
+from .core import PointPattern, RandomStream, check_replications, replicate
+from .graphs import _neighbor_sets, _volume_windows
 from .percolation import _edge_index_array
 from .procgen import GeneratorSpec, sample
+from .summaries import _estimate
 
 __all__ = [
     "SimplicialComplex",
@@ -287,31 +288,23 @@ def betti_scaling_experiment(
     """
     if not 0 <= k <= 2:
         raise ValueError("k must be 0, 1, or 2")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    check_replications(reps, stream)
     rows = []
-    for idx, n in enumerate(n_list):
-        r = float(r_rule(n))
-        if not r > 0:
-            raise ValueError("r_rule must return positive radii")
-        half = 0.5 * float(n) ** (1.0 / d)
-        w = box(*(((-half, half),) * d), metric="euclidean")
-        level = stream.derive(idx)
+    for n, r, w, level in _volume_windows(r_rule, n_list, d, stream):
 
-        def one(j: int) -> float:
-            pattern = sample(spec, w, level.derive(j))
-            complex_ = cech_complex(pattern, r, max_dim=k + 1)
+        def one(rep: RandomStream) -> float:
+            complex_ = cech_complex(sample(spec, w, rep), r, max_dim=k + 1)
             return float(betti_numbers(complex_).betti[k])
 
-        values = np.array(run_indexed(reps, one, threads))
-        se = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        values = np.array(replicate(reps, level, threads, one))
+        est = _estimate(values)
         rows.append(
             BettiScalingRow(
-                n=int(n),
+                n=n,
                 r=r,
-                mean_betti=float(np.mean(values)),
+                mean_betti=est.value,
                 p_zero=float(np.mean(values == 0.0)),
-                std_error=se,
+                std_error=est.std_error,
                 replications=reps,
             )
         )

@@ -239,10 +239,6 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def derive(stream: RandomStream, i: int) -> RandomStream:
-    return stream.derive(i)
-
-
 def sort_points(points: np.ndarray) -> np.ndarray:
     """Lexicographic point order, so sampler output is deterministic."""
     if points.shape[0] <= 1:
@@ -268,3 +264,39 @@ def run_indexed(n: int, fn, threads: int = 1) -> list:
         for fut, i in futures.items():
             results[i] = fut.result()
     return results
+
+
+def check_replications(reps: int, stream: RandomStream):
+    """Reject a missing stream or a replication count below one."""
+    if stream is None:
+        raise ValueError("an explicit RandomStream is required")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+
+
+def replicate(reps: int, stream: RandomStream, threads: int, one) -> list:
+    """Run one Monte Carlo replication per index and collect the results.
+
+    Every estimator follows the same protocol: draw ``reps`` independent
+    patterns from a generator specification, compute a per-replication
+    statistic, and report the across-replication mean with its standard
+    error.  Replication ``i`` is ``one(stream.derive(i))``, so runs are
+    reproducible and independent of the thread count; results come back
+    in index order.  Curve-valued statistics evaluate all abscissa values
+    on the same replications, so neighbouring estimates share noise but
+    each is individually unbiased.
+
+    A replication that returns None is empty (a pattern with no points,
+    say) and is dropped; more than half empty raises ValueError, since the
+    estimate would then rest on a minority of the replications.
+    """
+    check_replications(reps, stream)
+    results = run_indexed(reps, lambda i: one(stream.derive(i)), threads)
+    kept = [r for r in results if r is not None]
+    empties = reps - len(kept)
+    if empties * 2 > reps:
+        raise ValueError(
+            f"{empties} of {reps} replications were empty; the generator is "
+            "too sparse for this window"
+        )
+    return kept

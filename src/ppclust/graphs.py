@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import PointPattern, RandomStream, Window, box, run_indexed
+from .core import PointPattern, RandomStream, box, check_replications, replicate, run_indexed
 from .percolation import Graph, _edge_index_array
 from .procgen import GeneratorSpec, sample
 
@@ -392,6 +392,18 @@ class ScalingRow:
     chromatic_all_exact: bool
 
 
+def _volume_windows(r_rule, n_list, d: int, stream: RandomStream):
+    """Yield (n, r, window, stream) per entry of n_list: the centred
+    Euclidean cube of volume n, the radius r_rule(n), and the entry's
+    sub-stream stream.derive(index)."""
+    for idx, n in enumerate(n_list):
+        r = float(r_rule(n))
+        if not r > 0:
+            raise ValueError("r_rule must return positive radii")
+        half = 0.5 * float(n) ** (1.0 / d)
+        yield int(n), r, box(*(((-half, half),) * d), metric="euclidean"), stream.derive(idx)
+
+
 def scaling_experiment(
     spec: GeneratorSpec,
     r_rule,
@@ -405,20 +417,12 @@ def scaling_experiment(
 ) -> list:
     """Sample patterns on growing centered windows of volume n, build the
     geometric graph at radius r_rule(n), and average its statistics."""
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    check_replications(reps, stream)
     rows = []
-    for idx, n in enumerate(n_list):
-        r = float(r_rule(n))
-        if not r > 0:
-            raise ValueError("r_rule must return positive radii")
-        half = 0.5 * float(n) ** (1.0 / d)
-        w = box(*(((-half, half),) * d), metric="euclidean")
-        level = stream.derive(idx)
+    for n, r, w, level in _volume_windows(r_rule, n_list, d, stream):
 
-        def one(j: int):
-            pattern = sample(spec, w, level.derive(j))
-            graph = rgg(pattern, r)
+        def one(rep: RandomStream):
+            graph = rgg(sample(spec, w, rep), r)
             stats = graph_stats(graph, exact_chromatic_limit)
             return (
                 stats.clique_number,
@@ -428,11 +432,11 @@ def scaling_experiment(
                 stats.chromatic_exact,
             )
 
-        data = run_indexed(reps, one, threads)
+        data = replicate(reps, level, threads, one)
         cliques = np.array([row[0] for row in data], dtype=float)
         rows.append(
             ScalingRow(
-                n=int(n),
+                n=n,
                 r=r,
                 mean_clique=float(np.mean(cliques)),
                 mean_max_degree=float(np.mean([row[1] for row in data])),

@@ -30,14 +30,15 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    check_replications,
     neighbor_pairs,
     pair_distances,
-    run_indexed,
+    replicate,
     unit_ball_volume,
 )
 from .procgen import GeneratorSpec, sample
 from .shotnoise import ResponseFunction, coverage_field
-from .summaries import EstimateWithError
+from .summaries import EstimateWithError, _estimates, _proportion
 
 __all__ = [
     "Graph",
@@ -161,18 +162,16 @@ def component_fraction_sweep(
     the pairs by length once; the graph at each radius is then a prefix of
     that order (found by searchsorted), whose components come from scipy's
     connected_components.  Empty patterns are skipped (with an error if
-    they are the majority).
+    more than half are empty).
     """
     radii = [float(r) for r in radii]
     if not radii or any(r < 0 for r in radii) or any(np.diff(radii) <= 0):
         raise ValueError("radii must be non-negative and strictly increasing")
     if w.metric == "periodic" and 2 * radii[-1] >= float(np.min(w.sides)) / 2:
         raise ValueError("largest radius too big for the torus adjacency rule")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
 
-    def one(i: int):
-        pattern = sample(spec, w, stream.derive(i))
+    def one(rep: RandomStream):
+        pattern = sample(spec, w, rep)
         n = pattern.points.shape[0]
         if n == 0:
             return None
@@ -186,21 +185,9 @@ def component_fraction_sweep(
             sizes = _component_sizes(n, pairs[:m])[:2]
             fractions[: sizes.size, k] = sizes / n
         return fractions
-    results = run_indexed(reps, one, threads)
-    used = [r for r in results if r is not None]
-    if len(used) * 2 < reps:
-        raise ValueError(f"{reps - len(used)} of {reps} replications were empty")
 
-    def reduce(rows: np.ndarray) -> tuple:
-        ests = []
-        for col in rows.T:
-            se = float(np.std(col, ddof=1) / math.sqrt(len(col))) if len(col) > 1 else 0.0
-            ests.append(EstimateWithError(float(np.mean(col)), se, len(col)))
-        return tuple(ests)
-
-    largest_rows = np.array([f[0] for f in used])
-    second_rows = np.array([f[1] for f in used])
-    return PercolationSweep(tuple(radii), reduce(largest_rows), reduce(second_rows))
+    used = np.array(replicate(reps, stream, threads, one))
+    return PercolationSweep(tuple(radii), _estimates(used[:, 0]), _estimates(used[:, 1]))
 
 
 def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
@@ -230,17 +217,11 @@ def crossing_probability(
     """Probability that a Gilbert component spans the window horizontally."""
     if w.metric != "euclidean":
         raise ValueError("crossing experiments need a Euclidean (non-wrapped) window")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
 
-    def one(i: int) -> float:
-        pattern = sample(spec, w, stream.derive(i))
-        return float(_crossing_indicator(pattern, r))
+    def one(rep: RandomStream) -> float:
+        return float(_crossing_indicator(sample(spec, w, rep), r))
 
-    hits = np.array(run_indexed(reps, one, threads))
-    p = float(np.mean(hits))
-    se = math.sqrt(p * (1.0 - p) / reps)
-    return EstimateWithError(p, se, reps)
+    return _proportion(replicate(reps, stream, threads, one))
 
 
 def critical_radius(
@@ -261,8 +242,7 @@ def critical_radius(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    check_replications(reps, stream)
     eval_stream = stream.derive(0)
 
     def p_hat(r: float) -> EstimateWithError:
@@ -361,19 +341,13 @@ def k_percolation_crossing(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
     shape = (grid_n,) * w.dim
 
-    def one(i: int) -> float:
-        pattern = sample(spec, w, stream.derive(i))
-        covered = coverage_field(pattern, r, grid_n).values >= k
+    def one(rep: RandomStream) -> float:
+        covered = coverage_field(sample(spec, w, rep), r, grid_n).values >= k
         return float(_site_crossing(covered.reshape(shape)))
 
-    hits = np.array(run_indexed(reps, one, threads))
-    p = float(np.mean(hits))
-    se = math.sqrt(p * (1.0 - p) / reps)
-    return EstimateWithError(p, se, reps)
+    return _proportion(replicate(reps, stream, threads, one))
 
 
 @dataclass(frozen=True)

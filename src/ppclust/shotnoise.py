@@ -24,12 +24,12 @@ from .core import (
     RandomStream,
     Window,
     grid_centers,
-    run_indexed,
+    replicate,
     unit_ball_volume,
     volume,
 )
 from .procgen import GeneratorSpec, sample
-from .summaries import EstimateWithError
+from .summaries import _estimate
 
 __all__ = [
     "ResponseFunction",
@@ -233,19 +233,13 @@ def k_covered_volume(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
     cell_volume = volume(w) / grid_n**w.dim
 
-    def one(i: int) -> float:
-        pattern = sample(spec, w, stream.derive(i))
-        covered = coverage_field(pattern, r, grid_n).values >= k
+    def one(rep: RandomStream) -> float:
+        covered = coverage_field(sample(spec, w, rep), r, grid_n).values >= k
         return cell_volume * float(np.count_nonzero(covered))
 
-    per_rep = np.array(run_indexed(reps, one, threads))
-    mean = float(np.mean(per_rep))
-    se = float(np.std(per_rep, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return EstimateWithError(mean, se, reps)
+    return _estimate(replicate(reps, stream, threads, one))
 
 
 def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: int) -> float:

@@ -1,12 +1,8 @@
 """Monte Carlo summary statistics for point-process samplers.
 
-Every estimator here follows the same protocol: draw ``reps`` independent
-patterns from a generator specification (replication ``i`` uses
-``stream.derive(i)``, so runs are reproducible and order-independent),
-compute a per-replication statistic, and report the across-replication
-mean with its standard error.  Curve-valued statistics evaluate all
-abscissa values on the same replications, so neighbouring estimates share
-noise but each is individually unbiased.
+Every estimator here runs its replications through core.replicate, whose
+docstring states the protocol, and reduces them with _mean_and_se, the one
+sample mean and standard error of the package.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from .core import (
     ball_volume,
     neighbor_pairs,
     pair_distances,
-    run_indexed,
+    replicate,
     unit_ball_volume,
     volume,
 )
@@ -135,16 +131,44 @@ def _require_periodic(w: Window, what: str):
         raise ValueError(f"{what} requires a periodic window (edge-effect free)")
 
 
-def _mean_and_se(values: np.ndarray) -> tuple:
+def _mean_and_se(values) -> tuple:
+    """Sample mean and standard error over the replications on axis 0.
+
+    Fortran order makes each column one contiguous vector, so a column's
+    mean and standard error equal those of the column reduced on its own,
+    bit for bit.  One replication gives a standard error of 0.
+    """
+    values = np.asfortranarray(values, dtype=float)
     n = values.shape[0]
-    mean = float(np.mean(values, axis=0)) if values.ndim == 1 else np.mean(values, axis=0)
-    if n < 2:
-        se = 0.0 if values.ndim == 1 else np.zeros(values.shape[1])
-    else:
-        se = np.std(values, axis=0, ddof=1) / math.sqrt(n)
-        if values.ndim == 1:
-            se = float(se)
+    mean = np.mean(values, axis=0)
+    se = np.std(values, axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     return mean, se
+
+
+def _estimate(values) -> EstimateWithError:
+    """Scalar estimate from one value per replication."""
+    mean, se = _mean_and_se(values)
+    return EstimateWithError(float(mean), float(se), len(values))
+
+
+def _estimates(values) -> tuple:
+    """One estimate per column of a (replications, k) array."""
+    mean, se = _mean_and_se(values)
+    return tuple(EstimateWithError(float(m), float(s), len(values)) for m, s in zip(mean, se))
+
+
+def _proportion(hits) -> EstimateWithError:
+    """Frequency of 0/1 outcomes with its binomial standard error."""
+    p = float(np.mean(hits))
+    return EstimateWithError(p, math.sqrt(p * (1.0 - p) / len(hits)), len(hits))
+
+
+def _falling_factorial(counts: np.ndarray, k: int) -> np.ndarray:
+    """N(N-1)...(N-k+1) of each count."""
+    stat = np.ones_like(counts, dtype=float)
+    for j in range(k):
+        stat = stat * (counts - j)
+    return stat
 
 
 def _pair_distances(pattern: PointPattern, cutoff: float) -> np.ndarray:
@@ -210,13 +234,9 @@ def ripley_k(
     """
     _require_periodic(w, "ripley_k")
     grid = _check_grid(r_grid, w)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
 
-    def one(i: int):
-        pattern = sample(spec, w, stream.derive(i))
+    def one(rep: RandomStream):
+        pattern = sample(spec, w, rep)
         n = pattern.points.shape[0]
         if n == 0:
             return None
@@ -224,23 +244,12 @@ def ripley_k(
         counts = 2.0 * np.searchsorted(dists, grid, side="right")
         return n, counts
 
-    results = run_indexed(reps, one, threads)
-    used = [r for r in results if r is not None]
-    empties = reps - len(used)
-    if empties * 2 > reps:
-        raise ValueError(
-            f"{empties} of {reps} replications were empty; the generator is "
-            "too sparse for this window"
-        )
+    used = replicate(reps, stream, threads, one)
     volume_w = volume(w)
     total_points = sum(n for n, _ in used)
     lam_hat = total_points / (len(used) * volume_w)
     per_rep = np.array([counts / (lam_hat**2 * volume_w) for _, counts in used])
-    mean, se = _mean_and_se(per_rep)
-    ests = tuple(
-        EstimateWithError(float(m), float(s), len(used)) for m, s in zip(mean, np.atleast_1d(se))
-    )
-    return CurveEstimate(tuple(float(r) for r in grid), ests)
+    return CurveEstimate(tuple(float(r) for r in grid), _estimates(per_rep))
 
 
 def pair_correlation(
@@ -260,10 +269,6 @@ def pair_correlation(
     0.15 times the largest grid value.
     """
     _require_periodic(w, "pair_correlation")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     pre_grid = np.asarray(r_grid, dtype=float)
     if pre_grid.size and np.any(pre_grid == 0.0):
         raise ValueError("r=0 is not estimable: the surface factor vanishes there")
@@ -275,8 +280,8 @@ def pair_correlation(
     d = w.dim
     surface = d * unit_ball_volume(d) * grid ** (d - 1)
 
-    def one(i: int):
-        pattern = sample(spec, w, stream.derive(i))
+    def one(rep: RandomStream):
+        pattern = sample(spec, w, rep)
         n = pattern.points.shape[0]
         dists = _pair_distances(pattern, grid[-1] + bandwidth)
         if dists.size == 0:
@@ -285,17 +290,13 @@ def pair_correlation(
         kern = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2) / bandwidth, 0.0)
         return n, 2.0 * np.sum(kern, axis=1)
 
-    results = run_indexed(reps, one, threads)
+    results = replicate(reps, stream, threads, one)
     volume_w = volume(w)
     lam_hat = sum(n for n, _ in results) / (reps * volume_w)
     if lam_hat == 0:
         raise ValueError("all replications were empty")
     per_rep = np.array([s / (lam_hat**2 * volume_w * surface) for _, s in results])
-    mean, se = _mean_and_se(per_rep)
-    ests = tuple(
-        EstimateWithError(float(m), float(s), reps) for m, s in zip(mean, np.atleast_1d(se))
-    )
-    return CurveEstimate(tuple(float(r) for r in grid), ests)
+    return CurveEstimate(tuple(float(r) for r in grid), _estimates(per_rep))
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +320,16 @@ def void_probability(
     """
     _region_fits(region, w)
     _require_periodic(w, "void_probability")
-    if placements < 1 or reps < 1:
-        raise ValueError("placements and reps must be >= 1")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    if placements < 1:
+        raise ValueError("placements must be >= 1")
 
-    def one(i: int) -> float:
-        rep = stream.derive(i)
+    def one(rep: RandomStream) -> float:
         pattern = sample(spec, w, rep.derive(0))
         centers = _random_centers(w, placements, rep.derive(1).generator())
         counts = _counts_in_regions(pattern, centers, region)
         return float(np.mean(counts == 0))
 
-    per_rep = np.array(run_indexed(reps, one, threads))
-    mean, se = _mean_and_se(per_rep)
-    return EstimateWithError(mean, se, reps)
+    return _estimate(replicate(reps, stream, threads, one))
 
 
 def factorial_moment(
@@ -356,24 +352,16 @@ def factorial_moment(
     region = box(box_side)
     _region_fits(region, w)
     _require_periodic(w, "factorial_moment")
-    if placements < 1 or reps < 1:
-        raise ValueError("placements and reps must be >= 1")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
+    if placements < 1:
+        raise ValueError("placements must be >= 1")
 
-    def one(i: int) -> float:
-        rep = stream.derive(i)
+    def one(rep: RandomStream) -> float:
         pattern = sample(spec, w, rep.derive(0))
         centers = _random_centers(w, placements, rep.derive(1).generator())
         counts = _counts_in_regions(pattern, centers, region).astype(float)
-        stat = np.ones_like(counts)
-        for j in range(k):
-            stat = stat * (counts - j)
-        return float(np.mean(stat))
+        return float(np.mean(_falling_factorial(counts, k)))
 
-    per_rep = np.array(run_indexed(reps, one, threads))
-    mean, se = _mean_and_se(per_rep)
-    return EstimateWithError(mean, se, reps)
+    return _estimate(replicate(reps, stream, threads, one))
 
 
 def count_variance(
@@ -397,11 +385,8 @@ def count_variance(
     _require_periodic(w, "count_variance")
     if placements < 1 or reps < 2:
         raise ValueError("placements must be >= 1 and reps >= 2")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
 
-    def one(i: int):
-        rep = stream.derive(i)
+    def one(rep: RandomStream):
         pattern = sample(spec, w, rep.derive(0))
         centers = _random_centers(w, placements, rep.derive(1).generator())
         counts = _counts_in_regions(pattern, centers, region).astype(float)
@@ -409,7 +394,7 @@ def count_variance(
         v = float(np.var(counts, ddof=1)) if placements > 1 else 0.0
         return m, v
 
-    rows = run_indexed(reps, one, threads)
+    rows = replicate(reps, stream, threads, one)
     means = np.array([m for m, _ in rows])
     wvars = np.array([v for _, v in rows])
 
@@ -453,13 +438,9 @@ def laplace_functional(
     """
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if stream is None:
-        raise ValueError("an explicit RandomStream is required")
 
-    def one(i: int) -> float:
-        pattern = sample(spec, w, stream.derive(i))
+    def one(rep: RandomStream) -> float:
+        pattern = sample(spec, w, rep)
         if pattern.points.shape[0] == 0:
             return 0.0
         values = np.asarray(f(pattern.points), dtype=float)
@@ -470,11 +451,9 @@ def laplace_functional(
         total = float(np.sum(values))
         return -total if sign == "minus" else total
 
-    exponents = np.array(run_indexed(reps, one, threads))
+    exponents = np.array(replicate(reps, stream, threads, one))
     if np.max(exponents) < _EXP_DIRECT_LIMIT:
-        vals = np.exp(exponents)
-        mean, se = _mean_and_se(vals)
-        return EstimateWithError(mean, se, reps)
+        return _estimate(np.exp(exponents))
     # Log-space path: log-mean and log-second-moment via stable reductions.
     from scipy.special import logsumexp
 

@@ -143,9 +143,50 @@ class TestRandomStream:
             direct.generator().random(8), derived.generator().random(8)
         )
 
-    def test_derive_function_matches_method(self):
-        s = core.RandomStream(1)
-        assert core.derive(s, 4) == s.derive(4)
+
+class TestReplicate:
+    STREAM = core.RandomStream(31)
+
+    def test_results_in_index_order_on_derived_streams(self):
+        out = core.replicate(12, self.STREAM, 1, lambda rep: rep)
+        assert out == [self.STREAM.derive(i) for i in range(12)]
+
+    def test_replication_values_come_from_their_own_stream(self):
+        out = core.replicate(5, self.STREAM, 1, lambda rep: rep.generator().random())
+        expected = [self.STREAM.derive(i).generator().random() for i in range(5)]
+        assert out == expected
+
+    def test_empty_replications_are_dropped(self):
+        out = core.replicate(6, self.STREAM, 1, lambda rep: None if rep.path[-1] % 2 else rep.path)
+        assert out == [(0,), (2,), (4,)]
+
+    @pytest.mark.parametrize("reps", [1, 2, 7, 8])
+    def test_half_empty_passes_and_one_more_raises(self, reps):
+        def first_empty(count):
+            return lambda rep: None if rep.path[-1] < count else rep.path[-1]
+
+        half = reps // 2
+        assert core.replicate(reps, self.STREAM, 1, first_empty(half)) == list(range(half, reps))
+        with pytest.raises(ValueError, match=f"{half + 1} of {reps} replications were empty"):
+            core.replicate(reps, self.STREAM, 1, first_empty(half + 1))
+
+    def test_thread_count_does_not_change_results(self):
+        def one(rep):
+            value = rep.generator().random()
+            return None if value < 0.2 else value
+
+        serial = core.replicate(40, self.STREAM, 1, one)
+        assert core.replicate(40, self.STREAM, 2, one) == serial
+        assert len(serial) < 40
+
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_rejects_reps_below_one(self, reps):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            core.replicate(reps, self.STREAM, 1, lambda rep: 0.0)
+
+    def test_rejects_missing_stream(self):
+        with pytest.raises(ValueError, match="explicit RandomStream"):
+            core.replicate(3, None, 1, lambda rep: 0.0)
 
 
 def test_sort_points_lexicographic():

@@ -58,6 +58,40 @@ class TestRegions:
             ball(0.0)
 
 
+class TestMeanAndSe:
+    @pytest.mark.parametrize("reps", [1, 2, 7, 8, 50])
+    def test_columns_match_one_dimensional_reductions_exactly(self, reps):
+        rng = np.random.default_rng(reps)
+        values = rng.lognormal(0.0, 2.0, size=(reps, 13)) * 10.0 ** rng.integers(-8, 8, 13)
+        mean, se = summaries._mean_and_se(values)
+        for j in range(values.shape[1]):
+            col = values[:, j].copy()
+            assert mean[j] == np.mean(col)
+            expected = np.std(col, ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
+            assert se[j] == expected
+
+    @pytest.mark.parametrize("reps", [1, 2, 7, 8, 50])
+    def test_vector_matches_scalar_reductions(self, reps):
+        values = np.random.default_rng(reps).normal(3.0, 1.0, reps)
+        est = summaries._estimate(values)
+        assert est.value == np.mean(values) and est.replications == reps
+        assert est.std_error == (np.std(values, ddof=1) / math.sqrt(reps) if reps > 1 else 0.0)
+
+    def test_one_replication_has_zero_error(self):
+        mean, se = summaries._mean_and_se(np.array([[1.5, -2.0, 7.0]]))
+        assert mean.tolist() == [1.5, -2.0, 7.0] and se.tolist() == [0.0, 0.0, 0.0]
+
+    def test_proportion_binomial_error(self):
+        est = summaries._proportion(np.array([1.0, 0.0, 1.0, 1.0]))
+        assert est.value == 0.75 and est.replications == 4
+        assert est.std_error == math.sqrt(0.75 * 0.25 / 4)
+
+    def test_falling_factorial(self):
+        counts = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+        assert summaries._falling_factorial(counts, 3).tolist() == [0.0, 0.0, 0.0, 6.0, 60.0]
+        assert summaries._falling_factorial(counts, 1).tolist() == counts.tolist()
+
+
 class TestPairCounting:
     def test_two_points_inside_radius(self):
         w = periodic(4.0)
