@@ -78,58 +78,44 @@ class ConfigError(Exception):
 # identical typed value.
 # ---------------------------------------------------------------------------
 
-
-def _parse_int(text: str) -> tuple:
-    try:
-        value = int(text.strip())
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}")
-    return value, str(value)
-
-
-def _parse_pos_int(text: str) -> tuple:
-    value, canon = _parse_int(text)
-    if value < 1:
-        raise ConfigError(f"expected a positive integer, got {text!r}")
-    return value, canon
+# bound -> (test, wanted phrase with the noun left open)
+_BOUNDS = {
+    "pos": (lambda v: v > 0, "a positive {}"),
+    "nonneg": (lambda v: v >= 0, "a non-negative {}"),
+    "unit": (lambda v: 0.0 <= v <= 1.0, "a {} in [0, 1]"),
+}
 
 
-def _parse_nonneg_int(text: str) -> tuple:
-    value, canon = _parse_int(text)
-    if value < 0:
-        raise ConfigError(f"expected a non-negative integer, got {text!r}")
-    return value, canon
+def _num(kind: type, bound: Optional[str] = None, many: bool = False) -> Callable:
+    """Parser for an int or finite float within ``bound`` (a key of _BOUNDS).
 
+    The canonical string is ``repr`` of the value; with ``many`` the value
+    is a non-empty comma-separated list and the canonical strings are
+    comma-joined.
+    """
+    noun, plain = ("integer", "an integer") if kind is int else ("number", "a number")
 
-def _parse_float(text: str) -> tuple:
-    try:
-        value = float(text.strip())
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value, repr(value)
+    def one(text: str) -> tuple:
+        try:
+            value = kind(text.strip())
+        except ValueError:
+            raise ConfigError(f"expected {plain}, got {text!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {text!r}")
+        if bound is not None and not _BOUNDS[bound][0](value):
+            raise ConfigError(
+                f"expected {_BOUNDS[bound][1].format(noun)}, got {text!r}"
+            )
+        return value, repr(value)
 
+    def listed(text: str) -> tuple:
+        parts = [p for p in (piece.strip() for piece in text.split(",")) if p]
+        if not parts:
+            raise ConfigError(f"expected a comma-separated list of {noun}s")
+        parsed = [one(part) for part in parts]
+        return tuple(v for v, _ in parsed), ",".join(c for _, c in parsed)
 
-def _parse_pos_float(text: str) -> tuple:
-    value, canon = _parse_float(text)
-    if not value > 0:
-        raise ConfigError(f"expected a positive number, got {text!r}")
-    return value, canon
-
-
-def _parse_nonneg_float(text: str) -> tuple:
-    value, canon = _parse_float(text)
-    if value < 0:
-        raise ConfigError(f"expected a non-negative number, got {text!r}")
-    return value, canon
-
-
-def _parse_unit_float(text: str) -> tuple:
-    value, canon = _parse_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"expected a number in [0, 1], got {text!r}")
-    return value, canon
+    return listed if many else one
 
 
 def _parse_bool(text: str) -> tuple:
@@ -139,46 +125,6 @@ def _parse_bool(text: str) -> tuple:
     if lowered in ("false", "0", "no", "off"):
         return False, "false"
     raise ConfigError(f"expected true or false, got {text!r}")
-
-
-def _split_list(text: str) -> list:
-    return [p for p in (piece.strip() for piece in text.split(",")) if p]
-
-
-def _parse_floats(text: str) -> tuple:
-    parts = _split_list(text)
-    if not parts:
-        raise ConfigError("expected a comma-separated list of numbers")
-    values = []
-    for part in parts:
-        value, _ = _parse_float(part)
-        values.append(value)
-    return tuple(values), ",".join(repr(v) for v in values)
-
-
-def _parse_pos_floats(text: str) -> tuple:
-    values, canon = _parse_floats(text)
-    if any(v <= 0 for v in values):
-        raise ConfigError(f"expected positive numbers, got {text!r}")
-    return values, canon
-
-
-def _parse_pos_ints(text: str) -> tuple:
-    parts = _split_list(text)
-    if not parts:
-        raise ConfigError("expected a comma-separated list of integers")
-    values = []
-    for part in parts:
-        value, _ = _parse_pos_int(part)
-        values.append(value)
-    return tuple(values), ",".join(str(v) for v in values)
-
-
-def _parse_str(text: str) -> tuple:
-    value = text.strip()
-    if not value:
-        raise ConfigError("expected a non-empty value")
-    return value, value
 
 
 def _choice(*options: str) -> Callable:
@@ -191,294 +137,244 @@ def _choice(*options: str) -> Callable:
     return parse
 
 
-def _parse_count_dist(text: str) -> tuple:
-    """Count distribution from ``name arg ...`` words.
+def _pairs(label: str, weight: Callable, value: Callable) -> Callable:
+    """Parser for space-separated ``w:x`` pairs, ``label`` naming the form."""
 
-    Supported: ``deterministic k``, ``binomial n p``, ``poisson lam``,
-    ``neg_binomial r p``, ``geometric p``, ``hypergeometric n m k``, and
-    ``geometric_mixture w:p w:p ...`` (weights summing to 1).
+    def parse(text: str) -> tuple:
+        words = text.split()
+        if not words:
+            raise ConfigError(f"expected {label} pairs")
+        pairs, canon = [], []
+        for pair in words:
+            if ":" not in pair:
+                raise ConfigError(f"expected {label} pair, got {pair!r}")
+            w_text, x_text = pair.split(":", 1)
+            (w, cw), (x, cx) = weight(w_text), value(x_text)
+            pairs.append((w, x))
+            canon.append(f"{cw}:{cx}")
+        return tuple(pairs), " ".join(canon)
+
+    return parse
+
+
+def _word_form(kind: str, table: dict) -> Callable:
+    """Parser for ``name arg ...`` values.
+
+    ``table`` maps each name to (factory, argument parsers).  The parsers
+    are a tuple with one entry per word, or a single parser that takes all
+    the words after the name.  The factory is called with the parsed
+    arguments; its ValueError becomes a ConfigError.
     """
-    words = text.split()
-    if not words:
-        raise ConfigError("expected a count distribution")
-    name, args = words[0].lower(), words[1:]
 
-    def need(k: int) -> None:
-        if len(args) != k:
+    def parse(text: str) -> tuple:
+        words = text.split()
+        if not words:
+            raise ConfigError(f"expected one of {', '.join(table)}")
+        name, args = words[0].lower(), words[1:]
+        if name not in table:
+            raise ConfigError(f"unknown {kind} {name!r}")
+        factory, parsers = table[name]
+        if not isinstance(parsers, tuple):
+            parsers, args = (parsers,), [" ".join(args)]
+        elif len(args) != len(parsers):
             raise ConfigError(
-                f"count distribution {name!r} takes {k} argument(s), got {len(args)}"
+                f"{kind} {name!r} takes {len(parsers)} argument(s), got {len(args)}"
             )
+        parsed = [parse_arg(arg) for parse_arg, arg in zip(parsers, args)]
+        try:
+            value = factory(*(v for v, _ in parsed))
+        except ValueError as exc:  # factory rejected the parameters
+            raise ConfigError(str(exc))
+        return value, " ".join([name] + [c for _, c in parsed])
 
-    try:
-        if name == "deterministic":
-            need(1)
-            k, ck = _parse_nonneg_int(args[0])
-            return dists.deterministic(k), f"deterministic {ck}"
-        if name == "binomial":
-            need(2)
-            n, cn = _parse_nonneg_int(args[0])
-            p, cp = _parse_unit_float(args[1])
-            return dists.binomial(n, p), f"binomial {cn} {cp}"
-        if name == "poisson":
-            need(1)
-            lam, cl = _parse_nonneg_float(args[0])
-            return dists.poisson(lam), f"poisson {cl}"
-        if name == "neg_binomial":
-            need(2)
-            r, cr = _parse_pos_float(args[0])
-            p, cp = _parse_unit_float(args[1])
-            return dists.neg_binomial(r, p), f"neg_binomial {cr} {cp}"
-        if name == "geometric":
-            need(1)
-            p, cp = _parse_unit_float(args[0])
-            return dists.geometric(p), f"geometric {cp}"
-        if name == "hypergeometric":
-            need(3)
-            n, cn = _parse_nonneg_int(args[0])
-            m, cm = _parse_nonneg_int(args[1])
-            k, ck = _parse_nonneg_int(args[2])
-            return dists.hypergeometric(n, m, k), f"hypergeometric {cn} {cm} {ck}"
-        if name == "geometric_mixture":
-            if not args:
-                raise ConfigError("geometric_mixture needs w:p pairs")
-            weights, comps, canon = [], [], []
-            for pair in args:
-                if ":" not in pair:
-                    raise ConfigError(f"expected w:p pair, got {pair!r}")
-                w_text, p_text = pair.split(":", 1)
-                w, cw = _parse_nonneg_float(w_text)
-                p, cp = _parse_unit_float(p_text)
-                weights.append(w)
-                comps.append(dists.geometric(p))
-                canon.append(f"{cw}:{cp}")
-            return (
-                dists.mixture(weights, comps),
-                "geometric_mixture " + " ".join(canon),
-            )
-    except ValueError as exc:  # factory rejected the parameters
-        raise ConfigError(str(exc))
-    raise ConfigError(f"unknown count distribution {name!r}")
+    return parse
 
 
-def _parse_displacement(text: str) -> tuple:
-    words = text.split()
-    if not words:
-        raise ConfigError("expected a displacement")
-    name, args = words[0].lower(), words[1:]
-    if name == "uniform_in_cell":
-        if args:
-            raise ConfigError("uniform_in_cell takes no arguments")
-        return procgen.uniform_in_cell(), "uniform_in_cell"
-    if name == "gaussian":
-        if len(args) != 1:
-            raise ConfigError("gaussian displacement takes one argument (sigma)")
-        sigma, cs = _parse_pos_float(args[0])
-        return procgen.gaussian_displacement(sigma), f"gaussian {cs}"
-    if name == "ball":
-        if len(args) != 1:
-            raise ConfigError("ball displacement takes one argument (radius)")
-        rho, cr = _parse_pos_float(args[0])
-        return procgen.ball_displacement(rho), f"ball {cr}"
-    raise ConfigError(f"unknown displacement {name!r}")
+def _geometric_mixture(pairs) -> dists.CountDistribution:
+    return dists.mixture([w for w, _ in pairs], [dists.geometric(p) for _, p in pairs])
 
 
-def _parse_response(text: str) -> tuple:
-    words = text.split()
-    if not words:
-        raise ConfigError("expected an attenuation function")
-    name, args = words[0].lower(), words[1:]
-    if name == "exponential":
-        if len(args) != 1:
-            raise ConfigError("exponential attenuation takes one argument (beta)")
-        beta, cb = _parse_pos_float(args[0])
-        return shotnoise.exponential_response(beta), f"exponential {cb}"
-    if name == "power_law":
-        if len(args) != 2:
-            raise ConfigError("power_law attenuation takes two arguments (beta eps)")
-        beta, cb = _parse_pos_float(args[0])
-        eps, ce = _parse_pos_float(args[1])
-        return shotnoise.power_law_response(beta, eps), f"power_law {cb} {ce}"
-    if name == "indicator_ball":
-        if len(args) != 1:
-            raise ConfigError("indicator_ball attenuation takes one argument (rho)")
-        rho, cr = _parse_pos_float(args[0])
-        return shotnoise.indicator_ball(rho), f"indicator_ball {cr}"
-    raise ConfigError(f"unknown attenuation {name!r}")
+_parse_count_dist = _word_form(
+    "count distribution",
+    {
+        "deterministic": (dists.deterministic, (_num(int, "nonneg"),)),
+        "binomial": (dists.binomial, (_num(int, "nonneg"), _num(float, "unit"))),
+        "poisson": (dists.poisson, (_num(float, "nonneg"),)),
+        "neg_binomial": (dists.neg_binomial, (_num(float, "pos"), _num(float, "unit"))),
+        "geometric": (dists.geometric, (_num(float, "unit"),)),
+        "hypergeometric": (dists.hypergeometric, (_num(int, "nonneg"),) * 3),
+        "geometric_mixture": (
+            _geometric_mixture,
+            _pairs("w:p", _num(float, "nonneg"), _num(float, "unit")),
+        ),
+    },
+)
 
+_parse_displacement = _word_form(
+    "displacement",
+    {
+        "uniform_in_cell": (procgen.uniform_in_cell, ()),
+        "gaussian": (procgen.gaussian_displacement, (_num(float, "pos"),)),
+        "ball": (procgen.ball_displacement, (_num(float, "pos"),)),
+    },
+)
 
-def _parse_mixture_pairs(text: str) -> tuple:
-    words = text.split()
-    if not words:
-        raise ConfigError("expected w:lam pairs")
-    pairs, canon = [], []
-    for pair in words:
-        if ":" not in pair:
-            raise ConfigError(f"expected w:lam pair, got {pair!r}")
-        w_text, lam_text = pair.split(":", 1)
-        w, cw = _parse_pos_float(w_text)
-        lam, cl = _parse_nonneg_float(lam_text)
-        pairs.append((w, lam))
-        canon.append(f"{cw}:{cl}")
-    if abs(sum(w for w, _ in pairs) - 1.0) > 1e-9:
-        raise ConfigError("mixture weights must sum to 1")
-    return tuple(pairs), " ".join(canon)
+_parse_response = _word_form(
+    "attenuation",
+    {
+        "exponential": (shotnoise.exponential_response, (_num(float, "pos"),)),
+        "power_law": (shotnoise.power_law_response, (_num(float, "pos"),) * 2),
+        "indicator_ball": (shotnoise.indicator_ball, (_num(float, "pos"),)),
+    },
+)
 
 
 # ---------------------------------------------------------------------------
-# Generator and window section handlers.
+# Section validation.  A key table maps {key: (parser, default)}; the default
+# is a raw string, _REQUIRED, or None for an optional key with no value.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
-# family -> ((key, parser, default-or-_REQUIRED), ...)
+
+def _k(parser: Callable, default=_REQUIRED) -> tuple:
+    return parser, default
+
+
+def _validate_section(section: str, items: dict, keys: dict, owner: str = "") -> tuple:
+    """Parse one section against its key table; returns (values, canonical).
+
+    ``owner`` is appended to the unknown-key message (the generator family).
+    """
+    for key in items:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{key}' in [{section}]{owner}")
+    values, canonical = {}, {}
+    for key, (parser, default) in keys.items():
+        text = items.get(key, default)
+        if text is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}' in [{section}]")
+        if text is None:
+            values[key] = None
+            continue
+        try:
+            values[key], canonical[key] = parser(text)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}")
+    return values, canonical
+
+
+# family -> (factory, key table); the factory takes the values in key order
 _GENERATOR_TYPES = {
-    "poisson": (("intensity", _parse_nonneg_float, _REQUIRED),),
-    "binomial": (("n", _parse_nonneg_int, _REQUIRED),),
+    "poisson": (
+        procgen.homogeneous_poisson,
+        {"intensity": _k(_num(float, "nonneg"))},
+    ),
+    "binomial": (procgen.binomial_process, {"n": _k(_num(int, "nonneg"))}),
     "square_lattice": (
-        ("delta", _parse_pos_float, _REQUIRED),
-        ("stationary", _parse_bool, "true"),
+        procgen.square_lattice,
+        {"delta": _k(_num(float, "pos")), "stationary": _k(_parse_bool, "true")},
     ),
     "hex_lattice": (
-        ("delta", _parse_pos_float, _REQUIRED),
-        ("stationary", _parse_bool, "true"),
+        procgen.hex_lattice,
+        {"delta": _k(_num(float, "pos")), "stationary": _k(_parse_bool, "true")},
     ),
     "bernoulli_lattice": (
-        ("delta", _parse_pos_float, _REQUIRED),
-        ("p", _parse_unit_float, _REQUIRED),
+        procgen.bernoulli_lattice,
+        {"delta": _k(_num(float, "pos")), "p": _k(_num(float, "unit"))},
     ),
     "perturbed_lattice": (
-        ("delta", _parse_pos_float, _REQUIRED),
-        ("replication", _parse_count_dist, _REQUIRED),
-        ("displacement", _parse_displacement, "uniform_in_cell"),
+        procgen.perturbed_lattice,
+        {
+            "delta": _k(_num(float, "pos")),
+            "replication": _k(_parse_count_dist),
+            "displacement": _k(_parse_displacement, "uniform_in_cell"),
+        },
     ),
     "neyman_scott": (
-        ("parent_intensity", _parse_pos_float, _REQUIRED),
-        ("replication", _parse_count_dist, _REQUIRED),
-        ("displacement", _parse_displacement, _REQUIRED),
+        procgen.neyman_scott,
+        {
+            "parent_intensity": _k(_num(float, "pos")),
+            "replication": _k(_parse_count_dist),
+            "displacement": _k(_parse_displacement),
+        },
     ),
     "matern_cluster": (
-        ("parent_intensity", _parse_pos_float, _REQUIRED),
-        ("mean_children", _parse_pos_float, _REQUIRED),
-        ("radius", _parse_pos_float, _REQUIRED),
+        procgen.matern_cluster,
+        {
+            "parent_intensity": _k(_num(float, "pos")),
+            "mean_children": _k(_num(float, "pos")),
+            "radius": _k(_num(float, "pos")),
+        },
     ),
     "thomas_cluster": (
-        ("parent_intensity", _parse_pos_float, _REQUIRED),
-        ("mean_children", _parse_pos_float, _REQUIRED),
-        ("sigma", _parse_pos_float, _REQUIRED),
+        procgen.thomas_cluster,
+        {
+            "parent_intensity": _k(_num(float, "pos")),
+            "mean_children": _k(_num(float, "pos")),
+            "sigma": _k(_num(float, "pos")),
+        },
     ),
-    "mixed_poisson": (("pairs", _parse_mixture_pairs, _REQUIRED),),
+    "mixed_poisson": (
+        procgen.mixed_poisson,
+        {"pairs": _k(_pairs("w:lam", _num(float, "pos"), _num(float, "nonneg")))},
+    ),
     "log_gaussian_cox": (
-        ("mu_g", _parse_float, _REQUIRED),
-        ("sigma", _parse_nonneg_float, _REQUIRED),
-        ("corr_length", _parse_pos_float, _REQUIRED),
-        ("grid_n", _parse_pos_int, "32"),
+        procgen.log_gaussian_cox,
+        {
+            "mu_g": _k(_num(float)),
+            "sigma": _k(_num(float, "nonneg")),
+            "corr_length": _k(_num(float, "pos")),
+            "grid_n": _k(_num(int, "pos"), "32"),
+        },
     ),
     "ginibre": (
-        ("n_rank", _parse_pos_int, _REQUIRED),
-        ("radius", _parse_pos_float, _REQUIRED),
+        procgen.ginibre_truncated,
+        {"n_rank": _k(_num(int, "pos")), "radius": _k(_num(float, "pos"))},
     ),
 }
 
 
-def _build_generator(family: str, v: dict) -> procgen.GeneratorSpec:
-    try:
-        if family == "poisson":
-            return procgen.homogeneous_poisson(v["intensity"])
-        if family == "binomial":
-            return procgen.binomial_process(v["n"])
-        if family == "square_lattice":
-            return procgen.square_lattice(v["delta"], v["stationary"])
-        if family == "hex_lattice":
-            return procgen.hex_lattice(v["delta"], v["stationary"])
-        if family == "bernoulli_lattice":
-            return procgen.bernoulli_lattice(v["delta"], v["p"])
-        if family == "perturbed_lattice":
-            return procgen.perturbed_lattice(
-                v["delta"], v["replication"], v["displacement"]
-            )
-        if family == "neyman_scott":
-            return procgen.neyman_scott(
-                v["parent_intensity"], v["replication"], v["displacement"]
-            )
-        if family == "matern_cluster":
-            return procgen.matern_cluster(
-                v["parent_intensity"], v["mean_children"], v["radius"]
-            )
-        if family == "thomas_cluster":
-            return procgen.thomas_cluster(
-                v["parent_intensity"], v["mean_children"], v["sigma"]
-            )
-        if family == "mixed_poisson":
-            return procgen.mixed_poisson(v["pairs"])
-        if family == "log_gaussian_cox":
-            return procgen.log_gaussian_cox(
-                v["mu_g"], v["sigma"], v["corr_length"], v["grid_n"]
-            )
-        if family == "ginibre":
-            return procgen.ginibre_truncated(v["n_rank"], v["radius"])
-    except ValueError as exc:  # factory rejected the parameters
-        raise ConfigError(str(exc))
-    raise AssertionError(family)
-
-
 def _handle_generator(section: str, items: dict) -> tuple:
     """Validate a [generator] section; returns (spec, canonical key dict)."""
+    items = dict(items)
     if "type" not in items:
         raise ConfigError(f"missing required key 'type' in [{section}]")
-    family = items["type"].strip().lower()
+    family = items.pop("type").strip().lower()
     if family not in _GENERATOR_TYPES:
         known = ", ".join(sorted(_GENERATOR_TYPES))
         raise ConfigError(
             f"[{section}] type: unknown generator {family!r} (known: {known})"
         )
-    keyspec = _GENERATOR_TYPES[family]
-    known_keys = {k for k, _, _ in keyspec}
-    for key in items:
-        if key != "type" and key not in known_keys:
-            raise ConfigError(
-                f"unknown key '{key}' in [{section}] for generator {family!r}"
-            )
-    values, canonical = {}, {"type": family}
-    for key, parser, default in keyspec:
-        raw = items.get(key, default)
-        if raw is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}' in [{section}]")
-        try:
-            values[key], canonical[key] = parser(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}")
-    return _build_generator(family, values), canonical
+    factory, keys = _GENERATOR_TYPES[family]
+    values, canonical = _validate_section(
+        section, items, keys, f" for generator {family!r}"
+    )
+    try:
+        spec = factory(*values.values())
+    except ValueError as exc:  # factory rejected the parameters
+        raise ConfigError(str(exc))
+    return spec, {"type": family, **canonical}
+
+
+_WINDOW_KEYS = {
+    "sides": _k(_num(float, "pos", many=True)),
+    "dimension": _k(_num(int, "pos"), None),
+    "metric": _k(_choice("periodic", "euclidean"), "periodic"),
+}
 
 
 def _handle_window(section: str, items: dict) -> tuple:
     """Validate a [window] section; returns (Window, canonical key dict)."""
-    allowed = {"sides", "dimension", "metric"}
-    for key in items:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in [{section}]")
-    if "sides" not in items:
-        raise ConfigError(f"missing required key 'sides' in [{section}]")
-    try:
-        sides, _ = _parse_pos_floats(items["sides"])
-    except ConfigError as exc:
-        raise ConfigError(f"[{section}] sides: {exc}")
-    if "dimension" in items:
-        try:
-            dim, _ = _parse_pos_int(items["dimension"])
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] dimension: {exc}")
+    values, _ = _validate_section(section, items, _WINDOW_KEYS)
+    sides, dim, metric = values["sides"], values["dimension"], values["metric"]
+    if dim is not None:
         if len(sides) == 1:
             sides = sides * dim
         elif len(sides) != dim:
             raise ConfigError(
                 f"[{section}] dimension: {dim} does not match {len(sides)} sides"
             )
-    metric = "periodic"
-    if "metric" in items:
-        try:
-            metric, _ = _choice("periodic", "euclidean")(items["metric"])
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] metric: {exc}")
     window = box(*((0.0, s) for s in sides), metric=metric)
     canonical = {"sides": ",".join(repr(s) for s in sides), "metric": metric}
     return window, canonical
@@ -493,12 +389,8 @@ _WINDOW = "window-section"
 _GEN = "generator-section"
 _GEN_OPT = "optional-generator-section"
 
+_RUN_SEED = {"seed": _k(_num(int, "nonneg"))}
 
-def _k(parser: Callable, default=_REQUIRED) -> tuple:
-    return parser, default
-
-
-_RUN_SEED = {"seed": _k(_parse_nonneg_int)}
 
 SCHEMAS = {
     "sample": {
@@ -507,19 +399,19 @@ SCHEMAS = {
         "generator": _GEN,
     },
     "summary": {
-        "run": {**_RUN_SEED, "replications": _k(_parse_pos_int, "100")},
+        "run": {**_RUN_SEED, "replications": _k(_num(int, "pos"), "100")},
         "window": _WINDOW,
         "generator": _GEN,
         "summary": {
             "statistic": _k(_choice("ripley_k", "pair_correlation"), "ripley_k"),
-            "r_min": _k(_parse_pos_float),
-            "r_max": _k(_parse_pos_float),
-            "r_count": _k(_parse_pos_int, "25"),
-            "bandwidth": _k(_parse_nonneg_float, "0.0"),
+            "r_min": _k(_num(float, "pos")),
+            "r_max": _k(_num(float, "pos")),
+            "r_count": _k(_num(int, "pos"), "25"),
+            "bandwidth": _k(_num(float, "nonneg"), "0.0"),
         },
     },
     "compare": {
-        "run": {**_RUN_SEED, "replications": _k(_parse_pos_int, "200")},
+        "run": {**_RUN_SEED, "replications": _k(_num(int, "pos"), "200")},
         "window": _WINDOW,
         "generator": _GEN,
         "generator_b": _GEN_OPT,
@@ -529,35 +421,35 @@ SCHEMAS = {
                 _choice("voids", "factorial_moments", "ripley_k", "variance"),
                 "voids",
             ),
-            "scales": _k(_parse_pos_floats, "0.5,1.0"),
-            "k": _k(_parse_pos_int, "2"),
-            "k_max": _k(_parse_pos_int, "3"),
-            "placements": _k(_parse_pos_int, "64"),
+            "scales": _k(_num(float, "pos", many=True), "0.5,1.0"),
+            "k": _k(_num(int, "pos"), "2"),
+            "k_max": _k(_num(int, "pos"), "3"),
+            "placements": _k(_num(int, "pos"), "64"),
         },
     },
     "percolation": {
-        "run": {**_RUN_SEED, "replications": _k(_parse_pos_int, "50")},
+        "run": {**_RUN_SEED, "replications": _k(_num(int, "pos"), "50")},
         "window": _WINDOW,
         "generator": _GEN,
         "generator_b": _GEN_OPT,
         "percolation": {
             "mode": _k(_choice("sweep", "crossing", "critical"), "sweep"),
-            "r_min": _k(_parse_nonneg_float, "0.1"),
-            "r_max": _k(_parse_pos_float, "1.0"),
-            "r_step": _k(_parse_pos_float, "0.1"),
-            "tol": _k(_parse_pos_float, "0.02"),
+            "r_min": _k(_num(float, "nonneg"), "0.1"),
+            "r_max": _k(_num(float, "pos"), "1.0"),
+            "r_step": _k(_num(float, "pos"), "0.1"),
+            "tol": _k(_num(float, "pos"), "0.02"),
         },
     },
     "coverage": {
-        "run": {**_RUN_SEED, "replications": _k(_parse_pos_int, "100")},
+        "run": {**_RUN_SEED, "replications": _k(_num(int, "pos"), "100")},
         "window": _WINDOW,
         "generator": _GEN,
         "coverage": {
-            "r_min": _k(_parse_nonneg_float, "0.0"),
-            "r_max": _k(_parse_pos_float),
-            "r_count": _k(_parse_pos_int, "10"),
-            "k": _k(_parse_pos_int, "1"),
-            "grid_n": _k(_parse_pos_int, "64"),
+            "r_min": _k(_num(float, "nonneg"), "0.0"),
+            "r_max": _k(_num(float, "pos")),
+            "r_count": _k(_num(int, "pos"), "10"),
+            "k": _k(_num(int, "pos"), "1"),
+            "grid_n": _k(_num(int, "pos"), "64"),
         },
     },
     "sinr": {
@@ -566,48 +458,48 @@ SCHEMAS = {
         "generator": _GEN,
         "generator_b": _GEN_OPT,
         "sinr": {
-            "power": _k(_parse_pos_float, "1.0"),
-            "noise": _k(_parse_nonneg_float, "1.0"),
-            "threshold": _k(_parse_pos_float),
-            "gamma": _k(_parse_nonneg_float, "0.0"),
+            "power": _k(_num(float, "pos"), "1.0"),
+            "noise": _k(_num(float, "nonneg"), "1.0"),
+            "threshold": _k(_num(float, "pos")),
+            "gamma": _k(_num(float, "nonneg"), "0.0"),
             "attenuation": _k(_parse_response, "exponential 1.0"),
-            "gammas": _k(_parse_floats, "0.0"),
+            "gammas": _k(_num(float, many=True), "0.0"),
         },
     },
     "graph": {
-        "run": {**_RUN_SEED, "replications": _k(_parse_pos_int, "20")},
+        "run": {**_RUN_SEED, "replications": _k(_num(int, "pos"), "20")},
         "generator": _GEN,
         "graph": {
-            "n_list": _k(_parse_pos_ints),
-            "r_coeff": _k(_parse_pos_float, "1.0"),
-            "r_exponent": _k(_parse_float, "0.0"),
-            "dimension": _k(_parse_pos_int, "2"),
-            "clique_threshold": _k(_parse_pos_int, "2"),
-            "exact_chromatic_limit": _k(_parse_nonneg_int, "60"),
+            "n_list": _k(_num(int, "pos", many=True)),
+            "r_coeff": _k(_num(float, "pos"), "1.0"),
+            "r_exponent": _k(_num(float), "0.0"),
+            "dimension": _k(_num(int, "pos"), "2"),
+            "clique_threshold": _k(_num(int, "pos"), "2"),
+            "exact_chromatic_limit": _k(_num(int, "nonneg"), "60"),
         },
     },
     "complex": {
-        "run": {**_RUN_SEED, "replications": _k(_parse_pos_int, "20")},
+        "run": {**_RUN_SEED, "replications": _k(_num(int, "pos"), "20")},
         "generator": _GEN,
         "complex": {
-            "n_list": _k(_parse_pos_ints),
-            "r_coeff": _k(_parse_pos_float, "1.0"),
-            "r_exponent": _k(_parse_float, "0.0"),
-            "dimension": _k(_parse_pos_int, "2"),
-            "k": _k(_parse_nonneg_int, "1"),
+            "n_list": _k(_num(int, "pos", many=True)),
+            "r_coeff": _k(_num(float, "pos"), "1.0"),
+            "r_exponent": _k(_num(float), "0.0"),
+            "dimension": _k(_num(int, "pos"), "2"),
+            "k": _k(_num(int, "nonneg"), "1"),
         },
     },
     "kernel_chain": {
         "kernel_chain": {
-            "lam": _k(_parse_pos_float, "1.0"),
-            "n": _k(_parse_pos_int, "6"),
-            "m": _k(_parse_pos_int, "4"),
-            "r_values": _k(_parse_pos_ints, "2,4"),
-            "r1": _k(_parse_pos_float, "1.0"),
-            "r2": _k(_parse_pos_float, "2.0"),
-            "geo_p": _k(_parse_unit_float, "0.5"),
-            "mix_weights": _k(_parse_pos_floats, "0.5,0.5"),
-            "mix_ps": _k(_parse_pos_floats, "0.4,0.6666666666666666"),
+            "lam": _k(_num(float, "pos"), "1.0"),
+            "n": _k(_num(int, "pos"), "6"),
+            "m": _k(_num(int, "pos"), "4"),
+            "r_values": _k(_num(int, "pos", many=True), "2,4"),
+            "r1": _k(_num(float, "pos"), "1.0"),
+            "r2": _k(_num(float, "pos"), "2.0"),
+            "geo_p": _k(_num(float, "unit"), "0.5"),
+            "mix_weights": _k(_num(float, "pos", many=True), "0.5,0.5"),
+            "mix_ps": _k(_num(float, "pos", many=True), "0.4,0.6666666666666666"),
         },
     },
 }
@@ -645,43 +537,29 @@ def resolve_config(experiment: str, raw: dict) -> ResolvedConfig:
     sections: dict = {}
     values: dict = {}
     window = None
-    generator = None
-    generator_b = None
+    specs: dict = {}
     for section, entry in schema.items():
-        items = dict(raw.get(section, {}))
+        if section not in raw and entry in (_WINDOW, _GEN):
+            raise ConfigError(f"missing required section [{section}]")
+        if section not in raw and entry is _GEN_OPT:
+            continue
+        items = raw.get(section, {})
         if entry is _WINDOW:
-            if section not in raw:
-                raise ConfigError(f"missing required section [{section}]")
             window, sections[section] = _handle_window(section, items)
         elif entry in (_GEN, _GEN_OPT):
-            if section not in raw:
-                if entry is _GEN:
-                    raise ConfigError(f"missing required section [{section}]")
-                continue
-            spec, canonical = _handle_generator(section, items)
-            sections[section] = canonical
-            if section == "generator":
-                generator = spec
-            else:
-                generator_b = spec
+            specs[section], sections[section] = _handle_generator(section, items)
         else:
-            for key in items:
-                if key not in entry:
-                    raise ConfigError(f"unknown key '{key}' in [{section}]")
-            sec_values, sec_canon = {}, {}
-            for key, (parser, default) in entry.items():
-                text = items.get(key, default)
-                if text is _REQUIRED:
-                    raise ConfigError(
-                        f"missing required key '{key}' in [{section}]"
-                    )
-                try:
-                    sec_values[key], sec_canon[key] = parser(text)
-                except ConfigError as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}")
-            values[section] = sec_values
-            sections[section] = sec_canon
-    return ResolvedConfig(experiment, sections, values, window, generator, generator_b)
+            values[section], sections[section] = _validate_section(
+                section, items, entry
+            )
+    return ResolvedConfig(
+        experiment,
+        sections,
+        values,
+        window,
+        specs.get("generator"),
+        specs.get("generator_b"),
+    )
 
 
 def render_manifest(rc: ResolvedConfig) -> str:
@@ -725,18 +603,17 @@ def read_config_file(path: Path) -> dict:
 
 # ---------------------------------------------------------------------------
 # Minimal SVG line plots: fixed 800x600 viewbox, polyline per series,
-# axes, ticks, legend, optional log-scale ordinate.
+# axes, ticks, legend.
 # ---------------------------------------------------------------------------
 
 _PALETTE = ("#1965b0", "#dc050c", "#4eb265", "#882e72", "#e8601c", "#7bafde")
 
 
-def svg_plot(series, title: str, x_label: str, y_label: str, log_y: bool = False) -> str:
+def svg_plot(series, title: str, x_label: str, y_label: str) -> str:
     """Render (label, xs, ys[, marker]) series as an 800x600 SVG chart.
 
     ``marker`` is "line" (default, a polyline) or "points" (circles).
-    With ``log_y`` the ordinate is log10-scaled and non-positive values
-    are dropped.
+    Non-finite points are dropped.
     """
     left, right, top, bottom = 80.0, 770.0, 50.0, 540.0
 
@@ -750,10 +627,6 @@ def svg_plot(series, title: str, x_label: str, y_label: str, log_y: bool = False
             x, y = float(x), float(y)
             if not (math.isfinite(x) and math.isfinite(y)):
                 continue
-            if log_y:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
             pts.append((x, y))
             xs_all.append(x)
             ys_all.append(y)
@@ -805,7 +678,6 @@ def svg_plot(series, title: str, x_label: str, y_label: str, log_y: bool = False
         xv = x_lo + i * (x_hi - x_lo) / 4
         yv = y_lo + i * (y_hi - y_lo) / 4
         px, py = fx(xv), fy(yv)
-        y_text = format(10.0**yv, ".3g") if log_y else format(yv, ".4g")
         out.append(
             f'<line x1="{px:.2f}" y1="{bottom:.2f}" x2="{px:.2f}" '
             f'y2="{bottom + 6:.2f}" stroke="black" stroke-width="1"/>'
@@ -821,7 +693,7 @@ def svg_plot(series, title: str, x_label: str, y_label: str, log_y: bool = False
         )
         out.append(
             f'<text x="{left - 10:.2f}" y="{py + 4:.2f}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif">{y_text}</text>'
+            f'text-anchor="end" font-family="sans-serif">{format(yv, ".4g")}</text>'
         )
     for idx, (label, pts, marker) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -851,32 +723,36 @@ def svg_plot(series, title: str, x_label: str, y_label: str, log_y: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns (csv_files, plot_files) as lists of
-# (filename, text) pairs; all randomness flows from the configured seed.
+# Experiment runners.  Each takes the resolved config, the run's stream and
+# replication count (None where the experiment has no such key) and the
+# thread cap, and returns (csv_files, plots): csv_files as (filename, text)
+# pairs, plots as (filename, series, title, x_label, y_label) specs that
+# main renders with svg_plot under --plot.  All randomness flows from the
+# configured seed.
 # ---------------------------------------------------------------------------
 
 
-def _stream(rc: ResolvedConfig) -> RandomStream:
-    return RandomStream(rc["run"]["seed"])
-
-
-def _radius_grid(lo: float, hi: float, step: float, where: str) -> list:
+def _radii(rc: ResolvedConfig, section: str) -> list:
+    """r_min..r_max of a section: r_step apart, or r_count evenly spaced."""
+    p = rc[section]
+    lo, hi = p["r_min"], p["r_max"]
     if hi < lo:
-        raise ConfigError(f"[{where}] r_max: must be >= r_min")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
-
-
-def _linspace_grid(lo: float, hi: float, count: int, where: str) -> list:
-    if hi < lo:
-        raise ConfigError(f"[{where}] r_max: must be >= r_min")
-    if count == 1:
+        raise ConfigError(f"[{section}] r_max: must be >= r_min")
+    if "r_step" in p:
+        count = int(math.floor((hi - lo) / p["r_step"] + 1e-9)) + 1
+        return [lo + i * p["r_step"] for i in range(count)]
+    if p["r_count"] == 1:
         return [lo]
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    return [float(v) for v in np.linspace(lo, hi, p["r_count"])]
 
 
-def _run_sample(rc: ResolvedConfig, threads: int) -> tuple:
-    stream = _stream(rc)
+def _r_rule(p: dict) -> Callable:
+    """Connection radius r(n) = r_coeff * n**r_exponent of a scaling section."""
+    coeff, expo = p["r_coeff"], p["r_exponent"]
+    return lambda n: coeff * n**expo
+
+
+def _run_sample(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     pattern = procgen.sample(rc.generator, rc.window, stream)
     files = [
         ("points.csv", procgen.pattern_to_csv(pattern)),
@@ -887,25 +763,13 @@ def _run_sample(rc: ResolvedConfig, threads: int) -> tuple:
         xs, ys = pts[:, 0], (pts[:, 1] if pattern.dim > 1 else np.zeros(len(pts)))
     else:
         xs, ys = [], []
-    plots = [
-        (
-            "points.svg",
-            svg_plot(
-                [(f"{rc.generator.family} points", xs, ys, "points")],
-                "Sampled point pattern",
-                "x0",
-                "x1",
-            ),
-        )
-    ]
-    return files, plots
+    series = [(f"{rc.generator.family} points", xs, ys, "points")]
+    return files, [("points.svg", series, "Sampled point pattern", "x0", "x1")]
 
 
-def _run_summary(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_summary(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["summary"]
-    grid = _linspace_grid(p["r_min"], p["r_max"], p["r_count"], "summary")
-    stream = _stream(rc)
-    reps = rc["run"]["replications"]
+    grid = _radii(rc, "summary")
     if p["statistic"] == "ripley_k":
         curve = summaries.ripley_k(rc.generator, rc.window, grid, reps, stream, threads)
     else:
@@ -914,28 +778,17 @@ def _run_summary(rc: ResolvedConfig, threads: int) -> tuple:
             rc.generator, rc.window, grid, bandwidth, reps, stream, threads
         )
     files = [("curve.csv", summaries.curve_to_csv(curve))]
-    plots = [
-        (
-            "curve.svg",
-            svg_plot(
-                [(p["statistic"], curve.abscissa, curve.values())],
-                f"{p['statistic']} estimate",
-                "r",
-                p["statistic"],
-            ),
-        )
-    ]
-    return files, plots
+    series = [(p["statistic"], curve.abscissa, curve.values())]
+    title = f"{p['statistic']} estimate"
+    return files, [("curve.svg", series, title, "r", p["statistic"])]
 
 
 def _safe_name(statistic: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]+", "_", statistic).strip("_")
 
 
-def _run_compare(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_compare(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["compare"]
-    stream = _stream(rc)
-    reps = rc["run"]["replications"]
     if p["mode"] == "weak":
         if rc.generator_b is not None:
             raise ConfigError(
@@ -983,19 +836,12 @@ def _run_compare(rc: ResolvedConfig, threads: int) -> tuple:
         (rep.statistic, [row.scale for row in rep.per_scale], rep.z_scores())
         for rep in reports
     ]
-    plots = [
-        (
-            "compare.svg",
-            svg_plot(series, "Estimate vs reference z-scores", "scale", "z"),
-        )
-    ]
-    return files, plots
+    title = "Estimate vs reference z-scores"
+    return files, [("compare.svg", series, title, "scale", "z")]
 
 
-def _run_percolation(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["percolation"]
-    stream = _stream(rc)
-    reps = rc["run"]["replications"]
     mode = p["mode"]
     if mode == "critical":
         est = percolation.critical_radius(
@@ -1007,7 +853,7 @@ def _run_percolation(rc: ResolvedConfig, threads: int) -> tuple:
             f"{est.replications}\n"
         )
         return [("critical.csv", text)], []
-    radii = _radius_grid(p["r_min"], p["r_max"], p["r_step"], "percolation")
+    radii = _radii(rc, "percolation")
     if mode == "crossing":
         entries = [
             (
@@ -1019,18 +865,9 @@ def _run_percolation(rc: ResolvedConfig, threads: int) -> tuple:
             for i, r in enumerate(radii)
         ]
         files = [("crossing.csv", percolation.crossing_to_csv(entries))]
-        plots = [
-            (
-                "crossing.svg",
-                svg_plot(
-                    [("crossing", radii, [e.value for _, e in entries])],
-                    "Horizontal crossing probability",
-                    "r",
-                    "P(crossing)",
-                ),
-            )
-        ]
-        return files, plots
+        series = [("crossing", radii, [e.value for _, e in entries])]
+        title = "Horizontal crossing probability"
+        return files, [("crossing.svg", series, title, "r", "P(crossing)")]
     sweeps = [("a", rc.generator, stream.derive(0))]
     if rc.generator_b is not None:
         sweeps.append(("b", rc.generator_b, stream.derive(1)))
@@ -1046,20 +883,13 @@ def _run_percolation(rc: ResolvedConfig, threads: int) -> tuple:
         series.append(
             (f"second ({tag})", radii, [e.value for e in sweep.second_fraction])
         )
-    plots = [
-        (
-            "sweep.svg",
-            svg_plot(series, "Component fraction sweep", "r", "fraction of nodes"),
-        )
-    ]
-    return files, plots
+    title = "Component fraction sweep"
+    return files, [("sweep.svg", series, title, "r", "fraction of nodes")]
 
 
-def _run_coverage(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_coverage(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["coverage"]
-    grid = _linspace_grid(p["r_min"], p["r_max"], p["r_count"], "coverage")
-    stream = _stream(rc)
-    reps = rc["run"]["replications"]
+    grid = _radii(rc, "coverage")
     entries = [
         (
             r,
@@ -1078,23 +908,13 @@ def _run_coverage(rc: ResolvedConfig, threads: int) -> tuple:
         for i, r in enumerate(grid)
     ]
     files = [("coverage.csv", shotnoise.coverage_summary_to_csv(entries))]
-    plots = [
-        (
-            "coverage.svg",
-            svg_plot(
-                [(f"k={p['k']} covered volume", grid, [e.value for _, _, e in entries])],
-                "Expected k-covered volume",
-                "r",
-                "volume",
-            ),
-        )
-    ]
-    return files, plots
+    series = [(f"k={p['k']} covered volume", grid, [e.value for _, _, e in entries])]
+    title = "Expected k-covered volume"
+    return files, [("coverage.svg", series, title, "r", "volume")]
 
 
-def _run_sinr(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["sinr"]
-    stream = _stream(rc)
     pattern_b = procgen.sample(rc.generator, rc.window, stream.derive(0))
     if rc.generator_b is None:
         pattern_i = pattern_b
@@ -1128,29 +948,19 @@ def _run_sinr(rc: ResolvedConfig, threads: int) -> tuple:
             f"{format(gamma, '.17g')},{count}" for gamma, count in zip(gammas, counts)
         ]
         files.append(("gamma_sweep.csv", "\n".join(rows) + "\n"))
-        plots.append(
-            (
-                "gamma_sweep.svg",
-                svg_plot(
-                    [("edges", gammas, counts)],
-                    "Edge count under increasing interference",
-                    "gamma",
-                    "edges",
-                ),
-            )
-        )
+        series = [("edges", gammas, counts)]
+        title = "Edge count under increasing interference"
+        plots.append(("gamma_sweep.svg", series, title, "gamma", "edges"))
     return files, plots
 
 
-def _run_graph(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_graph(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["graph"]
-    stream = _stream(rc)
-    coeff, expo = p["r_coeff"], p["r_exponent"]
     rows = graphs.scaling_experiment(
         rc.generator,
-        lambda n: coeff * n**expo,
+        _r_rule(p),
         p["n_list"],
-        rc["run"]["replications"],
+        reps,
         stream,
         p["dimension"],
         p["clique_threshold"],
@@ -1159,55 +969,35 @@ def _run_graph(rc: ResolvedConfig, threads: int) -> tuple:
     )
     files = [("scaling.csv", graphs.scaling_to_csv(rows))]
     ns = [row.n for row in rows]
-    plots = [
-        (
-            "scaling.svg",
-            svg_plot(
-                [
-                    ("mean clique", ns, [row.mean_clique for row in rows]),
-                    ("mean max degree", ns, [row.mean_max_degree for row in rows]),
-                    ("mean chromatic", ns, [row.mean_chromatic for row in rows]),
-                ],
-                "Geometric graph statistics vs window volume",
-                "n",
-                "value",
-            ),
-        )
+    series = [
+        ("mean clique", ns, [row.mean_clique for row in rows]),
+        ("mean max degree", ns, [row.mean_max_degree for row in rows]),
+        ("mean chromatic", ns, [row.mean_chromatic for row in rows]),
     ]
-    return files, plots
+    title = "Geometric graph statistics vs window volume"
+    return files, [("scaling.svg", series, title, "n", "value")]
 
 
-def _run_complex(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_complex(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["complex"]
-    stream = _stream(rc)
-    coeff, expo = p["r_coeff"], p["r_exponent"]
     rows = complexes.betti_scaling_experiment(
         rc.generator,
-        lambda n: coeff * n**expo,
+        _r_rule(p),
         p["n_list"],
         p["k"],
-        rc["run"]["replications"],
+        reps,
         stream,
         p["dimension"],
         threads,
     )
     files = [("betti.csv", complexes.betti_scaling_to_csv(rows))]
     ns = [row.n for row in rows]
-    plots = [
-        (
-            "betti.svg",
-            svg_plot(
-                [
-                    (f"mean betti_{p['k']}", ns, [row.mean_betti for row in rows]),
-                    ("P(betti = 0)", ns, [row.p_zero for row in rows]),
-                ],
-                "Coverage complex Betti scaling",
-                "n",
-                "value",
-            ),
-        )
+    series = [
+        (f"mean betti_{p['k']}", ns, [row.mean_betti for row in rows]),
+        ("P(betti = 0)", ns, [row.p_zero for row in rows]),
     ]
-    return files, plots
+    title = "Coverage complex Betti scaling"
+    return files, [("betti.svg", series, title, "n", "value")]
 
 
 def _format_args(params) -> str:
@@ -1284,7 +1074,7 @@ def _chain_pairs(rc: ResolvedConfig) -> list:
     return pairs
 
 
-def _run_kernel_chain(rc: ResolvedConfig, threads: int) -> tuple:
+def _run_kernel_chain(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     pairs = _chain_pairs(rc)
     rows = ["chain,lower,upper,verdict,min_slack,witness"]
     curves = {}
@@ -1307,18 +1097,9 @@ def _run_kernel_chain(rc: ResolvedConfig, threads: int) -> tuple:
                 xs = [0.5 * i for i in range(2 * min(top, 12) + 1)]
                 curves[label] = (xs, [dists.stop_loss(d, a) for a in xs])
     files = [("chain.csv", "\n".join(rows) + "\n")]
-    plots = [
-        (
-            "chain.svg",
-            svg_plot(
-                [(label, xs, ys) for label, (xs, ys) in curves.items()],
-                "Stop-loss transforms along the chains",
-                "a",
-                "E(X-a)+",
-            ),
-        )
-    ]
-    return files, plots
+    series = [(label, xs, ys) for label, (xs, ys) in curves.items()]
+    title = "Stop-loss transforms along the chains"
+    return files, [("chain.svg", series, title, "a", "E(X-a)+")]
 
 
 _RUNNERS = {
@@ -1422,7 +1203,13 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        files, plots = _RUNNERS[args.experiment](rc, threads)
+        run = rc.values.get("run", {})
+        stream = RandomStream(run["seed"]) if run else None
+        files, plots = _RUNNERS[args.experiment](
+            rc, stream, run.get("replications"), threads
+        )
+        if args.plot:
+            files += [(name, svg_plot(*spec)) for name, *spec in plots]
     except ConfigError as exc:
         print(f"ppclust: config error: {exc}", file=sys.stderr)
         return 2
@@ -1431,8 +1218,6 @@ def main(argv=None) -> int:
         return 3
 
     artifacts = [("manifest.ini", render_manifest(rc))] + files
-    if args.plot:
-        artifacts += plots
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -182,14 +182,6 @@ def mixed_poisson(pairs) -> GeneratorSpec:
     )
 
 
-def mixed_poisson_from_count(dist: dists.CountDistribution, scale: float) -> GeneratorSpec:
-    """Mixed Poisson whose intensity is scale times a draw from dist."""
-    table = dists.pmf_table(dist)
-    table = table / table.sum()
-    pairs = [(float(p), float(scale) * i) for i, p in enumerate(table) if p > 0]
-    return mixed_poisson(pairs)
-
-
 def log_gaussian_cox(
     mu_g: float, sigma: float, corr_length: float, grid_n: int
 ) -> GeneratorSpec:

@@ -383,8 +383,9 @@ def count_variance(
     region = box(box_side)
     _region_fits(region, w)
     _require_periodic(w, "count_variance")
-    if placements < 1 or reps < 2:
-        raise ValueError("placements must be >= 1 and reps >= 2")
+    if placements < 1 or reps < 3:
+        # the leave-one-out jackknife needs two means left after each deletion
+        raise ValueError("placements must be >= 1 and reps >= 3")
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep.derive(0))

@@ -490,13 +490,6 @@ class TestPlots:
         assert "alpha" in svg
         assert "</svg>" in svg
 
-    def test_svg_log_scale_drops_nonpositive(self):
-        svg = cli.svg_plot(
-            [("s", [1, 2, 3], [0.0, 10.0, 100.0])], "t", "x", "y", log_y=True
-        )
-        # only two points survive on the log scale
-        assert svg.count("<polyline") == 1
-
     def test_svg_empty_series(self):
         svg = cli.svg_plot([("empty", [], [])], "t", "x", "y")
         assert "</svg>" in svg
@@ -568,3 +561,258 @@ class TestGeneratorParsing:
         )
         assert run_cli("sample", "--config", cfg, "--out", tmp_path / "a") == 2
         assert "sum to 1" in capsys.readouterr().err
+
+
+def resolve_text(experiment: str, raw: dict) -> str:
+    return cli.render_manifest(cli.resolve_config(experiment, raw))
+
+
+def assert_manifest_round_trips(tmp_path, experiment: str, text: str) -> None:
+    manifest = write_config(tmp_path / "manifest.ini", text)
+    raw = cli.read_config_file(manifest)
+    raw.pop("meta")
+    assert resolve_text(experiment, raw) == text
+
+
+SAMPLE_WINDOW = {"sides": "6", "dimension": "2", "metric": "euclidean"}
+
+
+class TestGoldenManifests:
+    """Exact canonical manifest lines for every word-form and generator value."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ({"type": "Poisson", "intensity": "2"}, ["type = poisson", "intensity = 2.0"]),
+            ({"type": "binomial", "n": "020"}, ["type = binomial", "n = 20"]),
+            (
+                {"type": "square_lattice", "delta": "1"},
+                ["type = square_lattice", "delta = 1.0", "stationary = true"],
+            ),
+            (
+                {"type": "hex_lattice", "delta": "1", "stationary": "no"},
+                ["type = hex_lattice", "delta = 1.0", "stationary = false"],
+            ),
+            (
+                {"type": "bernoulli_lattice", "delta": "1", "p": ".5"},
+                ["type = bernoulli_lattice", "delta = 1.0", "p = 0.5"],
+            ),
+            (
+                {"type": "perturbed_lattice", "delta": "1", "replication": "Binomial 3 .5"},
+                [
+                    "type = perturbed_lattice",
+                    "delta = 1.0",
+                    "replication = binomial 3 0.5",
+                    "displacement = uniform_in_cell",
+                ],
+            ),
+            (
+                {
+                    "type": "neyman_scott",
+                    "parent_intensity": "0.5",
+                    "replication": "poisson 2",
+                    "displacement": "gaussian 3e-1",
+                },
+                [
+                    "type = neyman_scott",
+                    "parent_intensity = 0.5",
+                    "replication = poisson 2.0",
+                    "displacement = gaussian 0.3",
+                ],
+            ),
+            (
+                {
+                    "type": "matern_cluster",
+                    "parent_intensity": ".5",
+                    "mean_children": "2",
+                    "radius": "0.5",
+                },
+                [
+                    "type = matern_cluster",
+                    "parent_intensity = 0.5",
+                    "mean_children = 2.0",
+                    "radius = 0.5",
+                ],
+            ),
+            (
+                {
+                    "type": "thomas_cluster",
+                    "parent_intensity": ".5",
+                    "mean_children": "2",
+                    "sigma": "0.3",
+                },
+                [
+                    "type = thomas_cluster",
+                    "parent_intensity = 0.5",
+                    "mean_children = 2.0",
+                    "sigma = 0.3",
+                ],
+            ),
+            (
+                {"type": "mixed_poisson", "pairs": "0.5:0.5   .5:1.5"},
+                ["type = mixed_poisson", "pairs = 0.5:0.5 0.5:1.5"],
+            ),
+            (
+                {"type": "log_gaussian_cox", "mu_g": "-1", "sigma": "0.5", "corr_length": "1"},
+                [
+                    "type = log_gaussian_cox",
+                    "mu_g = -1.0",
+                    "sigma = 0.5",
+                    "corr_length = 1.0",
+                    "grid_n = 32",
+                ],
+            ),
+            (
+                {"type": "ginibre", "n_rank": "10", "radius": "1.5"},
+                ["type = ginibre", "n_rank = 10", "radius = 1.5"],
+            ),
+        ],
+    )
+    def test_generator_family(self, tmp_path, body, expected):
+        raw = {"run": {"seed": "1"}, "window": dict(SAMPLE_WINDOW), "generator": body}
+        text = resolve_text("sample", raw)
+        assert text.split("[generator]\n")[1].splitlines() == expected
+        assert_manifest_round_trips(tmp_path, "sample", text)
+
+    @pytest.mark.parametrize(
+        "words, canonical",
+        [
+            ("deterministic 03", "deterministic 3"),
+            ("binomial 4 .25", "binomial 4 0.25"),
+            ("Poisson 2", "poisson 2.0"),
+            ("neg_binomial 1.5 0.5", "neg_binomial 1.5 0.5"),
+            ("geometric 1e-1", "geometric 0.1"),
+            ("hypergeometric 6 3 2", "hypergeometric 6 3 2"),
+            ("geometric_mixture .5:0.4   0.5:.8", "geometric_mixture 0.5:0.4 0.5:0.8"),
+        ],
+    )
+    def test_count_distribution(self, tmp_path, words, canonical):
+        body = {"type": "perturbed_lattice", "delta": "1", "replication": words}
+        raw = {"run": {"seed": "1"}, "window": dict(SAMPLE_WINDOW), "generator": body}
+        text = resolve_text("sample", raw)
+        assert f"\nreplication = {canonical}\n" in text
+        assert_manifest_round_trips(tmp_path, "sample", text)
+
+    @pytest.mark.parametrize(
+        "words, canonical",
+        [
+            ("uniform_in_cell", "uniform_in_cell"),
+            ("Gaussian 2e-1", "gaussian 0.2"),
+            ("ball .4", "ball 0.4"),
+        ],
+    )
+    def test_displacement(self, tmp_path, words, canonical):
+        body = {
+            "type": "perturbed_lattice",
+            "delta": "1",
+            "replication": "poisson 1",
+            "displacement": words,
+        }
+        raw = {"run": {"seed": "1"}, "window": dict(SAMPLE_WINDOW), "generator": body}
+        text = resolve_text("sample", raw)
+        assert f"\ndisplacement = {canonical}\n" in text
+        assert_manifest_round_trips(tmp_path, "sample", text)
+
+    @pytest.mark.parametrize(
+        "words, canonical",
+        [
+            ("exponential 2", "exponential 2.0"),
+            ("Power_Law 3 1e-1", "power_law 3.0 0.1"),
+            ("indicator_ball .5", "indicator_ball 0.5"),
+        ],
+    )
+    def test_attenuation(self, tmp_path, words, canonical):
+        raw = {
+            "run": {"seed": "1"},
+            "window": dict(SAMPLE_WINDOW),
+            "generator": {"type": "poisson", "intensity": "1"},
+            "sinr": {"threshold": "1", "attenuation": words},
+        }
+        text = resolve_text("sinr", raw)
+        assert f"\nattenuation = {canonical}\n" in text
+        assert_manifest_round_trips(tmp_path, "sinr", text)
+
+
+PLOT_RUNS = [
+    ("sample", POISSON_SAMPLE, ["points.svg"]),
+    (
+        "summary",
+        "[run]\nseed = 3\nreplications = 4\n[window]\nsides = 6\ndimension = 2\n"
+        "[generator]\ntype = poisson\nintensity = 1\n"
+        "[summary]\nr_min = 0.2\nr_max = 1.0\nr_count = 3\n",
+        ["curve.svg"],
+    ),
+    (
+        "compare",
+        "[run]\nseed = 4\nreplications = 6\n[window]\nsides = 6\ndimension = 2\n"
+        "[generator]\ntype = poisson\nintensity = 1\n"
+        "[compare]\nscales = 0.5,1.0\nplacements = 8\n",
+        ["compare.svg"],
+    ),
+    ("percolation", PERC_SWEEP.replace("replications = 8", "replications = 3"), ["sweep.svg"]),
+    (
+        "percolation",
+        PERC_SWEEP.replace("replications = 8", "replications = 3").replace(
+            "mode = sweep", "mode = crossing"
+        ),
+        ["crossing.svg"],
+    ),
+    (
+        "coverage",
+        "[run]\nseed = 5\nreplications = 3\n[window]\nsides = 5\ndimension = 2\n"
+        "[generator]\ntype = poisson\nintensity = 1\n"
+        "[coverage]\nr_min = 0.2\nr_max = 0.4\nr_count = 2\ngrid_n = 16\n",
+        ["coverage.svg"],
+    ),
+    (
+        "sinr",
+        "[run]\nseed = 6\n[window]\nsides = 5\ndimension = 2\nmetric = euclidean\n"
+        "[generator]\ntype = poisson\nintensity = 1\n"
+        "[sinr]\nnoise = 0.1\nthreshold = 1.0\ngammas = 0.0,0.5\n",
+        ["gamma_sweep.svg"],
+    ),
+    (
+        "graph",
+        "[run]\nseed = 7\nreplications = 2\n"
+        "[generator]\ntype = poisson\nintensity = 1\n[graph]\nn_list = 9,16\n",
+        ["scaling.svg"],
+    ),
+    (
+        "complex",
+        "[run]\nseed = 8\nreplications = 2\n"
+        "[generator]\ntype = poisson\nintensity = 1\n"
+        "[complex]\nn_list = 9\nr_coeff = 0.6\n",
+        ["betti.svg"],
+    ),
+    ("kernel_chain", "[kernel_chain]\n", ["chain.svg"]),
+]
+
+
+class TestPlotsForEveryExperiment:
+    @pytest.mark.parametrize(
+        "experiment, config, svgs",
+        PLOT_RUNS,
+        ids=[f"{exp}-{svgs[0]}" for exp, _, svgs in PLOT_RUNS],
+    )
+    def test_plot_adds_only_its_svgs(self, tmp_path, experiment, config, svgs):
+        cfg = write_config(tmp_path / "c.ini", config)
+        plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+        assert run_cli(experiment, "--config", cfg, "--out", plain) == 0
+        assert run_cli(experiment, "--config", cfg, "--plot", "--out", plotted) == 0
+        plain_files = sorted(p.name for p in plain.iterdir())
+        assert not any(name.endswith(".svg") for name in plain_files)
+        assert sorted(p.name for p in plotted.iterdir()) == sorted(plain_files + svgs)
+        for name in plain_files:
+            assert (plain / name).read_bytes() == (plotted / name).read_bytes()
+        for name in svgs:
+            svg = (plotted / name).read_text()
+            assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+
+    def test_critical_mode_has_no_plot(self, tmp_path):
+        cfg = write_config(tmp_path / "p.ini", PERC_SWEEP)
+        out = tmp_path / "a"
+        assert run_cli(
+            "percolation", "--config", cfg, "--percolation.mode", "critical",
+            "--run.replications", "3", "--plot", "--out", out,
+        ) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["critical.csv", "manifest.ini"]

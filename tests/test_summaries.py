@@ -387,6 +387,12 @@ class TestCountVariance:
         with pytest.raises(ValueError, match="reps"):
             count_variance(homogeneous_poisson(1.0), periodic(4.0), 1.0, reps=1, stream=STREAM)
 
+    def test_jackknife_needs_three_replications(self):
+        # At reps=2 each leave-one-out estimate has a single mean, whose
+        # ddof=1 variance is undefined: the error must come before sampling.
+        with pytest.raises(ValueError, match="reps >= 3"):
+            count_variance(thomas_cluster(0.3, 4.0, 0.4), periodic(10.0), 1.5, reps=2, stream=STREAM)
+
 
 class TestLaplaceFunctional:
     def test_zero_function_gives_one_exactly(self):
