@@ -463,7 +463,7 @@ SCHEMAS = {
             "threshold": _k(_num(float, "pos")),
             "gamma": _k(_num(float, "nonneg"), "0.0"),
             "attenuation": _k(_parse_response, "exponential 1.0"),
-            "gammas": _k(_num(float, many=True), "0.0"),
+            "gammas": _k(_num(float, "nonneg", many=True), "0.0"),
         },
     },
     "graph": {
@@ -941,8 +941,6 @@ def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     plots = []
     gammas = p["gammas"]
     if len(gammas) > 1:
-        if any(gamma < 0 for gamma in gammas):
-            raise ConfigError("[sinr] gammas: must be non-negative")
         counts = [len(graph_at(gamma).edges) for gamma in gammas]
         rows = ["gamma,n_edges"] + [
             f"{format(gamma, '.17g')},{count}" for gamma, count in zip(gammas, counts)

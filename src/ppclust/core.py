@@ -120,6 +120,14 @@ class PointPattern:
         return self.window.dim
 
 
+def min_image(delta: np.ndarray, w: Window) -> np.ndarray:
+    """Per-axis offsets |a - b| under the window's metric: on a torus, the
+    shorter way round each axis."""
+    if w.metric == "periodic":
+        return np.minimum(delta, w.sides - delta)
+    return delta
+
+
 def distance(a, b, w: Window) -> float:
     """Distance between two points under the window's metric.
 
@@ -130,9 +138,7 @@ def distance(a, b, w: Window) -> float:
     b = as_point(b)
     if a.shape != b.shape or a.shape[0] != w.dim:
         raise ValueError("dimension mismatch")
-    delta = np.abs(a - b)
-    if w.metric == "periodic":
-        delta = np.minimum(delta, w.sides - delta)
+    delta = min_image(np.abs(a - b), w)
     return float(np.sqrt(np.sum(delta * delta)))
 
 
@@ -141,43 +147,69 @@ def pairwise_distances(points: np.ndarray, w: Window) -> np.ndarray:
     n = points.shape[0]
     if n == 0:
         return np.empty((0, 0))
-    delta = np.abs(points[:, None, :] - points[None, :, :])
-    if w.metric == "periodic":
-        delta = np.minimum(delta, w.sides - delta)
+    delta = min_image(np.abs(points[:, None, :] - points[None, :, :]), w)
     return np.sqrt(np.sum(delta * delta, axis=2))
 
 
 def pair_distances(points: np.ndarray, pairs: np.ndarray, w: Window) -> np.ndarray:
     """Distance of each (i, j) row of pairs under the window's metric."""
-    delta = np.abs(points[pairs[:, 0]] - points[pairs[:, 1]])
-    if w.metric == "periodic":
-        delta = np.minimum(delta, w.sides - delta)
+    delta = min_image(np.abs(points[pairs[:, 0]] - points[pairs[:, 1]]), w)
     return np.sqrt(np.sum(delta**2, axis=1))
+
+
+def _trees(w: Window, cutoff: float, *point_sets) -> tuple:
+    """The padded query radius for the cutoff, then one KD-tree per point set.
+
+    Points are shifted to the window's origin; on a torus the tree is
+    periodic through ``boxsize``.  The radius carries a small slack, so a
+    query returns a superset of the pairs within the cutoff: callers
+    re-filter with their own formula, and ties on the boundary follow that
+    one formula.
+    """
+    boxsize = w.sides if w.metric == "periodic" else None
+    trees = []
+    for points in point_sets:
+        shifted = points - w.lower
+        if boxsize is not None:
+            # A point just below upper can round up to the full side length.
+            shifted[shifted >= w.sides] = 0.0
+        trees.append(cKDTree(shifted, boxsize=boxsize))
+    # Relative slack for the tree's rounding, absolute slack for the shift.
+    radius = cutoff * (1 + 1e-9) + 1e-12 * float(np.max(np.abs(w.lower) + w.sides))
+    return (radius, *trees)
 
 
 def neighbor_pairs(points: np.ndarray, w: Window, cutoff: float) -> np.ndarray:
     """Index pairs (i < j, lexicographic order) of points that may lie
     within the cutoff, as an (m, 2) int64 array.
 
-    One KD-tree query, periodic through ``boxsize`` on a torus.  The query
-    radius carries a small slack, so the result is a superset of the pairs
-    within the cutoff: callers compare pair_distances against their own
-    radius, and ties on the boundary follow that one formula.  A zero
+    One KD-tree query, periodic on a torus, with the slack of ``_trees``:
+    callers compare pair_distances against their own radius.  A zero
     cutoff still returns coincident points, which lie within it.
     """
     if points.shape[0] < 2 or not cutoff >= 0:
         return np.empty((0, 2), dtype=np.int64)
-    shifted = points - w.lower
-    boxsize = None
-    if w.metric == "periodic":
-        # A point just below upper can round up to the full side length.
-        shifted[shifted >= w.sides] = 0.0
-        boxsize = w.sides
-    # Relative slack for the tree's rounding, absolute slack for the shift.
-    radius = cutoff * (1 + 1e-9) + 1e-12 * float(np.max(np.abs(w.lower) + w.sides))
-    pairs = cKDTree(shifted, boxsize=boxsize).query_pairs(radius, output_type="ndarray")
-    pairs = pairs.astype(np.int64, copy=False)
+    radius, tree = _trees(w, cutoff, points)
+    pairs = tree.query_pairs(radius, output_type="ndarray").astype(np.int64, copy=False)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def near_pairs(
+    eval_points: np.ndarray, points: np.ndarray, w: Window, cutoff: float, p: float = 2.0
+) -> np.ndarray:
+    """(eval, point) index pairs that may lie within the cutoff in the
+    Minkowski p-norm (2 for balls, inf for boxes), as an unsorted (m, 2)
+    int64 array.
+
+    One KD-tree cross query, periodic on a torus, with the slack of
+    ``_trees``: the result is a superset of the pairs within the cutoff,
+    and callers re-filter the offsets with their own formula.
+    """
+    if eval_points.shape[0] == 0 or points.shape[0] == 0 or not cutoff >= 0:
+        return np.empty((0, 2), dtype=np.int64)
+    radius, eval_tree, tree = _trees(w, cutoff, eval_points, points)
+    found = eval_tree.sparse_distance_matrix(tree, radius, p=p, output_type="ndarray")
+    return np.stack([found["i"], found["j"]], axis=1).astype(np.int64, copy=False)
 
 
 def volume(w: Window) -> float:

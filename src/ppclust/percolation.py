@@ -31,6 +31,7 @@ from .core import (
     RandomStream,
     Window,
     check_replications,
+    min_image,
     neighbor_pairs,
     pair_distances,
     replicate,
@@ -57,6 +58,11 @@ __all__ = [
     "crossing_to_csv",
     "graph_to_csv",
 ]
+
+# sinr_graph sums the attenuation over every (receiver, transmitter) and
+# (receiver, interferer) pair; each dense (n, m, d) offset array is capped
+# at this many entries.
+MAX_SINR_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,17 +417,20 @@ def sinr_graph(
     if n < 2:
         return Graph(n, (), pattern_b)
     l = params.attenuation
+    m = pattern_i.points.shape[0] if params.gamma > 0 else 0
+    for name, cols in (("signal", n), ("interference", m)):
+        if n * cols * wb.dim > MAX_SINR_ENTRIES:
+            raise ValueError(
+                f"the {name} offsets of {n} x {cols} points in dimension {wb.dim} "
+                f"exceed MAX_SINR_ENTRIES ({MAX_SINR_ENTRIES})"
+            )
 
-    delta = np.abs(pts[:, None, :] - pts[None, :, :])
-    if wb.metric == "periodic":
-        delta = np.minimum(delta, wb.sides - delta)
+    delta = min_image(np.abs(pts[:, None, :] - pts[None, :, :]), wb)
     signal = params.power * l.evaluate(np.sqrt(np.sum(delta**2, axis=2)))
 
     interference = np.zeros(n)
-    if params.gamma > 0 and pattern_i.points.shape[0] > 0:
-        delta_i = np.abs(pts[:, None, :] - pattern_i.points[None, :, :])
-        if wb.metric == "periodic":
-            delta_i = np.minimum(delta_i, wb.sides - delta_i)
+    if m > 0:
+        delta_i = min_image(np.abs(pts[:, None, :] - pattern_i.points[None, :, :]), wb)
         dist_i = np.sqrt(np.sum(delta_i**2, axis=2))
         terms = l.evaluate(dist_i)
         # A receiver that is itself an interferer does not hear its own signal.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -445,7 +446,12 @@ def _sample_mixed_poisson(spec, w, rng):
 
 # The field covariance factorization depends only on (spec, window geometry);
 # caching it keeps repeated replications from redoing the Cholesky.  The
-# cache is shared by worker threads, so its arrays are made read-only.
+# cache is shared by worker threads, so its arrays are made read-only, and
+# _COX_LOCK makes a miss single-flight: workers that miss together wait for
+# one factorization instead of each building the covariance.
+_COX_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=8)
 def _cox_cholesky(sigma, corr_length, grid_n, lower, upper, metric):
     w = Window(np.array(lower), np.array(upper), metric)
@@ -464,14 +470,15 @@ def _sample_log_gaussian_cox(spec, w, rng):
     grid_n = spec.get("grid_n")
     if grid_n**w.dim > MAX_COX_CELLS or (w.dim == 2 and grid_n > MAX_COX_GRID_2D):
         raise ValueError("field grid too large for dense Cholesky")
-    centers, chol = _cox_cholesky(
-        spec.get("sigma"),
-        spec.get("corr_length"),
-        grid_n,
-        tuple(w.lower),
-        tuple(w.upper),
-        w.metric,
-    )
+    with _COX_LOCK:
+        centers, chol = _cox_cholesky(
+            spec.get("sigma"),
+            spec.get("corr_length"),
+            grid_n,
+            tuple(w.lower),
+            tuple(w.upper),
+            w.metric,
+        )
     eta = spec.get("mu_g") + chol @ rng.standard_normal(centers.shape[0])
     cell_sides = w.sides / grid_n
     cell_vol = float(np.prod(cell_sides))

@@ -24,6 +24,8 @@ from .core import (
     RandomStream,
     Window,
     grid_centers,
+    min_image,
+    near_pairs,
     replicate,
     unit_ball_volume,
     volume,
@@ -53,6 +55,9 @@ RESPONSE_KINDS = ("indicator_ball", "exponential", "power_law", "tabulated")
 _S_GRID = 2.0 ** np.arange(-10.0, 6.5, 0.5)
 _GOLDEN_RTOL = 1e-6
 _QUAD_RTOL = 1e-8
+# additive_field and extremal_field evaluate h at every (eval, point) pair;
+# their dense (eval, n, d) offset array is capped at this many entries.
+MAX_FIELD_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -166,9 +171,16 @@ class FieldSample:
 
 
 def _distance_matrix(eval_points: np.ndarray, pattern: PointPattern) -> np.ndarray:
+    """Dense (eval, n) distance matrix under the window's metric."""
+    entries = eval_points.shape[0] * pattern.points.size
+    if entries > MAX_FIELD_ENTRIES:
+        raise ValueError(
+            f"{eval_points.shape[0]} evaluation points x {pattern.points.shape[0]} "
+            f"points in dimension {pattern.dim} exceed MAX_FIELD_ENTRIES "
+            f"({MAX_FIELD_ENTRIES}) dense offsets"
+        )
     delta = np.abs(eval_points[:, None, :] - pattern.points[None, :, :])
-    if pattern.window.metric == "periodic":
-        delta = np.minimum(delta, pattern.window.sides - delta)
+    delta = min_image(delta, pattern.window)
     return np.sqrt(np.sum(delta**2, axis=2))
 
 
@@ -208,9 +220,10 @@ def coverage_field(pattern: PointPattern, r: float, grid_n: int) -> FieldSample:
     if w.metric == "periodic" and 2 * r >= float(np.min(w.sides)):
         raise ValueError("coverage radius must be below half the smallest window side")
     centers = grid_centers(w, grid_n)
-    if pattern.points.shape[0] == 0:
-        return FieldSample(centers, np.zeros(centers.shape[0]))
-    counts = np.sum(_distance_matrix(centers, pattern) <= r, axis=1).astype(float)
+    pairs = near_pairs(centers, pattern.points, w, r)
+    delta = min_image(np.abs(centers[pairs[:, 0]] - pattern.points[pairs[:, 1]]), w)
+    covered = np.sqrt(np.sum(delta**2, axis=1)) <= r
+    counts = np.bincount(pairs[covered, 0], minlength=centers.shape[0]).astype(float)
     return FieldSample(centers, counts)
 
 

@@ -18,6 +18,8 @@ from .core import (
     RandomStream,
     Window,
     ball_volume,
+    min_image,
+    near_pairs,
     neighbor_pairs,
     pair_distances,
     replicate,
@@ -190,18 +192,24 @@ def _random_centers(w: Window, placements: int, rng) -> np.ndarray:
 
 
 def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, region: Region) -> np.ndarray:
-    """Number of pattern points inside the region placed at each centre."""
-    pts = pattern.points
-    if pts.shape[0] == 0:
-        return np.zeros(centers.shape[0], dtype=np.int64)
-    delta = np.abs(centers[:, None, :] - pts[None, :, :])
-    if pattern.window.metric == "periodic":
-        delta = np.minimum(delta, pattern.window.sides - delta)
+    """Number of pattern points inside the region placed at each centre.
+
+    A ball is a Euclidean ball of radius ``size``, a box a Chebyshev ball
+    of radius ``size / 2``; candidates come from one KD-tree cross query
+    and membership from the offsets, so ties on the boundary are decided
+    by the comparisons below.
+    """
+    pts, w = pattern.points, pattern.window
     if region.kind == "ball":
-        inside = np.sum(delta**2, axis=2) <= region.size**2
+        pairs = near_pairs(centers, pts, w, region.size)
     else:
-        inside = np.all(delta <= region.size / 2.0, axis=2)
-    return np.count_nonzero(inside, axis=1).astype(np.int64)
+        pairs = near_pairs(centers, pts, w, region.size / 2.0, p=np.inf)
+    delta = min_image(np.abs(centers[pairs[:, 0]] - pts[pairs[:, 1]]), w)
+    if region.kind == "ball":
+        inside = np.sum(delta**2, axis=1) <= region.size**2
+    else:
+        inside = np.all(delta <= region.size / 2.0, axis=1)
+    return np.bincount(pairs[inside, 0], minlength=centers.shape[0]).astype(np.int64)
 
 
 def _region_fits(region: Region, w: Window):

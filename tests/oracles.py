@@ -227,3 +227,39 @@ def scan_dsatur_colors(n, edges):
         for u in neighbors[v]:
             neighbor_colors[u].add(c)
     return colors
+
+
+def _dense_offsets(eval_points, points, lower, upper, metric):
+    """(eval, n, d) per-axis offsets by one broadcast, minimum image on a
+    torus."""
+    import numpy as np
+
+    eval_points = np.asarray(eval_points, dtype=float)
+    points = np.asarray(points, dtype=float).reshape(-1, eval_points.shape[1])
+    delta = np.abs(eval_points[:, None, :] - points[None, :, :])
+    if metric == "periodic":
+        sides = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
+        delta = np.minimum(delta, sides - delta)
+    return delta
+
+
+def dense_counts_in_regions(centers, points, lower, upper, metric, kind, size):
+    """Points inside the ball of radius size (kind "ball") or the box of
+    side size (kind "box") placed at each centre, from the dense offsets."""
+    import numpy as np
+
+    delta = _dense_offsets(centers, points, lower, upper, metric)
+    if kind == "ball":
+        inside = np.sum(delta**2, axis=2) <= size**2
+    else:
+        inside = np.all(delta <= size / 2.0, axis=2)
+    return np.count_nonzero(inside, axis=1)
+
+
+def dense_coverage_counts(eval_points, points, lower, upper, metric, r):
+    """Number of points within Euclidean distance r of each evaluation
+    point, from the dense offsets."""
+    import numpy as np
+
+    delta = _dense_offsets(eval_points, points, lower, upper, metric)
+    return np.count_nonzero(np.sqrt(np.sum(delta**2, axis=2)) <= r, axis=1)

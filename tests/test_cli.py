@@ -444,6 +444,20 @@ class TestOtherExperiments:
         assert counts == sorted(counts, reverse=True)
         assert (tmp_path / "a" / "edges.csv").read_text().splitlines()[0] == "i,j"
 
+    @pytest.mark.parametrize("gammas", ["-1", "0.1,-2"])
+    def test_sinr_negative_gammas_rejected(self, tmp_path, capsys, gammas):
+        # One value or several, a negative interference factor fails parsing.
+        cfg = write_config(
+            tmp_path / "s.ini",
+            "[run]\nseed = 6\n[window]\nsides = 6\nmetric = euclidean\n"
+            "[generator]\ntype = poisson\nintensity = 1.5\n"
+            f"[sinr]\nnoise = 0.1\nthreshold = 1.0\ngammas = {gammas}\n",
+        )
+        assert run_cli("sinr", "--config", cfg, "--out", tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "[sinr] gammas" in err and "non-negative" in err
+        assert not (tmp_path / "a").exists()
+
     def test_graph_scaling(self, tmp_path):
         cfg = write_config(
             tmp_path / "g.ini",

@@ -252,3 +252,52 @@ class TestNeighborPairs:
         points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
         pairs = core.neighbor_pairs(points, core.cube(4.0, 2), 0.0)
         assert pairs.tolist() == [[0, 2]]
+
+
+def _brute_near(eval_points, points, w, cutoff, p):
+    """(eval, point) pairs within the cutoff in the p-norm, one pair at a time."""
+    out = set()
+    for i, a in enumerate(eval_points):
+        for j, b in enumerate(points):
+            delta = core.min_image(np.abs(a - b), w)
+            dist = np.max(delta) if p == np.inf else math.sqrt(float(np.sum(delta * delta)))
+            if dist <= cutoff:
+                out.add((i, j))
+    return out
+
+
+class TestNearPairs:
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_superset_of_brute_force_in_every_dimension(self, d, metric, p):
+        side = {1: 40.0, 2: 7.0, 3: 4.0}[d]
+        w = core.cube(side, d, origin=-1.3, metric=metric)
+        rng = np.random.default_rng(10 + d)
+        eval_points = w.lower + rng.random((30, d)) * w.sides
+        points = w.lower + rng.random((50, d)) * w.sides
+        for cutoff in (0.3, 0.8, 1.5):
+            pairs = core.near_pairs(eval_points, points, w, cutoff, p)
+            assert pairs.dtype == np.int64 and pairs.shape[1] == 2
+            found = set(map(tuple, pairs.tolist()))
+            assert len(found) == pairs.shape[0]
+            assert _brute_near(eval_points, points, w, cutoff, p) <= found
+
+    @pytest.mark.parametrize(
+        "eval_points, points, cutoff",
+        [
+            (np.empty((0, 2)), np.array([[1.0, 1.0]]), 1.0),
+            (np.array([[1.0, 1.0]]), np.empty((0, 2)), 1.0),
+            (np.array([[1.0, 1.0]]), np.array([[1.5, 1.0]]), -1.0),
+        ],
+    )
+    def test_empty_results(self, eval_points, points, cutoff):
+        pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), cutoff)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_zero_cutoff_keeps_coincident_points(self, p):
+        eval_points = np.array([[1.0, 1.0], [3.0, 3.0]])
+        points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+        pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), 0.0, p)
+        assert sorted(map(tuple, pairs.tolist())) == [(0, 0), (0, 2)]

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ppclust.dists as dists
+import ppclust.percolation as percolation
 import ppclust.procgen as pg
 import ppclust.shotnoise as sn
 from oracles import bfs_component_sizes, brute_force_gilbert_edges
@@ -517,6 +519,51 @@ class TestSinrGraph:
         pattern = PointPattern(w, np.array([[0.2, 3.0], [5.8, 3.0]]))
         g = sinr_graph(pattern, pattern, exponential_params())
         assert g.edges == ((0, 1),)  # wrapped distance 0.4, direct 5.6
+
+
+def peak_bytes_raising(match, fn, *args) -> int:
+    """Peak bytes traced while fn(*args) raises a ValueError matching match."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSinrMemoryCap:
+    # The dense signal (n x n x d) and interference (n x m x d) offsets are
+    # capped at MAX_SINR_ENTRIES, checked before either is allocated.
+    def test_signal_cap_raises_before_allocating(self):
+        n = math.isqrt(percolation.MAX_SINR_ENTRIES) + 1
+        pattern = PointPattern(cube(float(n), 1, metric="euclidean"), np.arange(n)[:, None])
+        peak = peak_bytes_raising(
+            "MAX_SINR_ENTRIES", sinr_graph, pattern, pattern, exponential_params()
+        )
+        assert peak < 2**20  # the offsets alone would take 8 * n * n bytes
+
+    def test_interference_cap_raises_before_allocating(self):
+        # 4096 receivers fit the signal cap exactly; 4097 interferers do not.
+        n = math.isqrt(percolation.MAX_SINR_ENTRIES)
+        w = cube(float(n + 1), 1, metric="euclidean")
+        receivers = PointPattern(w, np.arange(n)[:, None] + 0.5)
+        interferers = PointPattern(w, np.arange(n + 1)[:, None])
+        peak = peak_bytes_raising(
+            "MAX_SINR_ENTRIES", sinr_graph, receivers, interferers, exponential_params(0.1)
+        )
+        assert peak < 2**20
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(percolation, "MAX_SINR_ENTRIES", 8)
+        w = euclid(6.0)
+        pair = PointPattern(w, np.array([[1.0, 1.0], [1.5, 1.0]]))
+        jammers = PointPattern(w, np.array([[1.6, 1.0], [4.0, 4.0], [5.0, 5.0]]))
+        assert sinr_graph(pair, pair, exponential_params(0.5)).edges == ((0, 1),)
+        # Without interference the interferers are never read.
+        assert sinr_graph(pair, jammers, exponential_params()).edges == ((0, 1),)
+        with pytest.raises(ValueError, match="interference.*MAX_SINR_ENTRIES"):
+            sinr_graph(pair, jammers, exponential_params(2.0))
 
 
 class TestSerialization:

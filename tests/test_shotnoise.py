@@ -1,17 +1,21 @@
 """Tests for shot-noise fields, coverage volumes, and exceedance bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ppclust.core import PointPattern, RandomStream, cube
+import ppclust.shotnoise as shotnoise
+from oracles import dense_coverage_counts
+from ppclust.core import PointPattern, RandomStream, box as window_box, cube, grid_centers
 from ppclust.dists import deterministic
 from ppclust.procgen import (
     homogeneous_poisson,
     perturbed_lattice,
     sample,
     square_lattice,
+    thomas_cluster,
     uniform_in_cell,
 )
 from ppclust.shotnoise import (
@@ -177,6 +181,111 @@ class TestCoverageField:
         pat = PointPattern(periodic(4.0), np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError, match="half the smallest"):
             coverage_field(pat, 2.0, 16)
+
+
+def peak_bytes_raising(match, fn, *args) -> int:
+    """Peak bytes traced while fn(*args) raises a ValueError matching match."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseFieldCap:
+    # additive_field and extremal_field build (eval, n, d) offsets; above
+    # MAX_FIELD_ENTRIES they raise before allocating them.
+    @pytest.mark.parametrize("field", [additive_field, extremal_field])
+    def test_raises_before_allocating(self, field):
+        n = 4096
+        w = cube(float(n), 1)
+        pattern = PointPattern(w, np.arange(n)[:, None])
+        evals = np.linspace(0.0, n - 1.0, shotnoise.MAX_FIELD_ENTRIES // n + 1)[:, None]
+        peak = peak_bytes_raising(
+            "MAX_FIELD_ENTRIES", field, pattern, exponential_response(1.0), evals
+        )
+        assert peak < 2**20  # the offsets alone would take 128 MiB
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(shotnoise, "MAX_FIELD_ENTRIES", 12)
+        pattern = PointPattern(periodic(4.0), np.array([[1.0, 1.0], [2.0, 2.0]]))
+        h = exponential_response(1.0)
+        assert additive_field(pattern, h, [[0.5, 0.5]] * 3).values.shape == (3,)
+        with pytest.raises(ValueError, match="MAX_FIELD_ENTRIES"):
+            extremal_field(pattern, h, [[0.5, 0.5]] * 4)
+
+
+def dense_coverage(pattern, r, grid_n):
+    w = pattern.window
+    centers = grid_centers(w, grid_n)
+    return dense_coverage_counts(centers, pattern.points, w.lower, w.upper, w.metric, r)
+
+
+class TestCoverageFieldAgainstDense:
+    # The KD-tree cross query must give exactly the counts of the dense
+    # (grid, n, d) broadcast, ties at distance r included.
+    SPECS = {
+        "poisson": homogeneous_poisson(1.0),
+        "thomas": thomas_cluster(0.2, 5.0, 0.4),
+    }
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_random_patterns(self, name, d, metric):
+        w = cube(40.0 if d == 1 else 7.0, d, origin=-1.3, metric=metric)
+        grid_n = {1: 97, 2: 24, 3: 9}[d]
+        for seed in range(3):
+            pattern = sample(self.SPECS[name], w, STREAM.derive(40 + seed))
+            for r in (0.0, 0.3, 1.0, 2.5):
+                fs = coverage_field(pattern, r, grid_n)
+                assert fs.values.dtype == np.float64
+                assert np.array_equal(fs.values, dense_coverage(pattern, r, grid_n))
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    def test_points_exactly_at_r(self, metric):
+        # Grid centres of [0, 4)^2 at n = 4 are 0.5 + integers; (1.5, 1.5) is
+        # one of them and exactly 1 from four others, and (0.5, 2.0) is
+        # exactly 0.5 from two.  The last point is one ulp beyond 0.5 from
+        # (3.5, 2.5), within the query slack.
+        points = np.array([[1.5, 1.5], [0.5, 2.0], [3.5, np.nextafter(3.0, 4.0)]])
+        pattern = PointPattern(cube(4.0, 2, metric=metric), points)
+        for r, covered in ((1.0, 9), (0.5, 4)):
+            values = coverage_field(pattern, r, 4).values
+            assert np.sum(values) == covered
+            assert np.array_equal(values, dense_coverage(pattern, r, 4))
+
+    def test_pairs_across_the_seam(self):
+        # 3.9 is 0.6 from the centre 0.5 through the seam.
+        pattern = PointPattern(periodic(4.0), np.array([[3.9, 0.5]]))
+        values = coverage_field(pattern, 0.65, 4).values.reshape(4, 4)
+        assert values[0, 0] == 1.0 and values[3, 0] == 1.0 and np.sum(values) == 2.0
+        assert np.array_equal(values.ravel(), dense_coverage(pattern, 0.65, 4))
+
+    def test_point_rounding_up_to_the_torus_side(self):
+        # The largest double below 2.7, shifted by -(-1.3), rounds to the
+        # full side 4.0; the point sits on the corner of the torus, about
+        # 0.707 from the four grid centres around it.
+        w = window_box((-1.3, 2.7), (-1.3, 2.7))
+        top = np.nextafter(2.7, -np.inf)
+        pattern = PointPattern(w, np.array([[top, top]]))
+        assert pattern.points[0, 0] - w.lower[0] == w.sides[0]
+        values = coverage_field(pattern, 0.75, 4).values
+        assert np.sum(values) == 4.0
+        assert np.array_equal(values, dense_coverage(pattern, 0.75, 4))
+
+    def test_empty_pattern(self):
+        pattern = PointPattern(periodic(4.0), np.empty((0, 2)))
+        values = coverage_field(pattern, 1.0, 8).values
+        assert values.dtype == np.float64 and not values.any()
+
+    def test_zero_radius_counts_coincident_points(self):
+        pattern = PointPattern(periodic(4.0), np.array([[0.5, 0.5], [0.5, 0.5], [0.7, 0.5]]))
+        values = coverage_field(pattern, 0.0, 4).values
+        assert values[0] == 2.0 and np.sum(values) == 2.0
+        assert np.array_equal(values, dense_coverage(pattern, 0.0, 4))
 
 
 class TestKCoveredVolume:

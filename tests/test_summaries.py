@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ppclust.summaries as summaries
-from ppclust.core import PointPattern, RandomStream, cube, pairwise_distances
+from oracles import dense_counts_in_regions
+from ppclust.core import PointPattern, RandomStream, box as window_box, cube, pairwise_distances
 from ppclust.dists import deterministic
 from ppclust.procgen import (
     binomial_process,
@@ -144,6 +145,97 @@ class TestAgainstDensePairs:
             assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
             assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
         assert [close_pair_count(pattern, r) for r in (0.0, 0.5, 1.7)] == counts
+
+
+def dense_counts(pattern, centers, region):
+    w = pattern.window
+    return dense_counts_in_regions(
+        centers, pattern.points, w.lower, w.upper, w.metric, region.kind, region.size
+    )
+
+
+class TestCountsInRegionsAgainstDense:
+    # The KD-tree cross query must give exactly the counts of the dense
+    # (centres, n, d) broadcast, ties on the region boundary included.
+    SPECS = {
+        "poisson": homogeneous_poisson(1.0),
+        "thomas": thomas_cluster(0.2, 5.0, 0.4),
+    }
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_random_patterns(self, name, d, metric):
+        w = cube(40.0 if d == 1 else 7.0, d, origin=-1.3, metric=metric)
+        for seed in range(4):
+            stream = STREAM.derive(120 + seed)
+            pattern = sample(self.SPECS[name], w, stream.derive(0))
+            rng = stream.derive(1).generator()
+            centers = w.lower + rng.random((64, d)) * w.sides
+            for region in (ball(0.3), ball(1.0), ball(2.5), box(0.5), box(2.0), box(5.0)):
+                got = summaries._counts_in_regions(pattern, centers, region)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, dense_counts(pattern, centers, region))
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    def test_points_exactly_on_the_boundary(self, metric):
+        w = cube(4.0, 2, metric=metric)
+        centers = np.array([[1.0, 1.0], [2.0, 2.0]])
+        # Three points lie at distance exactly 0.5 from the first centre,
+        # on the closed ball of radius 0.5; (1.5, 1.5) lies at Chebyshev
+        # distance exactly 0.5 from both centres, on the box of side 1.  The
+        # last two lie one ulp beyond both regions, within the query slack.
+        beyond = np.nextafter(1.5, 2.0), np.nextafter(2.5, 3.0)
+        points = np.array(
+            [[1.5, 1.0], [1.0, 0.5], [0.5, 1.0], [1.5, 1.5], [1.0, 1.25],
+             [1.0, beyond[0]], [beyond[1], 2.0]]
+        )
+        pattern = PointPattern(w, points)
+        for region, want in ((ball(0.5), [4, 0]), (box(1.0), [5, 1])):
+            got = summaries._counts_in_regions(pattern, centers, region)
+            assert got.tolist() == want
+            assert np.array_equal(got, dense_counts(pattern, centers, region))
+
+    def test_pairs_across_the_seam(self):
+        w = periodic(4.0)
+        pattern = PointPattern(w, np.array([[3.75, 2.0], [3.9, 3.9], [2.0, 2.0]]))
+        centers = np.array([[0.25, 2.0], [0.1, 0.1], [0.0, 0.0]])
+        # 3.75 and 0.25 lie exactly 0.5 apart through the seam.
+        for region, want in ((ball(0.5), [1, 1, 1]), (box(1.0), [1, 1, 1])):
+            got = summaries._counts_in_regions(pattern, centers, region)
+            assert got.tolist() == want
+            assert np.array_equal(got, dense_counts(pattern, centers, region))
+
+    def test_point_rounding_up_to_the_torus_side(self):
+        # The largest double below 2.7, shifted by -(-1.3), rounds to the
+        # full side 4.0; the tree must still see it next to the origin.
+        w = window_box((-1.3, 2.7), (-1.3, 2.7))
+        top = np.nextafter(2.7, -np.inf)
+        pattern = PointPattern(w, np.array([[top, 0.0], [top, top]]))
+        centers = np.array([[-1.3, 0.0], [-1.3, -1.3], [top, top], [0.5, 0.5]])
+        assert pattern.points[0, 0] - w.lower[0] == w.sides[0]
+        for region in (ball(0.1), box(0.2)):
+            got = summaries._counts_in_regions(pattern, centers, region)
+            assert got.tolist() == [1, 1, 1, 0]
+            assert np.array_equal(got, dense_counts(pattern, centers, region))
+
+    def test_empty_pattern(self):
+        pattern = PointPattern(periodic(4.0), np.empty((0, 2)))
+        centers = np.array([[1.0, 1.0], [2.0, 3.0]])
+        for region in (ball(1.0), box(1.0)):
+            got = summaries._counts_in_regions(pattern, centers, region)
+            assert got.dtype == np.int64 and got.tolist() == [0, 0]
+
+    def test_estimators_match_the_dense_path(self, monkeypatch):
+        spec = thomas_cluster(0.3, 4.0, 0.4)
+        w = periodic(10.0)
+        fast = (
+            void_probability(spec, w, ball(1.0), reps=6, stream=STREAM.derive(130)),
+            factorial_moment(spec, w, 2.0, 2, reps=6, stream=STREAM.derive(131)),
+        )
+        monkeypatch.setattr(summaries, "_counts_in_regions", dense_counts)
+        assert void_probability(spec, w, ball(1.0), reps=6, stream=STREAM.derive(130)) == fast[0]
+        assert factorial_moment(spec, w, 2.0, 2, reps=6, stream=STREAM.derive(131)) == fast[1]
 
 
 class TestRipleyK:
