@@ -147,7 +147,8 @@ def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _clique_levels(n: int, edges: np.ndarray, max_dim: int, keep=None) -> list:
-    """Faces of the clique complex, level by level.
+    """Faces of the clique complex, level by level, from a lexicographic
+    (E, 2) edge array with i < j (as the pair query returns it).
 
     An optional predicate filters each level of dimension >= 2: it takes
     the level's candidate faces (their sub-faces are already accepted) and
@@ -157,7 +158,7 @@ def _clique_levels(n: int, edges: np.ndarray, max_dim: int, keep=None) -> list:
     if max_dim == 0:
         return levels
     neighbors = _neighbor_sets(n, edges)
-    levels.append(tuple(sorted(tuple(sorted((int(i), int(j)))) for i, j in edges)))
+    levels.append(tuple(map(tuple, edges.tolist())))
     for dim in range(2, max_dim + 1):
         candidates = []
         for face in levels[-1]:

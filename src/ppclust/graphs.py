@@ -3,7 +3,10 @@
 The geometric graph here uses the direct convention: points are adjacent
 when their distance is at most r.  (The percolation module's Gilbert graph
 connects at distance 2r, the grain-overlap convention; rgg(pattern, r)
-equals gilbert_graph(pattern, r/2) edge for edge.)
+equals gilbert_graph(pattern, r/2) edge for edge.)  Graphs carry their
+edges as the (E, 2) int64 array of the pair query; the search kernels
+(clique, coloring, motif enumeration) read Python adjacency sets built
+from it once per graph.
 
 Motif counting enumerates connected induced subgraphs only, growing
 subsets from each root vertex so every connected k-subset is visited
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .core import PointPattern, RandomStream, box, check_replications, replicate, run_indexed
 from .percolation import Graph, _edge_index_array
@@ -65,24 +69,11 @@ class Motif:
             raise ValueError("adjacency must be symmetric")
         if adj.diagonal().any():
             raise ValueError("adjacency must have a zero diagonal")
-        if not _is_connected_adjacency(adj):
+        if connected_components(adj, directed=False)[0] != 1:
             raise ValueError("motif must be connected")
 
     def canonical_form(self) -> int:
         return _canonical_form(self.adjacency)
-
-
-def _is_connected_adjacency(adj: np.ndarray) -> bool:
-    k = adj.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in np.flatnonzero(adj[v]):
-            if u not in seen:
-                seen.add(int(u))
-                frontier.append(int(u))
-    return len(seen) == k
 
 
 def _canonical_form(adj: np.ndarray) -> int:
@@ -128,19 +119,14 @@ def named_motif(name: str) -> Motif:
 
 def rgg(pattern: PointPattern, r: float) -> Graph:
     """Geometric graph joining points at distance <= r."""
-    keep = _edge_index_array(pattern, r / 2.0)
-    return Graph(
-        pattern.points.shape[0],
-        tuple((int(i), int(j)) for i, j in keep),
-        pattern,
-    )
+    return Graph(pattern.points.shape[0], _edge_index_array(pattern, r / 2.0), pattern)
 
 
-def _neighbor_sets(n: int, edges) -> list:
-    """Adjacency sets of the graph on vertices 0..n-1 with the given edge
-    pairs (a sequence of pairs or an (E, 2) integer array)."""
+def _neighbor_sets(n: int, edges: np.ndarray) -> list:
+    """Adjacency sets of the graph on vertices 0..n-1 with the given (E, 2)
+    edge array; the one adjacency the Python search kernels read."""
     neighbors = [set() for _ in range(n)]
-    for i, j in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
+    for i, j in edges.tolist():
         neighbors[i].add(j)
         neighbors[j].add(i)
     return neighbors

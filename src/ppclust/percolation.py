@@ -12,7 +12,9 @@ Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
 on the kept edges.  A radius sweep queries once at the largest radius,
 sorts the pairs by length, and reads the graph at each radius as a prefix
-of that order.
+of that order.  A Graph holds its edges as that same (E, 2) int64 array,
+from the query through components to graph_to_csv.  The site-grid
+crossing of k-coverage labels its open cells with scipy.ndimage.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -67,27 +68,44 @@ MAX_SINR_ENTRIES = 1 << 24
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph on the points of a pattern."""
+    """Undirected graph on the points of a pattern.
+
+    ``edges`` is a read-only (E, 2) int64 array of vertex pairs (i, j) with
+    0 <= i < j < n_vertices and no repeated row.  The constructor takes any
+    sequence of integer pairs, copies it once and keeps its order.
+    """
 
     n_vertices: int
-    edges: tuple  # of (i, j) with i < j
+    edges: np.ndarray
     positions: PointPattern
 
     def __post_init__(self):
-        seen = set()
-        for i, j in self.edges:
-            if not 0 <= i < j < self.n_vertices:
-                raise ValueError("edges must satisfy 0 <= i < j < n_vertices")
-            if (i, j) in seen:
-                raise ValueError("duplicate edge")
-            seen.add((i, j))
+        edges = self.edges
+        if isinstance(edges, np.ndarray):
+            kinds = {edges.dtype.kind}
+        else:
+            # As objects the endpoints keep their own types; numpy would turn
+            # a bool among ints into an int.
+            edges = np.array(edges, dtype=object)
+            kinds = {np.dtype(t).kind for t in set(map(type, edges.flat))}
+        if edges.size == 0:
+            edges = np.empty((0, 2), dtype=np.int64)
+        elif edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must be a sequence of (i, j) pairs")
+        elif not kinds <= {"i", "u"}:
+            raise ValueError("edge endpoints must be integers")
+        i, j = edges.T
+        if not np.all((0 <= i) & (i < j) & (j < self.n_vertices)):
+            raise ValueError("edges must satisfy 0 <= i < j < n_vertices")
+        edges = edges.astype(np.int64)
+        keys = np.sort(edges[:, 0] * self.n_vertices + edges[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edge")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     def degree_histogram(self) -> np.ndarray:
-        degrees = np.zeros(self.n_vertices, dtype=np.int64)
-        for i, j in self.edges:
-            degrees[i] += 1
-            degrees[j] += 1
-        return degrees
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
 
 # The per-replication pair query of every Gilbert kernel.  The benchmark's
@@ -113,9 +131,7 @@ def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
 
 def gilbert_graph(pattern: PointPattern, r: float) -> Graph:
     """Graph with an edge wherever two points lie within distance 2r."""
-    keep = _edge_index_array(pattern, r)
-    n = pattern.points.shape[0]
-    return Graph(n, tuple((int(i), int(j)) for i, j in keep), pattern)
+    return Graph(pattern.points.shape[0], _edge_index_array(pattern, r), pattern)
 
 
 def _component_labels(n: int, edge_array: np.ndarray) -> np.ndarray:
@@ -133,8 +149,7 @@ def _component_sizes(n: int, edge_array: np.ndarray) -> np.ndarray:
 
 def components(g: Graph) -> list:
     """Connected-component sizes in descending order."""
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    return _component_sizes(g.n_vertices, edges).tolist()
+    return _component_sizes(g.n_vertices, g.edges).tolist()
 
 
 @dataclass(frozen=True)
@@ -301,30 +316,12 @@ def check_percolation_bounds(r_hat: float, lam: float, d: int = 2) -> Percolatio
 
 def _site_crossing(open_cells: np.ndarray) -> bool:
     """Left-right crossing of open sites with close-packed adjacency
-    (all 3^d - 1 neighbors), no wraparound."""
-    shape = open_cells.shape
-    d = open_cells.ndim
-    if not open_cells.any():
-        return False
-    frontier = [idx for idx in zip(*np.nonzero(open_cells)) if idx[0] == 0]
-    if not frontier:
-        return False
-    seen = set(frontier)
-    offsets = [off for off in product((-1, 0, 1), repeat=d) if any(off)]
-    last = shape[0] - 1
-    while frontier:
-        current = frontier.pop()
-        if current[0] == last:
-            return True
-        for off in offsets:
-            nb = tuple(c + o for c, o in zip(current, off))
-            if any(x < 0 or x >= s for x, s in zip(nb, shape)):
-                continue
-            if nb in seen or not open_cells[nb]:
-                continue
-            seen.add(nb)
-            frontier.append(nb)
-    return False
+    (all 3^d - 1 neighbors), no wraparound: some cluster label appears in
+    both the first and the last slab along axis 0."""
+    from scipy import ndimage
+
+    labels, _ = ndimage.label(open_cells, structure=np.ones((3,) * open_cells.ndim))
+    return bool(np.intersect1d(labels[0], labels[-1]).any())
 
 
 def k_percolation_crossing(
@@ -442,9 +439,7 @@ def sinr_graph(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = signal / denom[None, :]
     ok = np.where(denom[None, :] == 0.0, signal > 0.0, ratio > params.threshold)
-    mutual = np.triu(ok & ok.T, k=1)
-    edges = tuple((int(i), int(j)) for i, j in np.argwhere(mutual))
-    return Graph(n, edges, pattern_b)
+    return Graph(n, np.argwhere(np.triu(ok & ok.T, k=1)), pattern_b)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +473,6 @@ def crossing_to_csv(entries) -> str:
 def graph_to_csv(g: Graph) -> str:
     buf = io.StringIO()
     buf.write("i,j\n")
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         buf.write(f"{i},{j}\n")
     return buf.getvalue()

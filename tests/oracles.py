@@ -167,6 +167,34 @@ def bfs_component_sizes(n, edges):
     return sorted(sizes, reverse=True)
 
 
+def bfs_site_crossing(open_cells):
+    """Left-right crossing of open sites (a boolean d-dimensional grid) by
+    breadth-first search from the open cells of the first slab along axis
+    0, with close-packed adjacency (all 3^d - 1 neighbours) and no
+    wraparound."""
+    from itertools import product
+
+    import numpy as np
+
+    shape = open_cells.shape
+    frontier = deque(idx for idx in zip(*np.nonzero(open_cells)) if idx[0] == 0)
+    seen = set(frontier)
+    offsets = [off for off in product((-1, 0, 1), repeat=open_cells.ndim) if any(off)]
+    while frontier:
+        current = frontier.popleft()
+        if current[0] == shape[0] - 1:
+            return True
+        for off in offsets:
+            nb = tuple(c + o for c, o in zip(current, off))
+            if any(x < 0 or x >= s for x, s in zip(nb, shape)):
+                continue
+            if nb in seen or not open_cells[nb]:
+                continue
+            seen.add(nb)
+            frontier.append(nb)
+    return False
+
+
 def brute_force_miniball_radius(points, tol=1e-12):
     """Smallest enclosing ball radius, one support subset and one solve at
     a time: every subset of at most d+1 points whose circumcenter exists

@@ -93,15 +93,22 @@ class TestMotifType:
 class TestRgg:
     def test_collinear_path(self):
         g = rgg(collinear(4), 1.0)
-        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+    def test_edges_are_a_read_only_int64_array(self):
+        for r, count in ((1.0, 3), (0.99, 0)):
+            edges = rgg(collinear(4), r).edges
+            assert edges.dtype == np.int64 and edges.shape == (count, 2)
+            with pytest.raises(ValueError):
+                edges[...] = 0
 
     def test_radius_below_min_spacing(self):
-        assert rgg(collinear(4), 0.99).edges == ()
+        assert rgg(collinear(4), 0.99).edges.tolist() == []
 
     def test_matches_gilbert_at_half_radius(self):
         pattern = poisson_pattern(8.0, 1.0, STREAM.derive(0))
         for r in (0.3, 0.8, 1.5):
-            assert rgg(pattern, r).edges == gilbert_graph(pattern, r / 2).edges
+            assert np.array_equal(rgg(pattern, r).edges, gilbert_graph(pattern, r / 2).edges)
 
     def test_negative_radius(self):
         with pytest.raises(ValueError):

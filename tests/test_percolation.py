@@ -8,12 +8,13 @@ import ppclust.dists as dists
 import ppclust.percolation as percolation
 import ppclust.procgen as pg
 import ppclust.shotnoise as sn
-from oracles import bfs_component_sizes, brute_force_gilbert_edges
+from oracles import bfs_component_sizes, bfs_site_crossing, brute_force_gilbert_edges
 from ppclust.core import PointPattern, RandomStream, box, cube
 from ppclust.percolation import (
     Graph,
     PercolationSweep,
     SinrParams,
+    _site_crossing,
     check_percolation_bounds,
     component_fraction_sweep,
     components,
@@ -43,6 +44,9 @@ class TestGraphType:
     def test_valid(self):
         g = Graph(3, ((0, 1), (1, 2)), collinear_pattern())
         assert g.n_vertices == 3
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1], [1, 2]]
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 2
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -55,6 +59,8 @@ class TestGraphType:
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError):
             Graph(3, ((0, 1), (0, 1)), collinear_pattern())
+        with pytest.raises(ValueError):
+            Graph(3, ((0, 2), (1, 2), (0, 2)), collinear_pattern())
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -64,16 +70,42 @@ class TestGraphType:
         g = Graph(3, ((0, 1), (1, 2)), collinear_pattern())
         assert g.degree_histogram().tolist() == [1, 2, 1]
 
+    @pytest.mark.parametrize("edges", [((0.5, 1),), ((0.0, 1.0),), ((True, 2),)])
+    def test_rejects_non_integer_ids(self, edges):
+        with pytest.raises(ValueError, match="integers"):
+            Graph(3, edges, collinear_pattern())
+
+    def test_constructor_copies_its_input(self):
+        source = np.array([[0, 1]])
+        g = Graph(3, source, collinear_pattern())
+        source[0, 1] = 2
+        assert g.edges.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2), dtype=np.int64)])
+    def test_empty_graph_has_shape_0_by_2(self, edges):
+        g = Graph(3, edges, collinear_pattern())
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert components(g) == [1, 1, 1]
+        assert g.degree_histogram().tolist() == [0, 0, 0]
+
+    def test_unsorted_input_keeps_its_order(self):
+        g = Graph(3, ((1, 2), (0, 2), (0, 1)), collinear_pattern())
+        assert graph_to_csv(g) == "i,j\n1,2\n0,2\n0,1\n"
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ValueError):
+            Graph(3, ((0, 1, 2),), collinear_pattern())
+
 
 class TestGilbertGraph:
     def test_three_collinear_points(self):
         # Distances 1, 2, 3; only the first pair is within 2r = 1.5.
         g = gilbert_graph(collinear_pattern(), 0.75)
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_zero_radius_gives_no_edges(self):
         g = gilbert_graph(collinear_pattern(), 0.0)
-        assert g.edges == ()
+        assert g.edges.tolist() == []
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -87,8 +119,8 @@ class TestGilbertGraph:
     def test_periodic_wraparound_edge(self):
         w = cube(4.0, 2)
         pattern = PointPattern(w, np.array([[0.1, 2.0], [3.9, 2.0]]))
-        assert gilbert_graph(pattern, 0.15).edges == ((0, 1),)
-        assert gilbert_graph(pattern, 0.09).edges == ()
+        assert gilbert_graph(pattern, 0.15).edges.tolist() == [[0, 1]]
+        assert gilbert_graph(pattern, 0.09).edges.tolist() == []
 
     @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
     def test_matches_brute_force(self, metric):
@@ -99,7 +131,7 @@ class TestGilbertGraph:
             expected = brute_force_gilbert_edges(
                 pattern.points.tolist(), w.lower.tolist(), w.upper.tolist(), metric, r
             )
-            assert set(gilbert_graph(pattern, r).edges) == expected
+            assert set(map(tuple, gilbert_graph(pattern, r).edges.tolist())) == expected
 
     @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
     def test_bucket_grid_matches_brute_force(self, metric):
@@ -109,7 +141,7 @@ class TestGilbertGraph:
             expected = brute_force_gilbert_edges(
                 pattern.points.tolist(), w.lower.tolist(), w.upper.tolist(), metric, r
             )
-            assert set(gilbert_graph(pattern, r).edges) == expected
+            assert set(map(tuple, gilbert_graph(pattern, r).edges.tolist())) == expected
 
     def test_bucket_grid_three_dimensional(self):
         w = cube(6.0, 3)
@@ -117,7 +149,7 @@ class TestGilbertGraph:
         expected = brute_force_gilbert_edges(
             pattern.points.tolist(), w.lower.tolist(), w.upper.tolist(), "periodic", 0.5
         )
-        assert set(gilbert_graph(pattern, 0.5).edges) == expected
+        assert set(map(tuple, gilbert_graph(pattern, 0.5).edges.tolist())) == expected
 
     # (origin, a, b): b - a is exactly 2r in floating point.  In the last two
     # cases shifting by the origin rounds that pair apart, so a KD-tree query
@@ -138,13 +170,22 @@ class TestGilbertGraph:
             points.tolist(), w.lower.tolist(), w.upper.tolist(), metric, r
         )
         assert expected == {(0, 1)}
-        assert gilbert_graph(PointPattern(w, points), r).edges == ((0, 1),)
+        assert gilbert_graph(PointPattern(w, points), r).edges.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_edges_are_a_read_only_int64_array(self, r):
+        pattern = pg.sample(pg.homogeneous_poisson(1.0), cube(6.0, 2), STREAM.derive(8))
+        edges = gilbert_graph(pattern, r).edges
+        assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+        assert (edges.shape[0] > 0) == (r > 0)
+        with pytest.raises(ValueError):
+            edges[...] = 0
 
     def test_single_point(self):
         w = euclid(4.0)
         pattern = PointPattern(w, np.array([[1.0, 1.0]]))
         g = gilbert_graph(pattern, 1.0)
-        assert g.n_vertices == 1 and g.edges == ()
+        assert g.n_vertices == 1 and g.edges.tolist() == []
 
 
 class TestComponents:
@@ -172,7 +213,7 @@ class TestComponents:
         pattern = pg.sample(pg.homogeneous_poisson(0.9), cube(8.0, 2), STREAM.derive(6))
         g = gilbert_graph(pattern, 0.45)
         base = len(components(g))
-        edge_set = set(g.edges)
+        edge_set = set(map(tuple, g.edges.tolist()))
         rng = STREAM.derive(7).generator()
         added = 0
         while added < 5:
@@ -399,6 +440,42 @@ class TestKPercolationCrossing:
             )
 
 
+class TestSiteCrossing:
+    @pytest.mark.parametrize("d, side", [(1, 12), (2, 9), (3, 5)])
+    def test_matches_bfs_on_random_grids(self, d, side):
+        rng = STREAM.derive(40 + d).generator()
+        for density in (0.2, 0.4, 0.5, 0.6, 0.8):
+            for _ in range(40):
+                open_cells = rng.random((side,) * d) < density
+                assert _site_crossing(open_cells) == bfs_site_crossing(open_cells)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_all_closed_and_all_open(self, d):
+        shape = (4,) * d
+        assert not _site_crossing(np.zeros(shape, dtype=bool))
+        assert _site_crossing(np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 6), (1, 4, 3)])
+    def test_one_cell_thick_along_axis_0(self, shape):
+        open_cells = np.zeros(shape, dtype=bool)
+        assert not _site_crossing(open_cells) and not bfs_site_crossing(open_cells)
+        open_cells.flat[-1] = True
+        assert _site_crossing(open_cells) and bfs_site_crossing(open_cells)
+
+    def test_crosses_through_diagonal_neighbours_only(self):
+        open_cells = np.eye(5, dtype=bool)
+        assert _site_crossing(open_cells) and bfs_site_crossing(open_cells)
+        cube_diagonal = np.zeros((3, 3, 3), dtype=bool)
+        cube_diagonal[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = True
+        assert _site_crossing(cube_diagonal) and bfs_site_crossing(cube_diagonal)
+
+    def test_touching_both_faces_needs_one_cluster(self):
+        open_cells = np.zeros((5, 5), dtype=bool)
+        open_cells[:2, 0] = True  # touches the first slab
+        open_cells[3:, 4] = True  # touches the last slab, another cluster
+        assert not _site_crossing(open_cells) and not bfs_site_crossing(open_cells)
+
+
 def exponential_params(gamma=0.0, threshold=1.0, noise=0.1):
     return SinrParams(
         power=1.0,
@@ -448,8 +525,8 @@ class TestSinrGraph:
         d_crit = math.log(10.0)
         near = PointPattern(w, np.array([[0.5, 0.5], [0.5 + d_crit - 1e-9, 0.5]]))
         far = PointPattern(w, np.array([[0.5, 0.5], [0.5 + d_crit + 1e-9, 0.5]]))
-        assert sinr_graph(near, near, params).edges == ((0, 1),)
-        assert sinr_graph(far, far, params).edges == ()
+        assert sinr_graph(near, near, params).edges.tolist() == [[0, 1]]
+        assert sinr_graph(far, far, params).edges.tolist() == []
 
     def test_zero_gamma_matches_gilbert_graph(self):
         params = exponential_params()
@@ -458,15 +535,16 @@ class TestSinrGraph:
             pattern = pg.sample(
                 pg.homogeneous_poisson(0.7), euclid(9.0), STREAM.derive(24).derive(i)
             )
-            assert sinr_graph(pattern, pattern, params).edges == gilbert_graph(
-                pattern, r
-            ).edges
+            assert np.array_equal(
+                sinr_graph(pattern, pattern, params).edges, gilbert_graph(pattern, r).edges
+            )
 
     def test_edges_shrink_with_gamma(self):
         pattern = pg.sample(pg.homogeneous_poisson(0.8), euclid(8.0), STREAM.derive(25))
         previous = None
         for gamma in (0.0, 0.02, 0.1, 0.5, 5.0):
-            edges = set(sinr_graph(pattern, pattern, exponential_params(gamma)).edges)
+            g = sinr_graph(pattern, pattern, exponential_params(gamma))
+            edges = set(map(tuple, g.edges.tolist()))
             if previous is not None:
                 assert edges <= previous
             previous = edges
@@ -476,9 +554,8 @@ class TestSinrGraph:
         pattern = pg.sample(pg.homogeneous_poisson(0.8), euclid(8.0), STREAM.derive(26))
         previous = None
         for threshold in (0.5, 1.0, 2.0, 4.0):
-            edges = set(
-                sinr_graph(pattern, pattern, exponential_params(0.01, threshold)).edges
-            )
+            g = sinr_graph(pattern, pattern, exponential_params(0.01, threshold))
+            edges = set(map(tuple, g.edges.tolist()))
             if previous is not None:
                 assert edges <= previous
             previous = edges
@@ -489,7 +566,7 @@ class TestSinrGraph:
         w = euclid(6.0)
         pattern = PointPattern(w, np.array([[1.0, 1.0], [1.5, 1.0]]))
         g = sinr_graph(pattern, pattern, exponential_params(gamma=0.5))
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_separate_interferer_pattern(self):
         w = euclid(6.0)
@@ -497,8 +574,8 @@ class TestSinrGraph:
         jammer = PointPattern(w, np.array([[1.6, 1.0]]))
         quiet = sinr_graph(pair, PointPattern(w, np.empty((0, 2))), exponential_params(2.0))
         jammed = sinr_graph(pair, jammer, exponential_params(2.0))
-        assert quiet.edges == ((0, 1),)
-        assert jammed.edges == ()
+        assert quiet.edges.tolist() == [[0, 1]]
+        assert jammed.edges.tolist() == []
 
     def test_window_mismatch_rejected(self):
         a = PointPattern(euclid(6.0), np.array([[1.0, 1.0]]))
@@ -514,11 +591,26 @@ class TestSinrGraph:
         with pytest.raises(ValueError):
             sinr_graph(pattern, pattern, params)
 
+    def test_edges_are_a_read_only_int64_array(self):
+        pattern = pg.sample(pg.homogeneous_poisson(0.8), euclid(8.0), STREAM.derive(29))
+        edges = sinr_graph(pattern, pattern, exponential_params()).edges
+        assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 2
+        assert edges.shape[0] > 0
+        with pytest.raises(ValueError):
+            edges[...] = 0
+
+    def test_empty_and_single_point_graphs_have_shape_0_by_2(self):
+        w = euclid(6.0)
+        for points in (np.empty((0, 2)), np.array([[1.0, 1.0]])):
+            pattern = PointPattern(w, points)
+            g = sinr_graph(pattern, pattern, exponential_params())
+            assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
     def test_periodic_window_uses_wrapped_distances(self):
         w = cube(6.0, 2)
         pattern = PointPattern(w, np.array([[0.2, 3.0], [5.8, 3.0]]))
         g = sinr_graph(pattern, pattern, exponential_params())
-        assert g.edges == ((0, 1),)  # wrapped distance 0.4, direct 5.6
+        assert g.edges.tolist() == [[0, 1]]  # wrapped distance 0.4, direct 5.6
 
 
 def peak_bytes_raising(match, fn, *args) -> int:
@@ -559,9 +651,9 @@ class TestSinrMemoryCap:
         w = euclid(6.0)
         pair = PointPattern(w, np.array([[1.0, 1.0], [1.5, 1.0]]))
         jammers = PointPattern(w, np.array([[1.6, 1.0], [4.0, 4.0], [5.0, 5.0]]))
-        assert sinr_graph(pair, pair, exponential_params(0.5)).edges == ((0, 1),)
+        assert sinr_graph(pair, pair, exponential_params(0.5)).edges.tolist() == [[0, 1]]
         # Without interference the interferers are never read.
-        assert sinr_graph(pair, jammers, exponential_params()).edges == ((0, 1),)
+        assert sinr_graph(pair, jammers, exponential_params()).edges.tolist() == [[0, 1]]
         with pytest.raises(ValueError, match="interference.*MAX_SINR_ENTRIES"):
             sinr_graph(pair, jammers, exponential_params(2.0))
 
