@@ -6,7 +6,8 @@ computable proxies: the mean fractions of nodes in the two largest
 components (bulk statistic, periodic windows) and the probability that one
 component spans from the left to the right face (crossing statistic,
 Euclidean windows).  The critical radius is located by bisecting the
-crossing probability at 1/2 with common random numbers across radii.
+crossing probability at 1/2 with common random numbers across radii, read
+off each replication's exact crossing threshold.
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
@@ -37,6 +38,7 @@ from .core import (
     pair_distances,
     replicate,
     unit_ball_volume,
+    volume,
 )
 from .procgen import GeneratorSpec, sample
 from .shotnoise import ResponseFunction, coverage_field
@@ -211,6 +213,11 @@ def component_fraction_sweep(
     return PercolationSweep(tuple(radii), _estimates(used[:, 0]), _estimates(used[:, 1]))
 
 
+def _check_crossing_window(w: Window):
+    if w.metric != "euclidean":
+        raise ValueError("crossing experiments need a Euclidean (non-wrapped) window")
+
+
 def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
     """True when one Gilbert component touches both the left and right slab
     of width 2r along the first axis."""
@@ -236,13 +243,92 @@ def crossing_probability(
     threads: int = 1,
 ) -> EstimateWithError:
     """Probability that a Gilbert component spans the window horizontally."""
-    if w.metric != "euclidean":
-        raise ValueError("crossing experiments need a Euclidean (non-wrapped) window")
+    _check_crossing_window(w)
+    if not r >= 0:
+        raise ValueError("radius must be non-negative")
 
     def one(rep: RandomStream) -> float:
         return float(_crossing_indicator(sample(spec, w, rep), r))
 
     return _proportion(replicate(reps, stream, threads, one))
+
+
+def _entry_radii(holds, values: np.ndarray, guess: np.ndarray, r_max: float) -> np.ndarray:
+    """Per value, the least float r in [0, r_max] with holds(values, r), or
+    inf where it fails at r_max; holds is elementwise and monotone in r.
+
+    The guess is kept where it holds and its float predecessor does not,
+    which is the usual case.  The rest are bisected on their bit patterns,
+    which order the non-negative floats.
+    """
+    r = np.clip(guess, 0.0, r_max)
+    settled = holds(values, r) & ((r == 0) | ~holds(values, np.nextafter(r, -1.0)))
+    never = ~holds(values, np.full_like(r, r_max))
+    todo = ~settled & ~never
+    if todo.any():
+        rest = values[todo]
+        lo = np.full(rest.shape, -1, dtype=np.int64)  # just below r = 0
+        hi = np.full(rest.shape, np.float64(r_max).view(np.int64))
+        while np.any(hi - lo > 1):
+            mid = np.where(hi - lo > 1, lo + (hi - lo) // 2, hi)
+            ok = holds(rest, mid.view(np.float64))
+            hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
+        r[todo] = hi.view(np.float64)
+    r[never] = np.inf
+    return r
+
+
+def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
+    """The least radius r with _crossing_indicator(pattern, r), or inf when
+    the pattern does not cross at r_max.
+
+    The indicator changes only where a point enters a slab or a pair joins,
+    so the threshold is one of those event radii, each the least float at
+    which the indicator's own comparison turns true.  The pairs come from
+    one query at rho, which starts at the Poisson lower bound on the
+    critical radius and doubles up to r_max until the pattern crosses at
+    rho; the least crossing event is then bisected on prefixes of the pairs
+    sorted by their event radius.
+    """
+    points = pattern.points
+    n = points.shape[0]
+    if n == 0:
+        return math.inf
+    w = pattern.window
+    lower, upper, x = w.lower[0], w.upper[0], points[:, 0]
+    left = _entry_radii(lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2, r_max)
+    right = _entry_radii(lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2, r_max)
+
+    def crosses(r: float) -> bool:
+        labels = _component_labels(n, pairs[: np.searchsorted(joined, r, side="right")])
+        return np.intersect1d(labels[left <= r], labels[right <= r]).size > 0
+
+    rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
+    while True:
+        pairs = _candidate_pairs(points, w, 2 * rho)
+        dist = pair_distances(points, pairs, w)
+        # A pair's event is the least r with dist <= 2r.  At r = 0 the
+        # indicator joins no pair, but it cannot cross there either: no
+        # point of a half-open window lies in the right slab.
+        joined = _entry_radii(lambda d, r: d <= 2 * r, dist, dist / 2, rho)
+        order = np.argsort(joined, kind="stable")
+        pairs, joined = pairs[order], joined[order]
+        if crosses(rho):
+            break
+        if rho == r_max:
+            return math.inf
+        rho = min(2 * rho, r_max)
+    # The state at rho is that of its largest event, so the last one crosses.
+    events = np.unique(np.concatenate([joined, left, right]))
+    events = events[events <= rho]
+    lo, hi = -1, events.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if crosses(float(events[mid])):
+            hi = mid
+        else:
+            lo = mid
+    return float(events[hi])
 
 
 def critical_radius(
@@ -255,21 +341,28 @@ def critical_radius(
 ) -> EstimateWithError:
     """Radius at which the horizontal crossing probability passes 1/2.
 
-    Bisection with common random numbers: every radius is evaluated on the
-    same replication streams, so the crossing indicator is monotone in r
-    and the bisection is well posed despite Monte Carlo noise.  The
-    reported error combines the final bracket half-width with the binomial
-    noise propagated through the locally estimated slope.
+    Bisection with common random numbers.  The crossing indicator of each
+    replicated pattern is monotone in r, so it equals (r >= t) for that
+    pattern's exact threshold t; each replication is sampled once and its
+    t computed once, and the crossing probability at every bisection
+    radius is the fraction of thresholds at or below it.  The estimate is
+    the one that resampling the same streams at each radius would give.
+    The reported error combines the final bracket half-width with the
+    binomial noise propagated through the locally estimated slope.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     check_replications(reps, stream)
-    eval_stream = stream.derive(0)
+    _check_crossing_window(w)
+    r_max = float(np.linalg.norm(w.sides)) / 4.0
+    thresholds = replicate(
+        reps, stream.derive(0), threads,
+        lambda rep: _crossing_threshold(sample(spec, w, rep), r_max),
+    )
 
     def p_hat(r: float) -> EstimateWithError:
-        return crossing_probability(spec, w, r, reps, eval_stream, threads)
+        return _proportion([float(t <= r) for t in thresholds])
 
-    r_max = float(np.linalg.norm(w.sides)) / 4.0
     hi_est = p_hat(r_max)
     if hi_est.value < 0.5:
         raise ValueError(

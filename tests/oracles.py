@@ -291,3 +291,42 @@ def dense_coverage_counts(eval_points, points, lower, upper, metric, r):
 
     delta = _dense_offsets(eval_points, points, lower, upper, metric)
     return np.count_nonzero(np.sqrt(np.sum(delta**2, axis=2)) <= r, axis=1)
+
+
+def bisection_critical_radius(spec, w, reps=50, tol=0.02, stream=None, threads=1):
+    """The resampling critical-radius bisection: one crossing_probability
+    call, which samples every replication again, per bisection radius."""
+    import numpy as np
+
+    from ppclust.core import check_replications
+    from ppclust.percolation import crossing_probability
+    from ppclust.summaries import EstimateWithError
+
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    check_replications(reps, stream)
+    eval_stream = stream.derive(0)
+
+    def p_hat(r):
+        return crossing_probability(spec, w, r, reps, eval_stream, threads)
+
+    r_max = float(np.linalg.norm(w.sides)) / 4.0
+    hi_est = p_hat(r_max)
+    if hi_est.value < 0.5:
+        raise ValueError(
+            f"crossing probability at r={r_max:g} is only {hi_est.value:g}; "
+            "no bracket for the 1/2 level in [0, diagonal/4]"
+        )
+    lo, lo_p = 0.0, 0.0
+    hi, hi_p = r_max, hi_est.value
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        est = p_hat(mid)
+        if est.value >= 0.5:
+            hi, hi_p = mid, est.value
+        else:
+            lo, lo_p = mid, est.value
+    slope = (hi_p - lo_p) / (hi - lo)
+    se_p = math.sqrt(0.25 / reps)
+    error = 0.5 * (hi - lo) + (se_p / slope if slope > 0 else math.inf)
+    return EstimateWithError(0.5 * (lo + hi), error, reps)

@@ -8,7 +8,12 @@ import ppclust.dists as dists
 import ppclust.percolation as percolation
 import ppclust.procgen as pg
 import ppclust.shotnoise as sn
-from oracles import bfs_component_sizes, bfs_site_crossing, brute_force_gilbert_edges
+from oracles import (
+    bfs_component_sizes,
+    bfs_site_crossing,
+    bisection_critical_radius,
+    brute_force_gilbert_edges,
+)
 from ppclust.core import PointPattern, RandomStream, box, cube
 from ppclust.percolation import (
     Graph,
@@ -352,6 +357,15 @@ class TestCrossingProbability:
                 stream=STREAM.derive(16),
             )
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_radius_before_sampling(self, r, monkeypatch):
+        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="^radius must be non-negative$"):
+            crossing_probability(
+                pg.homogeneous_poisson(1.0), euclid(10.0), r, reps=5,
+                stream=STREAM.derive(16),
+            )
+
 
 class TestCriticalRadius:
     def test_poisson_transition_location(self):
@@ -374,12 +388,129 @@ class TestCriticalRadius:
                 stream=STREAM.derive(18),
             )
 
+    def test_no_bracket_message_matches_resampling_bisection(self):
+        args = (pg.binomial_process(0), euclid(10.0))
+        kwargs = dict(reps=8, tol=0.1, stream=STREAM.derive(18))
+        with pytest.raises(ValueError) as expected:
+            bisection_critical_radius(*args, **kwargs)
+        with pytest.raises(ValueError) as got:
+            critical_radius(*args, **kwargs)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("crossing probability at r=3.53553 is only 0;")
+
+    def test_rejects_periodic_window_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        with pytest.raises(
+            ValueError, match=r"^crossing experiments need a Euclidean \(non-wrapped\) window$"
+        ):
+            critical_radius(
+                pg.homogeneous_poisson(1.0), cube(10.0, 2), reps=8, tol=0.1,
+                stream=STREAM.derive(19),
+            )
+
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             critical_radius(
                 pg.homogeneous_poisson(1.0), euclid(10.0), reps=8, tol=0.0,
                 stream=STREAM.derive(19),
             )
+
+
+# Inputs of the threshold replay against the resampling bisection: Poisson
+# at the reference intensity, the jittered unit lattice, the unjittered
+# unit lattice (every neighbour distance tied), and a window whose lower
+# corner is not the origin.
+CRITICAL_CASES = {
+    "poisson": (pg.homogeneous_poisson(2 / math.sqrt(3)), euclid(20.0)),
+    "jittered_lattice": (
+        pg.perturbed_lattice(1.0, dists.deterministic(1), pg.uniform_in_cell()),
+        euclid(20.0),
+    ),
+    "unit_lattice": (pg.square_lattice(1.0), euclid(20.0)),
+    "offset_window": (
+        pg.homogeneous_poisson(2 / math.sqrt(3)),
+        box((0.1, 20.1), (-3.3, 16.7), metric="euclidean"),
+    ),
+}
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled a pattern")
+
+
+def _assert_threshold_is_exact(pattern):
+    r_max = float(np.linalg.norm(pattern.window.sides)) / 4.0
+    t = percolation._crossing_threshold(pattern, r_max)
+    radii = list(np.linspace(0.0, r_max, 61))
+    if math.isfinite(t):
+        assert 0 < t <= r_max
+        radii += [t, float(np.nextafter(t, 0.0))]
+    for r in radii:
+        assert percolation._crossing_indicator(pattern, float(r)) == (r >= t), (r, t)
+    return t
+
+
+class TestCrossingThreshold:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
+    def test_critical_radius_matches_resampling_bisection(self, case, threads):
+        spec, w = CRITICAL_CASES[case]
+        kwargs = dict(reps=12, tol=0.02, stream=STREAM.derive(40), threads=threads)
+        expected = bisection_critical_radius(spec, w, **kwargs)
+        got = critical_radius(spec, w, **kwargs)
+        assert got.value == expected.value
+        assert got.std_error == expected.std_error
+        assert got.replications == expected.replications
+
+    @pytest.mark.parametrize("case", sorted(CRITICAL_CASES))
+    def test_threshold_is_where_the_indicator_turns_on(self, case):
+        spec, w = CRITICAL_CASES[case]
+        stream = STREAM.derive(41)
+        for i in range(2):
+            _assert_threshold_is_exact(pg.sample(spec, w, stream.derive(i)))
+
+    def test_empty_pattern_never_crosses(self):
+        pattern = PointPattern(euclid(10.0), np.empty((0, 2)))
+        assert _assert_threshold_is_exact(pattern) == math.inf
+
+    def test_single_point_crosses_once_in_both_slabs(self):
+        pattern = PointPattern(euclid(10.0), np.array([[3.0, 5.0]]))
+        assert _assert_threshold_is_exact(pattern) == 3.5
+
+    def test_coincident_points(self):
+        w = euclid(4.0)
+        points = np.array([[0.5, 1.0], [0.5, 1.0], [2.0, 1.0], [2.0, 1.0], [3.5, 1.0]])
+        assert _assert_threshold_is_exact(PointPattern(w, points)) == 0.75
+
+    def test_threshold_at_a_left_slab_entry(self):
+        # The chain joins and reaches the right slab at r = 0.4; it enters
+        # the left slab at r = 0.6.
+        w = box((0.0, 4.0), (0.0, 1.0), metric="euclidean")
+        points = np.array([[1.2, 0.5], [2.0, 0.5], [2.8, 0.5], [3.6, 0.5]])
+        assert _assert_threshold_is_exact(PointPattern(w, points)) == 0.6
+
+    def test_point_on_the_lower_face(self):
+        w = box((0.1, 4.1), (-3.3, 0.7), metric="euclidean")
+        points = np.array([[0.1, 0.0], [1.1, 0.0], [2.1, 0.0], [3.9, 0.0]])
+        _assert_threshold_is_exact(PointPattern(w, points))
+
+    def test_no_crossing_at_r_max_gives_inf(self):
+        w = box((0.0, 40.0), (0.0, 1.0), metric="euclidean")
+        points = np.array([[1.0, 0.5], [39.0, 0.5]])
+        assert _assert_threshold_is_exact(PointPattern(w, points)) == math.inf
+
+    def test_entry_radius_is_the_least_float_where_the_guess_is_off(self):
+        # Near a lower face far from the origin, lower + 2r rounds to x for
+        # many floats r below (x - lower) / 2.
+        lower = 0.1
+        x = np.array([lower, np.nextafter(lower, 1.0), lower + 1e-12, 7.3, 1e6])
+        holds = lambda v, r: v <= lower + 2 * r  # noqa: E731
+        r = percolation._entry_radii(holds, x, (x - lower) / 2, 10.0)
+        assert r[0] == 0.0 and r[-1] == math.inf
+        inner = slice(1, -1)
+        assert np.all(holds(x[inner], r[inner]))
+        assert not np.any(holds(x[inner], np.nextafter(r[inner], -1.0)))
+        assert r[1] < (x[1] - lower) / 2
 
 
 class TestPercolationBounds:
