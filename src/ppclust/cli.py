@@ -11,8 +11,9 @@ artifacts into the output directory:
   CSV byte for byte.  The output directory and thread count are
   invocation properties, not experiment parameters, so they are not part
   of the manifest.
-- CSV result files in the owning module's schema (17 significant digits,
-  ``.`` decimal separator, LF line endings).
+- CSV result files in the owning module's schema, all written by
+  ``core.csv_text``, the one definition of the format (17 significant
+  digits for floats, ``.`` decimal separator, LF line endings).
 - optional minimal SVG plots (fixed 800x600 viewbox, one polyline per
   series, axes and legend) when ``--plot`` is given.
 
@@ -51,7 +52,7 @@ from . import (
     shotnoise,
     summaries,
 )
-from .core import RandomStream, Window, box
+from .core import RandomStream, Window, box, csv_text
 
 THREADS_ENV_VAR = "PPCLUST_THREADS"
 
@@ -828,10 +829,9 @@ def _run_compare(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         (f"ordering_{_safe_name(rep.statistic)}.csv", compare.ordering_to_csv(rep))
         for rep in reports
     ]
-    verdict_lines = ["statistic,verdict"]
-    verdict_lines += [f"{rep.statistic},{rep.verdict}" for rep in reports]
-    verdict_lines.append(f"overall,{overall}")
-    files.append(("verdicts.csv", "\n".join(verdict_lines) + "\n"))
+    verdicts = [(rep.statistic, rep.verdict) for rep in reports]
+    verdicts.append(("overall", overall))
+    files.append(("verdicts.csv", csv_text(("statistic", "verdict"), verdicts)))
     series = [
         (rep.statistic, [row.scale for row in rep.per_scale], rep.z_scores())
         for rep in reports
@@ -847,10 +847,9 @@ def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         est = percolation.critical_radius(
             rc.generator, rc.window, reps, p["tol"], stream, threads
         )
-        text = (
-            "r_c,std_error,replications\n"
-            f"{format(est.value, '.17g')},{format(est.std_error, '.17g')},"
-            f"{est.replications}\n"
+        text = csv_text(
+            ("r_c", "std_error", "replications"),
+            [(est.value, est.std_error, est.replications)],
         )
         return [("critical.csv", text)], []
     radii = _radii(rc, "percolation")
@@ -933,19 +932,19 @@ def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         ("edges.csv", percolation.graph_to_csv(g)),
         (
             "summary.csv",
-            "n_vertices,n_edges,n_components,largest_component\n"
-            f"{g.n_vertices},{len(g.edges)},{len(sizes)},"
-            f"{sizes[0] if sizes else 0}\n",
+            csv_text(
+                ("n_vertices", "n_edges", "n_components", "largest_component"),
+                [(g.n_vertices, len(g.edges), len(sizes), sizes[0] if sizes else 0)],
+            ),
         ),
     ]
     plots = []
     gammas = p["gammas"]
     if len(gammas) > 1:
         counts = [len(graph_at(gamma).edges) for gamma in gammas]
-        rows = ["gamma,n_edges"] + [
-            f"{format(gamma, '.17g')},{count}" for gamma, count in zip(gammas, counts)
-        ]
-        files.append(("gamma_sweep.csv", "\n".join(rows) + "\n"))
+        files.append(
+            ("gamma_sweep.csv", csv_text(("gamma", "n_edges"), zip(gammas, counts)))
+        )
         series = [("edges", gammas, counts)]
         title = "Edge count under increasing interference"
         plots.append(("gamma_sweep.svg", series, title, "gamma", "edges"))
@@ -1074,7 +1073,7 @@ def _chain_pairs(rc: ResolvedConfig) -> list:
 
 def _run_kernel_chain(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     pairs = _chain_pairs(rc)
-    rows = ["chain,lower,upper,verdict,min_slack,witness"]
+    rows = []
     curves = {}
     for chain, lower, upper in pairs:
         verdict = dists.check_cx(lower, upper)
@@ -1083,10 +1082,9 @@ def _run_kernel_chain(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         slack = min(
             dists.stop_loss(upper, a) - dists.stop_loss(lower, a) for a in grid
         )
-        witness = "" if verdict.witness is None else format(verdict.witness, ".17g")
+        witness = "" if verdict.witness is None else verdict.witness
         rows.append(
-            f"{chain},{_dist_label(lower)},{_dist_label(upper)},"
-            f"{verdict.status},{format(slack, '.17g')},{witness}"
+            (chain, _dist_label(lower), _dist_label(upper), verdict.status, slack, witness)
         )
         for d in (lower, upper):
             label = f"{chain}: {_dist_label(d)}"
@@ -1094,7 +1092,8 @@ def _run_kernel_chain(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
                 top = dists.support_upper(d)
                 xs = [0.5 * i for i in range(2 * min(top, 12) + 1)]
                 curves[label] = (xs, [dists.stop_loss(d, a) for a in xs])
-    files = [("chain.csv", "\n".join(rows) + "\n")]
+    header = ("chain", "lower", "upper", "verdict", "min_slack", "witness")
+    files = [("chain.csv", csv_text(header, rows))]
     series = [(label, xs, ys) for label, (xs, ys) in curves.items()]
     title = "Stop-loss transforms along the chains"
     return files, [("chain.svg", series, title, "a", "E(X-a)+")]

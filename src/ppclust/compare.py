@@ -20,13 +20,12 @@ excursion beyond +-4 before it is reported as a violation.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, Window, ball_volume, check_replications, cube, replicate
+from .core import RandomStream, Window, ball_volume, check_replications, csv_text, cube, replicate
 from .procgen import GeneratorSpec, intensity, sample
 from .summaries import (
     _counts_in_regions,
@@ -339,22 +338,14 @@ def concentration_check(
 def ordering_to_csv(report: OrderingReport) -> str:
     """CSV rows scale,estimate,reference,z; statistic and verdict are the
     caller's to record (the CLI stores them in the manifest)."""
-    buf = io.StringIO()
-    buf.write("scale,estimate,reference,z\n")
-    for row in report.per_scale:
-        buf.write(
-            f"{format(row.scale, '.17g')},{format(row.estimate, '.17g')},"
-            f"{format(row.reference, '.17g')},{format(row.z, '.17g')}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("scale", "estimate", "reference", "z"),
+        ((row.scale, row.estimate, row.reference, row.z) for row in report.per_scale),
+    )
 
 
 def concentration_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("n,empirical,bound,std_error,status\n")
-    for row in rows:
-        buf.write(
-            f"{row.n},{format(row.empirical, '.17g')},{format(row.bound, '.17g')},"
-            f"{format(row.std_error, '.17g')},{row.status}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("n", "empirical", "bound", "std_error", "status"),
+        ((row.n, row.empirical, row.bound, row.std_error, row.status) for row in rows),
+    )

@@ -12,14 +12,13 @@ column reduction on bitmask columns: beta_k = S_k - rank d_k - rank d_{k+1}.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations, compress
 
 import numpy as np
 
-from .core import PointPattern, RandomStream, check_replications, replicate
+from .core import PointPattern, RandomStream, check_replications, csv_text, replicate
 from .graphs import _neighbor_sets, _volume_windows
 from .percolation import _edge_index_array
 from .procgen import GeneratorSpec, sample
@@ -318,20 +317,18 @@ def betti_scaling_experiment(
 
 def complex_to_csv(c: SimplicialComplex) -> str:
     """One row per face: its dimension and space-separated vertices."""
-    buf = io.StringIO()
-    buf.write("dim,vertices\n")
-    for k, level in enumerate(c.faces):
-        for face in level:
-            buf.write(f"{k},{' '.join(str(v) for v in face)}\n")
-    return buf.getvalue()
+    return csv_text(
+        ("dim", "vertices"),
+        (
+            (k, " ".join(str(v) for v in face))
+            for k, level in enumerate(c.faces)
+            for face in level
+        ),
+    )
 
 
 def betti_scaling_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("n,mean_betti,p_zero,std_error\n")
-    for row in rows:
-        buf.write(
-            f"{row.n},{format(row.mean_betti, '.17g')},"
-            f"{format(row.p_zero, '.17g')},{format(row.std_error, '.17g')}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("n", "mean_betti", "p_zero", "std_error"),
+        ((row.n, row.mean_betti, row.p_zero, row.std_error) for row in rows),
+    )

@@ -1,4 +1,5 @@
-"""Geometry primitives: windows, metrics, grids, and deterministic random streams.
+"""Geometry primitives: windows, metrics, grids, deterministic random streams,
+the replication driver and the CSV artifact format.
 
 Everything here is immutable after construction and safe to share across
 parallel workers. Stationary statistics default to periodic (torus) windows;
@@ -332,3 +333,20 @@ def replicate(reps: int, stream: RandomStream, threads: int, one) -> list:
             "too sparse for this window"
         )
     return kept
+
+
+def csv_text(header, rows) -> str:
+    """The CSV artifact format: the one place it is defined.
+
+    ``header`` is the column names and ``rows`` an iterable of cell
+    sequences.  Lines are comma-separated and end in LF.  A floating cell
+    (Python or numpy) is written with 17 significant digits, enough to
+    round-trip the double; every other cell (ints, strings) with ``str``.
+    """
+    floating = (float, np.floating)
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join([format(v, ".17g") if isinstance(v, floating) else str(v) for v in row])
+        for row in rows
+    )
+    return "\n".join(lines) + "\n"

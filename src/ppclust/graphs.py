@@ -17,7 +17,6 @@ which is exact and cheap for motifs of at most 5 vertices.
 from __future__ import annotations
 
 import heapq
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -25,7 +24,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointPattern, RandomStream, box, check_replications, replicate, run_indexed
+from .core import PointPattern, RandomStream, box, check_replications, csv_text, replicate, run_indexed
 from .percolation import Graph, _edge_index_array
 from .procgen import GeneratorSpec, sample
 
@@ -165,8 +164,6 @@ def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
     This is the unordered count; multiply by k! for the sum over ordered
     k-tuples (as u_statistic does).
     """
-    if motif.k > MAX_MOTIF_VERTICES:
-        raise ValueError("motif too large")
     neighbors = _neighbor_sets(g.n_vertices, g.edges)
     target = motif.canonical_form()
     k = motif.k
@@ -438,17 +435,7 @@ def scaling_experiment(
 
 
 def scaling_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(
-        "n,r,mean_clique,mean_max_degree,mean_chromatic,mean_edges,"
-        "prob_clique_below\n"
-    )
-    for row in rows:
-        buf.write(
-            f"{row.n},{format(row.r, '.17g')},{format(row.mean_clique, '.17g')},"
-            f"{format(row.mean_max_degree, '.17g')},"
-            f"{format(row.mean_chromatic, '.17g')},"
-            f"{format(row.mean_edges, '.17g')},"
-            f"{format(row.prob_clique_below, '.17g')}\n"
-        )
-    return buf.getvalue()
+    columns = (
+        "n r mean_clique mean_max_degree mean_chromatic mean_edges prob_clique_below"
+    ).split()
+    return csv_text(columns, ([getattr(row, c) for c in columns] for row in rows))

@@ -20,7 +20,6 @@ crossing of k-coverage labels its open cells with scipy.ndimage.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .core import (
     RandomStream,
     Window,
     check_replications,
+    csv_text,
     min_image,
     neighbor_pairs,
     pair_distances,
@@ -188,7 +188,7 @@ def component_fraction_sweep(
     more than half are empty).
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r < 0 for r in radii) or any(np.diff(radii) <= 0):
+    if not radii or not np.all(np.array(radii) >= 0) or not np.all(np.diff(radii) > 0):
         raise ValueError("radii must be non-negative and strictly increasing")
     if w.metric == "periodic" and 2 * radii[-1] >= float(np.min(w.sides)) / 2:
         raise ValueError("largest radius too big for the torus adjacency rule")
@@ -540,32 +540,24 @@ def sinr_graph(
 
 
 def sweep_to_csv(sweep: PercolationSweep) -> str:
-    buf = io.StringIO()
-    buf.write("r,largest_fraction,second_fraction,stderr_largest,stderr_second\n")
-    for r, big, small in zip(sweep.radii, sweep.largest_fraction, sweep.second_fraction):
-        buf.write(
-            f"{format(r, '.17g')},{format(big.value, '.17g')},"
-            f"{format(small.value, '.17g')},{format(big.std_error, '.17g')},"
-            f"{format(small.std_error, '.17g')}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("r", "largest_fraction", "second_fraction", "stderr_largest", "stderr_second"),
+        (
+            (r, big.value, small.value, big.std_error, small.std_error)
+            for r, big, small in zip(
+                sweep.radii, sweep.largest_fraction, sweep.second_fraction
+            )
+        ),
+    )
 
 
 def crossing_to_csv(entries) -> str:
     """CSV rows r,crossing_prob,std_error from (r, EstimateWithError)."""
-    buf = io.StringIO()
-    buf.write("r,crossing_prob,std_error\n")
-    for r, est in entries:
-        buf.write(
-            f"{format(r, '.17g')},{format(est.value, '.17g')},"
-            f"{format(est.std_error, '.17g')}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("r", "crossing_prob", "std_error"),
+        ((r, est.value, est.std_error) for r, est in entries),
+    )
 
 
 def graph_to_csv(g: Graph) -> str:
-    buf = io.StringIO()
-    buf.write("i,j\n")
-    for i, j in g.edges.tolist():
-        buf.write(f"{i},{j}\n")
-    return buf.getvalue()
+    return csv_text(("i", "j"), g.edges.tolist())

@@ -24,6 +24,7 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    csv_text,
     grid_centers,
     pairwise_distances,
     sort_points,
@@ -655,11 +656,7 @@ def describe(spec: GeneratorSpec) -> dict:
 
 def pattern_to_csv(pattern: PointPattern) -> str:
     """CSV text with header x0,x1,... and one point per row."""
-    header = ",".join(f"x{i}" for i in range(pattern.dim))
-    lines = [header]
-    for row in pattern.points:
-        lines.append(",".join(format(c, ".17g") for c in row))
-    return "\n".join(lines) + "\n"
+    return csv_text([f"x{i}" for i in range(pattern.dim)], pattern.points.tolist())
 
 
 def pattern_metadata(spec: GeneratorSpec, w: Window, stream: RandomStream) -> str:

@@ -12,7 +12,6 @@ minimization.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    csv_text,
     grid_centers,
     min_image,
     near_pairs,
@@ -328,21 +328,15 @@ def level_exceedance_bound(
 def field_to_csv(fs: FieldSample) -> str:
     """CSV with coordinate columns followed by the field value."""
     d = fs.eval_points.shape[1]
-    buf = io.StringIO()
-    buf.write(",".join(f"x{i}" for i in range(d)) + ",value\n")
-    for point, value in zip(fs.eval_points, fs.values):
-        coords = ",".join(format(c, ".17g") for c in point)
-        buf.write(f"{coords},{format(value, '.17g')}\n")
-    return buf.getvalue()
+    return csv_text(
+        [f"x{i}" for i in range(d)] + ["value"],
+        ((*point, value) for point, value in zip(fs.eval_points, fs.values)),
+    )
 
 
 def coverage_summary_to_csv(entries) -> str:
     """CSV rows r,k,volume,std_error from (r, k, EstimateWithError) triples."""
-    buf = io.StringIO()
-    buf.write("r,k,volume,std_error\n")
-    for r, k, est in entries:
-        buf.write(
-            f"{format(r, '.17g')},{k},{format(est.value, '.17g')},"
-            f"{format(est.std_error, '.17g')}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("r", "k", "volume", "std_error"),
+        ((r, k, est.value, est.std_error) for r, k, est in entries),
+    )

@@ -7,7 +7,6 @@ sample mean and standard error of the package.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from .core import (
     RandomStream,
     Window,
     ball_volume,
+    csv_text,
     min_image,
     near_pairs,
     neighbor_pairs,
@@ -115,9 +115,9 @@ def _check_grid(r_grid, w: Window, pad: float = 0.0) -> np.ndarray:
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("r_grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("r_grid must be strictly increasing")
-    if grid[0] < 0:
+    if not np.all(grid >= 0):
         raise ValueError("r_grid values must be non-negative")
     half_side = float(np.min(w.sides)) / 2.0
     if grid[-1] + pad >= half_side:
@@ -511,11 +511,10 @@ def indicator_function(lower, upper, height: float = 1.0):
 
 def curve_to_csv(curve: CurveEstimate) -> str:
     """CSV with one row per abscissa: r,estimate,std_error,replications."""
-    buf = io.StringIO()
-    buf.write("r,estimate,std_error,replications\n")
-    for r, est in zip(curve.abscissa, curve.estimates):
-        buf.write(
-            f"{format(r, '.17g')},{format(est.value, '.17g')},"
-            f"{format(est.std_error, '.17g')},{est.replications}\n"
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("r", "estimate", "std_error", "replications"),
+        (
+            (r, est.value, est.std_error, est.replications)
+            for r, est in zip(curve.abscissa, curve.estimates)
+        ),
+    )

@@ -830,3 +830,42 @@ class TestPlotsForEveryExperiment:
             "--run.replications", "3", "--plot", "--out", out,
         ) == 0
         assert sorted(p.name for p in out.iterdir()) == ["critical.csv", "manifest.ini"]
+
+
+CSV_RUNS = [(exp, config, []) for exp, config, _ in PLOT_RUNS] + [
+    (
+        "percolation",
+        PERC_SWEEP,
+        ["--percolation.mode", "critical", "--run.replications", "3"],
+    ),
+]
+
+
+class TestCsvArtifacts:
+    @pytest.mark.parametrize(
+        "experiment, config, extra",
+        CSV_RUNS,
+        ids=[f"{exp}-{i}" for i, (exp, _, _) in enumerate(CSV_RUNS)],
+    )
+    def test_rectangular_with_round_trip_numbers(self, tmp_path, experiment, config, extra):
+        # Every table goes through core.csv_text: a fixed column count, LF
+        # endings, and numbers in the form format(float(c), ".17g") gives.
+        cfg = write_config(tmp_path / "c.ini", config)
+        out = tmp_path / "out"
+        assert run_cli(experiment, "--config", cfg, *extra, "--out", out) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert tables
+        for path in tables:
+            text = path.read_bytes().decode()
+            assert "\r" not in text and text.endswith("\n")
+            lines = text[:-1].split("\n")
+            width = len(lines[0].split(","))
+            for line in lines:
+                cells = line.split(",")
+                assert len(cells) == width, (path.name, line)
+                for cell in cells:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert format(value, ".17g") == cell, (path.name, cell)

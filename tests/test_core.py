@@ -301,3 +301,48 @@ class TestNearPairs:
         points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
         pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), 0.0, p)
         assert sorted(map(tuple, pairs.tolist())) == [(0, 0), (0, 2)]
+
+
+class TestCsvText:
+    FLOATS = [0.1, 1 / 3, 5e-324, 1.7976931348623157e308, -0.0, math.inf, math.nan]
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    @pytest.mark.parametrize("value", FLOATS)
+    def test_floats_round_trip(self, value, kind):
+        with np.errstate(over="ignore"):  # float32(1.8e308) is inf
+            x = kind(value)
+        text = core.csv_text(["v"], [[x]])
+        cell = text.split("\n")[1]
+        back = float(cell)
+        if math.isnan(x):
+            assert math.isnan(back)
+        else:
+            # float32 cells go through the float they widen to, exactly.
+            assert back == float(x)
+            assert math.copysign(1.0, back) == math.copysign(1.0, float(x))
+            assert kind(back) == x
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 2.5, 1e-7, 3.4e38])
+    def test_float32_keeps_field_csv_text(self, value):
+        # field_to_csv wrote format(c, ".17g") of each float32 coordinate.
+        x = np.float32(value)
+        assert core.csv_text(["v"], [[x]]) == f"v\n{format(x, '.17g')}\n"
+
+    def test_ints_are_exact(self):
+        values = [0, -3, 2**63 - 1, np.int64(2**63 - 1), np.int64(-7)]
+        text = core.csv_text(["a", "b", "c", "d", "e"], [values])
+        assert text == "a,b,c,d,e\n0,-3,9223372036854775807,9223372036854775807,-7\n"
+
+    def test_strings_verbatim(self):
+        text = core.csv_text(["chain", "label"], [["sub", "binomial(10 0.3)"], ["", "0.1"]])
+        assert text == "chain,label\nsub,binomial(10 0.3)\n,0.1\n"
+
+    def test_no_rows_gives_header_only(self):
+        assert core.csv_text(["r", "estimate"], []) == "r,estimate\n"
+        assert core.csv_text(("i", "j"), iter(())) == "i,j\n"
+
+    def test_single_lf_endings(self):
+        text = core.csv_text(["x", "y"], [(1.5, 2), (np.float64(0.25), "a")])
+        assert text == "x,y\n1.5,2\n0.25,a\n"
+        assert "\r" not in text
+        assert text.endswith("\n") and not text.endswith("\n\n")

@@ -304,6 +304,21 @@ class TestComponentFractionSweep:
                 stream=STREAM.derive(11),
             )
 
+    @pytest.mark.parametrize(
+        "radii", [[0.1, math.nan], [math.nan], [math.nan, 0.1], [-0.1, 0.1]]
+    )
+    def test_rejects_nan_or_negative_radii_before_sampling(self, radii, monkeypatch):
+        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        message = "^radii must be non-negative and strictly increasing$"
+        with pytest.raises(ValueError, match=message):
+            component_fraction_sweep(
+                pg.homogeneous_poisson(1.0),
+                cube(10.0, 2),
+                radii,
+                reps=5,
+                stream=STREAM.derive(11),
+            )
+
     def test_requires_stream(self):
         with pytest.raises(ValueError):
             component_fraction_sweep(

@@ -43,6 +43,10 @@ def periodic(side):
     return cube(side, 2, metric="periodic")
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled a pattern")
+
+
 class TestRegions:
     def test_ball_and_box_volumes(self):
         assert ball(1.0).volume(2) == pytest.approx(math.pi)
@@ -286,6 +290,19 @@ class TestRipleyK:
         with pytest.raises(ValueError, match="increasing"):
             ripley_k(homogeneous_poisson(1.0), periodic(4.0), [1.0, 0.5], reps=5, stream=STREAM)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([math.nan], "^r_grid values must be non-negative$"),
+            ([0.5, math.nan], "^r_grid must be strictly increasing$"),
+            ([math.nan, 0.5], "^r_grid must be strictly increasing$"),
+        ],
+    )
+    def test_rejects_nan_radius_before_sampling(self, grid, message, monkeypatch):
+        monkeypatch.setattr(summaries, "sample", _no_sampling)
+        with pytest.raises(ValueError, match=message):
+            ripley_k(homogeneous_poisson(1.0), periodic(4.0), grid, reps=5, stream=STREAM)
+
     def test_mostly_empty_replications_error(self):
         with pytest.raises(ValueError, match="empty"):
             ripley_k(
@@ -337,6 +354,19 @@ class TestPairCorrelation:
         with pytest.raises(ValueError, match="r=0"):
             pair_correlation(
                 homogeneous_poisson(1.0), periodic(8.0), [0.0, 0.5], reps=5, stream=STREAM
+            )
+
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan, 0.5]])
+    def test_rejects_nan_radius_before_sampling(self, grid, monkeypatch):
+        monkeypatch.setattr(summaries, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="^r_grid must be strictly increasing$"):
+            pair_correlation(
+                homogeneous_poisson(1.0),
+                periodic(8.0),
+                grid,
+                bandwidth=0.1,
+                reps=5,
+                stream=STREAM,
             )
 
     def test_kernel_support_must_fit(self):
