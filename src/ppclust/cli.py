@@ -52,7 +52,7 @@ from . import (
     shotnoise,
     summaries,
 )
-from .core import RandomStream, Window, box, csv_text
+from .core import RandomStream, Window, box, check_number, csv_text
 
 THREADS_ENV_VAR = "PPCLUST_THREADS"
 
@@ -79,16 +79,10 @@ class ConfigError(Exception):
 # identical typed value.
 # ---------------------------------------------------------------------------
 
-# bound -> (test, wanted phrase with the noun left open)
-_BOUNDS = {
-    "pos": (lambda v: v > 0, "a positive {}"),
-    "nonneg": (lambda v: v >= 0, "a non-negative {}"),
-    "unit": (lambda v: 0.0 <= v <= 1.0, "a {} in [0, 1]"),
-}
-
 
 def _num(kind: type, bound: Optional[str] = None, many: bool = False) -> Callable:
-    """Parser for an int or finite float within ``bound`` (a key of _BOUNDS).
+    """Parser for an int or finite float within ``bound``, checked by
+    ``core.check_number`` (the library's own bound table).
 
     The canonical string is ``repr`` of the value; with ``many`` the value
     is a non-empty comma-separated list and the canonical strings are
@@ -101,13 +95,10 @@ def _num(kind: type, bound: Optional[str] = None, many: bool = False) -> Callabl
             value = kind(text.strip())
         except ValueError:
             raise ConfigError(f"expected {plain}, got {text!r}")
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"expected a finite number, got {text!r}")
-        if bound is not None and not _BOUNDS[bound][0](value):
-            raise ConfigError(
-                f"expected {_BOUNDS[bound][1].format(noun)}, got {text!r}"
-            )
-        return value, repr(value)
+        try:
+            return check_number(repr(text), value, bound), repr(value)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     def listed(text: str) -> tuple:
         parts = [p for p in (piece.strip() for piece in text.split(",")) if p]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, Window, ball_volume, check_replications, csv_text, cube, replicate
+from .core import RandomStream, Window, ball_volume, check_number, check_replications, csv_text, cube, replicate
 from .procgen import GeneratorSpec, intensity, sample
 from .summaries import (
     _counts_in_regions,
@@ -93,6 +93,13 @@ class ConcentrationRow:
     status: str  # holds | fails | skipped
 
 
+def _positive_scales(scales) -> list:
+    scales = [check_number("scales", float(s), "pos") for s in scales]
+    if not scales:
+        raise ValueError("scales must be non-empty")
+    return scales
+
+
 def _z_score(diff: float, se: float) -> float:
     if se > 0:
         return diff / se
@@ -156,9 +163,7 @@ def weak_poisson_test(
     generator's intensity.  All statistics are evaluated on the same
     replications.
     """
-    scales = [float(s) for s in scales]
-    if not scales or any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive")
+    scales = _positive_scales(scales)
     if not 2 <= k_max <= 4:
         raise ValueError("k_max must be between 2 and 4")
     if w.metric != "periodic":
@@ -241,9 +246,7 @@ def compare_two(
     """
     if statistic not in COMPARISON_STATISTICS:
         raise ValueError(f"statistic must be one of {COMPARISON_STATISTICS}")
-    scales = [float(s) for s in scales]
-    if not scales or any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive")
+    scales = _positive_scales(scales)
     check_replications(reps, stream)
     lam_a = intensity(spec_a, d=w.dim, w=w).value
     lam_b = intensity(spec_b, d=w.dim, w=w).value

@@ -18,7 +18,7 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .core import PointPattern, RandomStream, check_replications, csv_text, replicate
+from .core import PointPattern, RandomStream, check_number, check_replications, csv_text, replicate
 from .graphs import _neighbor_sets, _volume_windows
 from .percolation import _edge_index_array
 from .procgen import GeneratorSpec, sample
@@ -53,8 +53,7 @@ class SimplicialComplex:
     faces: tuple  # faces[k] = tuple of (k+1)-vertex tuples, lexicographic
 
     def __post_init__(self):
-        if self.max_dim < 0:
-            raise ValueError("max_dim must be non-negative")
+        check_number("max_dim", self.max_dim, 0)
         if len(self.faces) != self.max_dim + 1:
             raise ValueError("need one face sequence per dimension 0..max_dim")
         for k, level in enumerate(self.faces):

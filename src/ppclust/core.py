@@ -1,5 +1,6 @@
 """Geometry primitives: windows, metrics, grids, deterministic random streams,
-the replication driver and the CSV artifact format.
+the replication driver, the CSV artifact format and the one finite-number
+validator.
 
 Everything here is immutable after construction and safe to share across
 parallel workers. Stationary statistics default to periodic (torus) windows;
@@ -10,6 +11,7 @@ artifacts (crossing probabilities, complexes).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,35 @@ MAX_DIMENSION = 8
 MAX_GRID_CELLS = 1 << 24
 
 METRICS = ("euclidean", "periodic")
+
+# The bound table of check_number: bound -> (test on a finite value, phrase).
+_BOUNDS = {
+    None: (lambda v: True, "finite"),
+    "pos": (lambda v: v > 0, "positive"),
+    "nonneg": (lambda v: v >= 0, "non-negative"),
+    "unit": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def check_number(name: str, value, bound=None):
+    """Return ``value`` if it is a finite number within ``bound``, else raise
+    ``ValueError(f"{name} must be {phrase}")``.
+
+    ``bound`` is a key of ``_BOUNDS`` (``None`` asks only for a finite
+    value), or an int floor k: the value must then be an integer
+    (``numbers.Integral``, so numpy integers pass) and >= k, and the phrase
+    is ``>= k``.  Integers are finite by type; they never reach
+    ``math.isfinite``, which overflows beyond the float range.
+    """
+    if isinstance(bound, int):
+        if isinstance(value, numbers.Integral) and value >= bound:
+            return value
+        phrase = f">= {bound}"
+    else:
+        test, phrase = _BOUNDS[bound]
+        if (isinstance(value, numbers.Integral) or math.isfinite(value)) and test(value):
+            return value
+    raise ValueError(f"{name} must be {phrase}")
 
 
 def as_point(coords) -> np.ndarray:
@@ -220,8 +251,7 @@ def volume(w: Window) -> float:
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the d-dimensional unit ball."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_number("dimension", d, 1)
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
@@ -234,8 +264,7 @@ def grid_centers(w: Window, n_per_axis: int) -> np.ndarray:
 
     Row-major: the last axis varies fastest.
     """
-    if n_per_axis < 1:
-        raise ValueError("n_per_axis must be >= 1")
+    check_number("n_per_axis", n_per_axis, 1)
     if n_per_axis**w.dim > MAX_GRID_CELLS:
         raise ValueError(f"grid would exceed {MAX_GRID_CELLS} cells")
     step = w.sides / n_per_axis
@@ -303,8 +332,7 @@ def check_replications(reps: int, stream: RandomStream):
     """Reject a missing stream or a replication count below one."""
     if stream is None:
         raise ValueError("an explicit RandomStream is required")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_number("reps", reps, 1)
 
 
 def replicate(reps: int, stream: RandomStream, threads: int, one) -> list:

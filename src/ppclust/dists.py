@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RandomStream
+from .core import RandomStream, check_number
 
 # Tail mass below which infinite supports are truncated for summation.
 DEFAULT_TRUNCATION_TOL = 1e-14
@@ -94,23 +94,15 @@ def mixture(weights, components) -> CountDistribution:
 def _validate(dist: CountDistribution) -> None:
     kind, p = dist.kind, dist.params
     if kind == "deterministic":
-        (k,) = p
-        if k < 0:
-            raise ValueError("deterministic value must be >= 0")
+        check_number("deterministic value", p[0], 0)
     elif kind == "binomial":
-        n, prob = p
-        if n < 0:
-            raise ValueError("binomial n must be >= 0")
-        if not (0.0 <= prob <= 1.0):
-            raise ValueError("binomial p must be in [0, 1]")
+        check_number("binomial n", p[0], 0)
+        check_number("binomial p", p[1], "unit")
     elif kind == "poisson":
-        (lam,) = p
-        if lam < 0:
-            raise ValueError("poisson rate must be >= 0")
+        check_number("poisson rate", p[0], "nonneg")
     elif kind == "neg_binomial":
         r, prob = p
-        if r <= 0:
-            raise ValueError("neg_binomial r must be > 0")
+        check_number("neg_binomial r", r, "pos")
         if not (0.0 <= prob < 1.0):
             raise ValueError("neg_binomial p must be in [0, 1)")
     elif kind == "geometric":
@@ -125,8 +117,8 @@ def _validate(dist: CountDistribution) -> None:
         weights, comps = p
         if len(weights) != len(comps) or not comps:
             raise ValueError("mixture weights/components length mismatch")
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be non-negative")
+        for w in weights:
+            check_number("mixture weights", w, "nonneg")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
         for c in comps:
@@ -136,8 +128,11 @@ def _validate(dist: CountDistribution) -> None:
 
 def pmf(dist: CountDistribution, i: int) -> float:
     """Exact probability mass at integer i >= 0."""
-    if i < 0:
-        raise ValueError("pmf argument must be >= 0")
+    return _pmf(dist, check_number("pmf argument", i, 0))
+
+
+def _pmf(dist: CountDistribution, i: int) -> float:
+    """pmf without the argument check, for the summation loops."""
     kind, p = dist.kind, dist.params
     if kind == "deterministic":
         return 1.0 if i == p[0] else 0.0
@@ -167,7 +162,7 @@ def pmf(dist: CountDistribution, i: int) -> float:
         return math.comb(m, i) * math.comb(n - m, k - i) / math.comb(n, k)
     if kind == "mixture":
         weights, comps = p
-        return sum(w * pmf(c, i) for w, c in zip(weights, comps))
+        return sum(w * _pmf(c, i) for w, c in zip(weights, comps))
     raise AssertionError(kind)
 
 
@@ -216,7 +211,7 @@ def support_upper(dist: CountDistribution) -> int:
     i = 0
     mu = mean(dist)
     while i < _MAX_SUPPORT:
-        mass = pmf(dist, i)
+        mass = _pmf(dist, i)
         total += mass
         if i >= mu:
             if total >= 1.0 - tol:
@@ -248,16 +243,15 @@ def _tail_ratio_bound(dist: CountDistribution, i: int) -> float:
 def pmf_table(dist: CountDistribution) -> np.ndarray:
     """pmf values on 0..support_upper(dist) as an array."""
     upper = support_upper(dist)
-    return np.array([pmf(dist, i) for i in range(upper + 1)])
+    return np.array([_pmf(dist, i) for i in range(upper + 1)])
 
 
 def stop_loss(dist: CountDistribution, a: float) -> float:
     """Stop-loss transform E(X - a)+ over the truncated support."""
-    if a < 0:
-        raise ValueError("stop_loss point must be >= 0")
+    check_number("stop_loss point", a, "nonneg")
     upper = support_upper(dist)
     start = int(math.floor(a)) + 1 if a == math.floor(a) else int(math.ceil(a))
-    return sum((i - a) * pmf(dist, i) for i in range(max(start, 0), upper + 1))
+    return sum((i - a) * _pmf(dist, i) for i in range(max(start, 0), upper + 1))
 
 
 @dataclass(frozen=True)

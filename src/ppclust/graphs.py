@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointPattern, RandomStream, box, check_replications, csv_text, replicate, run_indexed
+from .core import PointPattern, RandomStream, box, check_number, check_replications, csv_text, replicate, run_indexed
 from .percolation import Graph, _edge_index_array
 from .procgen import GeneratorSpec, sample
 
@@ -183,6 +183,8 @@ def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
 
 
 def _subset_values(pattern: PointPattern, k: int, f) -> list:
+    if not 1 <= k <= 4:
+        raise ValueError("k must be between 1 and 4")
     points = pattern.points
     n = points.shape[0]
     values = []
@@ -197,16 +199,12 @@ def _subset_values(pattern: PointPattern, k: int, f) -> list:
 def u_statistic(pattern: PointPattern, k: int, f) -> float:
     """Sum of a symmetric non-negative function over ordered k-tuples of
     distinct points: k! times the sum over unordered subsets."""
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
-    return math.factorial(k) * sum(_subset_values(pattern, k, f))
+    return sum(_subset_values(pattern, k, f)) * math.factorial(k)
 
 
 def u_statistic_pattern(pattern: PointPattern, k: int, f) -> PointPattern:
     """The multiset of f-values over unordered k-subsets, as a pattern on
     the half-line (a 1-d window just wide enough to hold the maximum)."""
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
     values = sorted(_subset_values(pattern, k, f))
     top = values[-1] if values else 0.0
     upper = top * (1.0 + 1e-9) + 1e-12 if top > 0 else 1.0
@@ -380,9 +378,7 @@ def _volume_windows(r_rule, n_list, d: int, stream: RandomStream):
     Euclidean cube of volume n, the radius r_rule(n), and the entry's
     sub-stream stream.derive(index)."""
     for idx, n in enumerate(n_list):
-        r = float(r_rule(n))
-        if not r > 0:
-            raise ValueError("r_rule must return positive radii")
+        r = check_number("r_rule radius", float(r_rule(n)), "pos")
         half = 0.5 * float(n) ** (1.0 / d)
         yield int(n), r, box(*(((-half, half),) * d), metric="euclidean"), stream.derive(idx)
 

@@ -31,6 +31,7 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    check_number,
     check_replications,
     csv_text,
     min_image,
@@ -117,8 +118,7 @@ _candidate_pairs = neighbor_pairs
 
 def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
     """Index pairs (i < j) at distance <= 2r, as an integer array."""
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_number("radius", r, "nonneg")
     w = pattern.window
     if w.metric == "periodic" and 2 * r >= float(np.min(w.sides)) / 2:
         raise ValueError(
@@ -188,7 +188,8 @@ def component_fraction_sweep(
     more than half are empty).
     """
     radii = [float(r) for r in radii]
-    if not radii or not np.all(np.array(radii) >= 0) or not np.all(np.diff(radii) > 0):
+    # NaN-safe: a NaN or inf radius fails one of the comparisons.
+    if not (radii and radii[0] >= 0 and np.all(np.diff(radii) > 0) and radii[-1] < math.inf):
         raise ValueError("radii must be non-negative and strictly increasing")
     if w.metric == "periodic" and 2 * radii[-1] >= float(np.min(w.sides)) / 2:
         raise ValueError("largest radius too big for the torus adjacency rule")
@@ -244,8 +245,7 @@ def crossing_probability(
 ) -> EstimateWithError:
     """Probability that a Gilbert component spans the window horizontally."""
     _check_crossing_window(w)
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_number("radius", r, "nonneg")
 
     def one(rep: RandomStream) -> float:
         return float(_crossing_indicator(sample(spec, w, rep), r))
@@ -350,8 +350,7 @@ def critical_radius(
     The reported error combines the final bracket half-width with the
     binomial noise propagated through the locally estimated slope.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    check_number("tol", tol, "pos")
     check_replications(reps, stream)
     _check_crossing_window(w)
     r_max = float(np.linalg.norm(w.sides)) / 4.0
@@ -394,8 +393,9 @@ class PercolationBounds:
 def check_percolation_bounds(r_hat: float, lam: float, d: int = 2) -> PercolationBounds:
     """Compare an estimated critical radius against the rigorous bracket
     [ (lam kappa_d)^{-1/d}, sqrt(d) (log(3^d - 2)/lam)^{1/d} ]."""
-    if not lam > 0:
-        raise ValueError("intensity must be positive")
+    check_number("estimated radius", r_hat, "pos")
+    check_number("intensity", lam, "pos")
+    check_number("dimension", d, 1)
     lower = (lam * unit_ball_volume(d)) ** (-1.0 / d)
     upper = math.sqrt(d) * (math.log(3**d - 2) / lam) ** (1.0 / d)
     if r_hat < lower:
@@ -435,8 +435,9 @@ def k_percolation_crossing(
     surrogate for continuum k-coverage percolation: refine grid_n to see
     the dependence.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_number("k", k, 1)
+    check_number("coverage radius", r, "nonneg")
+    check_number("grid_n", grid_n, 1)
     shape = (grid_n,) * w.dim
 
     def one(rep: RandomStream) -> float:
@@ -457,14 +458,10 @@ class SinrParams:
     attenuation: ResponseFunction
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError("signal power must be positive")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
-        if self.gamma < 0:
-            raise ValueError("interference factor must be non-negative")
+        check_number("signal power", self.power, "pos")
+        check_number("noise", self.noise, "nonneg")
+        check_number("threshold", self.threshold, "pos")
+        check_number("interference factor", self.gamma, "nonneg")
         l0 = float(self.attenuation.evaluate(0.0))
         if l0 > 1.0 + 1e-12:
             raise ValueError("attenuation must not exceed 1 (it is a path loss)")

@@ -24,6 +24,7 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    check_number,
     csv_text,
     grid_centers,
     pairwise_distances,
@@ -50,8 +51,8 @@ class Displacement:
     def __post_init__(self):
         if self.kind not in DISPLACEMENT_KINDS:
             raise ValueError(f"unknown displacement kind {self.kind!r}")
-        if self.kind != "uniform_in_cell" and self.scale <= 0:
-            raise ValueError("displacement scale must be > 0")
+        if self.kind != "uniform_in_cell":
+            check_number("displacement scale", self.scale, "pos")
 
     def halo(self) -> float:
         """Halo width for Euclidean-mode parent dilation."""
@@ -119,8 +120,7 @@ class IntensityReport:
     exact: bool
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("intensity must be >= 0")
+        check_number("intensity", self.value, "nonneg")
 
 
 def _spec(family, **kwargs) -> GeneratorSpec:
@@ -203,32 +203,24 @@ def ginibre_truncated(n_rank: int, radius: float) -> GeneratorSpec:
 def _validate_spec(spec: GeneratorSpec) -> None:
     fam = spec.family
     if fam == "homogeneous_poisson":
-        if spec.get("lam") < 0:
-            raise ValueError("intensity must be >= 0")
+        check_number("intensity", spec.get("lam"), "nonneg")
     elif fam in ("square_lattice", "hex_lattice"):
-        if spec.get("delta") <= 0:
-            raise ValueError("lattice spacing must be > 0")
+        check_number("lattice spacing", spec.get("delta"), "pos")
     elif fam == "bernoulli_lattice":
-        if spec.get("delta") <= 0:
-            raise ValueError("lattice spacing must be > 0")
-        if not (0.0 <= spec.get("p") <= 1.0):
-            raise ValueError("retention probability must be in [0, 1]")
+        check_number("lattice spacing", spec.get("delta"), "pos")
+        check_number("retention probability", spec.get("p"), "unit")
     elif fam == "binomial_process":
-        if spec.get("n") < 0:
-            raise ValueError("point count must be >= 0")
+        check_number("point count", spec.get("n"), 0)
     elif fam == "perturbed_lattice":
-        if spec.get("delta") <= 0:
-            raise ValueError("lattice spacing must be > 0")
+        check_number("lattice spacing", spec.get("delta"), "pos")
         _require_types(spec)
     elif fam in ("matern_cluster", "thomas_cluster"):
-        if spec.get("lam_p") < 0 or spec.get("mu") <= 0:
-            raise ValueError("parent intensity must be >= 0 and mean cluster size > 0")
+        check_number("parent intensity", spec.get("lam_p"), "nonneg")
+        check_number("mean cluster size", spec.get("mu"), "pos")
         scale = spec.get("r_cl") if fam == "matern_cluster" else spec.get("sigma")
-        if scale <= 0:
-            raise ValueError("cluster scale must be > 0")
+        check_number("cluster scale", scale, "pos")
     elif fam == "neyman_scott":
-        if spec.get("lam_p") < 0:
-            raise ValueError("parent intensity must be >= 0")
+        check_number("parent intensity", spec.get("lam_p"), "nonneg")
         _require_types(spec)
         if spec.get("displacement").kind == "uniform_in_cell":
             raise ValueError(
@@ -239,19 +231,19 @@ def _validate_spec(spec: GeneratorSpec) -> None:
         pairs = spec.get("pairs")
         if not pairs:
             raise ValueError("mixed_poisson needs at least one component")
-        if any(w < 0 or lam < 0 for w, lam in pairs):
-            raise ValueError("weights and intensities must be >= 0")
+        for w, lam in pairs:
+            check_number("mixture weights", w, "nonneg")
+            check_number("intensities", lam, "nonneg")
         if abs(sum(w for w, _ in pairs) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
     elif fam == "log_gaussian_cox":
-        if spec.get("sigma") < 0 or spec.get("corr_length") <= 0:
-            raise ValueError("field variance must be >= 0 and correlation length > 0")
-        if spec.get("grid_n") < 1:
-            raise ValueError("grid_n must be >= 1")
+        check_number("mu_g", spec.get("mu_g"))
+        check_number("field variance", spec.get("sigma"), "nonneg")
+        check_number("correlation length", spec.get("corr_length"), "pos")
+        check_number("grid_n", spec.get("grid_n"), 1)
     elif fam == "ginibre_truncated":
-        n_rank, radius = spec.get("n_rank"), spec.get("radius")
-        if n_rank < 1 or radius <= 0:
-            raise ValueError("truncation rank must be >= 1 and radius > 0")
+        n_rank = check_number("truncation rank", spec.get("n_rank"), 1)
+        radius = check_number("radius", spec.get("radius"), "pos")
         if n_rank > MAX_GINIBRE_N:
             raise ValueError(f"truncation rank capped at {MAX_GINIBRE_N}")
         if radius**2 > n_rank:

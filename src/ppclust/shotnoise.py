@@ -22,6 +22,7 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    check_number,
     csv_text,
     grid_centers,
     min_image,
@@ -73,23 +74,22 @@ class ResponseFunction:
             raise ValueError(f"unknown response kind {self.kind!r}")
         if self.kind == "indicator_ball":
             (rho,) = self.params
-            if not rho > 0:
-                raise ValueError("indicator_ball radius must be positive")
+            check_number("indicator_ball radius", rho, "pos")
         elif self.kind == "exponential":
             (beta,) = self.params
-            if not beta > 0:
-                raise ValueError("exponential rate must be positive")
+            check_number("exponential rate", beta, "pos")
         elif self.kind == "power_law":
             beta, eps = self.params
-            if not (beta > 0 and eps > 0):
-                raise ValueError("power_law needs beta > 0 and eps > 0")
+            check_number("power_law beta", beta, "pos")
+            check_number("power_law eps", eps, "pos")
         else:
             radii, values = (np.asarray(a, dtype=float) for a in self.table)
             if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
                 raise ValueError("tabulated response needs matching 1-d grids")
-            if radii[0] < 0 or np.any(np.diff(radii) <= 0):
+            # NaN-safe: a NaN or inf entry fails one of the comparisons.
+            if not (radii[0] >= 0 and np.all(np.diff(radii) > 0) and radii[-1] < np.inf):
                 raise ValueError("tabulated radii must be non-negative and increasing")
-            if np.any(values < 0) or np.any(np.diff(values) > 0):
+            if not (values[0] < np.inf and np.all(values >= 0) and np.all(np.diff(values) <= 0)):
                 raise ValueError("tabulated values must be non-negative and non-increasing")
 
     def evaluate(self, r) -> np.ndarray:
@@ -214,8 +214,7 @@ def extremal_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
 
 def coverage_field(pattern: PointPattern, r: float, grid_n: int) -> FieldSample:
     """Number of radius-r balls covering each point of a regular grid."""
-    if not r >= 0:
-        raise ValueError("coverage radius must be non-negative")
+    check_number("coverage radius", r, "nonneg")
     w = pattern.window
     if w.metric == "periodic" and 2 * r >= float(np.min(w.sides)):
         raise ValueError("coverage radius must be below half the smallest window side")
@@ -244,8 +243,9 @@ def k_covered_volume(
     fraction, so the estimator is unbiased with a grid-resolution error
     of at most one cell layer along the coverage boundary.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_number("k", k, 1)
+    check_number("coverage radius", r, "nonneg")
+    check_number("grid_n", grid_n, 1)
     cell_volume = volume(w) / grid_n**w.dim
 
     def one(rep: RandomStream) -> float:
@@ -286,12 +286,9 @@ def level_exceedance_bound(
     """
     if direction not in ("min_above", "max_below"):
         raise ValueError("direction must be 'min_above' or 'max_below'")
-    if not a > 0:
-        raise ValueError("the level a must be positive")
-    if lam < 0:
-        raise ValueError("intensity must be non-negative")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_number("the level a", a, "pos")
+    check_number("intensity", lam, "nonneg")
+    check_number("dimension", d, 1)
     h.check_integrable(d)
     if lam == 0:
         # exp(-s a) for min_above (infimum 0 as s grows); for max_below the

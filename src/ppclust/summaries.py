@@ -17,6 +17,7 @@ from .core import (
     RandomStream,
     Window,
     ball_volume,
+    check_number,
     csv_text,
     min_image,
     near_pairs,
@@ -86,8 +87,7 @@ class Region:
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if not self.size > 0:
-            raise ValueError("region size must be positive")
+        check_number("region size", self.size, "pos")
 
     def volume(self, dim: int) -> float:
         if self.kind == "ball":
@@ -282,8 +282,7 @@ def pair_correlation(
         raise ValueError("r=0 is not estimable: the surface factor vanishes there")
     if bandwidth is None:
         bandwidth = DEFAULT_BANDWIDTH_FRACTION * float(np.max(pre_grid))
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    check_number("bandwidth", bandwidth, "pos")
     grid = _check_grid(r_grid, w, pad=bandwidth)
     d = w.dim
     surface = d * unit_ball_volume(d) * grid ** (d - 1)
@@ -328,8 +327,7 @@ def void_probability(
     """
     _region_fits(region, w)
     _require_periodic(w, "void_probability")
-    if placements < 1:
-        raise ValueError("placements must be >= 1")
+    check_number("placements", placements, 1)
 
     def one(rep: RandomStream) -> float:
         pattern = sample(spec, w, rep.derive(0))
@@ -360,8 +358,7 @@ def factorial_moment(
     region = box(box_side)
     _region_fits(region, w)
     _require_periodic(w, "factorial_moment")
-    if placements < 1:
-        raise ValueError("placements must be >= 1")
+    check_number("placements", placements, 1)
 
     def one(rep: RandomStream) -> float:
         pattern = sample(spec, w, rep.derive(0))
@@ -391,9 +388,9 @@ def count_variance(
     region = box(box_side)
     _region_fits(region, w)
     _require_periodic(w, "count_variance")
-    if placements < 1 or reps < 3:
-        # the leave-one-out jackknife needs two means left after each deletion
-        raise ValueError("placements must be >= 1 and reps >= 3")
+    check_number("placements", placements, 1)
+    if not reps >= 3:  # two means must be left after each leave-one-out deletion
+        raise ValueError("the jackknife needs reps >= 3")
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep.derive(0))

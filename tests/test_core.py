@@ -1,6 +1,7 @@
 """Geometry primitives, metrics, grids, and stream determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ class TestGridCenters:
     def test_cell_cap(self):
         with pytest.raises(ValueError):
             core.grid_centers(core.cube(1.0, 8), 100)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, math.nan])
+    def test_rejects_non_integer_count(self, n):
+        # 2.5 cells per axis once gave 9 centres, 5 of them outside the window.
+        with pytest.raises(ValueError, match="^n_per_axis must be >= 1$"):
+            core.grid_centers(core.cube(6.0, 2), n)
 
 
 class TestWindow:
@@ -346,3 +353,81 @@ class TestCsvText:
         assert text == "x,y\n1.5,2\n0.25,a\n"
         assert "\r" not in text
         assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+class TestCheckNumber:
+    PHRASES = {None: "finite", "pos": "positive", "nonneg": "non-negative", "unit": "in [0, 1]"}
+    TINY, TINY32 = 5e-324, np.nextafter(np.float32(0), np.float32(1))
+    ONE_UP, ONE_UP32 = np.nextafter(1.0, 2.0), np.nextafter(np.float32(1), np.float32(2))
+    # (bound, values just inside, values just outside); NaN and +-inf are
+    # outside every bound.
+    CASES = [
+        (None, [-1.7976931348623157e308, 0.0, 1.7976931348623157e308], []),
+        ("pos", [TINY, 1.0], [0.0, -0.0, -TINY]),
+        ("nonneg", [0.0, -0.0, TINY], [-TINY, -1.0]),
+        ("unit", [0.0, 1.0, np.nextafter(1.0, 0.0)], [-TINY, ONE_UP]),
+    ]
+    CASES32 = [
+        (None, [np.finfo(np.float32).max, np.float32(0)], []),
+        ("pos", [TINY32], [np.float32(0), -TINY32]),
+        ("nonneg", [np.float32(0), TINY32], [-TINY32]),
+        ("unit", [np.float32(1)], [-TINY32, ONE_UP32]),
+    ]
+    NON_FINITE = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    def test_floats_against_each_named_bound(self, kind):
+        non_finite = [kind(v) for v in self.NON_FINITE]
+        for bound, inside, outside in self.CASES32 if kind is np.float32 else self.CASES:
+            for x in (kind(v) for v in inside):
+                assert core.check_number("x", x, bound) is x
+            phrase = re.escape(self.PHRASES[bound])
+            for x in [kind(v) for v in outside] + non_finite:
+                with pytest.raises(ValueError, match=rf"^the x must be {phrase}$"):
+                    core.check_number("the x", x, bound)
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_integers_against_an_int_floor(self, kind):
+        for floor in (0, 1, 3):
+            assert core.check_number("reps", kind(floor), floor) == floor
+            assert core.check_number("reps", kind(floor + 5), floor) == floor + 5
+            with pytest.raises(ValueError, match=f"^reps must be >= {floor}$"):
+                core.check_number("reps", kind(floor - 1), floor)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), np.float32(4.0)] + NON_FINITE)
+    def test_int_floor_needs_an_integer(self, value):
+        with pytest.raises(ValueError, match="^reps must be >= 1$"):
+            core.check_number("reps", value, 1)
+
+    def test_integers_pass_the_named_bounds(self):
+        for bound in self.PHRASES:
+            assert core.check_number("k", np.int64(1), bound) == 1
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            core.check_number("k", np.int64(0), "pos")
+
+    def test_huge_integers_do_not_overflow(self):
+        # math.isfinite(10**400) raises OverflowError; integers skip it.
+        assert core.check_number("k", 10**400, "nonneg") == 10**400
+        assert core.check_number("k", 10**400, 0) == 10**400
+        assert core.check_number("k", 10**400) == 10**400
+        with pytest.raises(ValueError, match="^k must be non-negative$"):
+            core.check_number("k", -(10**400), "nonneg")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.one_of(st.floats(), st.floats(width=32).map(np.float32)),
+    bound=st.sampled_from([None, "pos", "nonneg", "unit", 0, 1]),
+)
+def test_check_number_accepts_exactly_the_finite_values_within_the_bound(value, bound):
+    if isinstance(bound, int):
+        expected = False  # a float never satisfies an integer floor
+    else:
+        inside = {None: True, "pos": value > 0, "nonneg": value >= 0, "unit": 0 <= value <= 1}
+        expected = math.isfinite(value) and inside[bound]
+    try:
+        core.check_number("v", value, bound)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected

@@ -305,7 +305,7 @@ class TestComponentFractionSweep:
             )
 
     @pytest.mark.parametrize(
-        "radii", [[0.1, math.nan], [math.nan], [math.nan, 0.1], [-0.1, 0.1]]
+        "radii", [[0.1, math.nan], [math.nan], [math.nan, 0.1], [-0.1, 0.1], [0.1, math.inf]]
     )
     def test_rejects_nan_or_negative_radii_before_sampling(self, radii, monkeypatch):
         monkeypatch.setattr(percolation, "sample", _no_sampling)
@@ -372,7 +372,7 @@ class TestCrossingProbability:
                 stream=STREAM.derive(16),
             )
 
-    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
     def test_rejects_negative_or_nan_radius_before_sampling(self, r, monkeypatch):
         monkeypatch.setattr(percolation, "sample", _no_sampling)
         with pytest.raises(ValueError, match="^radius must be non-negative$"):
@@ -551,6 +551,24 @@ class TestPercolationBounds:
         with pytest.raises(ValueError):
             check_percolation_bounds(0.5, 0.0, 2)
 
+    @pytest.mark.parametrize(
+        "r_hat, lam, d, message",
+        [
+            # A NaN estimate once got verdict "in": both comparisons are False.
+            (math.nan, 1.0, 2, "estimated radius must be positive"),
+            (math.inf, 1.0, 2, "estimated radius must be positive"),
+            (0.0, 1.0, 2, "estimated radius must be positive"),
+            # An infinite intensity once gave the bracket [0, 0].
+            (0.5, math.inf, 2, "intensity must be positive"),
+            (0.5, math.nan, 2, "intensity must be positive"),
+            (0.5, 1.0, 0, "dimension must be >= 1"),
+            (0.5, 1.0, 2.0, "dimension must be >= 1"),
+        ],
+    )
+    def test_rejects_non_finite_or_out_of_range_arguments(self, r_hat, lam, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_percolation_bounds(r_hat, lam, d)
+
 
 class TestKPercolationCrossing:
     def test_large_radius_always_crosses(self):
@@ -582,6 +600,15 @@ class TestKPercolationCrossing:
         with pytest.raises(ValueError):
             k_percolation_crossing(
                 pg.homogeneous_poisson(1.0), cube(8.0, 2), r=0.5, k=0,
+                reps=5, stream=STREAM.derive(23),
+            )
+
+    @pytest.mark.parametrize("grid_n", [2.5, 24.0])
+    def test_rejects_non_integer_grid_count_before_sampling(self, grid_n, monkeypatch):
+        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="^grid_n must be >= 1$"):
+            k_percolation_crossing(
+                pg.homogeneous_poisson(1.0), cube(8.0, 2), r=0.5, grid_n=grid_n,
                 reps=5, stream=STREAM.derive(23),
             )
 

@@ -42,6 +42,10 @@ def periodic(side):
     return cube(side, 2, metric="periodic")
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled a pattern")
+
+
 # Ball of unit area in the plane: kappa_2 rho^2 = 1.
 UNIT_AREA_RADIUS = 1.0 / math.sqrt(math.pi)
 
@@ -344,6 +348,17 @@ class TestKCoveredVolume:
         with pytest.raises(ValueError, match="k must be"):
             k_covered_volume(
                 homogeneous_poisson(1.0), periodic(4.0), 0.5, k=0, reps=2, stream=STREAM
+            )
+
+    @pytest.mark.parametrize("grid_n", [2.5, 2.0])
+    def test_rejects_non_integer_grid_count_before_sampling(self, grid_n, monkeypatch):
+        # grid_n=2.5 once reported 25.92 on a 36-area window against 18.0 at
+        # 2 and 17.0 at 3: most of its 9 cell centres lay outside the window.
+        monkeypatch.setattr(shotnoise, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="^grid_n must be >= 1$"):
+            k_covered_volume(
+                homogeneous_poisson(1.0), periodic(6.0), 0.5, grid_n=grid_n, reps=4,
+                stream=STREAM,
             )
 
 

@@ -1,0 +1,231 @@
+"""Every scalar parameter is checked by core.check_number before any work.
+
+One table covers every public factory and parameter dataclass, with each of
+their float parameters; a second covers the scalar arguments of the
+estimators and kernels.  Each parameter is tried at NaN, +inf, -inf and at
+values just outside its bound, and must raise ValueError at once: ``sample``
+is replaced by a function that fails, in every module that imports it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import ppclust.compare as compare
+import ppclust.complexes as complexes
+import ppclust.dists as dists
+import ppclust.graphs as graphs
+import ppclust.percolation as percolation
+import ppclust.procgen as pg
+import ppclust.shotnoise as sn
+import ppclust.summaries as summaries
+from ppclust.core import PointPattern, RandomStream, cube
+
+STREAM = RandomStream(1111)
+TINY = 5e-324
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# Values just outside each bound; NaN and +-inf are added to every row.
+POS = [0.0, -TINY]
+NONNEG = [-TINY]
+UNIT = [-TINY, np.nextafter(1.0, 2.0)]
+FINITE = []
+
+POISSON = pg.homogeneous_poisson(1.0)
+BALL = sn.indicator_ball(1.0)
+CELL = pg.uniform_in_cell()
+ONE = dists.deterministic(1)
+
+
+def _periodic():
+    return cube(8.0, 2)
+
+
+def _euclid():
+    return cube(8.0, 2, metric="euclidean")
+
+
+def _pattern(metric):
+    w = cube(8.0, 2, metric=metric)
+    return PointPattern(w, np.array([[1.0, 1.0], [2.0, 1.5], [6.0, 6.0]]))
+
+
+# (label, constructor of the parameter value, values just outside its bound)
+FACTORIES = [
+    ("homogeneous_poisson.lam", pg.homogeneous_poisson, NONNEG),
+    ("square_lattice.delta", pg.square_lattice, POS),
+    ("hex_lattice.delta", pg.hex_lattice, POS),
+    ("bernoulli_lattice.delta", lambda x: pg.bernoulli_lattice(x, 0.5), POS),
+    ("bernoulli_lattice.p", lambda x: pg.bernoulli_lattice(1.0, x), UNIT),
+    ("perturbed_lattice.delta", lambda x: pg.perturbed_lattice(x, ONE, CELL), POS),
+    ("matern_cluster.lam_p", lambda x: pg.matern_cluster(x, 2.0, 0.5), NONNEG),
+    ("matern_cluster.mu", lambda x: pg.matern_cluster(1.0, x, 0.5), POS),
+    ("matern_cluster.r_cl", lambda x: pg.matern_cluster(1.0, 2.0, x), POS),
+    ("thomas_cluster.lam_p", lambda x: pg.thomas_cluster(x, 2.0, 0.5), NONNEG),
+    ("thomas_cluster.mu", lambda x: pg.thomas_cluster(1.0, x, 0.5), POS),
+    ("thomas_cluster.sigma", lambda x: pg.thomas_cluster(1.0, 2.0, x), POS),
+    (
+        "neyman_scott.lam_p",
+        lambda x: pg.neyman_scott(x, ONE, pg.gaussian_displacement(0.5)),
+        NONNEG,
+    ),
+    ("mixed_poisson.weight", lambda x: pg.mixed_poisson([(x, 1.0), (1.0, 2.0)]), NONNEG),
+    ("mixed_poisson.lam", lambda x: pg.mixed_poisson([(0.5, x), (0.5, 2.0)]), NONNEG),
+    ("log_gaussian_cox.mu_g", lambda x: pg.log_gaussian_cox(x, 0.5, 1.0, 8), FINITE),
+    ("log_gaussian_cox.sigma", lambda x: pg.log_gaussian_cox(0.0, x, 1.0, 8), NONNEG),
+    ("log_gaussian_cox.corr_length", lambda x: pg.log_gaussian_cox(0.0, 0.5, x, 8), POS),
+    ("ginibre_truncated.radius", lambda x: pg.ginibre_truncated(5, x), POS),
+    ("gaussian_displacement.sigma", pg.gaussian_displacement, POS),
+    ("ball_displacement.rho", pg.ball_displacement, POS),
+    ("Displacement.scale", lambda x: pg.Displacement("gaussian", x), POS),
+    ("IntensityReport.value", lambda x: pg.IntensityReport(x, True), NONNEG),
+    ("binomial.p", lambda x: dists.binomial(4, x), UNIT),
+    ("poisson.lam", dists.poisson, NONNEG),
+    ("neg_binomial.r", lambda x: dists.neg_binomial(x, 0.5), POS),
+    ("neg_binomial.p", lambda x: dists.neg_binomial(2.0, x), [-TINY, 1.0]),
+    ("geometric.p", dists.geometric, [0.0, np.nextafter(1.0, 2.0)]),
+    ("mixture.weight", lambda x: dists.mixture([x, 1.0], [ONE, ONE]), NONNEG),
+    (
+        "CountDistribution.truncation_tolerance",
+        lambda x: dists.CountDistribution("poisson", (1.0,), x),
+        [0.0, 1e-6],
+    ),
+    ("indicator_ball.rho", sn.indicator_ball, POS),
+    ("exponential_response.beta", sn.exponential_response, POS),
+    ("power_law_response.beta", lambda x: sn.power_law_response(x, 0.5), POS),
+    ("power_law_response.eps", lambda x: sn.power_law_response(3.0, x), POS),
+    ("tabulated_response.radii[0]", lambda x: sn.tabulated_response([x, 1, 2], [2, 1, 0]), NONNEG),
+    ("tabulated_response.radii[1]", lambda x: sn.tabulated_response([0, x, 2], [2, 1, 0]), []),
+    ("tabulated_response.radii[-1]", lambda x: sn.tabulated_response([0, 1, x], [2, 1, 0]), []),
+    ("tabulated_response.values[0]", lambda x: sn.tabulated_response([0, 1, 2], [x, 1, 0]), []),
+    ("tabulated_response.values[-1]", lambda x: sn.tabulated_response([0, 1, 2], [2, 1, x]), NONNEG),
+    ("SinrParams.power", lambda x: percolation.SinrParams(x, 0.1, 1.0, 0.5, BALL), POS),
+    ("SinrParams.noise", lambda x: percolation.SinrParams(1.0, x, 1.0, 0.5, BALL), NONNEG),
+    ("SinrParams.threshold", lambda x: percolation.SinrParams(1.0, 0.1, x, 0.5, BALL), POS),
+    ("SinrParams.gamma", lambda x: percolation.SinrParams(1.0, 0.1, 1.0, x, BALL), NONNEG),
+    ("summaries.ball.radius", summaries.ball, POS),
+    ("summaries.box.side", summaries.box, POS),
+]
+
+ESTIMATORS = [
+    (
+        "crossing_probability.r",
+        lambda x: percolation.crossing_probability(POISSON, _euclid(), x, 5, STREAM),
+        [-1e-300],
+    ),
+    (
+        "critical_radius.tol",
+        lambda x: percolation.critical_radius(POISSON, _euclid(), 5, x, STREAM),
+        POS,
+    ),
+    ("gilbert_graph.r", lambda x: percolation.gilbert_graph(_pattern("euclidean"), x), [-1e-300]),
+    ("rgg.r", lambda x: graphs.rgg(_pattern("euclidean"), x), [-1e-300]),
+    (
+        "vietoris_rips.r",
+        lambda x: complexes.vietoris_rips(_pattern("euclidean"), x),
+        [-1e-300],
+    ),
+    ("cech_complex.r", lambda x: complexes.cech_complex(_pattern("euclidean"), x), [-1e-300]),
+    ("coverage_field.r", lambda x: sn.coverage_field(_pattern("euclidean"), x, 4), NONNEG),
+    (
+        "k_covered_volume.r",
+        lambda x: sn.k_covered_volume(POISSON, _periodic(), x, reps=5, stream=STREAM),
+        NONNEG,
+    ),
+    (
+        "k_percolation_crossing.r",
+        lambda x: percolation.k_percolation_crossing(POISSON, _euclid(), x, reps=5, stream=STREAM),
+        NONNEG,
+    ),
+    (
+        "check_percolation_bounds.r_hat",
+        lambda x: percolation.check_percolation_bounds(x, 1.0),
+        POS,
+    ),
+    ("check_percolation_bounds.lam", lambda x: percolation.check_percolation_bounds(0.5, x), POS),
+    ("level_exceedance_bound.lam", lambda x: sn.level_exceedance_bound(x, BALL, 2.0), NONNEG),
+    ("level_exceedance_bound.a", lambda x: sn.level_exceedance_bound(1.0, BALL, x), POS),
+    (
+        "pair_correlation.bandwidth",
+        lambda x: summaries.pair_correlation(POISSON, _periodic(), [1.0], x, 5, STREAM),
+        POS,
+    ),
+    (
+        "weak_poisson_test.scales",
+        lambda x: compare.weak_poisson_test(POISSON, _periodic(), [0.5, x], reps=5, stream=STREAM),
+        POS,
+    ),
+    (
+        "compare_two.scales",
+        lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "voids", [x], reps=5,
+                                      stream=STREAM),
+        POS,
+    ),
+    (
+        "scaling_experiment.r_rule",
+        lambda x: graphs.scaling_experiment(POISSON, lambda n: x, [16], reps=2, stream=STREAM),
+        POS,
+    ),
+    (
+        "betti_scaling_experiment.r_rule",
+        lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: x, [16], reps=2,
+                                                     stream=STREAM),
+        POS,
+    ),
+    ("stop_loss.a", lambda x: dists.stop_loss(ONE, x), NONNEG),
+]
+
+
+def _cases(table):
+    return [
+        pytest.param(build, value, id=f"{label}={value!r}")
+        for label, build, outside in table
+        for value in NON_FINITE + outside
+    ]
+
+
+@pytest.fixture(autouse=True)
+def _no_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a pattern before validating the parameters")
+
+    for module in (pg, summaries, percolation, sn, compare, graphs, complexes):
+        monkeypatch.setattr(module, "sample", refuse)
+
+
+@pytest.mark.parametrize("build, value", _cases(FACTORIES))
+def test_factories_and_dataclasses_reject_out_of_bound_values(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
+@pytest.mark.parametrize("build, value", _cases(ESTIMATORS))
+def test_estimators_reject_out_of_bound_scalars_before_sampling(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
+@pytest.mark.parametrize("table", [FACTORIES, ESTIMATORS], ids=["factories", "estimators"])
+def test_in_bound_values_pass_validation(table):
+    # Each row's builder is sound: a value inside every bound gets past the
+    # parameter checks (an estimator then stops at the refused sample).
+    inside = {
+        "bernoulli_lattice.p": 0.5,
+        "mixed_poisson.weight": 0.0,
+        "mixed_poisson.lam": 2.0,
+        "neg_binomial.p": 0.5,
+        "geometric.p": 0.5,
+        "mixture.weight": 0.0,
+        "CountDistribution.truncation_tolerance": 1e-9,
+        "tabulated_response.radii[0]": 0.5,
+        "tabulated_response.radii[1]": 1.5,
+        "tabulated_response.radii[-1]": 3.0,
+        "tabulated_response.values[0]": 3.0,
+        "tabulated_response.values[-1]": 0.5,
+    }
+    for label, build, _ in table:
+        value = inside.get(label, 0.25)
+        try:
+            build(value)
+        except AssertionError as exc:
+            assert "sampled a pattern" in str(exc), label
