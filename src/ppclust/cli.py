@@ -1068,21 +1068,23 @@ def _run_kernel_chain(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     curves = {}
     for chain, lower, upper in pairs:
         verdict = dists.check_cx(lower, upper)
-        a_max = max(dists.support_upper(lower), dists.support_upper(upper))
+        p_lower, p_upper = dists.pmf_table(lower).tolist(), dists.pmf_table(upper).tolist()
+        a_max = max(len(p_lower), len(p_upper)) - 1
         grid = np.arange(0.0, a_max + 0.5, 0.5)
         slack = min(
-            dists.stop_loss(upper, a) - dists.stop_loss(lower, a) for a in grid
+            dists.stop_loss_from_pmf(p_upper, a) - dists.stop_loss_from_pmf(p_lower, a)
+            for a in grid
         )
         witness = "" if verdict.witness is None else verdict.witness
         rows.append(
             (chain, _dist_label(lower), _dist_label(upper), verdict.status, slack, witness)
         )
-        for d in (lower, upper):
+        for d, pmfs in ((lower, p_lower), (upper, p_upper)):
             label = f"{chain}: {_dist_label(d)}"
             if label not in curves:
-                top = dists.support_upper(d)
+                top = len(pmfs) - 1
                 xs = [0.5 * i for i in range(2 * min(top, 12) + 1)]
-                curves[label] = (xs, [dists.stop_loss(d, a) for a in xs])
+                curves[label] = (xs, [dists.stop_loss_from_pmf(pmfs, a) for a in xs])
     header = ("chain", "lower", "upper", "verdict", "min_slack", "witness")
     files = [("chain.csv", csv_text(header, rows))]
     series = [(label, xs, ys) for label, (xs, ys) in curves.items()]

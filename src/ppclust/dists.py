@@ -249,9 +249,15 @@ def pmf_table(dist: CountDistribution) -> np.ndarray:
 def stop_loss(dist: CountDistribution, a: float) -> float:
     """Stop-loss transform E(X - a)+ over the truncated support."""
     check_number("stop_loss point", a, "nonneg")
-    upper = support_upper(dist)
+    return stop_loss_from_pmf(pmf_table(dist).tolist(), a)
+
+
+def stop_loss_from_pmf(pmfs: list, a: float) -> float:
+    """E(X - a)+ from the pmf values on 0..len(pmfs) - 1, summed upward
+    from the first integer above a; build pmfs once per law with
+    pmf_table(dist).tolist() and evaluate it at many points."""
     start = int(math.floor(a)) + 1 if a == math.floor(a) else int(math.ceil(a))
-    return sum((i - a) * _pmf(dist, i) for i in range(max(start, 0), upper + 1))
+    return sum((i - a) * pmfs[i] for i in range(max(start, 0), len(pmfs)))
 
 
 @dataclass(frozen=True)
@@ -280,10 +286,11 @@ def check_cx(d1: CountDistribution, d2: CountDistribution) -> CxVerdict:
     """
     if abs(mean(d1) - mean(d2)) > MEAN_MATCH_TOL:
         return CxVerdict("means_differ")
-    a_max = max(support_upper(d1), support_upper(d2))
+    p1, p2 = pmf_table(d1).tolist(), pmf_table(d2).tolist()
+    a_max = max(len(p1), len(p2)) - 1
     grid = np.arange(0.0, a_max + 0.5, 0.5)
     for a in grid:
-        if stop_loss(d1, a) > stop_loss(d2, a) + CX_SLACK:
+        if stop_loss_from_pmf(p1, a) > stop_loss_from_pmf(p2, a) + CX_SLACK:
             return CxVerdict("fails", witness=float(a))
     return CxVerdict("holds")
 

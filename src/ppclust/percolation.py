@@ -42,7 +42,7 @@ from .core import (
     volume,
 )
 from .procgen import GeneratorSpec, sample
-from .shotnoise import ResponseFunction, coverage_field
+from .shotnoise import ResponseFunction, _check_coverage_radius, coverage_field
 from .summaries import EstimateWithError, _estimates, _proportion
 
 __all__ = [
@@ -436,7 +436,7 @@ def k_percolation_crossing(
     the dependence.
     """
     check_number("k", k, 1)
-    check_number("coverage radius", r, "nonneg")
+    _check_coverage_radius(r, w)
     check_number("grid_n", grid_n, 1)
     shape = (grid_n,) * w.dim
 

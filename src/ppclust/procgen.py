@@ -2,7 +2,8 @@
 
 Each family is described by a GeneratorSpec; sample(spec, window, stream) is a
 pure function of its arguments, so replications parallelize by deriving child
-streams per replication index. Point order is canonical (lexicographic).
+streams per replication index. Point order is canonical (lexicographic). No
+sampler caches anything: each LGCP pattern draws its field by FFT.
 
 Lattice-backed families on periodic windows snap the cell count per axis to
 round(side/spacing) so the lattice tiles the torus without a seam; the
@@ -11,9 +12,7 @@ effective spacing is side/count (exact when side/spacing is an integer).
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +26,14 @@ from .core import (
     check_number,
     csv_text,
     grid_centers,
-    pairwise_distances,
     sort_points,
     volume,
 )
 
 # Sequential determinantal sampling cost grows with the truncation rank.
 MAX_GINIBRE_N = 256
-# Dense Cholesky of the field covariance caps the grid size.
-MAX_COX_CELLS = 4096
-MAX_COX_GRID_2D = 64
+# Cells of the torus that the LGCP field is embedded in: caps the FFT size.
+MAX_COX_CELLS = 1 << 20
 
 DISPLACEMENT_KINDS = ("uniform_in_cell", "gaussian", "uniform_in_ball")
 
@@ -437,45 +434,45 @@ def _sample_mixed_poisson(spec, w, rng):
     return _uniform_points(n, w, rng)
 
 
-# The field covariance factorization depends only on (spec, window geometry);
-# caching it keeps repeated replications from redoing the Cholesky.  The
-# cache is shared by worker threads, so its arrays are made read-only, and
-# _COX_LOCK makes a miss single-flight: workers that miss together wait for
-# one factorization instead of each building the covariance.
-_COX_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=8)
-def _cox_cholesky(sigma, corr_length, grid_n, lower, upper, metric):
-    w = Window(np.array(lower), np.array(upper), metric)
-    centers = grid_centers(w, grid_n)
-    dist = pairwise_distances(centers, w)
-    cov = sigma**2 * np.exp(-dist / corr_length)
-    # Tiny diagonal jitter keeps the factorization stable at high correlation.
-    cov[np.diag_indices_from(cov)] += 1e-10 * max(sigma**2, 1.0)
-    chol = np.linalg.cholesky(cov)
-    centers.setflags(write=False)
-    chol.setflags(write=False)
-    return centers, chol
+def _gaussian_field(sigma, corr_length, grid_n, w: Window, rng) -> np.ndarray:
+    """Gaussian field of covariance sigma^2 exp(-d / corr_length) on the
+    grid_centers(w, grid_n) cells, by circulant embedding (Dietrich & Newsam
+    1997): on a torus of cells that covariance is block-circulant, with one
+    FFT of its first row as eigenvalues.  A Euclidean window is the corner
+    of a torus of 2 grid_n cells per axis, doubled until none is negative."""
+    size = grid_n if w.metric == "periodic" else 2 * grid_n
+    while True:
+        if size**w.dim > MAX_COX_CELLS:
+            raise ValueError(
+                f"field embedding of {size}^{w.dim} cells exceeds "
+                f"MAX_COX_CELLS = {MAX_COX_CELLS}; use a smaller grid_n or corr_length"
+            )
+        lags = np.minimum(np.arange(size), size - np.arange(size))
+        axes = np.meshgrid(*(lags * c for c in w.sides / grid_n), indexing="ij", sparse=True)
+        row = np.exp(-np.sqrt(sum(a * a for a in axes)) / corr_length)
+        eig = np.fft.rfftn(row).real
+        # Rounding leaves eigenvalues of order -1e-16 * max; clip only those.
+        if eig.min() >= -1e-10 * eig.max():
+            break
+        if w.metric == "periodic":
+            raise ValueError(
+                "field covariance has a negative eigenvalue on the torus; "
+                "corr_length must be short against the window side"
+            )
+        size *= 2
+    noise = rng.standard_normal((size,) * w.dim)
+    spectrum = np.sqrt(np.maximum(eig, 0.0)) * np.fft.rfftn(noise)
+    field = np.fft.irfftn(spectrum, noise.shape, axes=range(w.dim))
+    return sigma * field[(slice(grid_n),) * w.dim].ravel()
 
 
 def _sample_log_gaussian_cox(spec, w, rng):
     grid_n = spec.get("grid_n")
-    if grid_n**w.dim > MAX_COX_CELLS or (w.dim == 2 and grid_n > MAX_COX_GRID_2D):
-        raise ValueError("field grid too large for dense Cholesky")
-    with _COX_LOCK:
-        centers, chol = _cox_cholesky(
-            spec.get("sigma"),
-            spec.get("corr_length"),
-            grid_n,
-            tuple(w.lower),
-            tuple(w.upper),
-            w.metric,
-        )
-    eta = spec.get("mu_g") + chol @ rng.standard_normal(centers.shape[0])
+    field = _gaussian_field(spec.get("sigma"), spec.get("corr_length"), grid_n, w, rng)
+    centers = grid_centers(w, grid_n)
     cell_sides = w.sides / grid_n
     cell_vol = float(np.prod(cell_sides))
-    counts = rng.poisson(np.exp(eta) * cell_vol)
+    counts = rng.poisson(np.exp(spec.get("mu_g") + field) * cell_vol)
     total = int(counts.sum())
     if total == 0:
         return np.empty((0, w.dim))

@@ -330,3 +330,15 @@ def bisection_critical_radius(spec, w, reps=50, tol=0.02, stream=None, threads=1
     se_p = math.sqrt(0.25 / reps)
     error = 0.5 * (hi - lo) + (se_p / slope if slope > 0 else math.inf)
     return EstimateWithError(0.5 * (lo + hi), error, reps)
+
+
+def dense_field_covariance(w, grid_n, sigma, corr_length):
+    """sigma^2 exp(-d / corr_length) between every two grid_centers(w, grid_n)
+    cells, d the window's distance (minimum image on a torus): the dense
+    covariance matrix of the log-Gaussian Cox field."""
+    import numpy as np
+
+    from ppclust.core import grid_centers, pairwise_distances
+
+    centers = grid_centers(w, grid_n)
+    return sigma**2 * np.exp(-pairwise_distances(centers, w) / corr_length)

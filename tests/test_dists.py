@@ -151,6 +151,30 @@ class TestCheckCx:
             dists.binomial(4, 0.25), verdict.witness
         )
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (dists.poisson(1.0), dists.geometric(0.5)),
+            (dists.poisson(3.0), dists.neg_binomial(2.0, 0.6)),
+            (dists.binomial(4, 0.25), dists.poisson(1.0)),
+        ],
+    )
+    def test_walks_each_support_once(self, lo, hi, monkeypatch):
+        # The stop-loss grid has one point per half-integer up to the
+        # support maximum; re-walking the support at each point made
+        # check_cx quadratic in it.
+        walks = []
+        walk = dists.support_upper
+
+        def counted(dist):
+            walks.append(dist)
+            return walk(dist)
+
+        monkeypatch.setattr(dists, "support_upper", counted)
+        verdict = dists.check_cx(lo, hi)
+        assert verdict.status == "holds"
+        assert walks == [lo, hi]
+
 
 def geometric_mixture(lam, weights, ps):
     """Mixture of geometrics with mean lam: sum w_j = 1, sum w_j/p_j = lam + 1."""

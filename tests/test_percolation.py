@@ -613,6 +613,15 @@ class TestKPercolationCrossing:
             )
 
 
+    def test_rejects_torus_wide_radius_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="below half the smallest window side"):
+            k_percolation_crossing(
+                pg.homogeneous_poisson(1.0), cube(8.0, 2), r=5.0, reps=5,
+                stream=STREAM.derive(23),
+            )
+
+
 class TestSiteCrossing:
     @pytest.mark.parametrize("d, side", [(1, 12), (2, 9), (3, 5)])
     def test_matches_bfs_on_random_grids(self, d, side):

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from oracles import dense_field_covariance
 from ppclust import core, dists, procgen
 from ppclust.core import RandomStream
 
@@ -97,8 +98,8 @@ class TestDeterminism:
         assert np.array_equal(a.points, b.points)
 
     def test_lgcp_patterns_survive_cache_eviction_across_threads(self):
-        # Twelve window geometries overflow the eight-entry factorization
-        # cache, so worker threads evict entries while others read them.
+        # Twelve window geometries sampled on four threads at a fine switch
+        # interval: each pattern must equal its serial draw.
         spec = procgen.log_gaussian_cox(0.0, 0.8, 1.0, 8)
         jobs = [(core.cube(4.0 + i % 12, 2), RandomStream(31).derive(i)) for i in range(48)]
         serial = [procgen.sample(spec, w, s).points for w, s in jobs]
@@ -183,6 +184,7 @@ MEAN_COUNT_CASES = [
     ),
     (procgen.mixed_poisson([(0.25, 1.0), (0.75, 3.0)]), core.cube(8.0, 2)),
     (procgen.log_gaussian_cox(0.0, 0.7, 1.0, 16), core.cube(8.0, 2)),
+    (procgen.log_gaussian_cox(0.0, 0.7, 2.0, 16), core.cube(5.0, 2, metric="euclidean")),
 ]
 
 
@@ -193,6 +195,104 @@ def test_mean_count_matches_intensity(spec, w):
     expected = procgen.intensity(spec, w=w).value * core.volume(w)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - expected) <= 4 * se + 1e-6
+
+
+class BasisNoise:
+    """Stands in for the generator: each standard_normal call returns the
+    next unit vector of the requested shape."""
+
+    def __init__(self):
+        self.calls = 0
+        self.shape = None
+
+    def standard_normal(self, shape):
+        self.shape = shape
+        e = np.zeros(shape)
+        e.flat[self.calls] = 1.0
+        self.calls += 1
+        return e
+
+
+def field_covariance(sigma, corr_length, grid_n, w):
+    """The field's exact covariance, from its response to every unit noise
+    vector, and the shape of the embedding torus."""
+    noise = BasisNoise()
+    columns = [procgen._gaussian_field(sigma, corr_length, grid_n, w, noise)]
+    while noise.calls < math.prod(noise.shape):
+        columns.append(procgen._gaussian_field(sigma, corr_length, grid_n, w, noise))
+    a = np.array(columns).T
+    return a @ a.T, noise.shape
+
+
+class TestGaussianField:
+    @pytest.mark.parametrize(
+        "w, corr_length, grid_n, embedding",
+        [
+            (core.cube(6.0, 2), 1.0, 5, (5, 5)),
+            (core.box((0.0, 4.0), (-1.0, 5.0)), 1.5, 4, (4, 4)),
+            (core.cube(6.0, 3), 1.0, 4, (4, 4, 4)),
+            (core.cube(5.0, 2, metric="euclidean"), 2.0, 4, (8, 8)),
+            (core.cube(3.0, 2, metric="euclidean"), 2.0, 4, (16, 16)),
+            (core.cube(4.0, 1, metric="euclidean"), 3.0, 6, (12,)),
+            (core.cube(4.0, 3, metric="euclidean"), 1.0, 3, (6, 6, 6)),
+        ],
+    )
+    def test_covariance_equals_dense_matrix(self, w, corr_length, grid_n, embedding):
+        cov, shape = field_covariance(0.7, corr_length, grid_n, w)
+        assert shape == embedding
+        dense = dense_field_covariance(w, grid_n, 0.7, corr_length)
+        assert np.max(np.abs(cov - dense)) <= 1e-12
+
+    def test_lag_covariance_over_many_fields(self):
+        sigma, corr_length, n = 0.8, 1.5, 16
+        w = core.cube(8.0, 2)
+        rng = RandomStream(404).generator()
+        fields = np.array(
+            [procgen._gaussian_field(sigma, corr_length, n, w, rng) for _ in range(400)]
+        ).reshape(400, n, n)
+        assert abs(fields.mean()) < 0.05
+        for axis in (1, 2):
+            for k in (0, 1, 2, 4, 8):
+                lagged = np.mean(fields * np.roll(fields, k, axis=axis))
+                expected = sigma**2 * math.exp(-k * 0.5 / corr_length)
+                assert abs(lagged - expected) < 0.05
+
+    def test_euclidean_sample_covariance_over_many_fields(self):
+        w = core.cube(5.0, 2, metric="euclidean")
+        rng = RandomStream(405).generator()
+        fields = np.array([procgen._gaussian_field(0.8, 2.0, 8, w, rng) for _ in range(2000)])
+        cov = fields.T @ fields / len(fields)
+        assert np.max(np.abs(cov - dense_field_covariance(w, 8, 0.8, 2.0))) < 0.1
+
+    def test_long_correlation_on_a_torus_raises_named_error(self):
+        # The minimum-image exponential covariance is not positive
+        # semi-definite when corr_length is long against the side.
+        spec = procgen.log_gaussian_cox(0.0, 1.0, 2.0, 32)
+        with pytest.raises(ValueError, match="negative eigenvalue on the torus"):
+            procgen.sample(spec, core.cube(10.0, 2), RandomStream(1))
+
+    def test_euclidean_window_embeds_four_times(self):
+        spec = procgen.log_gaussian_cox(0.0, 1.0, 2.0, 32)
+        w = core.cube(5.0, 2, metric="euclidean")
+        noise = BasisNoise()
+        procgen._gaussian_field(1.0, 2.0, 32, w, noise)
+        assert noise.shape == (128, 128)
+        p = procgen.sample(spec, w, RandomStream(2))
+        assert len(p) > 0 and np.all(w.contains(p.points))
+
+    @pytest.mark.parametrize(
+        "spec, w",
+        [
+            # Doubling from 64 reaches 2048^2 cells before the eigenvalues
+            # turn non-negative.
+            (procgen.log_gaussian_cox(0.0, 1.0, 15.0, 32), core.cube(5.0, 2, metric="euclidean")),
+            (procgen.log_gaussian_cox(0.0, 1.0, 0.1, 513), core.cube(5.0, 2, metric="euclidean")),
+            (procgen.log_gaussian_cox(0.0, 1.0, 0.1, 1025), core.cube(5.0, 2)),
+        ],
+    )
+    def test_embedding_over_the_cap_raises(self, spec, w):
+        with pytest.raises(ValueError, match="MAX_COX_CELLS"):
+            procgen.sample(spec, w, RandomStream(3))
 
 
 class TestEuclideanMode:

@@ -362,6 +362,12 @@ class TestKCoveredVolume:
             )
 
 
+    def test_rejects_torus_wide_radius_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(shotnoise, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="below half the smallest window side"):
+            k_covered_volume(homogeneous_poisson(1.0), periodic(8.0), 5.0, reps=5, stream=STREAM)
+
+
 class TestLevelExceedanceBound:
     def test_unit_ball_upper_tail(self):
         # Closed form a^{-a} e^{a-1} at the optimizer s = ln a.  Oracle:

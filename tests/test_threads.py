@@ -7,9 +7,6 @@ estimator rejects a missing stream and a replication count below one
 before it samples anything.
 """
 
-import sys
-import time
-
 import numpy as np
 import pytest
 
@@ -17,7 +14,7 @@ import ppclust.procgen as pg
 from ppclust import compare, complexes, graphs, percolation, shotnoise, summaries
 from ppclust.compare import compare_two, concentration_check, weak_poisson_test
 from ppclust.complexes import betti_scaling_experiment
-from ppclust.core import RandomStream, cube, run_indexed
+from ppclust.core import RandomStream, cube
 from ppclust.graphs import induced_subgraph_count, named_motif, rgg, scaling_experiment
 from ppclust.percolation import (
     component_fraction_sweep,
@@ -73,7 +70,7 @@ ESTIMATORS = {
         (POISSON, lambda n: 0.4, [25, 49]),
         dict(reps=6, stream=STREAM.derive(6)),
     ),
-    # The LGCP replications share the cached field factorization.
+    # Each LGCP replication draws its own field from its own stream.
     "weak_poisson_test": (
         weak_poisson_test,
         (LGCP, TORUS, [0.5, 1.0]),
@@ -150,33 +147,3 @@ def test_scaling_runs_validate_with_no_window_sizes(name):
         estimator(POISSON, lambda n: 0.8, [], reps=0, stream=STREAM)
     with pytest.raises(ValueError, match="explicit RandomStream"):
         estimator(POISSON, lambda n: 0.8, [], reps=4, stream=None)
-
-
-@pytest.mark.parametrize("threads", [2, 4])
-def test_lgcp_factorization_is_single_flight(threads, monkeypatch):
-    # Workers that miss the factorization cache together must share one
-    # covariance build; the slow build keeps them all inside the miss at
-    # once, and a short switch interval interleaves them finely.
-    builds = []
-    build = pg.pairwise_distances
-
-    def slow_build(*args):
-        builds.append(args)
-        time.sleep(0.2)
-        return build(*args)
-
-    spec, w, stream = pg.log_gaussian_cox(0.0, 1.0, 1.5, 8), cube(6.0, 2), STREAM.derive(77)
-    pg._cox_cholesky.cache_clear()
-    monkeypatch.setattr(pg, "pairwise_distances", slow_build)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_indexed(
-            threads, lambda i: pg.sample(spec, w, stream.derive(i)).points, threads
-        )
-    finally:
-        sys.setswitchinterval(interval)
-        pg._cox_cholesky.cache_clear()
-    assert len(builds) == 1
-    serial = [pg.sample(spec, w, stream.derive(i)).points for i in range(threads)]
-    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
