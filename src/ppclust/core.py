@@ -21,6 +21,9 @@ from scipy.spatial import cKDTree
 MAX_DIMENSION = 8
 # Cap on grid_centers output size (cells across all axes combined).
 MAX_GRID_CELLS = 1 << 24
+# Cap on the (n, m, d) offset array of pairwise_distances, the one dense
+# distance kernel (shot-noise fields, SINR).
+MAX_DENSE_ENTRIES = 1 << 24
 
 METRICS = ("euclidean", "periodic")
 
@@ -174,12 +177,22 @@ def distance(a, b, w: Window) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
-def pairwise_distances(points: np.ndarray, w: Window) -> np.ndarray:
-    """Full (n, n) distance matrix under the window's metric."""
-    n = points.shape[0]
-    if n == 0:
-        return np.empty((0, 0))
-    delta = min_image(np.abs(points[:, None, :] - points[None, :, :]), w)
+def pairwise_distances(points: np.ndarray, w: Window, others: np.ndarray = None) -> np.ndarray:
+    """Dense (n, m) distance matrix from points to others (by default the
+    points themselves) under the window's metric.
+
+    The one dense distance kernel.  Its (n, m, d) offset array is checked
+    against MAX_DENSE_ENTRIES before anything is allocated.
+    """
+    if others is None:
+        others = points
+    n, m = points.shape[0], others.shape[0]
+    if n * m * w.dim > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"the offsets of {n} x {m} points in dimension {w.dim} exceed "
+            f"MAX_DENSE_ENTRIES ({MAX_DENSE_ENTRIES})"
+        )
+    delta = min_image(np.abs(points[:, None, :] - others[None, :, :]), w)
     return np.sqrt(np.sum(delta * delta, axis=2))
 
 
@@ -320,12 +333,8 @@ def run_indexed(n: int, fn, threads: int = 1) -> list:
         return [fn(i) for i in range(n)]
     from concurrent.futures import ThreadPoolExecutor
 
-    results = [None] * n
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(fn, i): i for i in range(n)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
+        return list(pool.map(fn, range(n)))
 
 
 def check_replications(reps: int, stream: RandomStream):

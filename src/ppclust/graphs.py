@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 MAX_MOTIF_VERTICES = 5
+# Cap on the C(n, k) subsets that u_statistic and u_statistic_pattern
+# evaluate f on and store.
+MAX_SUBSETS = 1 << 24
 DEFAULT_EXACT_CHROMATIC_LIMIT = 60
 
 
@@ -187,6 +190,8 @@ def _subset_values(pattern: PointPattern, k: int, f) -> list:
         raise ValueError("k must be between 1 and 4")
     points = pattern.points
     n = points.shape[0]
+    if math.comb(n, k) > MAX_SUBSETS:
+        raise ValueError(f"C({n}, {k}) subsets exceed MAX_SUBSETS ({MAX_SUBSETS})")
     values = []
     for subset in combinations(range(n), k):
         value = float(f(points[list(subset)]))

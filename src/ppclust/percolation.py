@@ -15,7 +15,9 @@ on the kept edges.  A radius sweep queries once at the largest radius,
 sorts the pairs by length, and reads the graph at each radius as a prefix
 of that order.  A Graph holds its edges as that same (E, 2) int64 array,
 from the query through components to graph_to_csv.  The site-grid
-crossing of k-coverage labels its open cells with scipy.ndimage.
+crossing of k-coverage labels its open cells with scipy.ndimage.  The SINR
+graph is the one dense kernel here: interference sums over every pair, so
+its distances come from core.pairwise_distances under MAX_DENSE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .core import (
     check_number,
     check_replications,
     csv_text,
-    min_image,
     neighbor_pairs,
     pair_distances,
+    pairwise_distances,
     replicate,
     unit_ball_volume,
     volume,
@@ -62,11 +64,6 @@ __all__ = [
     "crossing_to_csv",
     "graph_to_csv",
 ]
-
-# sinr_graph sums the attenuation over every (receiver, transmitter) and
-# (receiver, interferer) pair; each dense (n, m, d) offset array is capped
-# at this many entries.
-MAX_SINR_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,25 +501,17 @@ def sinr_graph(
     if n < 2:
         return Graph(n, (), pattern_b)
     l = params.attenuation
-    m = pattern_i.points.shape[0] if params.gamma > 0 else 0
-    for name, cols in (("signal", n), ("interference", m)):
-        if n * cols * wb.dim > MAX_SINR_ENTRIES:
-            raise ValueError(
-                f"the {name} offsets of {n} x {cols} points in dimension {wb.dim} "
-                f"exceed MAX_SINR_ENTRIES ({MAX_SINR_ENTRIES})"
-            )
 
-    delta = min_image(np.abs(pts[:, None, :] - pts[None, :, :]), wb)
-    signal = params.power * l.evaluate(np.sqrt(np.sum(delta**2, axis=2)))
-
+    # Interference first, so that an interferer set over the dense cap
+    # raises before the n x n signal exists.
     interference = np.zeros(n)
-    if m > 0:
-        delta_i = min_image(np.abs(pts[:, None, :] - pattern_i.points[None, :, :]), wb)
-        dist_i = np.sqrt(np.sum(delta_i**2, axis=2))
+    if params.gamma > 0:
+        dist_i = pairwise_distances(pts, wb, pattern_i.points)
         terms = l.evaluate(dist_i)
         # A receiver that is itself an interferer does not hear its own signal.
         terms[dist_i == 0.0] = 0.0
         interference = np.sum(terms, axis=1)
+    signal = params.power * l.evaluate(pairwise_distances(pts, wb))
 
     denom = params.noise + params.gamma * params.power * interference  # per receiver
     # ok[i, j]: transmission i -> j clears the threshold at receiver j.

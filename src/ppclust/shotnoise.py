@@ -8,6 +8,11 @@ factorial moments are dominated by a Poisson process of rate lambda, the
 Poisson exponential moment yields Chernoff bounds on level exceedances;
 ``level_exceedance_bound`` evaluates those bounds by one-dimensional
 minimization.
+
+The additive and extremal fields evaluate h at every (eval, point) pair
+through ``core.pairwise_distances``, the one dense distance kernel, so they
+share its ``core.MAX_DENSE_ENTRIES`` cap.  Coverage counts read only the
+pairs within r, from one KD-tree query.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .core import (
     grid_centers,
     min_image,
     near_pairs,
+    pairwise_distances,
     replicate,
     unit_ball_volume,
     volume,
@@ -56,9 +62,6 @@ RESPONSE_KINDS = ("indicator_ball", "exponential", "power_law", "tabulated")
 _S_GRID = 2.0 ** np.arange(-10.0, 6.5, 0.5)
 _GOLDEN_RTOL = 1e-6
 _QUAD_RTOL = 1e-8
-# additive_field and extremal_field evaluate h at every (eval, point) pair;
-# their dense (eval, n, d) offset array is capped at this many entries.
-MAX_FIELD_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -170,20 +173,6 @@ class FieldSample:
             raise ValueError("field values must be non-negative")
 
 
-def _distance_matrix(eval_points: np.ndarray, pattern: PointPattern) -> np.ndarray:
-    """Dense (eval, n) distance matrix under the window's metric."""
-    entries = eval_points.shape[0] * pattern.points.size
-    if entries > MAX_FIELD_ENTRIES:
-        raise ValueError(
-            f"{eval_points.shape[0]} evaluation points x {pattern.points.shape[0]} "
-            f"points in dimension {pattern.dim} exceed MAX_FIELD_ENTRIES "
-            f"({MAX_FIELD_ENTRIES}) dense offsets"
-        )
-    delta = np.abs(eval_points[:, None, :] - pattern.points[None, :, :])
-    delta = min_image(delta, pattern.window)
-    return np.sqrt(np.sum(delta**2, axis=2))
-
-
 def _check_eval_points(eval_points, w: Window) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != w.dim:
@@ -198,7 +187,7 @@ def additive_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
     pts = _check_eval_points(eval_points, pattern.window)
     if pattern.points.shape[0] == 0:
         return FieldSample(pts, np.zeros(pts.shape[0]))
-    values = np.sum(h.evaluate(_distance_matrix(pts, pattern)), axis=1)
+    values = np.sum(h.evaluate(pairwise_distances(pts, pattern.window, pattern.points)), axis=1)
     return FieldSample(pts, values)
 
 
@@ -208,7 +197,7 @@ def extremal_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
     pts = _check_eval_points(eval_points, pattern.window)
     if pattern.points.shape[0] == 0:
         return FieldSample(pts, np.zeros(pts.shape[0]))
-    values = np.max(h.evaluate(_distance_matrix(pts, pattern)), axis=1)
+    values = np.max(h.evaluate(pairwise_distances(pts, pattern.window, pattern.points)), axis=1)
     return FieldSample(pts, values)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,18 @@ class TestReplicate:
             core.replicate(3, None, 1, lambda rep: 0.0)
 
 
+class TestRunIndexed:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_first_failing_index_raises(self, threads):
+        def fn(i):
+            if i in (3, 5):
+                raise ValueError(f"index {i}")
+            return i
+
+        with pytest.raises(ValueError, match="index 3"):
+            core.run_indexed(8, fn, threads)
+
+
 def test_sort_points_lexicographic():
     pts = np.array([[2.0, 1.0], [1.0, 5.0], [1.0, 2.0]])
     out = core.sort_points(pts)
@@ -308,6 +321,54 @@ class TestNearPairs:
         points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
         pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), 0.0, p)
         assert sorted(map(tuple, pairs.tolist())) == [(0, 0), (0, 2)]
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_distance_entry_by_entry(self, d, metric):
+        side = {1: 40.0, 2: 7.0, 3: 4.0}[d]
+        w = core.cube(side, d, origin=-1.3, metric=metric)
+        rng = np.random.default_rng(20 + d)
+        points = w.lower + rng.random((13, d)) * w.sides
+        others = w.lower + rng.random((9, d)) * w.sides
+        for a, b in ((points, others), (points, points)):
+            dist = core.pairwise_distances(a, w, b)
+            assert dist.shape == (a.shape[0], b.shape[0])
+            expected = [[core.distance(x, y, w) for y in b] for x in a]
+            assert dist.tolist() == expected
+        assert np.array_equal(core.pairwise_distances(points, w), dist)
+        direct = np.sqrt(np.sum((points[:, None, :] - others[None, :, :]) ** 2, axis=2))
+        # Some pair is nearer the other way round the torus.
+        wrapped = core.pairwise_distances(points, w, others) < direct - 1e-9
+        assert np.any(wrapped) == (metric == "periodic")
+
+    @pytest.mark.parametrize("n, m", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_shapes(self, n, m):
+        w = core.cube(4.0, 2)
+        points = np.full((n, 2), 1.0)
+        others = np.full((m, 2), 2.0)
+        assert core.pairwise_distances(points, w, others).shape == (n, m)
+
+    def test_cap_raises_before_allocating(self):
+        n = math.isqrt(core.MAX_DENSE_ENTRIES // 2) + 1
+        points = np.zeros((n, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} x {n} points in dimension 2.*MAX_DENSE"):
+                core.pairwise_distances(points, core.cube(1.0, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the offsets alone would take 128 MiB
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", 24)
+        w = core.cube(4.0, 3)
+        points = np.ones((2, 3))
+        assert core.pairwise_distances(points, w, np.ones((4, 3))).shape == (2, 4)
+        with pytest.raises(ValueError, match="2 x 5 points.*MAX_DENSE_ENTRIES \\(24\\)"):
+            core.pairwise_distances(points, w, np.ones((5, 3)))
 
 
 class TestCsvText:

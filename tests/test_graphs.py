@@ -199,6 +199,20 @@ class TestUStatistic:
         with pytest.raises(ValueError):
             u_statistic(collinear(3), 5, lambda pts: 1.0)
 
+    @pytest.mark.parametrize("estimator", [u_statistic, u_statistic_pattern])
+    def test_subset_cap_raises_before_calling_f(self, estimator, monkeypatch):
+        def never(pts):
+            raise AssertionError("f called above the subset cap")
+
+        # At the default cap, n = 400 and k = 4 would be 1.05e9 calls.
+        with pytest.raises(ValueError, match="MAX_SUBSETS"):
+            estimator(collinear(400), 4, never)
+        # C(6, 3) = 20 fits a cap of 20 exactly; C(7, 3) = 35 does not.
+        monkeypatch.setattr(gr, "MAX_SUBSETS", 20)
+        estimator(collinear(6), 3, lambda pts: 1.0)
+        with pytest.raises(ValueError, match=r"C\(7, 3\) subsets exceed MAX_SUBSETS \(20\)"):
+            estimator(collinear(7), 3, never)
+
 
 class TestUStatisticPattern:
     def test_collinear_distances(self):

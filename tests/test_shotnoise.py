@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ppclust.core as core
 import ppclust.shotnoise as shotnoise
 from oracles import dense_coverage_counts
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, grid_centers
@@ -199,25 +200,26 @@ def peak_bytes_raising(match, fn, *args) -> int:
 
 
 class TestDenseFieldCap:
-    # additive_field and extremal_field build (eval, n, d) offsets; above
-    # MAX_FIELD_ENTRIES they raise before allocating them.
+    # additive_field and extremal_field build (eval, n, d) offsets through
+    # core.pairwise_distances; above core.MAX_DENSE_ENTRIES they raise
+    # before allocating them.
     @pytest.mark.parametrize("field", [additive_field, extremal_field])
     def test_raises_before_allocating(self, field):
         n = 4096
         w = cube(float(n), 1)
         pattern = PointPattern(w, np.arange(n)[:, None])
-        evals = np.linspace(0.0, n - 1.0, shotnoise.MAX_FIELD_ENTRIES // n + 1)[:, None]
+        evals = np.linspace(0.0, n - 1.0, core.MAX_DENSE_ENTRIES // n + 1)[:, None]
         peak = peak_bytes_raising(
-            "MAX_FIELD_ENTRIES", field, pattern, exponential_response(1.0), evals
+            "MAX_DENSE_ENTRIES", field, pattern, exponential_response(1.0), evals
         )
         assert peak < 2**20  # the offsets alone would take 128 MiB
 
     def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(shotnoise, "MAX_FIELD_ENTRIES", 12)
+        monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", 12)
         pattern = PointPattern(periodic(4.0), np.array([[1.0, 1.0], [2.0, 2.0]]))
         h = exponential_response(1.0)
         assert additive_field(pattern, h, [[0.5, 0.5]] * 3).values.shape == (3,)
-        with pytest.raises(ValueError, match="MAX_FIELD_ENTRIES"):
+        with pytest.raises(ValueError, match="MAX_DENSE_ENTRIES"):
             extremal_field(pattern, h, [[0.5, 0.5]] * 4)
 
 
