@@ -56,18 +56,6 @@ from .core import RandomStream, Window, box, check_number, csv_text
 
 THREADS_ENV_VAR = "PPCLUST_THREADS"
 
-EXPERIMENTS = (
-    "sample",
-    "summary",
-    "compare",
-    "percolation",
-    "coverage",
-    "sinr",
-    "graph",
-    "complex",
-    "kernel_chain",
-)
-
 
 class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
@@ -1164,7 +1152,7 @@ def main(argv=None) -> int:
         description="Point-process simulation and clustering-comparison "
         "experiments with deterministic, reproducible artifacts.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=tuple(SCHEMAS))
     parser.add_argument("--config", required=True, metavar="FILE")
     parser.add_argument("--seed", type=int, default=None, metavar="N")
     parser.add_argument("--threads", type=int, default=None, metavar="K")

@@ -25,7 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomStream, Window, ball_volume, check_number, check_replications, csv_text, cube, replicate
+from .core import (
+    RandomStream,
+    Window,
+    ball_volume,
+    check_number,
+    check_replications,
+    check_window,
+    csv_text,
+    cube,
+    replicate,
+)
 from .procgen import GeneratorSpec, intensity, sample
 from .summaries import (
     _counts_in_regions,
@@ -166,11 +176,7 @@ def weak_poisson_test(
     scales = _positive_scales(scales)
     if not 2 <= k_max <= 4:
         raise ValueError("k_max must be between 2 and 4")
-    if w.metric != "periodic":
-        raise ValueError("weak_poisson_test requires a periodic window")
-    min_side = float(np.min(w.sides))
-    if max(scales) * 2 > min_side:
-        raise ValueError("largest scale does not fit the window as a ball diameter")
+    check_window("weak_poisson_test", w, "periodic", reach=max(scales))
     check_replications(reps, stream)
     lam = intensity(spec, d=w.dim, w=w).value
     n_scales = len(scales)

@@ -18,7 +18,15 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .core import PointPattern, RandomStream, check_number, check_replications, csv_text, replicate
+from .core import (
+    PointPattern,
+    RandomStream,
+    check_number,
+    check_replications,
+    check_window,
+    csv_text,
+    replicate,
+)
 from .graphs import _neighbor_sets, _volume_windows
 from .percolation import _edge_index_array
 from .procgen import GeneratorSpec, sample
@@ -188,11 +196,7 @@ def cech_complex(pattern: PointPattern, r: float, max_dim: int = 2) -> Simplicia
     """
     if not 0 <= max_dim <= MAX_COMPLEX_DIM:
         raise ValueError(f"max_dim must be between 0 and {MAX_COMPLEX_DIM}")
-    if pattern.window.metric != "euclidean":
-        raise ValueError(
-            "coverage faces need a Euclidean window; wrapped distances have "
-            "no single enclosing ball"
-        )
+    check_window("cech_complex", pattern.window, "euclidean")
     points = pattern.points
     edges = _edge_index_array(pattern, r)
 

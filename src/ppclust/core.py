@@ -1,6 +1,6 @@
 """Geometry primitives: windows, metrics, grids, deterministic random streams,
-the replication driver, the CSV artifact format and the one finite-number
-validator.
+the replication driver, the CSV artifact format, the one finite-number
+validator and the one window contract.
 
 Everything here is immutable after construction and safe to share across
 parallel workers. Stationary statistics default to periodic (torus) windows;
@@ -55,6 +55,28 @@ def check_number(name: str, value, bound=None):
         if (isinstance(value, numbers.Integral) or math.isfinite(value)) and test(value):
             return value
     raise ValueError(f"{name} must be {phrase}")
+
+
+def check_window(what: str, w: Window, metric: str = None, reach: float = None):
+    """Raise ``ValueError`` naming ``what`` unless ``w`` has ``metric`` (when
+    given) and, on a torus, ``reach`` stays strictly below half the smallest
+    side.
+
+    A kernel comparing distances up to ``reach`` is well defined on a torus
+    only below half a side: at exactly half, a point at offset side/2 lies
+    within reach of two images of another, and the minimum image counts it
+    once.  Euclidean windows have no reach limit.
+    """
+    if metric is not None and w.metric != metric:
+        name = "Euclidean" if metric == "euclidean" else metric
+        raise ValueError(f"{what} needs a {name} window")
+    if reach is not None and w.metric == "periodic":
+        half = float(np.min(w.sides)) / 2.0
+        if not reach < half:
+            raise ValueError(
+                f"{what}: reach {reach:g} must stay below half the smallest "
+                f"window side ({half:g}) on a torus"
+            )
 
 
 def as_point(coords) -> np.ndarray:

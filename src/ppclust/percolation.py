@@ -35,6 +35,7 @@ from .core import (
     Window,
     check_number,
     check_replications,
+    check_window,
     csv_text,
     neighbor_pairs,
     pair_distances,
@@ -44,7 +45,7 @@ from .core import (
     volume,
 )
 from .procgen import GeneratorSpec, sample
-from .shotnoise import ResponseFunction, _check_coverage_radius, coverage_field
+from .shotnoise import ResponseFunction, coverage_field
 from .summaries import EstimateWithError, _estimates, _proportion
 
 __all__ = [
@@ -117,11 +118,7 @@ def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
     """Index pairs (i < j) at distance <= 2r, as an integer array."""
     check_number("radius", r, "nonneg")
     w = pattern.window
-    if w.metric == "periodic" and 2 * r >= float(np.min(w.sides)) / 2:
-        raise ValueError(
-            "2r must stay below half the window side on a torus; larger radii "
-            "make wraparound adjacency ambiguous"
-        )
+    check_window("geometric graph", w, reach=2 * r)
     if r == 0:  # even coincident points stay unjoined
         return np.empty((0, 2), dtype=np.int64)
     pairs = _candidate_pairs(pattern.points, w, 2 * r)
@@ -153,19 +150,16 @@ def components(g: Graph) -> list:
 
 @dataclass(frozen=True)
 class PercolationSweep:
-    """Component fractions (and optionally crossing estimates) per radius."""
+    """Component fractions per radius."""
 
     radii: tuple
     largest_fraction: tuple  # of EstimateWithError
     second_fraction: tuple  # of EstimateWithError
-    crossing_prob: tuple = ()  # optional, aligned with radii when present
 
     def __post_init__(self):
         n = len(self.radii)
         if len(self.largest_fraction) != n or len(self.second_fraction) != n:
             raise ValueError("fraction sequences must align with radii")
-        if self.crossing_prob and len(self.crossing_prob) != n:
-            raise ValueError("crossing sequence must align with radii when present")
 
 
 def component_fraction_sweep(
@@ -188,8 +182,7 @@ def component_fraction_sweep(
     # NaN-safe: a NaN or inf radius fails one of the comparisons.
     if not (radii and radii[0] >= 0 and np.all(np.diff(radii) > 0) and radii[-1] < math.inf):
         raise ValueError("radii must be non-negative and strictly increasing")
-    if w.metric == "periodic" and 2 * radii[-1] >= float(np.min(w.sides)) / 2:
-        raise ValueError("largest radius too big for the torus adjacency rule")
+    check_window("component_fraction_sweep", w, reach=2 * radii[-1])
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep)
@@ -209,11 +202,6 @@ def component_fraction_sweep(
 
     used = np.array(replicate(reps, stream, threads, one))
     return PercolationSweep(tuple(radii), _estimates(used[:, 0]), _estimates(used[:, 1]))
-
-
-def _check_crossing_window(w: Window):
-    if w.metric != "euclidean":
-        raise ValueError("crossing experiments need a Euclidean (non-wrapped) window")
 
 
 def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
@@ -241,7 +229,7 @@ def crossing_probability(
     threads: int = 1,
 ) -> EstimateWithError:
     """Probability that a Gilbert component spans the window horizontally."""
-    _check_crossing_window(w)
+    check_window("crossing_probability", w, "euclidean")
     check_number("radius", r, "nonneg")
 
     def one(rep: RandomStream) -> float:
@@ -349,7 +337,7 @@ def critical_radius(
     """
     check_number("tol", tol, "pos")
     check_replications(reps, stream)
-    _check_crossing_window(w)
+    check_window("critical_radius", w, "euclidean")
     r_max = float(np.linalg.norm(w.sides)) / 4.0
     thresholds = replicate(
         reps, stream.derive(0), threads,
@@ -433,7 +421,8 @@ def k_percolation_crossing(
     the dependence.
     """
     check_number("k", k, 1)
-    _check_coverage_radius(r, w)
+    check_number("coverage radius", r, "nonneg")
+    check_window("k_percolation_crossing", w, reach=r)
     check_number("grid_n", grid_n, 1)
     shape = (grid_n,) * w.dim
 

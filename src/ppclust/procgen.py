@@ -24,6 +24,7 @@ from .core import (
     RandomStream,
     Window,
     check_number,
+    check_window,
     csv_text,
     grid_centers,
     sort_points,
@@ -72,22 +73,6 @@ def ball_displacement(rho: float) -> Displacement:
     return Displacement("uniform_in_ball", float(rho))
 
 
-FAMILIES = (
-    "homogeneous_poisson",
-    "square_lattice",
-    "hex_lattice",
-    "bernoulli_lattice",
-    "binomial_process",
-    "perturbed_lattice",
-    "matern_cluster",
-    "thomas_cluster",
-    "neyman_scott",
-    "mixed_poisson",
-    "log_gaussian_cox",
-    "ginibre_truncated",
-)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative description of one point-process family."""
@@ -96,7 +81,7 @@ class GeneratorSpec:
     params: tuple  # sorted (name, value) pairs
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _SAMPLERS:
             raise ValueError(f"unknown family {self.family!r}")
         _validate_spec(self)
 
@@ -509,8 +494,7 @@ def _ginibre_basis(zs: np.ndarray, ks: np.ndarray, radius: float) -> np.ndarray:
 def _sample_ginibre(spec, w, rng):
     if w.dim != 2:
         raise ValueError("Ginibre requires d = 2")
-    if w.metric != "euclidean":
-        raise ValueError("Ginibre is not stationary; use a euclidean window")
+    check_window("the non-stationary Ginibre process", w, "euclidean")
     n_rank = spec.get("n_rank")
     radius = spec.get("radius")
     lambdas = ginibre_eigenvalues(n_rank, radius)

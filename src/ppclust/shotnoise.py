@@ -28,6 +28,7 @@ from .core import (
     RandomStream,
     Window,
     check_number,
+    check_window,
     csv_text,
     grid_centers,
     min_image,
@@ -201,18 +202,11 @@ def extremal_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
     return FieldSample(pts, values)
 
 
-def _check_coverage_radius(r: float, w: Window) -> None:
-    """A coverage radius is non-negative and, on a torus, below half the
-    smallest side, so that no ball meets its own periodic image."""
-    check_number("coverage radius", r, "nonneg")
-    if w.metric == "periodic" and 2 * r >= float(np.min(w.sides)):
-        raise ValueError("coverage radius must be below half the smallest window side")
-
-
 def coverage_field(pattern: PointPattern, r: float, grid_n: int) -> FieldSample:
     """Number of radius-r balls covering each point of a regular grid."""
     w = pattern.window
-    _check_coverage_radius(r, w)
+    check_number("coverage radius", r, "nonneg")
+    check_window("coverage_field", w, reach=r)
     centers = grid_centers(w, grid_n)
     pairs = near_pairs(centers, pattern.points, w, r)
     delta = min_image(np.abs(centers[pairs[:, 0]] - pattern.points[pairs[:, 1]]), w)
@@ -239,7 +233,8 @@ def k_covered_volume(
     of at most one cell layer along the coverage boundary.
     """
     check_number("k", k, 1)
-    _check_coverage_radius(r, w)
+    check_number("coverage radius", r, "nonneg")
+    check_window("k_covered_volume", w, reach=r)
     check_number("grid_n", grid_n, 1)
     cell_volume = volume(w) / grid_n**w.dim
 

@@ -16,8 +16,10 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    as_point,
     ball_volume,
     check_number,
+    check_window,
     csv_text,
     min_image,
     near_pairs,
@@ -111,7 +113,7 @@ def box(side: float) -> Region:
 # Shared helpers
 
 
-def _check_grid(r_grid, w: Window, pad: float = 0.0) -> np.ndarray:
+def _check_grid(r_grid) -> np.ndarray:
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("r_grid must be a non-empty 1-d sequence")
@@ -119,18 +121,7 @@ def _check_grid(r_grid, w: Window, pad: float = 0.0) -> np.ndarray:
         raise ValueError("r_grid must be strictly increasing")
     if not np.all(grid >= 0):
         raise ValueError("r_grid values must be non-negative")
-    half_side = float(np.min(w.sides)) / 2.0
-    if grid[-1] + pad >= half_side:
-        raise ValueError(
-            f"max scale {grid[-1] + pad:g} must stay below half the smallest "
-            f"window side ({half_side:g}) for periodic distances to be valid"
-        )
     return grid
-
-
-def _require_periodic(w: Window, what: str):
-    if w.metric != "periodic":
-        raise ValueError(f"{what} requires a periodic window (edge-effect free)")
 
 
 def _mean_and_se(values) -> tuple:
@@ -212,14 +203,6 @@ def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, region: Regio
     return np.bincount(pairs[inside, 0], minlength=centers.shape[0]).astype(np.int64)
 
 
-def _region_fits(region: Region, w: Window):
-    if region.max_extent() > float(np.min(w.sides)):
-        raise ValueError(
-            f"region extent {region.max_extent():g} exceeds the smallest "
-            f"window side {float(np.min(w.sides)):g}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Second-order statistics
 
@@ -240,8 +223,8 @@ def ripley_k(
     replications carry no pairs and are skipped (an error is raised if more
     than half are empty, since the estimate would then be meaningless).
     """
-    _require_periodic(w, "ripley_k")
-    grid = _check_grid(r_grid, w)
+    grid = _check_grid(r_grid)
+    check_window("ripley_k", w, "periodic", reach=grid[-1])
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep)
@@ -276,14 +259,13 @@ def pair_correlation(
     Poisson process gives g = 1 at every scale.  The default bandwidth is
     0.15 times the largest grid value.
     """
-    _require_periodic(w, "pair_correlation")
-    pre_grid = np.asarray(r_grid, dtype=float)
-    if pre_grid.size and np.any(pre_grid == 0.0):
+    grid = _check_grid(r_grid)
+    if grid[0] == 0.0:
         raise ValueError("r=0 is not estimable: the surface factor vanishes there")
     if bandwidth is None:
-        bandwidth = DEFAULT_BANDWIDTH_FRACTION * float(np.max(pre_grid))
+        bandwidth = DEFAULT_BANDWIDTH_FRACTION * float(grid[-1])
     check_number("bandwidth", bandwidth, "pos")
-    grid = _check_grid(r_grid, w, pad=bandwidth)
+    check_window("pair_correlation", w, "periodic", reach=grid[-1] + bandwidth)
     d = w.dim
     surface = d * unit_ball_volume(d) * grid ** (d - 1)
 
@@ -325,8 +307,7 @@ def void_probability(
     regions; the standard error is taken across replications, which keeps it
     honest about the within-pattern correlation of overlapping placements.
     """
-    _region_fits(region, w)
-    _require_periodic(w, "void_probability")
+    check_window("void_probability", w, "periodic", reach=region.max_extent() / 2)
     check_number("placements", placements, 1)
 
     def one(rep: RandomStream) -> float:
@@ -356,8 +337,7 @@ def factorial_moment(
     if not 1 <= k <= MAX_FACTORIAL_ORDER:
         raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
     region = box(box_side)
-    _region_fits(region, w)
-    _require_periodic(w, "factorial_moment")
+    check_window("factorial_moment", w, "periodic", reach=region.max_extent() / 2)
     check_number("placements", placements, 1)
 
     def one(rep: RandomStream) -> float:
@@ -386,8 +366,7 @@ def count_variance(
     standard error comes from a leave-one-replication-out jackknife.
     """
     region = box(box_side)
-    _region_fits(region, w)
-    _require_periodic(w, "count_variance")
+    check_window("count_variance", w, "periodic", reach=region.max_extent() / 2)
     check_number("placements", placements, 1)
     if not reps >= 3:  # two means must be left after each leave-one-out deletion
         raise ValueError("the jackknife needs reps >= 3")
@@ -490,9 +469,9 @@ def indicator_function(lower, upper, height: float = 1.0):
     for a Poisson process the exact transform is exp(±lambda |B| (e^{∓h}-1))
     with B the box.
     """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1 or np.any(lo >= hi):
+    lo, hi = as_point(lower), as_point(upper)
+    check_number("height", height, "nonneg")
+    if lo.shape != hi.shape or np.any(lo >= hi):
         raise ValueError("lower and upper must be 1-d with lower < upper")
 
     def f(points: np.ndarray) -> np.ndarray:

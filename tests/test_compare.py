@@ -132,7 +132,7 @@ class TestWeakPoissonTest:
         assert moments.per_scale[0].reference == pytest.approx((2.0 * 0.25) ** 2)
 
     def test_scale_must_fit(self):
-        with pytest.raises(ValueError, match="fit"):
+        with pytest.raises(ValueError, match="below half the smallest window side"):
             weak_poisson_test(
                 homogeneous_poisson(1.0), periodic(4.0), [2.5], reps=5, stream=STREAM
             )

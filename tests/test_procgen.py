@@ -70,7 +70,7 @@ class TestSpecValidation:
     def test_ginibre_window_constraints(self):
         spec = procgen.ginibre_truncated(16, 2.0)
         s = RandomStream(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a Euclidean window"):
             procgen.sample(spec, core.cube(4.0, 2, origin=-2.0, metric="periodic"), s)
         with pytest.raises(ValueError):
             procgen.sample(spec, core.cube(4.0, 3, origin=-2.0, metric="euclidean"), s)

@@ -369,6 +369,13 @@ class TestPairCorrelation:
                 stream=STREAM,
             )
 
+    def test_empty_grid_rejected_with_default_bandwidth(self, monkeypatch):
+        # The default bandwidth reads the grid's largest value, so the grid
+        # is checked before it.
+        monkeypatch.setattr(summaries, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="^r_grid must be a non-empty 1-d sequence$"):
+            pair_correlation(homogeneous_poisson(1.0), periodic(8.0), [], reps=5, stream=STREAM)
+
     def test_kernel_support_must_fit(self):
         # r_max + bandwidth may not reach half the window side.
         with pytest.raises(ValueError, match="half the smallest"):
@@ -431,7 +438,7 @@ class TestVoidProbability:
         assert est.value == pytest.approx(math.exp(-1.0), abs=4 * est.std_error)
 
     def test_region_must_fit(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="below half the smallest window side"):
             void_probability(
                 homogeneous_poisson(1.0), periodic(3.0), ball(2.0), reps=5, stream=STREAM
             )

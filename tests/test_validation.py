@@ -1,10 +1,14 @@
-"""Every scalar parameter is checked by core.check_number before any work.
+"""Every scalar parameter is checked by core.check_number, and every window
+by core.check_window, before any work.
 
 One table covers every public factory and parameter dataclass, with each of
 their float parameters; a second covers the scalar arguments of the
 estimators and kernels.  Each parameter is tried at NaN, +inf, -inf and at
 values just outside its bound, and must raise ValueError at once: ``sample``
-is replaced by a function that fails, in every module that imports it.
+is replaced by a function that fails, in every module that imports it.  A
+third table states the window contract of each estimator and kernel: the
+metric it needs and the reach that must stay below half the smallest side
+of a torus.
 """
 
 import math
@@ -20,7 +24,7 @@ import ppclust.percolation as percolation
 import ppclust.procgen as pg
 import ppclust.shotnoise as sn
 import ppclust.summaries as summaries
-from ppclust.core import PointPattern, RandomStream, cube
+from ppclust.core import PointPattern, RandomStream, box, cube
 
 STREAM = RandomStream(1111)
 TINY = 5e-324
@@ -45,8 +49,7 @@ def _euclid():
     return cube(8.0, 2, metric="euclidean")
 
 
-def _pattern(metric):
-    w = cube(8.0, 2, metric=metric)
+def _pattern(w):
     return PointPattern(w, np.array([[1.0, 1.0], [2.0, 1.5], [6.0, 6.0]]))
 
 
@@ -105,6 +108,13 @@ FACTORIES = [
     ("SinrParams.gamma", lambda x: percolation.SinrParams(1.0, 0.1, 1.0, x, BALL), NONNEG),
     ("summaries.ball.radius", summaries.ball, POS),
     ("summaries.box.side", summaries.box, POS),
+    ("indicator_function.lower", lambda x: summaries.indicator_function([x, 0], [1, 1]), FINITE),
+    ("indicator_function.upper", lambda x: summaries.indicator_function([0, 0], [x, 1]), FINITE),
+    (
+        "indicator_function.height",
+        lambda x: summaries.indicator_function([0, 0], [1, 1], x),
+        NONNEG,
+    ),
 ]
 
 ESTIMATORS = [
@@ -118,15 +128,15 @@ ESTIMATORS = [
         lambda x: percolation.critical_radius(POISSON, _euclid(), 5, x, STREAM),
         POS,
     ),
-    ("gilbert_graph.r", lambda x: percolation.gilbert_graph(_pattern("euclidean"), x), [-1e-300]),
-    ("rgg.r", lambda x: graphs.rgg(_pattern("euclidean"), x), [-1e-300]),
+    ("gilbert_graph.r", lambda x: percolation.gilbert_graph(_pattern(_euclid()), x), [-1e-300]),
+    ("rgg.r", lambda x: graphs.rgg(_pattern(_euclid()), x), [-1e-300]),
     (
         "vietoris_rips.r",
-        lambda x: complexes.vietoris_rips(_pattern("euclidean"), x),
+        lambda x: complexes.vietoris_rips(_pattern(_euclid()), x),
         [-1e-300],
     ),
-    ("cech_complex.r", lambda x: complexes.cech_complex(_pattern("euclidean"), x), [-1e-300]),
-    ("coverage_field.r", lambda x: sn.coverage_field(_pattern("euclidean"), x, 4), NONNEG),
+    ("cech_complex.r", lambda x: complexes.cech_complex(_pattern(_euclid()), x), [-1e-300]),
+    ("coverage_field.r", lambda x: sn.coverage_field(_pattern(_euclid()), x, 4), NONNEG),
     (
         "k_covered_volume.r",
         lambda x: sn.k_covered_volume(POISSON, _periodic(), x, reps=5, stream=STREAM),
@@ -229,3 +239,117 @@ def test_in_bound_values_pass_validation(table):
             build(value)
         except AssertionError as exc:
             assert "sampled a pattern" in str(exc), label
+
+
+# The window contract: (what the error names, the metric it needs or None,
+# the call at reach rho on window w).  Each call turns rho into its own
+# scale exactly: halving, doubling and the bandwidth 1 add no rounding.
+CONTRACTS = [
+    ("geometric graph", None, lambda w, rho: percolation.gilbert_graph(_pattern(w), rho / 2)),
+    ("geometric graph", None, lambda w, rho: graphs.rgg(_pattern(w), rho)),
+    ("geometric graph", None, lambda w, rho: complexes.vietoris_rips(_pattern(w), rho / 2)),
+    (
+        "component_fraction_sweep",
+        None,
+        lambda w, rho: percolation.component_fraction_sweep(POISSON, w, [rho / 2], 5, STREAM),
+    ),
+    ("coverage_field", None, lambda w, rho: sn.coverage_field(_pattern(w), rho, 4)),
+    (
+        "k_covered_volume",
+        None,
+        lambda w, rho: sn.k_covered_volume(POISSON, w, rho, reps=5, stream=STREAM),
+    ),
+    (
+        "k_percolation_crossing",
+        None,
+        lambda w, rho: percolation.k_percolation_crossing(POISSON, w, rho, reps=5, stream=STREAM),
+    ),
+    ("ripley_k", "periodic", lambda w, rho: summaries.ripley_k(POISSON, w, [rho], 5, STREAM)),
+    (
+        "pair_correlation",
+        "periodic",
+        lambda w, rho: summaries.pair_correlation(POISSON, w, [rho - 1.0], 1.0, 5, STREAM),
+    ),
+    (
+        "void_probability",
+        "periodic",
+        lambda w, rho: summaries.void_probability(
+            POISSON, w, summaries.ball(rho), reps=5, stream=STREAM
+        ),
+    ),
+    (
+        "factorial_moment",
+        "periodic",
+        lambda w, rho: summaries.factorial_moment(POISSON, w, 2 * rho, 2, reps=5, stream=STREAM),
+    ),
+    (
+        "count_variance",
+        "periodic",
+        lambda w, rho: summaries.count_variance(POISSON, w, 2 * rho, reps=5, stream=STREAM),
+    ),
+    (
+        "weak_poisson_test",
+        "periodic",
+        lambda w, rho: compare.weak_poisson_test(POISSON, w, [rho], reps=5, stream=STREAM),
+    ),
+    (
+        "crossing_probability",
+        "euclidean",
+        lambda w, rho: percolation.crossing_probability(POISSON, w, rho / 2, 5, STREAM),
+    ),
+    (
+        "critical_radius",
+        "euclidean",
+        lambda w, rho: percolation.critical_radius(POISSON, w, 5, 0.1, STREAM),
+    ),
+    ("cech_complex", "euclidean", lambda w, rho: complexes.cech_complex(_pattern(w), rho / 2)),
+]
+# A window whose smallest side is 8, so every torus reach must stay below 4.
+HALF_SIDE = 4.0
+
+
+def _rectangle(metric):
+    return box((0.0, 8.0), (0.0, 12.0), metric=metric)
+
+
+def _contracts(keep):
+    # pytest numbers the three "geometric graph" ids apart.
+    return [
+        pytest.param(what, metric, call, id=what)
+        for what, metric, call in CONTRACTS
+        if keep(metric)
+    ]
+
+
+def _clears_the_contract(call):
+    """Run a call that passes the window contract: an estimator then stops
+    at the refused sample, and a kernel on a given pattern returns."""
+    try:
+        call()
+    except AssertionError as exc:
+        assert "sampled a pattern" in str(exc)
+
+
+@pytest.mark.parametrize("what, metric, call", _contracts(lambda m: m is not None))
+def test_wrong_metric_raises_before_sampling(what, metric, call):
+    other = "euclidean" if metric == "periodic" else "periodic"
+    name = "Euclidean" if metric == "euclidean" else metric
+    with pytest.raises(ValueError, match=f"^{what} needs a {name} window$"):
+        call(_rectangle(other), 2.0)
+
+
+@pytest.mark.parametrize("what, metric, call", _contracts(lambda m: m != "euclidean"))
+def test_torus_reach_of_half_the_smallest_side_raises_before_sampling(what, metric, call):
+    message = rf"^{what}: reach 4 must stay below half the smallest window side \(4\)"
+    with pytest.raises(ValueError, match=message):
+        call(_rectangle("periodic"), HALF_SIDE)
+
+
+@pytest.mark.parametrize("what, metric, call", _contracts(lambda m: m != "euclidean"))
+def test_torus_reach_one_ulp_below_half_the_smallest_side_passes(what, metric, call):
+    _clears_the_contract(lambda: call(_rectangle("periodic"), np.nextafter(HALF_SIDE, 0.0)))
+
+
+@pytest.mark.parametrize("what, metric, call", _contracts(lambda m: m != "periodic"))
+def test_euclidean_windows_have_no_reach_limit(what, metric, call):
+    _clears_the_contract(lambda: call(_rectangle("euclidean"), HALF_SIDE))
