@@ -19,8 +19,7 @@ artifacts into the output directory:
 
 Any configuration key can be overridden on the command line with
 ``--section.key value`` pairs; ``--seed`` and ``--threads`` are shorthands
-for the run seed and the parallelism cap.  The default thread count can
-also be set with the ``PPCLUST_THREADS`` environment variable.
+for the run seed and the parallelism cap.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key, and the line for file syntax errors), 3 runtime error
@@ -32,7 +31,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -53,8 +51,6 @@ from . import (
     summaries,
 )
 from .core import RandomStream, Window, box, check_number, csv_text
-
-THREADS_ENV_VAR = "PPCLUST_THREADS"
 
 
 class ConfigError(Exception):
@@ -1114,26 +1110,6 @@ def _parse_overrides(extra: list) -> list:
     return overrides
 
 
-def _resolve_threads(flag: Optional[int]) -> int:
-    if flag is not None:
-        value = flag
-    else:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None or not env.strip():
-            value = 1
-        else:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"environment variable {THREADS_ENV_VAR} must be an "
-                    f"integer, got {env!r}"
-                )
-    if value < 1:
-        raise ConfigError("thread count must be >= 1")
-    return value
-
-
 def _check_meta(experiment: str, meta: dict) -> None:
     for key in meta:
         if key not in ("experiment", "version"):
@@ -1155,7 +1131,7 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=tuple(SCHEMAS))
     parser.add_argument("--config", required=True, metavar="FILE")
     parser.add_argument("--seed", type=int, default=None, metavar="N")
-    parser.add_argument("--threads", type=int, default=None, metavar="K")
+    parser.add_argument("--threads", type=int, default=1, metavar="K")
     parser.add_argument("--plot", action="store_true")
     parser.add_argument("--out", default=".", metavar="DIR")
     args, extra = parser.parse_known_args(argv)
@@ -1175,7 +1151,8 @@ def main(argv=None) -> int:
                 )
             raw.setdefault("run", {})["seed"] = str(args.seed)
         rc = resolve_config(args.experiment, raw)
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError("thread count must be >= 1")
     except ConfigError as exc:
         print(f"ppclust: config error: {exc}", file=sys.stderr)
         return 2
@@ -1184,7 +1161,7 @@ def main(argv=None) -> int:
         run = rc.values.get("run", {})
         stream = RandomStream(run["seed"]) if run else None
         files, plots = _RUNNERS[args.experiment](
-            rc, stream, run.get("replications"), threads
+            rc, stream, run.get("replications"), args.threads
         )
         if args.plot:
             files += [(name, svg_plot(*spec)) for name, *spec in plots]

@@ -31,18 +31,16 @@ from .core import (
     ball_volume,
     check_number,
     check_replications,
-    check_window,
     csv_text,
     cube,
     replicate,
 )
 from .procgen import GeneratorSpec, intensity, sample
 from .summaries import (
-    _counts_in_regions,
     _estimates,
     _falling_factorial,
     _proportion,
-    _random_centers,
+    _region_counts,
     ball,
     box,
     count_variance,
@@ -176,25 +174,19 @@ def weak_poisson_test(
     scales = _positive_scales(scales)
     if not 2 <= k_max <= 4:
         raise ValueError("k_max must be between 2 and 4")
-    check_window("weak_poisson_test", w, "periodic", reach=max(scales))
+    regions = [region for s in scales for region in (ball(s), box(s))]
+    counts = _region_counts("weak_poisson_test", spec, w, regions, placements)
     check_replications(reps, stream)
     lam = intensity(spec, d=w.dim, w=w).value
-    n_scales = len(scales)
     orders = list(range(2, k_max + 1))
 
     def one(rep: RandomStream):
-        pattern = sample(spec, w, rep.derive(0))
-        rng = rep.derive(1).generator()
-        voids = np.empty(n_scales)
-        moments = np.empty((n_scales, len(orders)))
-        for j, s in enumerate(scales):
-            centers = _random_centers(w, placements, rng)
-            counts = _counts_in_regions(pattern, centers, ball(s))
-            voids[j] = np.mean(counts == 0)
-            centers = _random_centers(w, placements, rng)
-            counts = _counts_in_regions(pattern, centers, box(s)).astype(float)
-            for c, k in enumerate(orders):
-                moments[j, c] = np.mean(_falling_factorial(counts, k))
+        per_region = counts(rep)
+        voids = [np.mean(c == 0) for c in per_region[0::2]]
+        moments = [
+            [np.mean(_falling_factorial(c.astype(float), k)) for k in orders]
+            for c in per_region[1::2]
+        ]
         return voids, moments
 
     results = replicate(reps, stream, threads, one)

@@ -323,12 +323,14 @@ class RandomStream:
     path: tuple = ()
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) < 2**64):
+        seed = self.master_seed
+        if not (isinstance(seed, numbers.Integral) and 0 <= int(seed) < 2**64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "path", tuple(int(i) for i in self.path))
+        path = tuple(int(check_number("stream index", i, 0)) for i in self.path)
+        object.__setattr__(self, "path", path)
 
     def derive(self, i: int) -> "RandomStream":
-        return RandomStream(self.master_seed, self.path + (int(i),))
+        return RandomStream(self.master_seed, self.path + (i,))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at this stream's origin."""

@@ -41,13 +41,10 @@ class CountDistribution:
 
     kind: str
     params: tuple
-    truncation_tolerance: float = DEFAULT_TRUNCATION_TOL
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if not (0 < self.truncation_tolerance < 1e-6):
-            raise ValueError("truncation_tolerance must be in (0, 1e-6)")
         _validate(self)
 
     def __repr__(self):
@@ -206,7 +203,7 @@ def support_upper(dist: CountDistribution) -> int:
     # Infinite support: walk out until the remaining tail is below tolerance.
     # The running total alone can stall just short of 1 - tol through rounding
     # in the summed pmf values, so the tail is also bounded geometrically.
-    tol = dist.truncation_tolerance
+    tol = DEFAULT_TRUNCATION_TOL
     total = 0.0
     i = 0
     mu = mean(dist)

@@ -121,7 +121,7 @@ def named_motif(name: str) -> Motif:
 
 def rgg(pattern: PointPattern, r: float) -> Graph:
     """Geometric graph joining points at distance <= r."""
-    return Graph(pattern.points.shape[0], _edge_index_array(pattern, r / 2.0), pattern)
+    return Graph(pattern.points.shape[0], _edge_index_array(pattern, r / 2.0))
 
 
 def _neighbor_sets(n: int, edges: np.ndarray) -> list:

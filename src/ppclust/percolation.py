@@ -78,7 +78,6 @@ class Graph:
 
     n_vertices: int
     edges: np.ndarray
-    positions: PointPattern
 
     def __post_init__(self):
         edges = self.edges
@@ -127,7 +126,7 @@ def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
 
 def gilbert_graph(pattern: PointPattern, r: float) -> Graph:
     """Graph with an edge wherever two points lie within distance 2r."""
-    return Graph(pattern.points.shape[0], _edge_index_array(pattern, r), pattern)
+    return Graph(pattern.points.shape[0], _edge_index_array(pattern, r))
 
 
 def _component_labels(n: int, edge_array: np.ndarray) -> np.ndarray:
@@ -377,10 +376,14 @@ class PercolationBounds:
 
 def check_percolation_bounds(r_hat: float, lam: float, d: int = 2) -> PercolationBounds:
     """Compare an estimated critical radius against the rigorous bracket
-    [ (lam kappa_d)^{-1/d}, sqrt(d) (log(3^d - 2)/lam)^{1/d} ]."""
+    [ (lam kappa_d)^{-1/d}, sqrt(d) (log(3^d - 2)/lam)^{1/d} ] for d >= 2.
+
+    In one dimension the Gilbert graph has no finite critical radius, and
+    the upper bound's log(3 - 2) vanishes.
+    """
     check_number("estimated radius", r_hat, "pos")
     check_number("intensity", lam, "pos")
-    check_number("dimension", d, 1)
+    check_number("dimension", d, 2)
     lower = (lam * unit_ball_volume(d)) ** (-1.0 / d)
     upper = math.sqrt(d) * (math.log(3**d - 2) / lam) ** (1.0 / d)
     if r_hat < lower:
@@ -488,7 +491,7 @@ def sinr_graph(
     pts = pattern_b.points
     n = pts.shape[0]
     if n < 2:
-        return Graph(n, (), pattern_b)
+        return Graph(n, ())
     l = params.attenuation
 
     # Interference first, so that an interferer set over the dense cap
@@ -507,7 +510,7 @@ def sinr_graph(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = signal / denom[None, :]
     ok = np.where(denom[None, :] == 0.0, signal > 0.0, ratio > params.threshold)
-    return Graph(n, np.argwhere(np.triu(ok & ok.T, k=1)), pattern_b)
+    return Graph(n, np.argwhere(np.triu(ok & ok.T, k=1)))
 
 
 # ---------------------------------------------------------------------------

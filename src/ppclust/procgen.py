@@ -99,7 +99,6 @@ class GeneratorSpec:
 @dataclass(frozen=True)
 class IntensityReport:
     value: float  # points per unit volume
-    exact: bool
 
     def __post_init__(self):
         check_number("intensity", self.value, "nonneg")
@@ -571,36 +570,30 @@ def intensity(spec: GeneratorSpec, d: int = 2, w: Window | None = None) -> Inten
         d = w.dim
     fam = spec.family
     if fam == "homogeneous_poisson":
-        return IntensityReport(spec.get("lam"), True)
+        return IntensityReport(spec.get("lam"))
     if fam == "square_lattice":
-        return IntensityReport(1.0 / spec.get("delta") ** d, True)
+        return IntensityReport(1.0 / spec.get("delta") ** d)
     if fam == "hex_lattice":
-        return IntensityReport(2.0 / (math.sqrt(3) * spec.get("delta") ** 2), True)
+        return IntensityReport(2.0 / (math.sqrt(3) * spec.get("delta") ** 2))
     if fam == "bernoulli_lattice":
-        return IntensityReport(spec.get("p") / spec.get("delta") ** d, True)
+        return IntensityReport(spec.get("p") / spec.get("delta") ** d)
     if fam == "binomial_process":
         if w is None:
             raise ValueError("binomial_process intensity needs the window")
-        return IntensityReport(spec.get("n") / volume(w), True)
+        return IntensityReport(spec.get("n") / volume(w))
     if fam == "perturbed_lattice":
-        return IntensityReport(
-            dists.mean(spec.get("replication")) / spec.get("delta") ** d, True
-        )
+        return IntensityReport(dists.mean(spec.get("replication")) / spec.get("delta") ** d)
     if fam in ("matern_cluster", "thomas_cluster"):
-        return IntensityReport(spec.get("lam_p") * spec.get("mu"), True)
+        return IntensityReport(spec.get("lam_p") * spec.get("mu"))
     if fam == "neyman_scott":
-        return IntensityReport(
-            spec.get("lam_p") * dists.mean(spec.get("replication")), True
-        )
+        return IntensityReport(spec.get("lam_p") * dists.mean(spec.get("replication")))
     if fam == "mixed_poisson":
-        return IntensityReport(
-            sum(wgt * lam for wgt, lam in spec.get("pairs")), True
-        )
+        return IntensityReport(sum(wgt * lam for wgt, lam in spec.get("pairs")))
     if fam == "log_gaussian_cox":
         mu_g, sigma = spec.get("mu_g"), spec.get("sigma")
-        return IntensityReport(math.exp(mu_g + sigma**2 / 2), True)
+        return IntensityReport(math.exp(mu_g + sigma**2 / 2))
     if fam == "ginibre_truncated":
-        return IntensityReport(1.0 / math.pi, True)
+        return IntensityReport(1.0 / math.pi)
     raise AssertionError(fam)
 
 

@@ -178,10 +178,6 @@ def close_pair_count(pattern: PointPattern, r: float) -> int:
     return 2 * int(np.count_nonzero(d <= r))
 
 
-def _random_centers(w: Window, placements: int, rng) -> np.ndarray:
-    return w.lower + rng.random((placements, w.dim)) * w.sides
-
-
 def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, region: Region) -> np.ndarray:
     """Number of pattern points inside the region placed at each centre.
 
@@ -201,6 +197,28 @@ def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, region: Regio
     else:
         inside = np.all(delta <= region.size / 2.0, axis=1)
     return np.bincount(pairs[inside, 0], minlength=centers.shape[0]).astype(np.int64)
+
+
+def _region_counts(what: str, spec: GeneratorSpec, w: Window, regions, placements: int):
+    """Check a region statistic's window and placement count, and return its
+    replication: ``counts(rep)`` gives each region's counts at ``placements``
+    uniform centres.
+
+    The pattern comes from ``rep.derive(0)``; the centres come region by
+    region, in order, from one generator of ``rep.derive(1)``.
+    """
+    check_window(what, w, "periodic", reach=max(r.max_extent() for r in regions) / 2)
+    check_number("placements", placements, 1)
+
+    def counts(rep: RandomStream) -> list:
+        pattern = sample(spec, w, rep.derive(0))
+        rng = rep.derive(1).generator()
+        return [
+            _counts_in_regions(pattern, w.lower + rng.random((placements, w.dim)) * w.sides, r)
+            for r in regions
+        ]
+
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +325,10 @@ def void_probability(
     regions; the standard error is taken across replications, which keeps it
     honest about the within-pattern correlation of overlapping placements.
     """
-    check_window("void_probability", w, "periodic", reach=region.max_extent() / 2)
-    check_number("placements", placements, 1)
+    counts = _region_counts("void_probability", spec, w, [region], placements)
 
     def one(rep: RandomStream) -> float:
-        pattern = sample(spec, w, rep.derive(0))
-        centers = _random_centers(w, placements, rep.derive(1).generator())
-        counts = _counts_in_regions(pattern, centers, region)
-        return float(np.mean(counts == 0))
+        return float(np.mean(counts(rep)[0] == 0))
 
     return _estimate(replicate(reps, stream, threads, one))
 
@@ -336,15 +350,10 @@ def factorial_moment(
     """
     if not 1 <= k <= MAX_FACTORIAL_ORDER:
         raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
-    region = box(box_side)
-    check_window("factorial_moment", w, "periodic", reach=region.max_extent() / 2)
-    check_number("placements", placements, 1)
+    counts = _region_counts("factorial_moment", spec, w, [box(box_side)], placements)
 
     def one(rep: RandomStream) -> float:
-        pattern = sample(spec, w, rep.derive(0))
-        centers = _random_centers(w, placements, rep.derive(1).generator())
-        counts = _counts_in_regions(pattern, centers, region).astype(float)
-        return float(np.mean(_falling_factorial(counts, k)))
+        return float(np.mean(_falling_factorial(counts(rep)[0].astype(float), k)))
 
     return _estimate(replicate(reps, stream, threads, one))
 
@@ -365,18 +374,14 @@ def count_variance(
     one pattern and pattern-to-pattern fluctuation both contribute.  The
     standard error comes from a leave-one-replication-out jackknife.
     """
-    region = box(box_side)
-    check_window("count_variance", w, "periodic", reach=region.max_extent() / 2)
-    check_number("placements", placements, 1)
+    counts = _region_counts("count_variance", spec, w, [box(box_side)], placements)
     if not reps >= 3:  # two means must be left after each leave-one-out deletion
         raise ValueError("the jackknife needs reps >= 3")
 
     def one(rep: RandomStream):
-        pattern = sample(spec, w, rep.derive(0))
-        centers = _random_centers(w, placements, rep.derive(1).generator())
-        counts = _counts_in_regions(pattern, centers, region).astype(float)
-        m = float(np.mean(counts))
-        v = float(np.var(counts, ddof=1)) if placements > 1 else 0.0
+        c = counts(rep)[0].astype(float)
+        m = float(np.mean(c))
+        v = float(np.var(c, ddof=1)) if placements > 1 else 0.0
         return m, v
 
     rows = replicate(reps, stream, threads, one)

@@ -157,15 +157,6 @@ class TestOverrides:
         assert run_cli("kernel_chain", "--config", cfg, "--seed", 4) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_threads_env_var_must_be_integer(self, tmp_path, sample_config, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "many")
-        assert run_cli("sample", "--config", sample_config, "--out", tmp_path / "a") == 2
-        assert cli.THREADS_ENV_VAR in capsys.readouterr().err
-
-    def test_threads_env_var_sets_default(self, tmp_path, sample_config, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "2")
-        assert run_cli("sample", "--config", sample_config, "--out", tmp_path / "a") == 0
-
 
 class TestSampleExperiment:
     def test_same_config_twice_identical_points(self, tmp_path, sample_config):

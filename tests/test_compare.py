@@ -27,6 +27,7 @@ from ppclust.procgen import (
     thomas_cluster,
     uniform_in_cell,
 )
+from ppclust.summaries import ball, void_probability
 
 STREAM = RandomStream(55)
 
@@ -130,6 +131,14 @@ class TestWeakPoissonTest:
         voids, moments = reports
         assert voids.per_scale[0].reference == pytest.approx(math.exp(-2.0 * math.pi * 0.25))
         assert moments.per_scale[0].reference == pytest.approx((2.0 * 0.25) ** 2)
+
+    def test_first_scale_void_is_void_probability(self):
+        # Both draw the pattern from rep.derive(0) and the first ball's
+        # centres first from rep.derive(1), so the estimates agree exactly.
+        spec, w, stream = matern_cluster(0.25, 4.0, 0.3), periodic(8.0), STREAM.derive(4)
+        voids = weak_poisson_test(spec, w, [0.5, 1.0], placements=16, reps=12, stream=stream)[0]
+        alone = void_probability(spec, w, ball(0.5), placements=16, reps=12, stream=stream)
+        assert voids.per_scale[0].estimate == alone.value
 
     def test_scale_must_fit(self):
         with pytest.raises(ValueError, match="below half the smallest window side"):

@@ -151,6 +151,25 @@ class TestRandomStream:
             direct.generator().random(8), derived.generator().random(8)
         )
 
+    @pytest.mark.parametrize("seed", [3.0, -1, 2**64, "7"])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(ValueError, match="^master_seed must be a 64-bit unsigned integer$"):
+            core.RandomStream(seed)
+
+    @pytest.mark.parametrize("index", [1.2, 1.7, 1.0, -1, np.float64(2.0)])
+    def test_index_must_be_a_non_negative_integer(self, index):
+        with pytest.raises(ValueError, match="^stream index must be >= 0$"):
+            core.RandomStream(5).derive(index)
+        with pytest.raises(ValueError, match="^stream index must be >= 0$"):
+            core.RandomStream(5, (0, index))
+
+    def test_numpy_integers_pass(self):
+        s = core.RandomStream(np.uint64(5)).derive(np.int64(3))
+        assert s == core.RandomStream(5).derive(3)
+        assert np.array_equal(
+            s.generator().random(8), core.RandomStream(5, (3,)).generator().random(8)
+        )
+
 
 class TestReplicate:
     STREAM = core.RandomStream(31)

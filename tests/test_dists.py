@@ -100,7 +100,7 @@ simple_dists = st.one_of(
 @given(d=simple_dists)
 def test_pmf_sums_to_one(d):
     total = sum(dists.pmf(d, i) for i in range(dists.support_upper(d) + 1))
-    assert total == pytest.approx(1.0, abs=10 * d.truncation_tolerance)
+    assert total == pytest.approx(1.0, abs=10 * dists.DEFAULT_TRUNCATION_TOL)
 
 
 @settings(max_examples=100, deadline=None)

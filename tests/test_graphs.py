@@ -117,16 +117,16 @@ class TestRgg:
 
 class TestInducedSubgraphCount:
     def test_triangle_has_three_edges(self):
-        g = Graph(3, ((0, 1), (0, 2), (1, 2)), collinear(3))
+        g = Graph(3, ((0, 1), (0, 2), (1, 2)))
         assert induced_subgraph_count(g, named_motif("edge")) == 3
 
     def test_path_contains_no_triangle(self):
-        g = Graph(3, ((0, 1), (1, 2)), collinear(3))
+        g = Graph(3, ((0, 1), (1, 2)))
         assert induced_subgraph_count(g, named_motif("triangle")) == 0
 
     def test_induced_not_partial(self):
         # A triangle induces no path3: the third edge disqualifies it.
-        g = Graph(3, ((0, 1), (0, 2), (1, 2)), collinear(3))
+        g = Graph(3, ((0, 1), (0, 2), (1, 2)))
         assert induced_subgraph_count(g, named_motif("path3")) == 0
 
     def test_edge_motif_equals_edge_count(self):
@@ -237,22 +237,21 @@ class TestUStatisticPattern:
 
 class TestGraphStats:
     def test_triangle(self):
-        g = Graph(3, ((0, 1), (0, 2), (1, 2)), collinear(3))
+        g = Graph(3, ((0, 1), (0, 2), (1, 2)))
         assert graph_stats(g) == GraphStats(3, 2, 3, True)
 
     def test_empty_graph_on_five(self):
-        g = Graph(5, (), collinear(5))
+        g = Graph(5, ())
         assert graph_stats(g) == GraphStats(1, 0, 1, True)
 
     def test_five_cycle_needs_three_colors(self):
-        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), collinear(5))
+        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
         assert graph_stats(g) == GraphStats(2, 2, 3, True)
 
     def test_matches_exhaustive_chromatic(self):
         # Frozen against the exhaustive coloring search in tests/oracles.py
         # (brute_force_chromatic) over random small graphs.
         rng = STREAM.derive(9).generator()
-        pattern = collinear(8)
         for _ in range(25):
             n = int(rng.integers(3, 9))
             candidates = {
@@ -260,7 +259,7 @@ class TestGraphStats:
                 for a, b in rng.integers(0, n, size=(12, 2))
                 if a < b
             }
-            g = Graph(n, tuple(sorted(candidates)), pattern)
+            g = Graph(n, tuple(sorted(candidates)))
             stats = graph_stats(g)
             assert stats.chromatic_exact
             assert stats.chromatic_number == brute_force_chromatic(n, g.edges)

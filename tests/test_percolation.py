@@ -48,7 +48,7 @@ def collinear_pattern():
 
 class TestGraphType:
     def test_valid(self):
-        g = Graph(3, ((0, 1), (1, 2)), collinear_pattern())
+        g = Graph(3, ((0, 1), (1, 2)))
         assert g.n_vertices == 3
         assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1], [1, 2]]
         with pytest.raises(ValueError):
@@ -56,51 +56,51 @@ class TestGraphType:
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            Graph(3, ((1, 1),), collinear_pattern())
+            Graph(3, ((1, 1),))
 
     def test_rejects_unordered(self):
         with pytest.raises(ValueError):
-            Graph(3, ((2, 1),), collinear_pattern())
+            Graph(3, ((2, 1),))
 
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError):
-            Graph(3, ((0, 1), (0, 1)), collinear_pattern())
+            Graph(3, ((0, 1), (0, 1)))
         with pytest.raises(ValueError):
-            Graph(3, ((0, 2), (1, 2), (0, 2)), collinear_pattern())
+            Graph(3, ((0, 2), (1, 2), (0, 2)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            Graph(2, ((0, 2),), collinear_pattern())
+            Graph(2, ((0, 2),))
 
     def test_degree_histogram(self):
-        g = Graph(3, ((0, 1), (1, 2)), collinear_pattern())
+        g = Graph(3, ((0, 1), (1, 2)))
         assert g.degree_histogram().tolist() == [1, 2, 1]
 
     @pytest.mark.parametrize("edges", [((0.5, 1),), ((0.0, 1.0),), ((True, 2),)])
     def test_rejects_non_integer_ids(self, edges):
         with pytest.raises(ValueError, match="integers"):
-            Graph(3, edges, collinear_pattern())
+            Graph(3, edges)
 
     def test_constructor_copies_its_input(self):
         source = np.array([[0, 1]])
-        g = Graph(3, source, collinear_pattern())
+        g = Graph(3, source)
         source[0, 1] = 2
         assert g.edges.tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2), dtype=np.int64)])
     def test_empty_graph_has_shape_0_by_2(self, edges):
-        g = Graph(3, edges, collinear_pattern())
+        g = Graph(3, edges)
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
         assert components(g) == [1, 1, 1]
         assert g.degree_histogram().tolist() == [0, 0, 0]
 
     def test_unsorted_input_keeps_its_order(self):
-        g = Graph(3, ((1, 2), (0, 2), (0, 1)), collinear_pattern())
+        g = Graph(3, ((1, 2), (0, 2), (0, 1)))
         assert graph_to_csv(g) == "i,j\n1,2\n0,2\n0,1\n"
 
     def test_rejects_non_pairs(self):
         with pytest.raises(ValueError):
-            Graph(3, ((0, 1, 2),), collinear_pattern())
+            Graph(3, ((0, 1, 2),))
 
 
 class TestGilbertGraph:
@@ -226,7 +226,7 @@ class TestComponents:
             i, j = sorted(rng.integers(0, g.n_vertices, size=2).tolist())
             if i == j or (i, j) in edge_set:
                 continue
-            bigger = Graph(g.n_vertices, tuple(edge_set | {(i, j)}), pattern)
+            bigger = Graph(g.n_vertices, tuple(edge_set | {(i, j)}))
             assert len(components(bigger)) <= base
             added += 1
 
@@ -560,8 +560,10 @@ class TestPercolationBounds:
             # An infinite intensity once gave the bracket [0, 0].
             (0.5, math.inf, 2, "intensity must be positive"),
             (0.5, math.nan, 2, "intensity must be positive"),
-            (0.5, 1.0, 0, "dimension must be >= 1"),
-            (0.5, 1.0, 2.0, "dimension must be >= 1"),
+            (0.5, 1.0, 0, "dimension must be >= 2"),
+            (0.5, 1.0, 2.0, "dimension must be >= 2"),
+            # d = 1 once gave the inverted bracket [0.5, 0]: log(3 - 2) = 0.
+            (0.5, 1.0, 1, "dimension must be >= 2"),
         ],
     )
     def test_rejects_non_finite_or_out_of_range_arguments(self, r_hat, lam, d, message):

@@ -34,6 +34,7 @@ POS = [0.0, -TINY]
 NONNEG = [-TINY]
 UNIT = [-TINY, np.nextafter(1.0, 2.0)]
 FINITE = []
+PLACEMENTS = [0, -1, 2.5]  # an integer >= 1
 
 POISSON = pg.homogeneous_poisson(1.0)
 BALL = sn.indicator_ball(1.0)
@@ -81,18 +82,13 @@ FACTORIES = [
     ("gaussian_displacement.sigma", pg.gaussian_displacement, POS),
     ("ball_displacement.rho", pg.ball_displacement, POS),
     ("Displacement.scale", lambda x: pg.Displacement("gaussian", x), POS),
-    ("IntensityReport.value", lambda x: pg.IntensityReport(x, True), NONNEG),
+    ("IntensityReport.value", lambda x: pg.IntensityReport(x), NONNEG),
     ("binomial.p", lambda x: dists.binomial(4, x), UNIT),
     ("poisson.lam", dists.poisson, NONNEG),
     ("neg_binomial.r", lambda x: dists.neg_binomial(x, 0.5), POS),
     ("neg_binomial.p", lambda x: dists.neg_binomial(2.0, x), [-TINY, 1.0]),
     ("geometric.p", dists.geometric, [0.0, np.nextafter(1.0, 2.0)]),
     ("mixture.weight", lambda x: dists.mixture([x, 1.0], [ONE, ONE]), NONNEG),
-    (
-        "CountDistribution.truncation_tolerance",
-        lambda x: dists.CountDistribution("poisson", (1.0,), x),
-        [0.0, 1e-6],
-    ),
     ("indicator_ball.rho", sn.indicator_ball, POS),
     ("exponential_response.beta", sn.exponential_response, POS),
     ("power_law_response.beta", lambda x: sn.power_law_response(x, 0.5), POS),
@@ -161,6 +157,28 @@ ESTIMATORS = [
         POS,
     ),
     (
+        "void_probability.placements",
+        lambda x: summaries.void_probability(POISSON, _periodic(), summaries.ball(1.0), x, 5,
+                                             STREAM),
+        PLACEMENTS,
+    ),
+    (
+        "factorial_moment.placements",
+        lambda x: summaries.factorial_moment(POISSON, _periodic(), 1.0, 2, x, 5, STREAM),
+        PLACEMENTS,
+    ),
+    (
+        "count_variance.placements",
+        lambda x: summaries.count_variance(POISSON, _periodic(), 1.0, x, 5, STREAM),
+        PLACEMENTS,
+    ),
+    (
+        "weak_poisson_test.placements",
+        lambda x: compare.weak_poisson_test(POISSON, _periodic(), [0.5, 1.0], placements=x,
+                                            reps=5, stream=STREAM),
+        PLACEMENTS,
+    ),
+    (
         "weak_poisson_test.scales",
         lambda x: compare.weak_poisson_test(POISSON, _periodic(), [0.5, x], reps=5, stream=STREAM),
         POS,
@@ -226,7 +244,10 @@ def test_in_bound_values_pass_validation(table):
         "neg_binomial.p": 0.5,
         "geometric.p": 0.5,
         "mixture.weight": 0.0,
-        "CountDistribution.truncation_tolerance": 1e-9,
+        "void_probability.placements": 4,
+        "factorial_moment.placements": 4,
+        "count_variance.placements": 4,
+        "weak_poisson_test.placements": 4,
         "tabulated_response.radii[0]": 0.5,
         "tabulated_response.radii[1]": 1.5,
         "tabulated_response.radii[-1]": 3.0,
