@@ -365,7 +365,18 @@ _WINDOW = "window-section"
 _GEN = "generator-section"
 _GEN_OPT = "optional-generator-section"
 
-_RUN_SEED = {"seed": _k(_num(int, "nonneg"))}
+
+def _seed(text: str) -> tuple:
+    """A run seed: a non-negative integer that ``RandomStream`` accepts."""
+    value, canonical = _num(int, "nonneg")(text)
+    try:
+        RandomStream(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return value, canonical
+
+
+_RUN_SEED = {"seed": _k(_seed)}
 
 
 SCHEMAS = {

@@ -5,6 +5,14 @@ pure function of its arguments, so replications parallelize by deriving child
 streams per replication index. Point order is canonical (lexicographic). No
 sampler caches anything: each LGCP pattern draws its field by FFT.
 
+The truncated Ginibre process is sampled exactly, with no envelope: each
+disk eigenfunction psi_k is kept with probability lambda_k, and the HKPV chain
+rule places one point per kept psi_k.  With i placed, a proposal picks k
+uniformly among the n kept, r^2 ~ Gamma(k + 1) cut at R^2 and a uniform
+angle, so it has density |v(z)|^2 / n, and it is accepted with probability
+|P v(z)|^2 / |v(z)|^2 <= 1, P the projection off the i placed rows.  That
+takes n * H_n proposals on average.
+
 Lattice-backed families on periodic windows snap the cell count per axis to
 round(side/spacing) so the lattice tiles the torus without a seam; the
 effective spacing is side/count (exact when side/spacing is an integer).
@@ -33,6 +41,9 @@ from .core import (
 
 # Sequential determinantal sampling cost grows with the truncation rank.
 MAX_GINIBRE_N = 256
+# Proposals per Ginibre pattern before sampling fails; n * H_n <= 1,570 at the
+# rank cap, so only a broken basis reaches it.
+MAX_GINIBRE_PROPOSALS = 1 << 20
 # Cells of the torus that the LGCP field is embedded in: caps the FFT size.
 MAX_COX_CELLS = 1 << 20
 
@@ -499,45 +510,35 @@ def _sample_ginibre(spec, w, rng):
     lambdas = ginibre_eigenvalues(n_rank, radius)
     ks = np.arange(n_rank)[rng.random(n_rank) < lambdas]
     n = ks.shape[0]
-    if n == 0:
-        return np.empty((0, 2))
-
-    # Radial envelope of |v(z)|^2 = sum_k |psi_k(z)|^2 for rejection sampling.
-    r_grid = np.linspace(0.0, radius, 4096)
-    f = np.sum(np.abs(_ginibre_basis(r_grid.astype(complex), ks, radius)) ** 2, axis=1)
-    envelope = float(f.max()) * 1.05
-
-    chunk = 128
-    basis = np.zeros((0, n), dtype=complex)  # orthonormalized v(z_i) rows
-    points = []
-    for _ in range(n):
-        accepted = None
-        for _ in range(2000):  # chunks; envelope keeps acceptance far higher
-            rr = radius * np.sqrt(rng.random(chunk))
-            theta = 2 * math.pi * rng.random(chunk)
-            zs = rr * np.exp(1j * theta)
+    points = np.empty((n, 2))
+    basis = np.empty((n, n), dtype=complex)  # orthonormal rows spanning v(z_1..z_i)
+    proposals = 0
+    for i in range(n):
+        placed = basis[:i]
+        block = -(-n // (n - i))  # expected proposals per accepted point
+        while True:
+            proposals += block
+            if proposals > MAX_GINIBRE_PROPOSALS:
+                raise RuntimeError(
+                    f"Ginibre sampling reached its cap of {MAX_GINIBRE_PROPOSALS} "
+                    f"proposals with {i} of {n} points placed"
+                )
+            # |psi_k|^2 in polar form: uniform angle, r^2 ~ Gamma(k + 1) cut at R^2.
+            k = ks[rng.integers(n, size=block)]
+            r2 = special.gammaincinv(k + 1.0, rng.random(block) * lambdas[k])
+            zs = np.sqrt(r2) * np.exp(2j * math.pi * rng.random(block))
             vs = _ginibre_basis(zs, ks, radius)
-            targets = np.sum(np.abs(vs) ** 2, axis=1)
-            if basis.shape[0]:
-                proj = vs @ basis.conj().T
-                targets = targets - np.sum(np.abs(proj) ** 2, axis=1)
-            if np.any(targets > envelope):
-                raise RuntimeError("rejection envelope violated")
-            hits = np.nonzero(rng.random(chunk) * envelope < targets)[0]
+            resid = vs - (vs @ placed.conj().T) @ placed
+            norm2 = np.sum(np.abs(vs) ** 2, axis=1)
+            resid2 = np.sum(np.abs(resid) ** 2, axis=1)
+            hits = np.flatnonzero(rng.random(block) * norm2 < resid2)
             if hits.size:
-                accepted = (zs[hits[0]], vs[hits[0]])
                 break
-        if accepted is None:
-            raise RuntimeError("rejection sampling failed to accept")
-        z, v = accepted
-        points.append([z.real, z.imag])
-        u = v.astype(complex)
-        for e in basis:
-            u = u - np.vdot(e, u) * e
-        norm = np.linalg.norm(u)
-        if norm > 1e-12:
-            basis = np.vstack([basis, u / norm])
-    return np.array(points)
+        z, u = zs[hits[0]], resid[hits[0]]
+        u = u - (placed.conj() @ u) @ placed  # second Gram-Schmidt pass
+        basis[i] = u / np.linalg.norm(u)
+        points[i] = z.real, z.imag
+    return points
 
 
 _SAMPLERS = {

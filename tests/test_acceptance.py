@@ -830,8 +830,7 @@ lam = 1.0
 }
 
 
-def test_cli_experiments_are_deterministic_across_threads(tmp_path, monkeypatch):
-    monkeypatch.delenv("PPCLUST_THREADS", raising=False)
+def test_cli_experiments_are_deterministic_across_threads(tmp_path):
     problems = []
     files_compared = 0
     for experiment, body in CLI_CONFIGS.items():

@@ -98,6 +98,23 @@ class TestConfigParsing:
         assert run_cli("sample", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_seed_beyond_64_bits_rejected(self, tmp_path, capsys, where):
+        seed = str(2**64)
+        body = POISSON_SAMPLE.replace("seed = 11", f"seed = {seed}")
+        flag = ["--seed", seed] if where == "flag" else []
+        cfg = write_config(tmp_path / "c.ini", POISSON_SAMPLE if flag else body)
+        assert run_cli("sample", "--config", cfg, *flag, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "[run] seed: master_seed must be a 64-bit unsigned integer" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_accepted(self, tmp_path, sample_config):
+        seed = 2**64 - 1
+        out = tmp_path / "o"
+        assert run_cli("sample", "--config", sample_config, "--seed", seed, "--out", out) == 0
+        assert f"seed={seed}" in (out / "metadata.txt").read_text()
+
     def test_meta_experiment_mismatch(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.ini", "[meta]\nexperiment = summary\n" + POISSON_SAMPLE

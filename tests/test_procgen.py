@@ -6,8 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
-from oracles import dense_field_covariance
+from oracles import dense_field_covariance, envelope_ginibre
 from ppclust import core, dists, procgen
 from ppclust.core import RandomStream
 
@@ -345,6 +346,54 @@ class TestGinibre:
         w = core.box((-2.5, 2.5), (-2.5, 2.5), metric="euclidean")
         counts = counts_over_reps(spec, w, 300, seed=55)
         assert counts.var(ddof=1) < counts.mean()
+
+    @pytest.mark.parametrize("n_rank, radius, reps", [(4, 2.0, 2000), (20, 4.0, 400)])
+    def test_annulus_counts_match_closed_form_intensity(self, n_rank, radius, reps):
+        # E N(a < |z| < b) = sum_{k < N} [P(k+1, b^2) - P(k+1, a^2)], P the
+        # regularized lower incomplete gamma function.  At N = 4 the intensity
+        # falls by half from the centre to the rim.
+        spec = procgen.ginibre_truncated(n_rank, radius)
+        w = core.box(*[(-radius - 0.5, radius + 0.5)] * 2, metric="euclidean")
+        edges = np.linspace(0.0, radius, 5)
+        ks = np.arange(n_rank) + 1.0
+        expected = np.diff([np.sum(special.gammainc(ks, e * e)) for e in edges])
+        s = RandomStream(2025)
+        counts = []
+        for i in range(reps):
+            radii = np.hypot(*procgen.sample(spec, w, s.derive(i)).points.T)
+            counts.append(np.histogram(radii, edges)[0])
+        counts = np.array(counts, float)
+        se = counts.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert np.all(np.abs(counts.mean(axis=0) - expected) <= 4 * se)
+
+    def test_law_matches_envelope_oracle(self):
+        # Two-sample KS against the envelope-rejection sampler on the count
+        # and the mean nearest-neighbour distance of each pattern.
+        spec = procgen.ginibre_truncated(20, 4.0)
+        w = core.box((-4.5, 4.5), (-4.5, 4.5), metric="euclidean")
+
+        def summaries(draw, seed):
+            s = RandomStream(seed)
+            counts, gaps = [], []
+            for i in range(200):
+                points = draw(s.derive(i))
+                dm = core.pairwise_distances(points, w)
+                np.fill_diagonal(dm, math.inf)
+                counts.append(len(points))
+                gaps.append(dm.min(axis=1).mean())
+            return counts, gaps
+
+        exact = summaries(lambda rep: procgen.sample(spec, w, rep).points, 31)
+        oracle = summaries(lambda rep: envelope_ginibre(spec, w, rep.generator()), 32)
+        for new, old in zip(exact, oracle):
+            assert stats.ks_2samp(new, old).pvalue > 1e-3
+
+    def test_proposal_cap_fails_fast(self, monkeypatch):
+        monkeypatch.setattr(procgen, "MAX_GINIBRE_PROPOSALS", 5)
+        spec = procgen.ginibre_truncated(40, 3.0)
+        w = core.box((-3.5, 3.5), (-3.5, 3.5), metric="euclidean")
+        with pytest.raises(RuntimeError, match="cap of 5 proposals"):
+            procgen.sample(spec, w, RandomStream(7))
 
 
 class TestExerciseOneSmoke:

@@ -41,6 +41,7 @@ TORUS = cube(10.0, 2)
 BOX = cube(10.0, 2, metric="euclidean")
 GRID = np.linspace(0.2, 2.0, 10)
 LGCP = pg.log_gaussian_cox(0.0, 1.0, 1.0, 8)
+GINIBRE = pg.ginibre_truncated(20, 4.0)
 GRAPH = rgg(pg.sample(POISSON, BOX, STREAM.derive(99)), 1.5)
 
 # name -> (estimator, positional arguments, keyword arguments)
@@ -64,6 +65,12 @@ ESTIMATORS = {
         scaling_experiment,
         (POISSON, lambda n: 0.8, [25, 64]),
         dict(reps=6, stream=STREAM.derive(5)),
+    ),
+    # The Ginibre sampler's proposal blocks come from each pattern's stream.
+    "ginibre_scaling_experiment": (
+        scaling_experiment,
+        (GINIBRE, lambda n: 1.5, [16, 36]),
+        dict(reps=6, stream=STREAM.derive(16)),
     ),
     "betti_scaling_experiment": (
         betti_scaling_experiment,
