@@ -27,7 +27,7 @@ from .core import (
     csv_text,
     replicate,
 )
-from .graphs import _neighbor_sets, _volume_windows
+from .graphs import _local_masks, _volume_windows
 from .percolation import _edge_index_array
 from .procgen import GeneratorSpec, sample
 from .summaries import _estimate
@@ -156,6 +156,12 @@ def _clique_levels(n: int, edges: np.ndarray, max_dim: int, keep=None) -> list:
     """Faces of the clique complex, level by level, from a lexicographic
     (E, 2) edge array with i < j (as the pair query returns it).
 
+    A face extends by the common neighbours of its vertices above its last
+    one.  These are read off the local masks over the face's first
+    vertex's higher neighbours in ascending order: the AND of the masks of
+    its other vertices, shifted past the last.  Extensions then come out
+    in ascending order, so each level is lexicographic as built.
+
     An optional predicate filters each level of dimension >= 2: it takes
     the level's candidate faces (their sub-faces are already accepted) and
     returns a boolean mask of the faces to keep.
@@ -163,17 +169,38 @@ def _clique_levels(n: int, edges: np.ndarray, max_dim: int, keep=None) -> list:
     levels = [tuple((i,) for i in range(n))]
     if max_dim == 0:
         return levels
-    neighbors = _neighbor_sets(n, edges)
-    levels.append(tuple(map(tuple, edges.tolist())))
+    pairs = edges.tolist()
+    levels.append(tuple(map(tuple, pairs)))
+    higher = [[] for _ in range(n)]
+    for i, j in pairs:
+        higher[i].append(j)
+    # Masks over the higher neighbours only: the bits above a face's last
+    # vertex, the only ones read, are the same as with full adjacency.
+    above = [set(members) for members in higher]
+    masks = [_local_masks(above, members) for members in higher]
+    # The faces that may extend, each with its first vertex, the position of
+    # its last vertex among the first's higher neighbours, and the AND of the
+    # masks of its vertices after the first.
+    frontier = [
+        ((a, u), a, q, mask)
+        for a in range(n)
+        for q, (u, mask) in enumerate(zip(higher[a], masks[a]))
+        if mask
+    ]
     for dim in range(2, max_dim + 1):
-        candidates = []
-        for face in levels[-1]:
-            common = set.intersection(*(neighbors[v] for v in face))
-            candidates.extend(face + (v,) for v in sorted(common) if v > face[-1])
-        candidates.sort()
-        if keep is not None and candidates:
-            candidates = list(compress(candidates, keep(candidates)))
-        levels.append(tuple(candidates))
+        grown = []
+        for face, a, q, common in frontier:
+            ext = common >> (q + 1)
+            members, local = higher[a], masks[a]
+            while ext:
+                low = ext & -ext
+                p = q + low.bit_length()
+                grown.append((face + (members[p],), a, p, common & local[p]))
+                ext ^= low
+        if keep is not None and grown:
+            grown = list(compress(grown, keep([entry[0] for entry in grown])))
+        levels.append(tuple(entry[0] for entry in grown))
+        frontier = grown
     return levels
 
 

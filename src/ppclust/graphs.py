@@ -4,14 +4,18 @@ The geometric graph here uses the direct convention: points are adjacent
 when their distance is at most r.  (The percolation module's Gilbert graph
 connects at distance 2r, the grain-overlap convention; rgg(pattern, r)
 equals gilbert_graph(pattern, r/2) edge for edge.)  Graphs carry their
-edges as the (E, 2) int64 array of the pair query; the search kernels
-(clique, coloring, motif enumeration) read Python adjacency sets built
-from it once per graph.
+edges as the (E, 2) int64 array of the pair query, and the search
+kernels read Python adjacency sets built from it once per graph.  The
+clique search (and the clique complex in complexes.py) works on local
+bitmasks instead: Python ints over one vertex's neighbourhood, with bit
+p standing for the p-th member, so a mask is never longer than the
+neighbourhood.  Masks over all n vertices would cost O(n^2) memory.
 
 Motif counting enumerates connected induced subgraphs only, growing
 subsets from each root vertex so every connected k-subset is visited
-exactly once; isomorphism is decided by an exhaustive canonical form,
-which is exact and cheap for motifs of at most 5 vertices.
+exactly once.  A subset matches when its upper-triangle pair bitmask is
+one of the motif's under its k! relabelings, a set that is exact and
+small for motifs of at most 5 vertices.
 """
 
 from __future__ import annotations
@@ -78,19 +82,20 @@ class Motif:
         return _canonical_form(self.adjacency)
 
 
+def _orbit_masks(adj: np.ndarray) -> frozenset:
+    """Upper-triangle bitmasks of the graph under every vertex relabeling:
+    bit b stands for the b-th pair of combinations(range(k), 2)."""
+    k = adj.shape[0]
+    pair_bits = list(enumerate(combinations(range(k), 2)))
+    return frozenset(
+        sum(1 << bit for bit, (i, j) in pair_bits if adj[perm[i], perm[j]])
+        for perm in permutations(range(k))
+    )
+
+
 def _canonical_form(adj: np.ndarray) -> int:
     """Smallest upper-triangle bitmask over all vertex relabelings."""
-    k = adj.shape[0]
-    pair_bits = list(combinations(range(k), 2))
-    best = None
-    for perm in permutations(range(k)):
-        mask = 0
-        for bit, (i, j) in enumerate(pair_bits):
-            if adj[perm[i], perm[j]]:
-                mask |= 1 << bit
-        if best is None or mask < best:
-            best = mask
-    return best
+    return min(_orbit_masks(adj))
 
 
 _MOTIF_TABLE = {
@@ -168,18 +173,14 @@ def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
     k-tuples (as u_statistic does).
     """
     neighbors = _neighbor_sets(g.n_vertices, g.edges)
-    target = motif.canonical_form()
-    k = motif.k
+    orbit = _orbit_masks(motif.adjacency)
+    pair_bits = list(enumerate(combinations(range(motif.k), 2)))
 
     def count_from_root(root: int) -> int:
         total = 0
-        for sub in _connected_subsets_from_root(neighbors, root, k):
-            adj = np.zeros((k, k), dtype=bool)
-            for a, b in combinations(range(k), 2):
-                if sub[b] in neighbors[sub[a]]:
-                    adj[a, b] = adj[b, a] = True
-            if _canonical_form(adj) == target:
-                total += 1
+        for sub in _connected_subsets_from_root(neighbors, root, motif.k):
+            mask = sum(1 << bit for bit, (a, b) in pair_bits if sub[b] in neighbors[sub[a]])
+            total += mask in orbit
         return total
 
     return sum(run_indexed(g.n_vertices, count_from_root, threads))
@@ -235,42 +236,65 @@ class GraphStats:
             )
 
 
+def _local_masks(neighbors: list, members: list) -> list:
+    """Bitmasks of the subgraph induced on an ordered members list: bit p of
+    masks[q] is set when members[p] is in neighbors[members[q]].
+
+    Bits are local positions, not vertex ids, so no mask is longer than
+    len(members) bits; masks over all n vertices would cost O(n^2) memory.
+    """
+    bit = {v: 1 << p for p, v in enumerate(members)}
+    return [sum(map(bit.__getitem__, bit.keys() & neighbors[v])) for v in members]
+
+
 def _max_clique(neighbors: list, n: int) -> int:
-    """Branch and bound, pruning with a greedy coloring of the candidates."""
+    """Exact clique number by a bit-parallel colour-bound branch and bound
+    (MCQ, Tomita & Seki 2003; BBMC, San Segundo et al. 2011).
+
+    Vertices are ordered by (degree, index), a stable sort by degree.  Each
+    vertex is searched with the candidates that are its neighbours later in
+    that order, as local masks, and one best size is shared across the
+    searches.  A greedy colouring of the candidates bounds the clique they
+    can add.
+    """
     if n == 0:
         return 0
     order = sorted(range(n), key=lambda v: len(neighbors[v]))
+    rank = {v: i for i, v in enumerate(order)}
     best = 1
 
-    def color_bound(cands: list) -> int:
-        classes = []
-        for v in cands:
-            for cls in classes:
-                if all(u not in neighbors[v] for u in cls):
-                    cls.append(v)
-                    break
-            else:
-                classes.append([v])
-        return len(classes)
-
-    def expand(size: int, cands: list):
+    def expand(masks: list, size: int, cands: int):
         nonlocal best
-        if not cands:
-            best = max(best, size)
-            return
-        if size + color_bound(cands) <= best:
-            return
-        for idx in range(len(cands) - 1, -1, -1):
-            if size + idx + 1 <= best:
+        # Colour the candidates greedily, lowest bit first; a vertex whose
+        # colour cannot lift size past best is never branched on.
+        branch = []
+        uncoloured, colour = cands, 0
+        while uncoloured:
+            colour += 1
+            avail = uncoloured
+            while avail:
+                low = avail & -avail
+                avail &= ~(masks[low.bit_length() - 1] | low)
+                uncoloured &= ~low
+                if size + colour > best:
+                    branch.append((low, colour))
+        for low, colour in reversed(branch):
+            if size + colour <= best:
                 return
-            v = cands[idx]
-            nxt = [u for u in cands[:idx] if u in neighbors[v]]
-            if size + 1 > best and not nxt:
+            nxt = cands & masks[low.bit_length() - 1]
+            if nxt:
+                expand(masks, size + 1, nxt)
+            elif size + 1 > best:
                 best = size + 1
-            else:
-                expand(size + 1, nxt)
+            cands &= ~low
 
-    expand(0, order)
+    for v in order:
+        later = sorted(
+            (u for u in neighbors[v] if rank[u] > rank[v]), key=rank.__getitem__
+        )
+        if 1 + len(later) <= best:
+            continue
+        expand(_local_masks(neighbors, later), 1, (1 << len(later)) - 1)
     return best
 
 

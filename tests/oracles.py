@@ -95,6 +95,69 @@ def brute_force_chromatic(n, edges):
                 return k
 
 
+def set_max_clique(n, edges):
+    """Clique number by a set-based branch and bound that prunes with a
+    greedy coloring of the candidate list (the search the package used
+    before its bit-parallel one)."""
+    if n == 0:
+        return 0
+    neighbors = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbors[int(i)].add(int(j))
+        neighbors[int(j)].add(int(i))
+    order = sorted(range(n), key=lambda v: len(neighbors[v]))
+    best = 1
+
+    def color_bound(cands):
+        classes = []
+        for v in cands:
+            for cls in classes:
+                if all(u not in neighbors[v] for u in cls):
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        return len(classes)
+
+    def expand(size, cands):
+        nonlocal best
+        if not cands:
+            best = max(best, size)
+            return
+        if size + color_bound(cands) <= best:
+            return
+        for idx in range(len(cands) - 1, -1, -1):
+            if size + idx + 1 <= best:
+                return
+            v = cands[idx]
+            nxt = [u for u in cands[:idx] if u in neighbors[v]]
+            if size + 1 > best and not nxt:
+                best = size + 1
+            else:
+                expand(size + 1, nxt)
+
+    expand(0, order)
+    return best
+
+
+def brute_force_clique_faces(n, edges, max_dim):
+    """Faces of the clique complex up to max_dim: for each k, every
+    (k+1)-subset of vertices that is pairwise adjacent, in lexicographic
+    order."""
+    from itertools import combinations
+
+    adjacent = {(int(i), int(j)) for i, j in edges}
+    adjacent |= {(j, i) for i, j in adjacent}
+    return [
+        [
+            sub
+            for sub in combinations(range(n), k + 1)
+            if all(pair in adjacent for pair in combinations(sub, 2))
+        ]
+        for k in range(max_dim + 1)
+    ]
+
+
 def gf2_rank_gaussian(matrix):
     """Rank of a 0/1 matrix over Z/2 by textbook row elimination."""
     rows = [list(row) for row in matrix]

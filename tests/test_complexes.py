@@ -6,7 +6,11 @@ import pytest
 import ppclust.complexes as cx
 import ppclust.percolation as perc
 import ppclust.procgen as pg
-from oracles import brute_force_miniball_radius, naive_betti_numbers
+from oracles import (
+    brute_force_clique_faces,
+    brute_force_miniball_radius,
+    naive_betti_numbers,
+)
 from ppclust.complexes import (
     BettiVector,
     SimplicialComplex,
@@ -204,6 +208,25 @@ class TestVietorisRips:
         pattern = PointPattern(w, np.array([[0.2, 2.0], [3.8, 2.0], [0.0, 2.4]]))
         c = vietoris_rips(pattern, 0.35, 2)
         assert simplex_counts(c) == (3, 3, 1)  # wrapped distances connect all
+
+    @pytest.mark.parametrize("max_dim", [2, 3, 4])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    def test_faces_match_brute_force_clique_oracle(self, max_dim, metric):
+        # Frozen against the all-subsets scan in tests/oracles.py
+        # (brute_force_clique_faces), faces in lexicographic order.
+        for i in range(4):
+            pattern = pg.sample(
+                pg.homogeneous_poisson(1.3),
+                cube(4.5, 2, metric=metric),
+                STREAM.derive(40 + i),
+            )
+            for r in (0.5, 0.8):
+                edges = perc._edge_index_array(pattern, r)
+                expected = brute_force_clique_faces(
+                    pattern.points.shape[0], edges, max_dim
+                )
+                faces = vietoris_rips(pattern, r, max_dim).faces
+                assert [list(level) for level in faces] == expected
 
 
 class TestCechComplex:

@@ -12,6 +12,7 @@ from oracles import (
     count_connected_subsets,
     ordered_tuple_sum,
     scan_dsatur_colors,
+    set_max_clique,
 )
 from ppclust.core import PointPattern, RandomStream, box, cube
 from ppclust.graphs import (
@@ -282,17 +283,17 @@ class TestGraphStats:
             GraphStats(3, 1, 2, True)
 
 
+TIE_HEAVY_SPECS = [
+    pg.homogeneous_poisson(1.5),
+    pg.square_lattice(1.0, stationary=False),
+    pg.hex_lattice(1.0, stationary=False),
+    pg.square_lattice(1.0),
+]
+TIE_HEAVY_IDS = ["poisson", "square", "hex", "square_stationary"]
+
+
 class TestDsatur:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            pg.homogeneous_poisson(1.5),
-            pg.square_lattice(1.0, stationary=False),
-            pg.hex_lattice(1.0, stationary=False),
-            pg.square_lattice(1.0),
-        ],
-        ids=["poisson", "square", "hex", "square_stationary"],
-    )
+    @pytest.mark.parametrize("spec", TIE_HEAVY_SPECS, ids=TIE_HEAVY_IDS)
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.3])
     def test_heap_order_matches_scan_oracle(self, spec, r):
         # Lattice graphs are full of saturation and degree ties, so the
@@ -307,6 +308,68 @@ class TestDsatur:
     def test_empty_graph(self):
         assert gr._dsatur_colors([], 0) == []
         assert gr._dsatur_greedy([], 0) == 0
+
+
+def grotzsch_graph():
+    """Triangle-free, 4-chromatic, 11 vertices: a 5-cycle, a copy vertex
+    5 + i joined to the cycle neighbours of i, and a hub joined to the
+    copies."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return Graph(11, tuple(sorted((min(e), max(e)) for e in edges)))
+
+
+class TestMaxClique:
+    @pytest.mark.parametrize("spec", TIE_HEAVY_SPECS, ids=TIE_HEAVY_IDS)
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.3])
+    def test_matches_set_based_oracle(self, spec, r):
+        # Frozen against the set-based branch and bound in tests/oracles.py
+        # (set_max_clique).
+        pattern = pg.sample(spec, cube(9.0, 2, metric="euclidean"), STREAM.derive(11))
+        g = rgg(pattern, r)
+        neighbors = gr._neighbor_sets(g.n_vertices, g.edges)
+        assert gr._max_clique(neighbors, g.n_vertices) == set_max_clique(
+            g.n_vertices, g.edges
+        )
+
+    def test_matches_set_based_oracle_on_clustered_patterns(self):
+        spec = pg.matern_cluster(0.3, 6.0, 0.8)
+        for i in range(6):
+            pattern = pg.sample(spec, cube(12.0, 2, metric="euclidean"), STREAM.derive(30 + i))
+            g = rgg(pattern, 1.2)
+            neighbors = gr._neighbor_sets(g.n_vertices, g.edges)
+            assert gr._max_clique(neighbors, g.n_vertices) == set_max_clique(
+                g.n_vertices, g.edges
+            )
+
+    def test_edge_cases(self):
+        assert gr._max_clique([], 0) == 0
+        assert graph_stats(Graph(4, ())).clique_number == 1
+        complete = Graph(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7)))
+        assert graph_stats(complete) == GraphStats(7, 6, 7, True)
+
+    def test_grotzsch_colour_bound_exceeds_clique(self):
+        # The greedy colouring of any candidate set needs 3 or more colours,
+        # but no triangle exists: the bound must not be taken as a clique.
+        assert graph_stats(grotzsch_graph()) == GraphStats(2, 5, 4, True)
+
+    def test_local_masks_are_local(self):
+        # A mask stores no bit beyond its members list, so the search costs
+        # memory in the neighbourhood size, not in n.
+        pattern = poisson_pattern(14.0, 1.5, STREAM.derive(12))
+        g = rgg(pattern, 1.5)
+        n = g.n_vertices
+        neighbors = gr._neighbor_sets(n, g.edges)
+        for v in range(n):
+            for members in (sorted(neighbors[v]), sorted(neighbors[v] | {v}, reverse=True)):
+                masks = gr._local_masks(neighbors, members)
+                assert len(masks) == len(members)
+                for q, mask in enumerate(masks):
+                    assert mask.bit_length() <= len(members)
+                    assert [p for p in range(len(members)) if mask >> p & 1] == [
+                        p for p, u in enumerate(members) if u in neighbors[members[q]]
+                    ]
 
 
 class TestScalingExperiment:
