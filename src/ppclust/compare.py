@@ -41,12 +41,10 @@ from .summaries import (
     _falling_factorial,
     _proportion,
     _region_counts,
+    _region_estimates,
     ball,
     box,
-    count_variance,
-    factorial_moment,
     ripley_k,
-    void_probability,
 )
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "concentration_check",
     "overall_verdict",
     "ordering_to_csv",
-    "concentration_to_csv",
 ]
 
 Z_CONSISTENT = 2.0
@@ -212,16 +209,6 @@ def weak_poisson_test(
     return reports
 
 
-def _scalar_statistic(statistic, spec, w, scale, k, placements, reps, stream, threads):
-    if statistic == "voids":
-        est = void_probability(spec, w, ball(scale), placements, reps, stream, threads)
-    elif statistic == "factorial_moments":
-        est = factorial_moment(spec, w, scale, k, placements, reps, stream, threads)
-    else:  # variance
-        est = count_variance(spec, w, scale, placements, reps, stream, threads)
-    return est.value, est.std_error
-
-
 def compare_two(
     spec_a: GeneratorSpec,
     spec_b: GeneratorSpec,
@@ -241,6 +228,12 @@ def compare_two(
     comparison refuses to run unless the two intensities agree to 1%,
     since ordering statistics of different-rate processes conflates rate
     with clustering.
+
+    All scales share one replication per generator: A runs on
+    ``stream.derive(0)`` and B on ``stream.derive(1)``.  Voids use a ball of
+    radius s and the moments and variance a box of side s, so each
+    generator's estimate at the first scale equals the single-region
+    estimator's on the same stream, bit for bit.
     """
     if statistic not in COMPARISON_STATISTICS:
         raise ValueError(f"statistic must be one of {COMPARISON_STATISTICS}")
@@ -254,29 +247,24 @@ def compare_two(
             "rescale one generator before comparing clustering"
         )
 
-    if statistic == "ripley_k":
-        curve_a = ripley_k(spec_a, w, scales, reps, stream.derive(0), threads)
-        curve_b = ripley_k(spec_b, w, scales, reps, stream.derive(1), threads)
-        rows = tuple(
-            ScaleComparison(
-                s,
-                ea.value,
-                eb.value,
-                _z_score(ea.value - eb.value, math.hypot(ea.std_error, eb.std_error)),
-            )
-            for s, ea, eb in zip(scales, curve_a.estimates, curve_b.estimates)
+    def estimates(spec: GeneratorSpec, stream: RandomStream) -> tuple:
+        if statistic == "ripley_k":
+            return ripley_k(spec, w, scales, reps, stream, threads).estimates
+        regions = [(ball if statistic == "voids" else box)(s) for s in scales]
+        return _region_estimates(
+            "compare_two", statistic, spec, w, regions, k, placements, reps, stream, threads
         )
-    else:
-        rows = []
-        for j, s in enumerate(scales):
-            va, sa = _scalar_statistic(
-                statistic, spec_a, w, s, k, placements, reps, stream.derive(0).derive(j), threads
-            )
-            vb, sb = _scalar_statistic(
-                statistic, spec_b, w, s, k, placements, reps, stream.derive(1).derive(j), threads
-            )
-            rows.append(ScaleComparison(s, va, vb, _z_score(va - vb, math.hypot(sa, sb))))
-        rows = tuple(rows)
+
+    est_a, est_b = estimates(spec_a, stream.derive(0)), estimates(spec_b, stream.derive(1))
+    rows = tuple(
+        ScaleComparison(
+            s,
+            ea.value,
+            eb.value,
+            _z_score(ea.value - eb.value, math.hypot(ea.std_error, eb.std_error)),
+        )
+        for s, ea, eb in zip(scales, est_a, est_b)
+    )
 
     name = f"factorial_moments({k})" if statistic == "factorial_moments" else statistic
     return OrderingReport(name, rows, _verdict([r.z for r in rows]))
@@ -342,11 +330,4 @@ def ordering_to_csv(report: OrderingReport) -> str:
     return csv_text(
         ("scale", "estimate", "reference", "z"),
         ((row.scale, row.estimate, row.reference, row.z) for row in report.per_scale),
-    )
-
-
-def concentration_to_csv(rows) -> str:
-    return csv_text(
-        ("n", "empirical", "bound", "std_error", "status"),
-        ((row.n, row.empirical, row.bound, row.std_error, row.status) for row in rows),
     )

@@ -43,7 +43,6 @@ __all__ = [
     "betti_numbers",
     "euler_characteristic",
     "betti_scaling_experiment",
-    "complex_to_csv",
     "betti_scaling_to_csv",
 ]
 
@@ -343,18 +342,6 @@ def betti_scaling_experiment(
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def complex_to_csv(c: SimplicialComplex) -> str:
-    """One row per face: its dimension and space-separated vertices."""
-    return csv_text(
-        ("dim", "vertices"),
-        (
-            (k, " ".join(str(v) for v in face))
-            for k, level in enumerate(c.faces)
-            for face in level
-        ),
-    )
 
 
 def betti_scaling_to_csv(rows) -> str:

@@ -45,7 +45,7 @@ from .core import (
     volume,
 )
 from .procgen import GeneratorSpec, sample
-from .shotnoise import ResponseFunction, coverage_field
+from .shotnoise import ResponseFunction, _covered_cells
 from .summaries import EstimateWithError, _estimates, _proportion
 
 __all__ = [
@@ -423,15 +423,11 @@ def k_percolation_crossing(
     surrogate for continuum k-coverage percolation: refine grid_n to see
     the dependence.
     """
-    check_number("k", k, 1)
-    check_number("coverage radius", r, "nonneg")
-    check_window("k_percolation_crossing", w, reach=r)
-    check_number("grid_n", grid_n, 1)
+    covered = _covered_cells("k_percolation_crossing", spec, w, r, k, grid_n)
     shape = (grid_n,) * w.dim
 
     def one(rep: RandomStream) -> float:
-        covered = coverage_field(sample(spec, w, rep), r, grid_n).values >= k
-        return float(_site_crossing(covered.reshape(shape)))
+        return float(_site_crossing(covered(rep).reshape(shape)))
 
     return _proportion(replicate(reps, stream, threads, one))
 

@@ -46,6 +46,8 @@ MAX_GINIBRE_N = 256
 MAX_GINIBRE_PROPOSALS = 1 << 20
 # Cells of the torus that the LGCP field is embedded in: caps the FFT size.
 MAX_COX_CELLS = 1 << 20
+# Families defined only in the plane, by the name their errors give.
+_PLANAR_FAMILIES = {"hex_lattice": "hexagonal lattice", "ginibre_truncated": "Ginibre"}
 
 DISPLACEMENT_KINDS = ("uniform_in_cell", "gaussian", "uniform_in_ball")
 
@@ -253,8 +255,15 @@ def _require_types(spec: GeneratorSpec) -> None:
 # Sampling
 
 
+def _check_dimension(spec: GeneratorSpec, d: int):
+    """Reject d != 2 for the families defined only in the plane."""
+    if spec.family in _PLANAR_FAMILIES and d != 2:
+        raise ValueError(f"{_PLANAR_FAMILIES[spec.family]} requires d = 2")
+
+
 def sample(spec: GeneratorSpec, w: Window, stream: RandomStream) -> PointPattern:
     """Draw one pattern; pure in (spec, w, stream)."""
+    _check_dimension(spec, w.dim)
     rng = stream.generator()
     points = _SAMPLERS[spec.family](spec, w, rng)
     if w.metric == "periodic":
@@ -309,8 +318,6 @@ def _sample_square_lattice(spec, w, rng):
 
 
 def _hex_lattice_sites(w: Window, delta: float, stationary: bool, rng):
-    if w.dim != 2:
-        raise ValueError("hexagonal lattice requires d = 2")
     row_height = delta * math.sqrt(3) / 2
     if w.metric == "periodic":
         n_x = max(1, int(round(w.sides[0] / delta)))
@@ -502,8 +509,6 @@ def _ginibre_basis(zs: np.ndarray, ks: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _sample_ginibre(spec, w, rng):
-    if w.dim != 2:
-        raise ValueError("Ginibre requires d = 2")
     check_window("the non-stationary Ginibre process", w, "euclidean")
     n_rank = spec.get("n_rank")
     radius = spec.get("radius")
@@ -565,10 +570,12 @@ def intensity(spec: GeneratorSpec, d: int = 2, w: Window | None = None) -> Inten
     """Mean points per unit volume; exact closed form for every family.
 
     d matters for lattice families (1/spacing^d); binomial_process needs the
-    window to turn a fixed count into a rate.
+    window to turn a fixed count into a rate.  The hexagonal lattice and the
+    Ginibre process raise for d != 2, as ``sample`` does.
     """
     if w is not None:
         d = w.dim
+    _check_dimension(spec, d)
     fam = spec.family
     if fam == "homogeneous_poisson":
         return IntensityReport(spec.get("lam"))

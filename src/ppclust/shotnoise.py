@@ -53,7 +53,6 @@ __all__ = [
     "coverage_field",
     "k_covered_volume",
     "level_exceedance_bound",
-    "field_to_csv",
     "coverage_summary_to_csv",
 ]
 
@@ -215,6 +214,22 @@ def coverage_field(pattern: PointPattern, r: float, grid_n: int) -> FieldSample:
     return FieldSample(centers, counts)
 
 
+def _covered_cells(what: str, spec: GeneratorSpec, w: Window, r: float, k: int, grid_n: int):
+    """Check a k-coverage statistic's parameters and window, and return its
+    replication: ``covered(rep)`` flags each grid cell whose centre lies in
+    at least k of the radius-r balls of the pattern sampled from ``rep``.
+    """
+    check_number("k", k, 1)
+    check_number("coverage radius", r, "nonneg")
+    check_window(what, w, reach=r)
+    check_number("grid_n", grid_n, 1)
+
+    def covered(rep: RandomStream) -> np.ndarray:
+        return coverage_field(sample(spec, w, rep), r, grid_n).values >= k
+
+    return covered
+
+
 def k_covered_volume(
     spec: GeneratorSpec,
     w: Window,
@@ -232,15 +247,11 @@ def k_covered_volume(
     fraction, so the estimator is unbiased with a grid-resolution error
     of at most one cell layer along the coverage boundary.
     """
-    check_number("k", k, 1)
-    check_number("coverage radius", r, "nonneg")
-    check_window("k_covered_volume", w, reach=r)
-    check_number("grid_n", grid_n, 1)
+    covered = _covered_cells("k_covered_volume", spec, w, r, k, grid_n)
     cell_volume = volume(w) / grid_n**w.dim
 
     def one(rep: RandomStream) -> float:
-        covered = coverage_field(sample(spec, w, rep), r, grid_n).values >= k
-        return cell_volume * float(np.count_nonzero(covered))
+        return cell_volume * float(np.count_nonzero(covered(rep)))
 
     return _estimate(replicate(reps, stream, threads, one))
 
@@ -310,15 +321,6 @@ def level_exceedance_bound(
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def field_to_csv(fs: FieldSample) -> str:
-    """CSV with coordinate columns followed by the field value."""
-    d = fs.eval_points.shape[1]
-    return csv_text(
-        [f"x{i}" for i in range(d)] + ["value"],
-        ((*point, value) for point, value in zip(fs.eval_points, fs.values)),
-    )
 
 
 def coverage_summary_to_csv(entries) -> str:

@@ -310,6 +310,62 @@ def pair_correlation(
 # Region-sampling statistics
 
 
+def _total_variance(means: np.ndarray, wvars: np.ndarray, placements: int) -> EstimateWithError:
+    """Count variance from per-replication means and within-pattern variances
+    by the law of total variance, with a leave-one-out jackknife error."""
+    reps = len(means)
+
+    def estimator(ms: np.ndarray, vs: np.ndarray) -> float:
+        # E Var(N | pattern) * (1 - 1/placements) + Var of conditional means
+        # is unbiased for Var(N): the between-means variance picks up an
+        # extra E Var(N | pattern)/placements of placement noise.
+        between = float(np.var(ms, ddof=1))
+        if placements == 1:
+            return between
+        return float(np.mean(vs)) * (1.0 - 1.0 / placements) + between
+
+    value = estimator(means, wvars)
+    idx = np.arange(reps)
+    loo = np.array(
+        [estimator(means[idx != i], wvars[idx != i]) for i in range(reps)]
+    )
+    se = math.sqrt((reps - 1) / reps * float(np.sum((loo - np.mean(loo)) ** 2)))
+    return EstimateWithError(value, se, reps)
+
+
+def _region_estimates(what, statistic, spec, w, regions, k, placements, reps, stream, threads):
+    """One estimate per region of ``"voids"``, ``"factorial_moments"`` (of
+    order k) or ``"variance"``, all on the same ``_region_counts``
+    replications.  A region's estimate does not depend on the regions after
+    it, so the first equals a single-region call's at the same stream.
+    """
+    if statistic == "factorial_moments" and not 1 <= k <= MAX_FACTORIAL_ORDER:
+        raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
+    counts = _region_counts(what, spec, w, regions, placements)
+    if statistic == "variance" and not reps >= 3:
+        # two means must be left after each leave-one-out deletion
+        raise ValueError("the jackknife needs reps >= 3")
+
+    def one(rep: RandomStream) -> list:
+        per_region = [c.astype(float) for c in counts(rep)]
+        if statistic == "voids":
+            return [float(np.mean(c == 0)) for c in per_region]
+        if statistic == "factorial_moments":
+            return [float(np.mean(_falling_factorial(c, k))) for c in per_region]
+        return [
+            (float(np.mean(c)), float(np.var(c, ddof=1)) if placements > 1 else 0.0)
+            for c in per_region
+        ]
+
+    rows = replicate(reps, stream, threads, one)
+    if statistic != "variance":
+        return _estimates(rows)
+    return tuple(
+        _total_variance(np.array([m for m, _ in col]), np.array([v for _, v in col]), placements)
+        for col in zip(*rows)
+    )
+
+
 def void_probability(
     spec: GeneratorSpec,
     w: Window,
@@ -325,12 +381,9 @@ def void_probability(
     regions; the standard error is taken across replications, which keeps it
     honest about the within-pattern correlation of overlapping placements.
     """
-    counts = _region_counts("void_probability", spec, w, [region], placements)
-
-    def one(rep: RandomStream) -> float:
-        return float(np.mean(counts(rep)[0] == 0))
-
-    return _estimate(replicate(reps, stream, threads, one))
+    return _region_estimates(
+        "void_probability", "voids", spec, w, [region], None, placements, reps, stream, threads
+    )[0]
 
 
 def factorial_moment(
@@ -348,14 +401,10 @@ def factorial_moment(
     The box of the given side is placed uniformly; k is limited to 4 because
     higher falling factorials are numerically dominated by rare large counts.
     """
-    if not 1 <= k <= MAX_FACTORIAL_ORDER:
-        raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
-    counts = _region_counts("factorial_moment", spec, w, [box(box_side)], placements)
-
-    def one(rep: RandomStream) -> float:
-        return float(np.mean(_falling_factorial(counts(rep)[0].astype(float), k)))
-
-    return _estimate(replicate(reps, stream, threads, one))
+    return _region_estimates(
+        "factorial_moment", "factorial_moments", spec, w, [box(box_side)], k, placements, reps,
+        stream, threads,
+    )[0]
 
 
 def count_variance(
@@ -374,36 +423,10 @@ def count_variance(
     one pattern and pattern-to-pattern fluctuation both contribute.  The
     standard error comes from a leave-one-replication-out jackknife.
     """
-    counts = _region_counts("count_variance", spec, w, [box(box_side)], placements)
-    if not reps >= 3:  # two means must be left after each leave-one-out deletion
-        raise ValueError("the jackknife needs reps >= 3")
-
-    def one(rep: RandomStream):
-        c = counts(rep)[0].astype(float)
-        m = float(np.mean(c))
-        v = float(np.var(c, ddof=1)) if placements > 1 else 0.0
-        return m, v
-
-    rows = replicate(reps, stream, threads, one)
-    means = np.array([m for m, _ in rows])
-    wvars = np.array([v for _, v in rows])
-
-    def estimator(ms: np.ndarray, vs: np.ndarray) -> float:
-        # E Var(N | pattern) * (1 - 1/placements) + Var of conditional means
-        # is unbiased for Var(N): the between-means variance picks up an
-        # extra E Var(N | pattern)/placements of placement noise.
-        between = float(np.var(ms, ddof=1))
-        if placements == 1:
-            return between
-        return float(np.mean(vs)) * (1.0 - 1.0 / placements) + between
-
-    value = estimator(means, wvars)
-    idx = np.arange(reps)
-    loo = np.array(
-        [estimator(means[idx != i], wvars[idx != i]) for i in range(reps)]
-    )
-    se = math.sqrt((reps - 1) / reps * float(np.sum((loo - np.mean(loo)) ** 2)))
-    return EstimateWithError(value, se, reps)
+    return _region_estimates(
+        "count_variance", "variance", spec, w, [box(box_side)], None, placements, reps, stream,
+        threads,
+    )[0]
 
 
 # ---------------------------------------------------------------------------

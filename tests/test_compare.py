@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from ppclust.compare import (
-    ConcentrationRow,
     OrderingReport,
     ScaleComparison,
     _verdict,
+    _z_score,
     compare_two,
     concentration_check,
-    concentration_to_csv,
     ordering_to_csv,
     overall_verdict,
     weak_poisson_test,
@@ -27,7 +26,7 @@ from ppclust.procgen import (
     thomas_cluster,
     uniform_in_cell,
 )
-from ppclust.summaries import ball, void_probability
+from ppclust.summaries import ball, count_variance, factorial_moment, void_probability
 
 STREAM = RandomStream(55)
 
@@ -238,6 +237,40 @@ class TestCompareTwo:
         )
         assert report.verdict == "inconclusive"
 
+    @pytest.mark.parametrize(
+        "statistic, single",
+        [
+            ("voids", lambda spec, s, **kw: void_probability(spec, periodic(8.0), ball(s), **kw)),
+            (
+                "factorial_moments",
+                lambda spec, s, **kw: factorial_moment(spec, periodic(8.0), s, 2, **kw),
+            ),
+            ("variance", lambda spec, s, **kw: count_variance(spec, periodic(8.0), s, **kw)),
+        ],
+        ids=["voids", "factorial_moments", "variance"],
+    )
+    def test_first_scale_is_the_single_region_estimate(self, statistic, single):
+        # All scales share one replication per generator, A on derive(0) and
+        # B on derive(1), and the first region's centres are drawn first.
+        spec_a, spec_b = matern_cluster(0.25, 4.0, 0.3), homogeneous_poisson(1.0)
+        stream = STREAM.derive(8)
+        report = compare_two(
+            spec_a,
+            spec_b,
+            periodic(8.0),
+            statistic=statistic,
+            scales=[0.5, 1.5],
+            k=2,
+            placements=16,
+            reps=12,
+            stream=stream,
+        )
+        a = single(spec_a, 0.5, placements=16, reps=12, stream=stream.derive(0))
+        b = single(spec_b, 0.5, placements=16, reps=12, stream=stream.derive(1))
+        first = report.per_scale[0]
+        assert (first.estimate, first.reference) == (a.value, b.value)
+        assert first.z == _z_score(a.value - b.value, math.hypot(a.std_error, b.std_error))
+
     def test_intensity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="1%"):
             compare_two(
@@ -310,15 +343,3 @@ class TestSerialization:
         assert lines[0] == "scale,estimate,reference,z"
         assert lines[1] == "0.5,0.25,0.5,-2.5"
         assert lines[2] == "1,1,1,0"
-
-    def test_concentration_csv(self):
-        rows = [
-            ConcentrationRow(64, 0.0, 0.8125, 0.0, "holds"),
-            ConcentrationRow(256, math.nan, 1e-40, math.nan, "skipped"),
-        ]
-        text = concentration_to_csv(rows)
-        lines = text.split("\n")
-        assert lines[0] == "n,empirical,bound,std_error,status"
-        assert lines[1] == "64,0,0.8125,0,holds"
-        assert lines[1].endswith("holds")
-        assert lines[2].endswith("skipped")

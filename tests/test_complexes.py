@@ -18,7 +18,6 @@ from ppclust.complexes import (
     betti_scaling_experiment,
     betti_scaling_to_csv,
     cech_complex,
-    complex_to_csv,
     euler_characteristic,
     miniball_radius,
     simplex_counts,
@@ -402,11 +401,6 @@ class TestBettiScaling:
 
 
 class TestSerialization:
-    def test_complex_csv(self):
-        pattern = euclid_pattern([[0.0, 0.0], [0.2, 0.0]])
-        text = complex_to_csv(vietoris_rips(pattern, 0.2, 1))
-        assert text == "dim,vertices\n0,0\n0,1\n1,0 1\n"
-
     def test_scaling_csv(self):
         rows = betti_scaling_experiment(
             pg.binomial_process(2),

@@ -411,7 +411,8 @@ class TestCsvText:
 
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 2.5, 1e-7, 3.4e38])
     def test_float32_keeps_field_csv_text(self, value):
-        # field_to_csv wrote format(c, ".17g") of each float32 coordinate.
+        # A float32 cell keeps the text format(c, ".17g") gives it, as the
+        # field CSVs of earlier versions wrote it.
         x = np.float32(value)
         assert core.csv_text(["v"], [[x]]) == f"v\n{format(x, '.17g')}\n"
 

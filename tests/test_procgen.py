@@ -37,6 +37,21 @@ class TestIntensity:
         rep = procgen.intensity(procgen.ginibre_truncated(16, 2.0))
         assert rep.value == pytest.approx(1.0 / math.pi)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "spec, family",
+        [
+            (procgen.hex_lattice(1.0), "hexagonal lattice"),
+            (procgen.ginibre_truncated(20, 3.0), "Ginibre"),
+        ],
+    )
+    def test_planar_families_reject_other_dimensions(self, spec, family, d):
+        # The same refusal as sample, so callers fail before sampling.
+        with pytest.raises(ValueError, match=f"^{family} requires d = 2$"):
+            procgen.intensity(spec, d=d)
+        with pytest.raises(ValueError, match=f"^{family} requires d = 2$"):
+            procgen.intensity(spec, w=core.cube(10.0, d, metric="euclidean"))
+
     def test_binomial_needs_window(self):
         spec = procgen.binomial_process(50)
         with pytest.raises(ValueError):

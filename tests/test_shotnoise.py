@@ -27,7 +27,6 @@ from ppclust.shotnoise import (
     coverage_summary_to_csv,
     exponential_response,
     extremal_field,
-    field_to_csv,
     indicator_ball,
     k_covered_volume,
     level_exceedance_bound,
@@ -438,10 +437,6 @@ class TestLevelExceedanceBound:
 
 
 class TestSerialization:
-    def test_field_csv(self):
-        fs = FieldSample(np.array([[0.5, 1.0]]), np.array([2.0]))
-        assert field_to_csv(fs) == "x0,x1,value\n0.5,1,2\n"
-
     def test_coverage_csv(self):
         rows = [(0.5, 1, EstimateWithError(54.5, 0.25, 60))]
         text = coverage_summary_to_csv(rows)

@@ -314,6 +314,24 @@ CONTRACTS = [
         lambda w, rho: compare.weak_poisson_test(POISSON, w, [rho], reps=5, stream=STREAM),
     ),
     (
+        "compare_two",
+        "periodic",
+        lambda w, rho: compare.compare_two(POISSON, POISSON, w, "voids", [rho / 2, rho], reps=5,
+                                           stream=STREAM),
+    ),
+    (
+        "compare_two",
+        "periodic",
+        lambda w, rho: compare.compare_two(POISSON, POISSON, w, "factorial_moments",
+                                           [2 * rho, rho], reps=5, stream=STREAM),
+    ),
+    (
+        "compare_two",
+        "periodic",
+        lambda w, rho: compare.compare_two(POISSON, POISSON, w, "variance", [rho, 2 * rho],
+                                           reps=5, stream=STREAM),
+    ),
+    (
         "crossing_probability",
         "euclidean",
         lambda w, rho: percolation.crossing_probability(POISSON, w, rho / 2, 5, STREAM),
