@@ -31,21 +31,13 @@ from .core import (
     ball_volume,
     check_number,
     check_replications,
+    check_window,
     csv_text,
     cube,
     replicate,
 )
 from .procgen import GeneratorSpec, intensity, sample
-from .summaries import (
-    _estimates,
-    _falling_factorial,
-    _proportion,
-    _region_counts,
-    _region_estimates,
-    ball,
-    box,
-    ripley_k,
-)
+from .summaries import EstimateWithError, _proportion, _region_estimates, ball, box, ripley_k
 
 __all__ = [
     "ScaleComparison",
@@ -130,6 +122,23 @@ def _verdict(zs) -> str:
     return "inconclusive"
 
 
+def _exact(value: float) -> EstimateWithError:
+    """A closed-form reference: an estimate with no error."""
+    return EstimateWithError(value, 0.0, 0)
+
+
+def _report(statistic: str, scales, estimates, references) -> OrderingReport:
+    """One row per scale of estimate against reference, z-scored by their
+    combined standard error, and the verdict on the rows."""
+    rows = tuple(
+        ScaleComparison(
+            s, e.value, r.value, _z_score(e.value - r.value, math.hypot(e.std_error, r.std_error))
+        )
+        for s, e, r in zip(scales, estimates, references)
+    )
+    return OrderingReport(statistic, rows, _verdict([row.z for row in rows]))
+
+
 def overall_verdict(reports) -> str:
     """Combine per-statistic verdicts into one label.
 
@@ -165,47 +174,27 @@ def weak_poisson_test(
     Produces one report for void probabilities of balls (scale = radius)
     and one per factorial-moment order k = 2..k_max for boxes (scale =
     side), all against the closed-form Poisson references at the
-    generator's intensity.  All statistics are evaluated on the same
-    replications.
+    generator's intensity.  All statistics come from one replication: a
+    single region-estimator call over a ball and then a box of each scale,
+    with the voids at the balls and every order at the boxes.  The
+    references enter the z-scores as estimates with no error.
     """
     scales = _positive_scales(scales)
-    if not 2 <= k_max <= 4:
+    if check_number("k_max", k_max, 2) > 4:
         raise ValueError("k_max must be between 2 and 4")
-    regions = [region for s in scales for region in (ball(s), box(s))]
-    counts = _region_counts("weak_poisson_test", spec, w, regions, placements)
-    check_replications(reps, stream)
-    lam = intensity(spec, d=w.dim, w=w).value
+    lam, d = intensity(spec, d=w.dim, w=w).value, w.dim
     orders = list(range(2, k_max + 1))
-
-    def one(rep: RandomStream):
-        per_region = counts(rep)
-        voids = [np.mean(c == 0) for c in per_region[0::2]]
-        moments = [
-            [np.mean(_falling_factorial(c.astype(float), k)) for k in orders]
-            for c in per_region[1::2]
-        ]
-        return voids, moments
-
-    results = replicate(reps, stream, threads, one)
-    void_mat = np.array([v for v, _ in results])  # (reps, scales)
-    mom_mat = np.array([m for _, m in results])  # (reps, scales, orders)
-
-    def summarize(mat: np.ndarray, refs) -> tuple:
-        return tuple(
-            ScaleComparison(s, e.value, ref, _z_score(e.value - ref, e.std_error))
-            for s, e, ref in zip(scales, _estimates(mat), refs)
-        )
-
-    d = w.dim
-    void_refs = [math.exp(-lam * ball_volume(s, d)) for s in scales]
-    rows = summarize(void_mat, void_refs)
-    reports = [OrderingReport("voids", rows, _verdict([r.z for r in rows]))]
-    for c, k in enumerate(orders):
-        refs = [(lam * s**d) ** k for s in scales]
-        rows = summarize(mom_mat[:, :, c], refs)
-        reports.append(
-            OrderingReport(f"factorial_moments({k})", rows, _verdict([r.z for r in rows]))
-        )
+    regions = [region for s in scales for region in (ball(s), box(s))]
+    estimates = _region_estimates(
+        "weak_poisson_test", spec, w, regions, [["voids"], orders] * len(scales), placements,
+        reps, stream, threads,
+    )
+    voids = [e for (e,) in estimates[0::2]]
+    refs = [_exact(math.exp(-lam * ball_volume(s, d))) for s in scales]
+    reports = [_report("voids", scales, voids, refs)]
+    for k, moments in zip(orders, zip(*estimates[1::2])):
+        refs = [_exact((lam * s**d) ** k) for s in scales]
+        reports.append(_report(f"factorial_moments({k})", scales, moments, refs))
     return reports
 
 
@@ -247,27 +236,22 @@ def compare_two(
             "rescale one generator before comparing clustering"
         )
 
-    def estimates(spec: GeneratorSpec, stream: RandomStream) -> tuple:
+    if statistic == "ripley_k":
+        check_window("compare_two", w, "periodic", reach=max(scales))
+
+    def estimates(spec: GeneratorSpec, stream: RandomStream) -> list:
         if statistic == "ripley_k":
             return ripley_k(spec, w, scales, reps, stream, threads).estimates
         regions = [(ball if statistic == "voids" else box)(s) for s in scales]
-        return _region_estimates(
-            "compare_two", statistic, spec, w, regions, k, placements, reps, stream, threads
+        stats = [[k if statistic == "factorial_moments" else statistic]] * len(scales)
+        per_region = _region_estimates(
+            "compare_two", spec, w, regions, stats, placements, reps, stream, threads
         )
+        return [e for (e,) in per_region]
 
     est_a, est_b = estimates(spec_a, stream.derive(0)), estimates(spec_b, stream.derive(1))
-    rows = tuple(
-        ScaleComparison(
-            s,
-            ea.value,
-            eb.value,
-            _z_score(ea.value - eb.value, math.hypot(ea.std_error, eb.std_error)),
-        )
-        for s, ea, eb in zip(scales, est_a, est_b)
-    )
-
     name = f"factorial_moments({k})" if statistic == "factorial_moments" else statistic
-    return OrderingReport(name, rows, _verdict([r.z for r in rows]))
+    return _report(name, scales, est_a, est_b)
 
 
 def concentration_check(

@@ -199,28 +199,6 @@ def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, region: Regio
     return np.bincount(pairs[inside, 0], minlength=centers.shape[0]).astype(np.int64)
 
 
-def _region_counts(what: str, spec: GeneratorSpec, w: Window, regions, placements: int):
-    """Check a region statistic's window and placement count, and return its
-    replication: ``counts(rep)`` gives each region's counts at ``placements``
-    uniform centres.
-
-    The pattern comes from ``rep.derive(0)``; the centres come region by
-    region, in order, from one generator of ``rep.derive(1)``.
-    """
-    check_window(what, w, "periodic", reach=max(r.max_extent() for r in regions) / 2)
-    check_number("placements", placements, 1)
-
-    def counts(rep: RandomStream) -> list:
-        pattern = sample(spec, w, rep.derive(0))
-        rng = rep.derive(1).generator()
-        return [
-            _counts_in_regions(pattern, w.lower + rng.random((placements, w.dim)) * w.sides, r)
-            for r in regions
-        ]
-
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Second-order statistics
 
@@ -310,9 +288,11 @@ def pair_correlation(
 # Region-sampling statistics
 
 
-def _total_variance(means: np.ndarray, wvars: np.ndarray, placements: int) -> EstimateWithError:
-    """Count variance from per-replication means and within-pattern variances
-    by the law of total variance, with a leave-one-out jackknife error."""
+def _total_variance(pairs, placements: int) -> EstimateWithError:
+    """Count variance from per-replication (mean, within-pattern variance)
+    pairs by the law of total variance, with a leave-one-out jackknife
+    error."""
+    means, wvars = (np.array(column) for column in zip(*pairs))
     reps = len(means)
 
     def estimator(ms: np.ndarray, vs: np.ndarray) -> float:
@@ -333,36 +313,54 @@ def _total_variance(means: np.ndarray, wvars: np.ndarray, placements: int) -> Es
     return EstimateWithError(value, se, reps)
 
 
-def _region_estimates(what, statistic, spec, w, regions, k, placements, reps, stream, threads):
-    """One estimate per region of ``"voids"``, ``"factorial_moments"`` (of
-    order k) or ``"variance"``, all on the same ``_region_counts``
-    replications.  A region's estimate does not depend on the regions after
-    it, so the first equals a single-region call's at the same stream.
+def _region_value(counts: np.ndarray, statistic, placements: int):
+    """One replication's value of ``"voids"``, ``"variance"`` (a pair of
+    the mean and the within-pattern variance) or factorial order k."""
+    if statistic == "voids":
+        return float(np.mean(counts == 0))
+    if statistic == "variance":
+        return float(np.mean(counts)), float(np.var(counts, ddof=1)) if placements > 1 else 0.0
+    return float(np.mean(_falling_factorial(counts, statistic)))
+
+
+def _region_estimates(what, spec, w, regions, statistics, placements, reps, stream, threads):
+    """Estimate each statistic of ``statistics[i]`` at ``regions[i]``: one
+    tuple of estimates per region, all from one replication.
+
+    A statistic is ``"voids"``, ``"variance"`` or a factorial order k.
+    Every input is checked before sampling.  Each replication samples the
+    pattern from ``rep.derive(0)`` and counts each region once, at
+    ``placements`` uniform centres drawn region by region, in order, from
+    one generator of ``rep.derive(1)``.  A region's estimates do not depend
+    on the regions after it, so the first equal a single-region call's at
+    the same stream.
     """
-    if statistic == "factorial_moments" and not 1 <= k <= MAX_FACTORIAL_ORDER:
-        raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
-    counts = _region_counts(what, spec, w, regions, placements)
-    if statistic == "variance" and not reps >= 3:
+    for k in (s for stats in statistics for s in stats if not isinstance(s, str)):
+        if check_number("k", k, 1) > MAX_FACTORIAL_ORDER:
+            raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
+    check_window(what, w, "periodic", reach=max(r.max_extent() for r in regions) / 2)
+    check_number("placements", placements, 1)
+    if any("variance" in stats for stats in statistics) and not reps >= 3:
         # two means must be left after each leave-one-out deletion
         raise ValueError("the jackknife needs reps >= 3")
 
     def one(rep: RandomStream) -> list:
-        per_region = [c.astype(float) for c in counts(rep)]
-        if statistic == "voids":
-            return [float(np.mean(c == 0)) for c in per_region]
-        if statistic == "factorial_moments":
-            return [float(np.mean(_falling_factorial(c, k))) for c in per_region]
-        return [
-            (float(np.mean(c)), float(np.var(c, ddof=1)) if placements > 1 else 0.0)
-            for c in per_region
-        ]
+        pattern = sample(spec, w, rep.derive(0))
+        rng = rep.derive(1).generator()
+        row = []
+        for region, stats in zip(regions, statistics):
+            centers = w.lower + rng.random((placements, w.dim)) * w.sides
+            counts = _counts_in_regions(pattern, centers, region).astype(float)
+            row.append([_region_value(counts, s, placements) for s in stats])
+        return row
 
     rows = replicate(reps, stream, threads, one)
-    if statistic != "variance":
-        return _estimates(rows)
     return tuple(
-        _total_variance(np.array([m for m, _ in col]), np.array([v for _, v in col]), placements)
-        for col in zip(*rows)
+        tuple(
+            _total_variance(column, placements) if s == "variance" else _estimate(column)
+            for s, column in zip(stats, zip(*per_region))
+        )
+        for stats, per_region in zip(statistics, zip(*rows))
     )
 
 
@@ -382,8 +380,8 @@ def void_probability(
     honest about the within-pattern correlation of overlapping placements.
     """
     return _region_estimates(
-        "void_probability", "voids", spec, w, [region], None, placements, reps, stream, threads
-    )[0]
+        "void_probability", spec, w, [region], [["voids"]], placements, reps, stream, threads
+    )[0][0]
 
 
 def factorial_moment(
@@ -402,9 +400,8 @@ def factorial_moment(
     higher falling factorials are numerically dominated by rare large counts.
     """
     return _region_estimates(
-        "factorial_moment", "factorial_moments", spec, w, [box(box_side)], k, placements, reps,
-        stream, threads,
-    )[0]
+        "factorial_moment", spec, w, [box(box_side)], [[k]], placements, reps, stream, threads
+    )[0][0]
 
 
 def count_variance(
@@ -424,9 +421,9 @@ def count_variance(
     standard error comes from a leave-one-replication-out jackknife.
     """
     return _region_estimates(
-        "count_variance", "variance", spec, w, [box(box_side)], None, placements, reps, stream,
+        "count_variance", spec, w, [box(box_side)], [["variance"]], placements, reps, stream,
         threads,
-    )[0]
+    )[0][0]
 
 
 # ---------------------------------------------------------------------------

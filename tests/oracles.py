@@ -460,3 +460,54 @@ def envelope_ginibre(spec, w, rng):
         if norm > 1e-12:
             basis = np.vstack([basis, u / norm])
     return np.array(points)
+
+
+def loop_weak_poisson_test(spec, w, scales, k_max, placements, reps, stream, threads):
+    """The weak sub-Poisson test by its own replication loop: each
+    replication samples the pattern from rep.derive(0), counts a ball and a
+    box per scale at centres drawn in that order from one generator of
+    rep.derive(1), and keeps the void frequency and the factorial moments;
+    the (reps, scales, orders) arrays are then reduced column by column.
+    The reference for compare.weak_poisson_test, field for field."""
+    import numpy as np
+
+    from ppclust.compare import OrderingReport, ScaleComparison, _verdict, _z_score
+    from ppclust.core import ball_volume, replicate
+    from ppclust.procgen import intensity, sample
+    from ppclust.summaries import _counts_in_regions, _estimates, ball, box
+
+    regions = [region for s in scales for region in (ball(s), box(s))]
+    lam = intensity(spec, d=w.dim, w=w).value
+    orders = list(range(2, k_max + 1))
+
+    def one(rep):
+        pattern = sample(spec, w, rep.derive(0))
+        rng = rep.derive(1).generator()
+        per_region = [
+            _counts_in_regions(pattern, w.lower + rng.random((placements, w.dim)) * w.sides, r)
+            for r in regions
+        ]
+        voids = [np.mean(c == 0) for c in per_region[0::2]]
+        moments = [
+            [np.mean(np.prod([c.astype(float) - j for j in range(k)], axis=0)) for k in orders]
+            for c in per_region[1::2]
+        ]
+        return voids, moments
+
+    results = replicate(reps, stream, threads, one)
+    void_mat = np.array([v for v, _ in results])  # (reps, scales)
+    mom_mat = np.array([m for _, m in results])  # (reps, scales, orders)
+
+    def report(statistic, mat, refs):
+        rows = tuple(
+            ScaleComparison(s, e.value, ref, _z_score(e.value - ref, e.std_error))
+            for s, e, ref in zip(scales, _estimates(mat), refs)
+        )
+        return OrderingReport(statistic, rows, _verdict([row.z for row in rows]))
+
+    d = w.dim
+    reports = [report("voids", void_mat, [math.exp(-lam * ball_volume(s, d)) for s in scales])]
+    for c, k in enumerate(orders):
+        refs = [(lam * s**d) ** k for s in scales]
+        reports.append(report(f"factorial_moments({k})", mom_mat[:, :, c], refs))
+    return reports

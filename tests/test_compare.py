@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import loop_weak_poisson_test
 
 from ppclust.compare import (
     OrderingReport,
@@ -20,6 +21,7 @@ from ppclust.core import RandomStream, cube
 from ppclust.dists import deterministic
 from ppclust.procgen import (
     homogeneous_poisson,
+    log_gaussian_cox,
     matern_cluster,
     mixed_poisson,
     perturbed_lattice,
@@ -138,6 +140,26 @@ class TestWeakPoissonTest:
         voids = weak_poisson_test(spec, w, [0.5, 1.0], placements=16, reps=12, stream=stream)[0]
         alone = void_probability(spec, w, ball(0.5), placements=16, reps=12, stream=stream)
         assert voids.per_scale[0].estimate == alone.value
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k_max", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            homogeneous_poisson(1.0),
+            matern_cluster(0.25, 4.0, 0.3),
+            log_gaussian_cox(0.0, 1.0, 1.0, 16),
+        ],
+        ids=["poisson", "matern", "lgcp"],
+    )
+    def test_matches_the_replication_loop(self, spec, k_max, threads):
+        # The one-call test equals the old per-replication loop field for
+        # field, down to the last bit of every estimate and z-score.
+        w, scales, stream = periodic(20.0), [0.5, 1.0, 2.0], STREAM.derive(5)
+        reports = weak_poisson_test(
+            spec, w, scales, k_max, placements=24, reps=10, stream=stream, threads=threads
+        )
+        assert reports == loop_weak_poisson_test(spec, w, scales, k_max, 24, 10, stream, threads)
 
     def test_scale_must_fit(self):
         with pytest.raises(ValueError, match="below half the smallest window side"):

@@ -35,6 +35,8 @@ NONNEG = [-TINY]
 UNIT = [-TINY, np.nextafter(1.0, 2.0)]
 FINITE = []
 PLACEMENTS = [0, -1, 2.5]  # an integer >= 1
+ORDER = [0, -1, 5, 2.5]  # an integer factorial order between 1 and 4
+ORDER_MAX = [1, 5, 2.5]  # an integer highest order between 2 and 4
 
 POISSON = pg.homogeneous_poisson(1.0)
 BALL = sn.indicator_ball(1.0)
@@ -168,6 +170,11 @@ ESTIMATORS = [
         PLACEMENTS,
     ),
     (
+        "factorial_moment.k",
+        lambda x: summaries.factorial_moment(POISSON, _periodic(), 1.0, x, 4, 5, STREAM),
+        ORDER,
+    ),
+    (
         "count_variance.placements",
         lambda x: summaries.count_variance(POISSON, _periodic(), 1.0, x, 5, STREAM),
         PLACEMENTS,
@@ -179,6 +186,12 @@ ESTIMATORS = [
         PLACEMENTS,
     ),
     (
+        "weak_poisson_test.k_max",
+        lambda x: compare.weak_poisson_test(POISSON, _periodic(), [0.5], k_max=x, reps=5,
+                                            stream=STREAM),
+        ORDER_MAX,
+    ),
+    (
         "weak_poisson_test.scales",
         lambda x: compare.weak_poisson_test(POISSON, _periodic(), [0.5, x], reps=5, stream=STREAM),
         POS,
@@ -188,6 +201,12 @@ ESTIMATORS = [
         lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "voids", [x], reps=5,
                                       stream=STREAM),
         POS,
+    ),
+    (
+        "compare_two.k",
+        lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "factorial_moments", [0.5],
+                                      k=x, reps=5, stream=STREAM),
+        ORDER,
     ),
     (
         "scaling_experiment.r_rule",
@@ -246,8 +265,11 @@ def test_in_bound_values_pass_validation(table):
         "mixture.weight": 0.0,
         "void_probability.placements": 4,
         "factorial_moment.placements": 4,
+        "factorial_moment.k": 2,
         "count_variance.placements": 4,
         "weak_poisson_test.placements": 4,
+        "weak_poisson_test.k_max": 3,
+        "compare_two.k": 2,
         "tabulated_response.radii[0]": 0.5,
         "tabulated_response.radii[1]": 1.5,
         "tabulated_response.radii[-1]": 3.0,
@@ -329,6 +351,12 @@ CONTRACTS = [
         "compare_two",
         "periodic",
         lambda w, rho: compare.compare_two(POISSON, POISSON, w, "variance", [rho, 2 * rho],
+                                           reps=5, stream=STREAM),
+    ),
+    (
+        "compare_two",
+        "periodic",
+        lambda w, rho: compare.compare_two(POISSON, POISSON, w, "ripley_k", [rho / 2, rho],
                                            reps=5, stream=STREAM),
     ),
     (
