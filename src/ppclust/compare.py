@@ -241,7 +241,11 @@ def compare_two(
 
     def estimates(spec: GeneratorSpec, stream: RandomStream) -> list:
         if statistic == "ripley_k":
-            return ripley_k(spec, w, scales, reps, stream, threads).estimates
+            # K's grid must be strictly increasing; each scale's estimate
+            # does not depend on the others, so any order is answered.
+            grid, where = np.unique(scales, return_inverse=True)
+            curve = ripley_k(spec, w, grid, reps, stream, threads)
+            return [curve.estimates[i] for i in where]
         regions = [(ball if statistic == "voids" else box)(s) for s in scales]
         stats = [[k if statistic == "factorial_moments" else statistic]] * len(scales)
         per_region = _region_estimates(

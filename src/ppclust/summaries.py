@@ -7,6 +7,7 @@ sample mean and standard error of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,25 +179,31 @@ def close_pair_count(pattern: PointPattern, r: float) -> int:
     return 2 * int(np.count_nonzero(d <= r))
 
 
-def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, region: Region) -> np.ndarray:
-    """Number of pattern points inside the region placed at each centre.
+def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, regions) -> np.ndarray:
+    """Number of pattern points inside each region at each of its centres:
+    ``centers[i]`` is a (placements, d) array placing ``regions[i]``, and
+    the result is a (regions, placements) int64 array.
 
     A ball is a Euclidean ball of radius ``size``, a box a Chebyshev ball
-    of radius ``size / 2``; candidates come from one KD-tree cross query
-    and membership from the offsets, so ties on the boundary are decided
-    by the comparisons below.
+    of radius ``size / 2``.  Both lie inside the Chebyshev ball of the
+    largest half-extent, so one max-norm KD-tree cross query at that radius
+    gives every region's candidates; membership comes from the offsets by
+    each region's own formula, so ties on the boundary are decided by the
+    comparisons below.
     """
     pts, w = pattern.points, pattern.window
-    if region.kind == "ball":
-        pairs = near_pairs(centers, pts, w, region.size)
-    else:
-        pairs = near_pairs(centers, pts, w, region.size / 2.0, p=np.inf)
-    delta = min_image(np.abs(centers[pairs[:, 0]] - pts[pairs[:, 1]]), w)
-    if region.kind == "ball":
-        inside = np.sum(delta**2, axis=1) <= region.size**2
-    else:
-        inside = np.all(delta <= region.size / 2.0, axis=1)
-    return np.bincount(pairs[inside, 0], minlength=centers.shape[0]).astype(np.int64)
+    flat = centers.reshape(-1, w.dim)
+    pairs = near_pairs(flat, pts, w, max(r.max_extent() for r in regions) / 2, p=np.inf)
+    delta = min_image(np.abs(flat[pairs[:, 0]] - pts[pairs[:, 1]]), w)
+    which = pairs[:, 0] // centers.shape[1]
+    is_ball = np.array([r.kind == "ball" for r in regions])[which]
+    bound = np.array([r.size**2 if r.kind == "ball" else r.size / 2.0 for r in regions])[which]
+    # The largest offset column by column: a row-wise max over so short an
+    # axis costs far more than d elementwise passes, and max is exact.
+    chebyshev = functools.reduce(np.maximum, delta.T)
+    inside = np.where(is_ball, np.sum(delta**2, axis=1) <= bound, chebyshev <= bound)
+    counts = np.bincount(pairs[inside, 0], minlength=flat.shape[0])
+    return counts.reshape(centers.shape[:2]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +336,12 @@ def _region_estimates(what, spec, w, regions, statistics, placements, reps, stre
 
     A statistic is ``"voids"``, ``"variance"`` or a factorial order k.
     Every input is checked before sampling.  Each replication samples the
-    pattern from ``rep.derive(0)`` and counts each region once, at
-    ``placements`` uniform centres drawn region by region, in order, from
-    one generator of ``rep.derive(1)``.  A region's estimates do not depend
-    on the regions after it, so the first equal a single-region call's at
-    the same stream.
+    pattern from ``rep.derive(0)``, draws ``placements`` uniform centres per
+    region as one (regions, placements, d) block from one generator of
+    ``rep.derive(1)``, which gives the values of drawing them region by
+    region in order, and counts every region in one ``_counts_in_regions``
+    call.  A region's estimates do not depend on the regions after it, so
+    the first equal a single-region call's at the same stream.
     """
     for k in (s for stats in statistics for s in stats if not isinstance(s, str)):
         if check_number("k", k, 1) > MAX_FACTORIAL_ORDER:
@@ -346,13 +354,12 @@ def _region_estimates(what, spec, w, regions, statistics, placements, reps, stre
 
     def one(rep: RandomStream) -> list:
         pattern = sample(spec, w, rep.derive(0))
-        rng = rep.derive(1).generator()
-        row = []
-        for region, stats in zip(regions, statistics):
-            centers = w.lower + rng.random((placements, w.dim)) * w.sides
-            counts = _counts_in_regions(pattern, centers, region).astype(float)
-            row.append([_region_value(counts, s, placements) for s in stats])
-        return row
+        draws = rep.derive(1).generator().random((len(regions), placements, w.dim))
+        counts = _counts_in_regions(pattern, w.lower + draws * w.sides, regions).astype(float)
+        return [
+            [_region_value(row, s, placements) for s in stats]
+            for row, stats in zip(counts, statistics)
+        ]
 
     rows = replicate(reps, stream, threads, one)
     return tuple(

@@ -347,6 +347,28 @@ def dense_counts_in_regions(centers, points, lower, upper, metric, kind, size):
     return np.count_nonzero(inside, axis=1)
 
 
+def per_region_counts(pattern, centers, region):
+    """Points inside one region at each centre, by one KD-tree cross query
+    per region: a Euclidean query at the radius for a ball, a max-norm
+    query at half the side for a box, then the region's own formula on the
+    offsets.  The reference for the one-query summaries._counts_in_regions."""
+    import numpy as np
+
+    from ppclust.core import min_image, near_pairs
+
+    pts, w = pattern.points, pattern.window
+    if region.kind == "ball":
+        pairs = near_pairs(centers, pts, w, region.size)
+    else:
+        pairs = near_pairs(centers, pts, w, region.size / 2.0, p=np.inf)
+    delta = min_image(np.abs(centers[pairs[:, 0]] - pts[pairs[:, 1]]), w)
+    if region.kind == "ball":
+        inside = np.sum(delta**2, axis=1) <= region.size**2
+    else:
+        inside = np.all(delta <= region.size / 2.0, axis=1)
+    return np.bincount(pairs[inside, 0], minlength=centers.shape[0]).astype(np.int64)
+
+
 def dense_coverage_counts(eval_points, points, lower, upper, metric, r):
     """Number of points within Euclidean distance r of each evaluation
     point, from the dense offsets."""
@@ -465,16 +487,17 @@ def envelope_ginibre(spec, w, rng):
 def loop_weak_poisson_test(spec, w, scales, k_max, placements, reps, stream, threads):
     """The weak sub-Poisson test by its own replication loop: each
     replication samples the pattern from rep.derive(0), counts a ball and a
-    box per scale at centres drawn in that order from one generator of
-    rep.derive(1), and keeps the void frequency and the factorial moments;
-    the (reps, scales, orders) arrays are then reduced column by column.
-    The reference for compare.weak_poisson_test, field for field."""
+    box per scale from the dense offsets, at centres drawn in that order
+    from one generator of rep.derive(1), and keeps the void frequency and
+    the factorial moments; the (reps, scales, orders) arrays are then
+    reduced column by column.  The reference for compare.weak_poisson_test,
+    field for field."""
     import numpy as np
 
     from ppclust.compare import OrderingReport, ScaleComparison, _verdict, _z_score
     from ppclust.core import ball_volume, replicate
     from ppclust.procgen import intensity, sample
-    from ppclust.summaries import _counts_in_regions, _estimates, ball, box
+    from ppclust.summaries import _estimates, ball, box
 
     regions = [region for s in scales for region in (ball(s), box(s))]
     lam = intensity(spec, d=w.dim, w=w).value
@@ -484,7 +507,10 @@ def loop_weak_poisson_test(spec, w, scales, k_max, placements, reps, stream, thr
         pattern = sample(spec, w, rep.derive(0))
         rng = rep.derive(1).generator()
         per_region = [
-            _counts_in_regions(pattern, w.lower + rng.random((placements, w.dim)) * w.sides, r)
+            dense_counts_in_regions(
+                w.lower + rng.random((placements, w.dim)) * w.sides,
+                pattern.points, w.lower, w.upper, w.metric, r.kind, r.size,
+            )
             for r in regions
         ]
         voids = [np.mean(c == 0) for c in per_region[0::2]]

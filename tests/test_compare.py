@@ -235,6 +235,17 @@ class TestCompareTwo:
         )
         assert report.verdict == "consistent_super"
 
+    def test_ripley_route_takes_scales_in_any_order(self):
+        def rows(scales):
+            return compare_two(
+                thomas_cluster(1.0, 2.0, 0.1), homogeneous_poisson(2.0), periodic(8.0),
+                statistic="ripley_k", scales=scales, reps=20, stream=STREAM.derive(5),
+            ).per_scale
+
+        assert rows([1.0, 0.5]) == rows([0.5, 1.0])[::-1]
+        twice = rows([0.5, 0.5])
+        assert twice[0] == twice[1]
+
     def test_variance_route_detects_sub(self):
         report = compare_two(
             JITTERED_GRID,

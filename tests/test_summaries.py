@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ppclust.summaries as summaries
-from oracles import dense_counts_in_regions
+from oracles import dense_counts_in_regions, per_region_counts
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, pairwise_distances
 from ppclust.dists import deterministic
 from ppclust.procgen import (
@@ -158,9 +158,19 @@ def dense_counts(pattern, centers, region):
     )
 
 
+def dense_region_counts(pattern, centers, regions):
+    """The dense counts with the signature of summaries._counts_in_regions."""
+    return np.array([dense_counts(pattern, c, r) for c, r in zip(centers, regions)])
+
+
+def one_region_counts(pattern, centers, region):
+    return summaries._counts_in_regions(pattern, centers[None], [region])[0]
+
+
 class TestCountsInRegionsAgainstDense:
     # The KD-tree cross query must give exactly the counts of the dense
-    # (centres, n, d) broadcast, ties on the region boundary included.
+    # (centres, n, d) broadcast, ties on the region boundary included, for
+    # one region and for regions of both kinds and several sizes at once.
     SPECS = {
         "poisson": homogeneous_poisson(1.0),
         "thomas": thomas_cluster(0.2, 5.0, 0.4),
@@ -177,9 +187,24 @@ class TestCountsInRegionsAgainstDense:
             rng = stream.derive(1).generator()
             centers = w.lower + rng.random((64, d)) * w.sides
             for region in (ball(0.3), ball(1.0), ball(2.5), box(0.5), box(2.0), box(5.0)):
-                got = summaries._counts_in_regions(pattern, centers, region)
+                got = one_region_counts(pattern, centers, region)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, dense_counts(pattern, centers, region))
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_regions_in_one_call(self, d, metric):
+        w = cube(40.0 if d == 1 else 7.0, d, origin=-1.3, metric=metric)
+        regions = [ball(0.3), box(0.5), ball(2.5), box(5.0)]
+        for seed in range(4):
+            stream = STREAM.derive(140 + seed)
+            pattern = sample(self.SPECS["thomas"], w, stream.derive(0))
+            centers = w.lower + stream.derive(1).generator().random((4, 64, d)) * w.sides
+            got = summaries._counts_in_regions(pattern, centers, regions)
+            assert got.dtype == np.int64 and got.shape == (4, 64)
+            for row, c, region in zip(got, centers, regions):
+                assert np.array_equal(row, dense_counts(pattern, c, region))
+                assert np.array_equal(row, per_region_counts(pattern, c, region))
 
     @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
     def test_points_exactly_on_the_boundary(self, metric):
@@ -196,9 +221,12 @@ class TestCountsInRegionsAgainstDense:
         )
         pattern = PointPattern(w, points)
         for region, want in ((ball(0.5), [4, 0]), (box(1.0), [5, 1])):
-            got = summaries._counts_in_regions(pattern, centers, region)
+            got = one_region_counts(pattern, centers, region)
             assert got.tolist() == want
             assert np.array_equal(got, dense_counts(pattern, centers, region))
+        both = np.stack([centers, centers])
+        got = summaries._counts_in_regions(pattern, both, [ball(0.5), box(1.0)])
+        assert got.tolist() == [[4, 0], [5, 1]]
 
     def test_pairs_across_the_seam(self):
         w = periodic(4.0)
@@ -206,7 +234,7 @@ class TestCountsInRegionsAgainstDense:
         centers = np.array([[0.25, 2.0], [0.1, 0.1], [0.0, 0.0]])
         # 3.75 and 0.25 lie exactly 0.5 apart through the seam.
         for region, want in ((ball(0.5), [1, 1, 1]), (box(1.0), [1, 1, 1])):
-            got = summaries._counts_in_regions(pattern, centers, region)
+            got = one_region_counts(pattern, centers, region)
             assert got.tolist() == want
             assert np.array_equal(got, dense_counts(pattern, centers, region))
 
@@ -219,7 +247,7 @@ class TestCountsInRegionsAgainstDense:
         centers = np.array([[-1.3, 0.0], [-1.3, -1.3], [top, top], [0.5, 0.5]])
         assert pattern.points[0, 0] - w.lower[0] == w.sides[0]
         for region in (ball(0.1), box(0.2)):
-            got = summaries._counts_in_regions(pattern, centers, region)
+            got = one_region_counts(pattern, centers, region)
             assert got.tolist() == [1, 1, 1, 0]
             assert np.array_equal(got, dense_counts(pattern, centers, region))
 
@@ -227,7 +255,7 @@ class TestCountsInRegionsAgainstDense:
         pattern = PointPattern(periodic(4.0), np.empty((0, 2)))
         centers = np.array([[1.0, 1.0], [2.0, 3.0]])
         for region in (ball(1.0), box(1.0)):
-            got = summaries._counts_in_regions(pattern, centers, region)
+            got = one_region_counts(pattern, centers, region)
             assert got.dtype == np.int64 and got.tolist() == [0, 0]
 
     def test_estimators_match_the_dense_path(self, monkeypatch):
@@ -237,7 +265,7 @@ class TestCountsInRegionsAgainstDense:
             void_probability(spec, w, ball(1.0), reps=6, stream=STREAM.derive(130)),
             factorial_moment(spec, w, 2.0, 2, reps=6, stream=STREAM.derive(131)),
         )
-        monkeypatch.setattr(summaries, "_counts_in_regions", dense_counts)
+        monkeypatch.setattr(summaries, "_counts_in_regions", dense_region_counts)
         assert void_probability(spec, w, ball(1.0), reps=6, stream=STREAM.derive(130)) == fast[0]
         assert factorial_moment(spec, w, 2.0, 2, reps=6, stream=STREAM.derive(131)) == fast[1]
 
