@@ -5,13 +5,14 @@ pure function of its arguments, so replications parallelize by deriving child
 streams per replication index. Point order is canonical (lexicographic). No
 sampler caches anything: each LGCP pattern draws its field by FFT.
 
-The truncated Ginibre process is sampled exactly, with no envelope: each
-disk eigenfunction psi_k is kept with probability lambda_k, and the HKPV chain
-rule places one point per kept psi_k.  With i placed, a proposal picks k
-uniformly among the n kept, r^2 ~ Gamma(k + 1) cut at R^2 and a uniform
-angle, so it has density |v(z)|^2 / n, and it is accepted with probability
-|P v(z)|^2 / |v(z)|^2 <= 1, P the projection off the i placed rows.  That
-takes n * H_n proposals on average.
+The truncated Ginibre process is the N x N Ginibre ensemble restricted to
+the disk of radius R: its kernel sum_{k<N} lambda_k psi_k(z) conj(psi_k(w))
+is the ensemble's kernel on the disk, and restricting a determinantal
+process to a set restricts its kernel.  So a pattern is the eigenvalues
+inside the disk of one matrix of iid standard complex Gaussians.  The matrix
+is m x m, m the smallest rank with sum_{k>=m} lambda_k <= 2^-53; that tail
+bounds the total-variation distance to rank N, and it spares N >> R^2 an
+N x N solve.  A pattern costs O(m^3).
 
 Lattice-backed families on periodic windows snap the cell count per axis to
 round(side/spacing) so the lattice tiles the torus without a seam; the
@@ -39,11 +40,8 @@ from .core import (
     volume,
 )
 
-# Sequential determinantal sampling cost grows with the truncation rank.
+# A Ginibre pattern's eigenvalue solve is O(m^3) for a matrix of m <= N rows.
 MAX_GINIBRE_N = 256
-# Proposals per Ginibre pattern before sampling fails; n * H_n <= 1,570 at the
-# rank cap, so only a broken basis reaches it.
-MAX_GINIBRE_PROPOSALS = 1 << 20
 # Cells of the torus that the LGCP field is embedded in: caps the FFT size.
 MAX_COX_CELLS = 1 << 20
 # Families defined only in the plane, by the name their errors give.
@@ -489,61 +487,15 @@ def ginibre_eigenvalues(n_rank: int, radius: float) -> np.ndarray:
     return special.gammainc(ks + 1.0, radius**2)
 
 
-def _ginibre_basis(zs: np.ndarray, ks: np.ndarray, radius: float) -> np.ndarray:
-    """Orthonormal eigenfunction values psi_k(z) on the disk, shape (len(zs), len(ks))."""
-    log_lam = np.log(special.gammainc(ks + 1.0, radius**2))
-    log_norm = 0.5 * (math.log(math.pi) + special.gammaln(ks + 1.0) + log_lam)
-    r = np.abs(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.where(r > 0, np.log(np.maximum(r, 1e-300)), -np.inf)
-        log_mag = ks[None, :] * log_r[:, None] - (r**2)[:, None] / 2 - log_norm[None, :]
-        phase = np.exp(1j * ks[None, :] * np.angle(zs)[:, None])
-        mag = np.exp(log_mag)
-    mag[np.isneginf(log_mag)] = 0.0
-    # k = 0 at the origin: 0 * log 0 needs an explicit value
-    if np.any(r == 0):
-        mag[r == 0, :] = 0.0
-        if ks.shape[0] and ks[0] == 0:
-            mag[r == 0, 0] = np.exp(-log_norm[0])
-    return mag * phase
-
-
 def _sample_ginibre(spec, w, rng):
     check_window("the non-stationary Ginibre process", w, "euclidean")
-    n_rank = spec.get("n_rank")
     radius = spec.get("radius")
-    lambdas = ginibre_eigenvalues(n_rank, radius)
-    ks = np.arange(n_rank)[rng.random(n_rank) < lambdas]
-    n = ks.shape[0]
-    points = np.empty((n, 2))
-    basis = np.empty((n, n), dtype=complex)  # orthonormal rows spanning v(z_1..z_i)
-    proposals = 0
-    for i in range(n):
-        placed = basis[:i]
-        block = -(-n // (n - i))  # expected proposals per accepted point
-        while True:
-            proposals += block
-            if proposals > MAX_GINIBRE_PROPOSALS:
-                raise RuntimeError(
-                    f"Ginibre sampling reached its cap of {MAX_GINIBRE_PROPOSALS} "
-                    f"proposals with {i} of {n} points placed"
-                )
-            # |psi_k|^2 in polar form: uniform angle, r^2 ~ Gamma(k + 1) cut at R^2.
-            k = ks[rng.integers(n, size=block)]
-            r2 = special.gammaincinv(k + 1.0, rng.random(block) * lambdas[k])
-            zs = np.sqrt(r2) * np.exp(2j * math.pi * rng.random(block))
-            vs = _ginibre_basis(zs, ks, radius)
-            resid = vs - (vs @ placed.conj().T) @ placed
-            norm2 = np.sum(np.abs(vs) ** 2, axis=1)
-            resid2 = np.sum(np.abs(resid) ** 2, axis=1)
-            hits = np.flatnonzero(rng.random(block) * norm2 < resid2)
-            if hits.size:
-                break
-        z, u = zs[hits[0]], resid[hits[0]]
-        u = u - (placed.conj() @ u) @ placed  # second Gram-Schmidt pass
-        basis[i] = u / np.linalg.norm(u)
-        points[i] = z.real, z.imag
-    return points
+    tails = np.cumsum(ginibre_eigenvalues(spec.get("n_rank"), radius)[::-1])[::-1]
+    m = np.count_nonzero(tails > 2.0**-53)
+    g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * math.sqrt(0.5)
+    zs = np.linalg.eigvals(g)
+    zs = zs[np.abs(zs) < radius]
+    return np.column_stack((zs.real, zs.imag))
 
 
 _SAMPLERS = {

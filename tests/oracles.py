@@ -30,26 +30,24 @@ def brute_force_gilbert_edges(points, lower, upper, metric, r):
 
 def brute_force_motif_count(n, edges, motif_adjacency):
     """Count k-subsets inducing a graph isomorphic to the motif, by trying
-    every subset and every vertex relabeling."""
+    every subset and every vertex relabeling against an adjacency matrix."""
     from itertools import combinations, permutations
 
-    k = len(motif_adjacency)
-    adjacent = set()
+    import numpy as np
+
+    motif = np.asarray(motif_adjacency, dtype=bool)
+    k = len(motif)
+    adjacency = np.zeros((n, n), dtype=bool)
     for i, j in edges:
-        adjacent.add((i, j))
-        adjacent.add((j, i))
-    count = 0
-    for sub in combinations(range(n), k):
-        for perm in permutations(range(k)):
-            if all(
-                ((sub[perm[a]], sub[perm[b]]) in adjacent)
-                == bool(motif_adjacency[a][b])
-                for a in range(k)
-                for b in range(a + 1, k)
-            ):
-                count += 1
-                break
-    return count
+        adjacency[i, j] = adjacency[j, i] = True
+    subsets = np.array(list(combinations(range(n), k)), dtype=int).reshape(math.comb(n, k), k)
+    induced = adjacency[subsets[:, :, None], subsets[:, None, :]]  # (subsets, k, k)
+    a, b = np.triu_indices(k, 1)
+    found = np.zeros(len(subsets), dtype=bool)
+    for perm in permutations(range(k)):
+        perm = np.array(perm, dtype=int)
+        found |= np.all(induced[:, perm[a], perm[b]] == motif[a, b], axis=1)
+    return int(found.sum())
 
 
 def count_connected_subsets(n, edges, k):
@@ -429,15 +427,84 @@ def dense_field_covariance(w, grid_n, sigma, corr_length):
     return sigma**2 * np.exp(-pairwise_distances(centers, w) / corr_length)
 
 
+def ginibre_basis(zs, ks, radius):
+    """Orthonormal eigenfunction values psi_k(z) of the Ginibre kernel
+    restricted to the disk of radius R, shape (len(zs), len(ks))."""
+    import numpy as np
+    from scipy import special
+
+    log_lam = np.log(special.gammainc(ks + 1.0, radius**2))
+    log_norm = 0.5 * (math.log(math.pi) + special.gammaln(ks + 1.0) + log_lam)
+    r = np.abs(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.where(r > 0, np.log(np.maximum(r, 1e-300)), -np.inf)
+        log_mag = ks[None, :] * log_r[:, None] - (r**2)[:, None] / 2 - log_norm[None, :]
+        phase = np.exp(1j * ks[None, :] * np.angle(zs)[:, None])
+        mag = np.exp(log_mag)
+    mag[np.isneginf(log_mag)] = 0.0
+    # k = 0 at the origin: 0 * log 0 needs an explicit value
+    if np.any(r == 0):
+        mag[r == 0, :] = 0.0
+        if ks.shape[0] and ks[0] == 0:
+            mag[r == 0, 0] = np.exp(-log_norm[0])
+    return mag * phase
+
+
+def hkpv_ginibre(spec, w, rng):
+    """The truncated Ginibre process by the HKPV chain rule: each disk
+    eigenfunction psi_k (k < N) is kept with probability lambda_k, and one
+    point is placed per kept psi_k.  With i placed, a proposal picks k
+    uniformly among the n kept, r^2 ~ Gamma(k + 1) cut at R^2 and a uniform
+    angle, so it has density |v(z)|^2 / n; it is accepted with probability
+    |P v(z)|^2 / |v(z)|^2 <= 1, P the projection off the i placed rows.  The
+    reference law for procgen's eigenvalue sampler; it shares only
+    ginibre_eigenvalues with it."""
+    import numpy as np
+    from scipy import special
+
+    from ppclust.procgen import ginibre_eigenvalues
+
+    n_rank = spec.get("n_rank")
+    radius = spec.get("radius")
+    lambdas = ginibre_eigenvalues(n_rank, radius)
+    ks = np.arange(n_rank)[rng.random(n_rank) < lambdas]
+    n = ks.shape[0]
+    points = np.empty((n, 2))
+    basis = np.empty((n, n), dtype=complex)  # orthonormal rows spanning v(z_1..z_i)
+    proposals = 0
+    for i in range(n):
+        placed = basis[:i]
+        block = -(-n // (n - i))  # expected proposals per accepted point
+        while True:
+            proposals += block
+            if proposals > 1 << 20:  # n * H_n <= 1,570 at N = 256
+                raise RuntimeError("HKPV Ginibre sampling failed to accept")
+            k = ks[rng.integers(n, size=block)]
+            r2 = special.gammaincinv(k + 1.0, rng.random(block) * lambdas[k])
+            zs = np.sqrt(r2) * np.exp(2j * math.pi * rng.random(block))
+            vs = ginibre_basis(zs, ks, radius)
+            resid = vs - (vs @ placed.conj().T) @ placed
+            norm2 = np.sum(np.abs(vs) ** 2, axis=1)
+            resid2 = np.sum(np.abs(resid) ** 2, axis=1)
+            hits = np.flatnonzero(rng.random(block) * norm2 < resid2)
+            if hits.size:
+                break
+        z, u = zs[hits[0]], resid[hits[0]]
+        u = u - (placed.conj() @ u) @ placed  # second Gram-Schmidt pass
+        basis[i] = u / np.linalg.norm(u)
+        points[i] = z.real, z.imag
+    return points
+
+
 def envelope_ginibre(spec, w, rng):
     """The truncated Ginibre process by the HKPV chain rule, with rejection
     against a numerical envelope: uniform proposals on the disk, accepted
     under 1.05 times the largest |v(z)|^2 on a 4,096-point radius grid, in
-    chunks of 128.  The reference law for procgen's exact sampler; it shares
-    the eigenvalues and the eigenfunction basis, and draws ks first as well."""
+    chunks of 128.  A second reference law for procgen's eigenvalue sampler;
+    it shares ginibre_basis with hkpv_ginibre, and draws ks first as well."""
     import numpy as np
 
-    from ppclust.procgen import _ginibre_basis, ginibre_eigenvalues
+    from ppclust.procgen import ginibre_eigenvalues
 
     n_rank = spec.get("n_rank")
     radius = spec.get("radius")
@@ -448,7 +515,7 @@ def envelope_ginibre(spec, w, rng):
         return np.empty((0, 2))
 
     r_grid = np.linspace(0.0, radius, 4096)
-    f = np.sum(np.abs(_ginibre_basis(r_grid.astype(complex), ks, radius)) ** 2, axis=1)
+    f = np.sum(np.abs(ginibre_basis(r_grid.astype(complex), ks, radius)) ** 2, axis=1)
     envelope = float(f.max()) * 1.05
 
     chunk = 128
@@ -460,7 +527,7 @@ def envelope_ginibre(spec, w, rng):
             rr = radius * np.sqrt(rng.random(chunk))
             theta = 2 * math.pi * rng.random(chunk)
             zs = rr * np.exp(1j * theta)
-            vs = _ginibre_basis(zs, ks, radius)
+            vs = ginibre_basis(zs, ks, radius)
             targets = np.sum(np.abs(vs) ** 2, axis=1)
             if basis.shape[0]:
                 proj = vs @ basis.conj().T

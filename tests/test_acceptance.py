@@ -418,9 +418,11 @@ def test_critical_radius_estimates_respect_rigorous_bounds():
 
 
 def test_truncated_ginibre_count_mean_and_sub_poisson_variance():
-    # Oracle value computed by tests/oracle_scripts/ginibre_expected_count.py
-    # (sum of the 40 leading eigenvalues of the disk-truncated kernel).
+    # Oracle values computed by tests/oracle_scripts/ginibre_expected_count.py
+    # (sums of lambda_k and lambda_k (1 - lambda_k) over the 40 leading
+    # eigenvalues of the disk-truncated kernel).
     expected_count = 8.9999999999999921
+    expected_variance = 1.6806878287630542
     w = box((-3.5, 3.5), (-3.5, 3.5), metric="euclidean")
     spec = procgen.ginibre_truncated(40, 3.0)
     stream = ACC.derive(20)
@@ -443,26 +445,27 @@ def test_truncated_ginibre_count_mean_and_sub_poisson_variance():
     se_mean = counts.std(ddof=1) / math.sqrt(n)
     variance = counts.var(ddof=1)
 
-    # Delete-one jackknife standard error for the statistic mean - variance.
+    # Delete-one jackknife standard errors for the variance and for the
+    # statistic mean - variance.
     total, total_sq = counts.sum(), float(np.sum(counts**2))
-    leave_one_out = []
-    for c in counts:
-        m_i = (total - c) / (n - 1)
-        v_i = (total_sq - c * c - (n - 1) * m_i * m_i) / (n - 2)
-        leave_one_out.append(m_i - v_i)
-    leave_one_out = np.array(leave_one_out)
-    se_gap = math.sqrt(
-        (n - 1) / n * float(np.sum((leave_one_out - leave_one_out.mean()) ** 2))
-    )
+    m_loo = (total - counts) / (n - 1)
+    v_loo = (total_sq - counts * counts - (n - 1) * m_loo * m_loo) / (n - 2)
+
+    def jackknife_se(leave_one_out):
+        return math.sqrt(
+            (n - 1) / n * float(np.sum((leave_one_out - leave_one_out.mean()) ** 2))
+        )
 
     z_mean = (mean - expected_count) / se_mean
-    z_gap = (mean - variance) / se_gap
-    ok = abs(z_mean) <= 3.0 and z_gap > 3.0
+    z_var = (variance - expected_variance) / jackknife_se(v_loo)
+    z_gap = (mean - variance) / jackknife_se(m_loo - v_loo)
+    ok = abs(z_mean) <= 3.0 and abs(z_var) <= 3.0 and z_gap > 3.0
     line = _report(
         "ginibre-count-signature",
         ok,
         f"mean = {mean:.3f} (z = {z_mean:+.2f} vs {expected_count:.3f}), "
-        f"variance = {variance:.3f}, mean - variance z = {z_gap:+.1f}",
+        f"variance = {variance:.3f} (z = {z_var:+.2f} vs {expected_variance:.3f}), "
+        f"mean - variance z = {z_gap:+.1f}",
     )
     assert ok, line
 

@@ -66,7 +66,7 @@ ESTIMATORS = {
         (POISSON, lambda n: 0.8, [25, 64]),
         dict(reps=6, stream=STREAM.derive(5)),
     ),
-    # The Ginibre sampler's proposal blocks come from each pattern's stream.
+    # The Ginibre sampler's Gaussian matrix comes from each pattern's stream.
     "ginibre_scaling_experiment": (
         scaling_experiment,
         (GINIBRE, lambda n: 1.5, [16, 36]),
