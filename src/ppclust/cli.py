@@ -906,13 +906,12 @@ def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     else:
         pattern_i = procgen.sample(rc.generator_b, rc.window, stream.derive(1))
 
-    def graph_at(gamma: float) -> percolation.Graph:
-        params = percolation.SinrParams(
-            p["power"], p["noise"], p["threshold"], gamma, p["attenuation"]
-        )
-        return percolation.sinr_graph(pattern_b, pattern_i, params)
-
-    g = graph_at(p["gamma"])
+    params = percolation.SinrParams(
+        p["power"], p["noise"], p["threshold"], p["gamma"], p["attenuation"]
+    )
+    gammas = p["gammas"]
+    sweep = gammas if len(gammas) > 1 else []
+    g, *swept = percolation._sinr_graphs(pattern_b, pattern_i, params, [p["gamma"], *sweep])
     sizes = percolation.components(g)
     files = [
         ("edges.csv", percolation.graph_to_csv(g)),
@@ -925,9 +924,8 @@ def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         ),
     ]
     plots = []
-    gammas = p["gammas"]
-    if len(gammas) > 1:
-        counts = [len(graph_at(gamma).edges) for gamma in gammas]
+    if sweep:
+        counts = [len(swept_g.edges) for swept_g in swept]
         files.append(
             ("gamma_sweep.csv", csv_text(("gamma", "n_edges"), zip(gammas, counts)))
         )

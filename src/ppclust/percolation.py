@@ -15,9 +15,12 @@ on the kept edges.  A radius sweep queries once at the largest radius,
 sorts the pairs by length, and reads the graph at each radius as a prefix
 of that order.  A Graph holds its edges as that same (E, 2) int64 array,
 from the query through components to graph_to_csv.  The site-grid
-crossing of k-coverage labels its open cells with scipy.ndimage.  The SINR
-graph is the one dense kernel here: interference sums over every pair, so
-its distances come from core.pairwise_distances under MAX_DENSE_ENTRIES.
+crossing of k-coverage labels its open cells with scipy.ndimage.  SINR
+links come from one pair query too: with noise, a link needs the signal
+alone to clear T N, which bounds its length.  What stays dense is the
+interference (receivers x interferers, once per pattern, when some gamma is
+positive) and, at zero noise with an unbounded attenuation, the signal;
+both come from core.pairwise_distances under MAX_DENSE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -465,16 +468,34 @@ class SinrParams:
         ) / 2.0
 
 
-def sinr_graph(
-    pattern_b: PointPattern, pattern_i: PointPattern, params: SinrParams
-) -> Graph:
-    """Bidirectional SINR graph on pattern_b with interferers pattern_i.
+def _sinr_reach(params: SinrParams) -> float:
+    """A distance beyond which no link can form at any gamma, or inf.
 
-    The directed link X -> Y holds when P l(|XY|) exceeds T times noise
-    plus gamma-weighted interference at the receiver Y; an edge needs both
-    directions.  Interference sums the attenuation from every interferer,
-    except that a receiver coinciding with an interferer does not hear
-    itself (self-term removed by coordinate match).
+    With noise N > 0 every denominator is at least N, so a link needs
+    P l(|XY|) > T N: beyond l^{-1}(T N / P) nothing links.  The level is
+    lowered by a millionth so that the rounding of the inverse and of the
+    link rule cannot drop a pair at the edge.  A bounded attenuation
+    vanishes beyond its support at any noise.
+    """
+    l = params.attenuation
+    if l.kind in ("indicator_ball", "tabulated"):
+        return l.support_radius()
+    level = params.threshold * params.noise / params.power
+    if not level > 0:  # zero noise, or a level that underflows
+        return math.inf
+    return l.radial_inverse(level * (1 - 1e-6))
+
+
+def _sinr_graphs(
+    pattern_b: PointPattern, pattern_i: PointPattern, params: SinrParams, gammas
+) -> list:
+    """One SINR graph per interference factor in gammas (params.gamma is
+    not read), from one set of candidate pairs and one interference field.
+
+    The candidates are the pairs within _sinr_reach, from one pair query;
+    only zero noise with an unbounded attenuation takes every pair, with
+    distances from the dense kernel under MAX_DENSE_ENTRIES.  The
+    interference is computed once, and only when some gamma is positive.
     """
     wb, wi = pattern_b.window, pattern_i.window
     if (
@@ -487,26 +508,51 @@ def sinr_graph(
     pts = pattern_b.points
     n = pts.shape[0]
     if n < 2:
-        return Graph(n, ())
+        return [Graph(n, ()) for _ in gammas]
     l = params.attenuation
 
     # Interference first, so that an interferer set over the dense cap
-    # raises before the n x n signal exists.
+    # raises before the pairs exist.
     interference = np.zeros(n)
-    if params.gamma > 0:
+    if any(gamma > 0 for gamma in gammas):
         dist_i = pairwise_distances(pts, wb, pattern_i.points)
         terms = l.evaluate(dist_i)
         # A receiver that is itself an interferer does not hear its own signal.
         terms[dist_i == 0.0] = 0.0
         interference = np.sum(terms, axis=1)
-    signal = params.power * l.evaluate(pairwise_distances(pts, wb))
+    reach = _sinr_reach(params)
+    if reach < math.inf:
+        pairs = neighbor_pairs(pts, wb, reach)
+        dist = pair_distances(pts, pairs, wb)
+    else:
+        dense = pairwise_distances(pts, wb)
+        pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+        dist = dense[pairs[:, 0], pairs[:, 1]]
+    signal = params.power * l.evaluate(dist)[:, None]
 
-    denom = params.noise + params.gamma * params.power * interference  # per receiver
-    # ok[i, j]: transmission i -> j clears the threshold at receiver j.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = signal / denom[None, :]
-    ok = np.where(denom[None, :] == 0.0, signal > 0.0, ratio > params.threshold)
-    return Graph(n, np.argwhere(np.triu(ok & ok.T, k=1)))
+    graphs = []
+    for gamma in gammas:
+        # Per receiver; ok[k, 1] is the link pairs[k, 0] -> pairs[k, 1].
+        denom = (params.noise + gamma * params.power * interference)[pairs]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = signal / denom
+        ok = np.where(denom == 0.0, signal > 0.0, ratio > params.threshold)
+        graphs.append(Graph(n, pairs[ok.all(axis=1)]))
+    return graphs
+
+
+def sinr_graph(
+    pattern_b: PointPattern, pattern_i: PointPattern, params: SinrParams
+) -> Graph:
+    """Bidirectional SINR graph on pattern_b with interferers pattern_i.
+
+    The directed link X -> Y holds when P l(|XY|) exceeds T times noise
+    plus gamma-weighted interference at the receiver Y; an edge needs both
+    directions.  Interference sums the attenuation from every interferer,
+    except that a receiver coinciding with an interferer does not hear
+    itself (self-term removed by coordinate match).
+    """
+    return _sinr_graphs(pattern_b, pattern_i, params, [params.gamma])[0]
 
 
 # ---------------------------------------------------------------------------

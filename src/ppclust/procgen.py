@@ -522,8 +522,10 @@ def intensity(spec: GeneratorSpec, d: int = 2, w: Window | None = None) -> Inten
     """Mean points per unit volume; exact closed form for every family.
 
     d matters for lattice families (1/spacing^d); binomial_process needs the
-    window to turn a fixed count into a rate.  The hexagonal lattice and the
-    Ginibre process raise for d != 2, as ``sample`` does.
+    window to turn a fixed count into a rate.  The truncated Ginibre process
+    is not stationary: its value is the mean count on the disk, the sum of
+    the kernel's eigenvalues, over the disk's area.  The hexagonal lattice
+    and the Ginibre process raise for d != 2, as ``sample`` does.
     """
     if w is not None:
         d = w.dim
@@ -553,7 +555,10 @@ def intensity(spec: GeneratorSpec, d: int = 2, w: Window | None = None) -> Inten
         mu_g, sigma = spec.get("mu_g"), spec.get("sigma")
         return IntensityReport(math.exp(mu_g + sigma**2 / 2))
     if fam == "ginibre_truncated":
-        return IntensityReport(1.0 / math.pi)
+        radius = spec.get("radius")
+        return IntensityReport(
+            float(ginibre_eigenvalues(spec.get("n_rank"), radius).sum()) / (math.pi * radius**2)
+        )
     raise AssertionError(fam)
 
 

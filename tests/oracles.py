@@ -604,3 +604,55 @@ def loop_weak_poisson_test(spec, w, scales, k_max, placements, reps, stream, thr
         refs = [(lam * s**d) ** k for s in scales]
         reports.append(report(f"factorial_moments({k})", mom_mat[:, :, c], refs))
     return reports
+
+
+def dense_sinr_graph(pattern_b, pattern_i, params):
+    """Bidirectional SINR graph on pattern_b with interferers pattern_i.
+
+    The directed link X -> Y holds when P l(|XY|) exceeds T times noise
+    plus gamma-weighted interference at the receiver Y; an edge needs both
+    directions.  Interference sums the attenuation from every interferer,
+    except that a receiver coinciding with an interferer does not hear
+    itself (self-term removed by coordinate match).
+
+    The dense form: the n x n signal and the ratio rule on every ordered
+    pair, then np.argwhere on the upper triangle of ok & ok.T.  The
+    reference for percolation.sinr_graph, which reads only the pairs within
+    its noise-limited reach.
+    """
+    import numpy as np
+
+    from ppclust.core import pairwise_distances
+    from ppclust.percolation import Graph
+
+    wb, wi = pattern_b.window, pattern_i.window
+    if (
+        wb.metric != wi.metric
+        or not np.array_equal(wb.lower, wi.lower)
+        or not np.array_equal(wb.upper, wi.upper)
+    ):
+        raise ValueError("both patterns must live in the same window")
+    params.attenuation.check_integrable(wb.dim)
+    pts = pattern_b.points
+    n = pts.shape[0]
+    if n < 2:
+        return Graph(n, ())
+    l = params.attenuation
+
+    # Interference first, so that an interferer set over the dense cap
+    # raises before the n x n signal exists.
+    interference = np.zeros(n)
+    if params.gamma > 0:
+        dist_i = pairwise_distances(pts, wb, pattern_i.points)
+        terms = l.evaluate(dist_i)
+        # A receiver that is itself an interferer does not hear its own signal.
+        terms[dist_i == 0.0] = 0.0
+        interference = np.sum(terms, axis=1)
+    signal = params.power * l.evaluate(pairwise_distances(pts, wb))
+
+    denom = params.noise + params.gamma * params.power * interference  # per receiver
+    # ok[i, j]: transmission i -> j clears the threshold at receiver j.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = signal / denom[None, :]
+    ok = np.where(denom[None, :] == 0.0, signal > 0.0, ratio > params.threshold)
+    return Graph(n, np.argwhere(np.triu(ok & ok.T, k=1)))

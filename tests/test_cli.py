@@ -452,6 +452,38 @@ class TestOtherExperiments:
         assert counts == sorted(counts, reverse=True)
         assert (tmp_path / "a" / "edges.csv").read_text().splitlines()[0] == "i,j"
 
+    def test_sinr_gamma_sweep_matches_separate_graphs(self, tmp_path):
+        # One SINR pass per pattern gives every gamma the graph that its own
+        # sinr_graph call gives, with a separate interferer pattern too.
+        from ppclust import percolation, procgen, shotnoise
+        from ppclust.core import RandomStream, cube
+
+        cfg = write_config(
+            tmp_path / "s.ini",
+            "[run]\nseed = 6\n[window]\nsides = 6\ndimension = 2\nmetric = euclidean\n"
+            "[generator]\ntype = poisson\nintensity = 1.5\n"
+            "[generator_b]\ntype = poisson\nintensity = 0.5\n"
+            "[sinr]\nnoise = 0.1\nthreshold = 1.0\ngamma = 0.05\n"
+            "gammas = 0.0,0.02,0.1,0.5\n",
+        )
+        assert run_cli("sinr", "--config", cfg, "--out", tmp_path / "a") == 0
+        w, stream = cube(6.0, 2, metric="euclidean"), RandomStream(6)
+        pattern_b = procgen.sample(procgen.homogeneous_poisson(1.5), w, stream.derive(0))
+        pattern_i = procgen.sample(procgen.homogeneous_poisson(0.5), w, stream.derive(1))
+
+        def graph(gamma):
+            params = percolation.SinrParams(
+                1.0, 0.1, 1.0, gamma, shotnoise.exponential_response(1.0)
+            )
+            return percolation.sinr_graph(pattern_b, pattern_i, params)
+
+        edges = (tmp_path / "a" / "edges.csv").read_text()
+        assert edges == percolation.graph_to_csv(graph(0.05))
+        lines = (tmp_path / "a" / "gamma_sweep.csv").read_text().splitlines()
+        counts = [int(line.split(",")[1]) for line in lines[1:]]
+        assert counts == [len(graph(g).edges) for g in (0.0, 0.02, 0.1, 0.5)]
+        assert len(set(counts)) == len(counts)
+
     @pytest.mark.parametrize("gammas", ["-1", "0.1,-2"])
     def test_sinr_negative_gammas_rejected(self, tmp_path, capsys, gammas):
         # One value or several, a negative interference factor fails parsing.

@@ -362,6 +362,27 @@ class TestPairwiseDistances:
         wrapped = core.pairwise_distances(points, w, others) < direct - 1e-9
         assert np.any(wrapped) == (metric == "periodic")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        metric=st.sampled_from(["euclidean", "periodic"]),
+        side=st.floats(0.5, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_distances_give_the_same_floats(self, d, metric, side, seed):
+        # The pair kernel squares with delta**2 and the dense one with
+        # delta * delta; callers that swap one for the other (SINR) rely on
+        # both giving the same float for every pair.
+        w = core.cube(side, d, origin=-side / 3, metric=metric)
+        rng = np.random.default_rng(seed)
+        points = w.lower + rng.random((25, d)) * w.sides
+        points[1] = points[0]
+        i, j = np.triu_indices(points.shape[0], k=1)
+        pairs = np.stack([i, j], axis=1)
+        dense = core.pairwise_distances(points, w)
+        assert np.array_equal(core.pair_distances(points, pairs, w), dense[i, j])
+        assert np.array_equal(dense, dense.T)
+
     @pytest.mark.parametrize("n, m", [(0, 4), (4, 0), (0, 0)])
     def test_empty_shapes(self, n, m):
         w = core.cube(4.0, 2)

@@ -9,11 +9,14 @@ import ppclust.dists as dists
 import ppclust.percolation as percolation
 import ppclust.procgen as pg
 import ppclust.shotnoise as sn
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from oracles import (
     bfs_component_sizes,
     bfs_site_crossing,
     bisection_critical_radius,
     brute_force_gilbert_edges,
+    dense_sinr_graph,
 )
 from ppclust.core import PointPattern, RandomStream, box, cube
 from ppclust.percolation import (
@@ -796,6 +799,170 @@ class TestSinrGraph:
         assert g.edges.tolist() == [[0, 1]]  # wrapped distance 0.4, direct 5.6
 
 
+ATTENUATIONS = {
+    "exponential": sn.exponential_response(1.0),
+    "power_law": sn.power_law_response(3.0, 1.0),
+    "indicator_ball": sn.indicator_ball(1.2),
+    "tabulated": sn.tabulated_response([0.0, 0.5, 1.5], [1.0, 0.4, 0.15]),
+}
+
+
+def sinr_edges_and_oracle(pattern_b, pattern_i, params):
+    """sinr_graph's edges, checked against the dense oracle's."""
+    edges = sinr_graph(pattern_b, pattern_i, params).edges
+    assert np.array_equal(edges, dense_sinr_graph(pattern_b, pattern_i, params).edges)
+    return edges.tolist()
+
+
+def line_pattern(w, *xs):
+    return PointPattern(w, np.array(xs, dtype=float)[:, None])
+
+
+class TestSinrAgainstDenseOracle:
+    # sinr_graph reads only the pairs within its noise-limited reach (every
+    # pair at zero noise with an unbounded attenuation); the dense oracle
+    # reads every ordered pair.  The edge arrays must be equal, order too.
+    GAMMAS = (0.0, 0.01, 0.2, 1e6)
+
+    @pytest.mark.parametrize("separate", [False, True], ids=["self", "separate"])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("noise", [0.1, 0.0])
+    @pytest.mark.parametrize("kind", list(ATTENUATIONS))
+    def test_every_gamma_matches(self, kind, noise, metric, separate):
+        w = cube(7.0, 2, metric=metric)
+        pattern = pg.sample(pg.homogeneous_poisson(1.2), w, STREAM.derive(40))
+        interferers = pattern
+        if separate:
+            interferers = pg.sample(pg.homogeneous_poisson(0.8), w, STREAM.derive(41))
+        attenuation = ATTENUATIONS[kind]
+        graphs = percolation._sinr_graphs(
+            pattern, interferers, SinrParams(1.0, noise, 1.0, 0.0, attenuation), self.GAMMAS
+        )
+        assert len(graphs) == len(self.GAMMAS)
+        for gamma, g in zip(self.GAMMAS, graphs):
+            params = SinrParams(1.0, noise, 1.0, gamma, attenuation)
+            assert g.edges.tolist() == sinr_edges_and_oracle(pattern, interferers, params)
+        counts = [len(g.edges) for g in graphs]
+        assert counts[0] > counts[2]
+        if not separate:
+            # A sender is an interferer at its receiver: SINR <= 1/gamma.
+            assert counts[-1] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        metric=st.sampled_from(["euclidean", "periodic"]),
+        kind=st.sampled_from(list(ATTENUATIONS)),
+        scale=st.floats(0.2, 5.0),
+        eps=st.floats(1.0, 1e7),  # l(0) = eps^-beta <= 1
+        link=st.floats(0.0, 4.0),
+        zero_noise=st.booleans(),
+        power=st.floats(0.1, 10.0),
+        threshold=st.floats(0.01, 10.0),
+        gamma=st.sampled_from([0.0, 1e-4, 0.05, 1.0, 1e6]),
+        separate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_parameters_match(
+        self, d, metric, kind, scale, eps, link, zero_noise, power, threshold, gamma,
+        separate, seed,
+    ):
+        # The noise puts the gamma = 0 link range at `link`, with a pair of
+        # points about that far apart.  A power law with a large eps has its
+        # reach (T N / P)^(-1/beta) - eps at the mercy of rounding.
+        attenuation = {
+            "exponential": sn.exponential_response(scale),
+            "power_law": sn.power_law_response(d + scale, eps),
+            "indicator_ball": sn.indicator_ball(scale),
+            "tabulated": sn.tabulated_response(
+                [0.0, scale, 2 * scale], [1.0, 0.3, 0.1]
+            ),
+        }[kind]
+        noise = 0.0 if zero_noise else power * float(attenuation.evaluate(link)) / threshold
+        try:
+            params = SinrParams(power, noise, threshold, gamma, attenuation)
+        except ValueError:  # a level that rounds above l(0)
+            reject()
+        w = cube(6.0, d, metric=metric)
+        rng = np.random.default_rng(seed)
+        points = rng.random((30, d)) * 6.0
+        points[1] = points[0]
+        points[2] = points[0]
+        points[2, 0] = (points[0, 0] + link) % 6.0
+        pattern = PointPattern(w, points)
+        interferers = pattern
+        if separate:
+            interferers = PointPattern(w, rng.random((12, d)) * 6.0)
+        sinr_edges_and_oracle(pattern, interferers, params)
+
+
+class TestSinrTies:
+    @pytest.mark.parametrize(
+        "attenuation",
+        [sn.exponential_response(1.0), sn.power_law_response(3.5, 1e7)],
+        ids=["exponential", "power_law_large_eps"],
+    )
+    def test_pair_at_the_last_linking_distance(self, attenuation):
+        # The largest float distance whose ratio still clears T, and the next
+        # float after it, with the gamma = 0 range near 2.  For the power law
+        # the inverse (T N / P)^(-1/beta) - eps loses about 1e-8 to
+        # cancellation, more than the pair query's own slack.
+        noise = float(attenuation.evaluate(2.0))
+        params = SinrParams(1.0, noise, 1.0, 0.0, attenuation)
+
+        def links(bits):
+            d = np.array([bits]).view(np.float64)
+            return 1.0 * attenuation.evaluate(d)[0] / noise > 1.0
+
+        lo, hi = np.float64(0.0).view(np.int64), np.float64(4.0).view(np.int64)
+        while hi - lo > 1:  # links at lo, not at hi
+            mid = lo + (hi - lo) // 2
+            lo, hi = (mid, hi) if links(mid) else (lo, mid)
+        d_last, d_past = np.array([lo, hi]).view(np.float64)
+        assert abs(d_last - 2.0) < 1e-6
+        assert percolation._sinr_reach(params) > d_last
+        w = cube(6.0, 1, metric="euclidean")
+        tie = line_pattern(w, 0.0, d_last)
+        assert sinr_edges_and_oracle(tie, tie, params) == [[0, 1]]
+        past = line_pattern(w, 0.0, d_past)
+        assert sinr_edges_and_oracle(past, past, params) == []
+
+    @pytest.mark.parametrize("noise", [0.1, 0.0])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize(
+        "attenuation, support",
+        [(sn.indicator_ball(1.0), 1.0), (sn.tabulated_response([0.0, 1.5], [1.0, 0.5]), 1.5)],
+        ids=["indicator_ball", "tabulated"],
+    )
+    def test_pair_at_exactly_the_support_radius(self, attenuation, support, metric, noise):
+        # Closed support: a pair at exactly the support radius links, one a
+        # float or two further does not.  On the torus the pair lies
+        # 4 - support apart the direct way, so the tie is the wrapped distance.
+        params = SinrParams(1.0, noise, 1.0, 0.0, attenuation)
+        w = cube(4.0, 1, metric=metric)
+        x = support if metric == "euclidean" else 4.0 - support
+        x_past = np.nextafter(x, math.inf if metric == "euclidean" else -math.inf)
+        tie, past = line_pattern(w, 0.0, x), line_pattern(w, 0.0, x_past)
+        assert core.distance(tie.points[0], tie.points[1], w) == support
+        assert core.distance(past.points[0], past.points[1], w) > support
+        assert sinr_edges_and_oracle(tie, tie, params) == [[0, 1]]
+        assert sinr_edges_and_oracle(past, past, params) == []
+
+    @pytest.mark.parametrize(
+        "attenuation, x",
+        # l(1) = 2^-4 exactly, and the indicator is 1 on its support.
+        [(sn.power_law_response(4.0, 1.0), 1.0), (sn.indicator_ball(1.0), 0.5)],
+        ids=["power_law", "indicator_ball"],
+    )
+    def test_ratio_exactly_at_the_threshold_does_not_link(self, attenuation, x):
+        level = float(attenuation.evaluate(x))
+        pattern = line_pattern(cube(4.0, 1, metric="euclidean"), 0.0, x)
+        tie = SinrParams(1.0, level, 1.0, 0.0, attenuation)  # P l / N == T
+        assert sinr_edges_and_oracle(pattern, pattern, tie) == []
+        below = SinrParams(1.0, level, np.nextafter(1.0, 0.0), 0.0, attenuation)
+        assert sinr_edges_and_oracle(pattern, pattern, below) == [[0, 1]]
+
+
 def peak_bytes_raising(match, fn, *args) -> int:
     """Peak bytes traced while fn(*args) raises a ValueError matching match."""
     tracemalloc.start()
@@ -808,16 +975,29 @@ def peak_bytes_raising(match, fn, *args) -> int:
 
 
 class TestSinrMemoryCap:
-    # The dense signal (n x n x d) and interference (n x m x d) offsets come
-    # from core.pairwise_distances, capped at core.MAX_DENSE_ENTRIES and
-    # checked before either is allocated.
+    # The interference (n x m x d) offsets, and at zero noise with an
+    # unbounded attenuation the signal (n x n x d) offsets, come from
+    # core.pairwise_distances, capped at core.MAX_DENSE_ENTRIES and checked
+    # before either is allocated.
     def test_signal_cap_raises_before_allocating(self):
+        # Zero noise with an unbounded attenuation is the one path that
+        # still builds the n x n signal: every pair can link.
         n = math.isqrt(core.MAX_DENSE_ENTRIES) + 1
         pattern = PointPattern(cube(float(n), 1, metric="euclidean"), np.arange(n)[:, None])
         peak = peak_bytes_raising(
-            "MAX_DENSE_ENTRIES", sinr_graph, pattern, pattern, exponential_params()
+            "MAX_DENSE_ENTRIES", sinr_graph, pattern, pattern, exponential_params(noise=0.0)
         )
         assert peak < 2**20  # the offsets alone would take 8 * n * n bytes
+
+    def test_noise_limited_signal_needs_no_cap(self):
+        # With noise the links come from the pair query, so the same n that
+        # the dense signal refuses now builds, as the Gilbert graph it is.
+        n = math.isqrt(core.MAX_DENSE_ENTRIES) + 1
+        pattern = PointPattern(cube(float(n), 1, metric="euclidean"), np.arange(n)[:, None])
+        params = exponential_params()
+        g = sinr_graph(pattern, pattern, params)
+        assert np.array_equal(g.edges, gilbert_graph(pattern, params.gilbert_radius()).edges)
+        assert len(g.edges) == 2 * n - 3  # neighbours at 1 and 2 < ln 10 < 3
 
     def test_interference_cap_raises_before_allocating(self):
         # 4096 receivers fit the signal cap exactly; 4097 interferers do not.

@@ -37,6 +37,22 @@ class TestIntensity:
         rep = procgen.intensity(procgen.ginibre_truncated(16, 2.0))
         assert rep.value == pytest.approx(1.0 / math.pi)
 
+    @pytest.mark.parametrize(
+        "n_rank, radius, expected", [(4, 2.0, 0.256123), (50, 7.0, 0.303202)]
+    )
+    def test_ginibre_is_the_mean_count_over_the_disk_area(self, n_rank, radius, expected):
+        # The truncated process is not stationary: fewer points than
+        # pi R^2 / pi fall in the disk, Sum_k P(k + 1, R^2) of them, with
+        # P(k + 1, x) = 1 - e^-x Sum_{j <= k} x^j / j!.
+        x = radius**2
+        count = sum(
+            1.0 - math.exp(-x) * sum(x**j / math.factorial(j) for j in range(k + 1))
+            for k in range(n_rank)
+        )
+        rep = procgen.intensity(procgen.ginibre_truncated(n_rank, radius))
+        assert rep.value == pytest.approx(count / (math.pi * x), rel=1e-12)
+        assert rep.value == pytest.approx(expected, abs=5e-7)
+
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize(
         "spec, family",
