@@ -840,17 +840,11 @@ def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         return [("critical.csv", text)], []
     radii = _radii(rc, "percolation")
     if mode == "crossing":
-        entries = [
-            (
-                r,
-                percolation.crossing_probability(
-                    rc.generator, rc.window, r, reps, stream.derive(i), threads
-                ),
-            )
-            for i, r in enumerate(radii)
-        ]
-        files = [("crossing.csv", percolation.crossing_to_csv(entries))]
-        series = [("crossing", radii, [e.value for _, e in entries])]
+        estimates = percolation._crossing_curve(
+            rc.generator, rc.window, radii, reps, stream.derive(0), threads
+        )
+        files = [("crossing.csv", percolation.crossing_to_csv(zip(radii, estimates)))]
+        series = [("crossing", radii, [e.value for e in estimates])]
         title = "Horizontal crossing probability"
         return files, [("crossing.svg", series, title, "r", "P(crossing)")]
     sweeps = [("a", rc.generator, stream.derive(0))]
@@ -875,23 +869,10 @@ def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
 def _run_coverage(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["coverage"]
     grid = _radii(rc, "coverage")
-    entries = [
-        (
-            r,
-            p["k"],
-            shotnoise.k_covered_volume(
-                rc.generator,
-                rc.window,
-                r,
-                p["k"],
-                p["grid_n"],
-                reps,
-                stream.derive(i),
-                threads,
-            ),
-        )
-        for i, r in enumerate(grid)
-    ]
+    estimates = shotnoise._coverage_curve(
+        rc.generator, rc.window, grid, p["k"], p["grid_n"], reps, stream.derive(0), threads
+    )
+    entries = [(r, p["k"], est) for r, est in zip(grid, estimates)]
     files = [("coverage.csv", shotnoise.coverage_summary_to_csv(entries))]
     series = [(f"k={p['k']} covered volume", grid, [e.value for _, _, e in entries])]
     title = "Expected k-covered volume"

@@ -11,16 +11,17 @@ off each replication's exact crossing threshold.
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
-on the kept edges.  A radius sweep queries once at the largest radius,
-sorts the pairs by length, and reads the graph at each radius as a prefix
-of that order.  A Graph holds its edges as that same (E, 2) int64 array,
-from the query through components to graph_to_csv.  The site-grid
-crossing of k-coverage labels its open cells with scipy.ndimage.  SINR
-links come from one pair query too: with noise, a link needs the signal
-alone to clear T N, which bounds its length.  What stays dense is the
-interference (receivers x interferers, once per pattern, when some gamma is
-positive) and, at zero noise with an unbounded attenuation, the signal;
-both come from core.pairwise_distances under MAX_DENSE_ENTRIES.
+on the kept edges.  A radius grid (the sweep, the crossing curve) is read
+from one replication: one pattern, one query at the largest radius, pairs
+sorted by length, and the graph at each radius a prefix of that order.  A
+Graph holds its edges as that same (E, 2) int64 array, from the query
+through components to graph_to_csv.  The site-grid crossing of k-coverage
+labels its open cells with scipy.ndimage.  SINR links come from one pair
+query too: with noise, a link needs the signal alone to clear T N, which
+bounds its length.  What stays dense is the interference (receivers x
+interferers, once per pattern, when some gamma is positive) and, at zero
+noise with an unbounded attenuation, the signal; both come from
+core.pairwise_distances under MAX_DENSE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -121,8 +122,6 @@ def _edge_index_array(pattern: PointPattern, r: float) -> np.ndarray:
     check_number("radius", r, "nonneg")
     w = pattern.window
     check_window("geometric graph", w, reach=2 * r)
-    if r == 0:  # even coincident points stay unjoined
-        return np.empty((0, 2), dtype=np.int64)
     pairs = _candidate_pairs(pattern.points, w, 2 * r)
     return pairs[pair_distances(pattern.points, pairs, w) <= 2 * r]
 
@@ -140,14 +139,27 @@ def _component_labels(n: int, edge_array: np.ndarray) -> np.ndarray:
     return connected_components(adjacency, directed=False)[1]
 
 
-def _component_sizes(n: int, edge_array: np.ndarray) -> np.ndarray:
+def _component_sizes(labels: np.ndarray) -> np.ndarray:
     """Component sizes in descending order."""
-    return np.sort(np.bincount(_component_labels(n, edge_array)))[::-1]
+    return np.sort(np.bincount(labels))[::-1]
 
 
 def components(g: Graph) -> list:
     """Connected-component sizes in descending order."""
-    return _component_sizes(g.n_vertices, g.edges).tolist()
+    return _component_sizes(_component_labels(g.n_vertices, g.edges)).tolist()
+
+
+def _gilbert_labels(pattern: PointPattern, radii) -> list:
+    """Gilbert component labels at each radius, in the order given, from one
+    pair query at twice the largest: the graph at radius r is the prefix of
+    the pairs, sorted stably by length, that are no longer than 2r."""
+    points, w = pattern.points, pattern.window
+    pairs = _candidate_pairs(points, w, 2 * max(radii))
+    dist = pair_distances(points, pairs, w)
+    order = np.argsort(dist, kind="stable")
+    pairs = pairs[order]
+    prefixes = np.searchsorted(dist[order], 2 * np.array(radii), side="right")
+    return [_component_labels(points.shape[0], pairs[:m]) for m in prefixes]
 
 
 @dataclass(frozen=True)
@@ -174,10 +186,8 @@ def component_fraction_sweep(
 ) -> PercolationSweep:
     """Mean fractions of nodes in the largest and second-largest component.
 
-    Each replication makes one pair query at the largest radius and sorts
-    the pairs by length once; the graph at each radius is then a prefix of
-    that order (found by searchsorted), whose components come from scipy's
-    connected_components.  Empty patterns are skipped (with an error if
+    Each replication labels the components at every radius from one pair
+    query (_gilbert_labels).  Empty patterns are skipped (with an error if
     more than half are empty).
     """
     radii = [float(r) for r in radii]
@@ -191,14 +201,9 @@ def component_fraction_sweep(
         n = pattern.points.shape[0]
         if n == 0:
             return None
-        pairs = _candidate_pairs(pattern.points, w, 2 * radii[-1])
-        dist = pair_distances(pattern.points, pairs, w)
-        order = np.argsort(dist, kind="stable")
-        pairs = pairs[order]
-        prefixes = np.searchsorted(dist[order], 2 * np.array(radii), side="right")
         fractions = np.zeros((2, len(radii)))
-        for k, m in enumerate(prefixes):
-            sizes = _component_sizes(n, pairs[:m])[:2]
+        for k, labels in enumerate(_gilbert_labels(pattern, radii)):
+            sizes = _component_sizes(labels)[:2]
             fractions[: sizes.size, k] = sizes / n
         return fractions
 
@@ -206,38 +211,45 @@ def component_fraction_sweep(
     return PercolationSweep(tuple(radii), _estimates(used[:, 0]), _estimates(used[:, 1]))
 
 
-def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
-    """True when one Gilbert component touches both the left and right slab
-    of width 2r along the first axis."""
-    points = pattern.points
-    n = points.shape[0]
-    if n == 0:
-        return False
-    w = pattern.window
-    left = points[:, 0] <= w.lower[0] + 2 * r
-    right = points[:, 0] >= w.upper[0] - 2 * r
-    if not (left.any() and right.any()):
-        return False
-    labels = _component_labels(n, _edge_index_array(pattern, r))
+def _spans(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:
+    """True when one component label occurs in both slab masks."""
     return np.intersect1d(labels[left], labels[right]).size > 0
 
 
+def _crossings(pattern: PointPattern, radii) -> list:
+    """Per radius r, whether one Gilbert component touches both the left and
+    the right slab of width 2r along the first axis."""
+    x, w = pattern.points[:, 0], pattern.window
+    return [
+        _spans(labels, x <= w.lower[0] + 2 * r, x >= w.upper[0] - 2 * r)
+        for r, labels in zip(radii, _gilbert_labels(pattern, radii))
+    ]
+
+
+def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
+    """_crossings at the one radius r.  The benchmark's tracer looks this
+    name up, so it stays."""
+    return _crossings(pattern, [r])[0]
+
+
+def _crossing_curve(
+    spec: GeneratorSpec, w: Window, radii, reps: int, stream: RandomStream, threads: int = 1
+) -> list:
+    """crossing_probability at each radius, in the order given, all read from
+    the same replications; each estimate equals crossing_probability at its
+    radius on the same stream, bit for bit."""
+    check_window("crossing_probability", w, "euclidean")
+    radii = [check_number("radius", r, "nonneg") for r in radii]
+    hits = replicate(reps, stream, threads, lambda rep: _crossings(sample(spec, w, rep), radii))
+    return [_proportion(column) for column in np.array(hits, dtype=float).T]
+
+
 def crossing_probability(
-    spec: GeneratorSpec,
-    w: Window,
-    r: float,
-    reps: int = 50,
-    stream: RandomStream = None,
-    threads: int = 1,
+    spec: GeneratorSpec, w: Window, r: float, reps: int = 50,
+    stream: RandomStream = None, threads: int = 1,
 ) -> EstimateWithError:
     """Probability that a Gilbert component spans the window horizontally."""
-    check_window("crossing_probability", w, "euclidean")
-    check_number("radius", r, "nonneg")
-
-    def one(rep: RandomStream) -> float:
-        return float(_crossing_indicator(sample(spec, w, rep), r))
-
-    return _proportion(replicate(reps, stream, threads, one))
+    return _crossing_curve(spec, w, [r], reps, stream, threads)[0]
 
 
 def _entry_radii(holds, values: np.ndarray, guess: np.ndarray, r_max: float) -> np.ndarray:
@@ -288,15 +300,13 @@ def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
 
     def crosses(r: float) -> bool:
         labels = _component_labels(n, pairs[: np.searchsorted(joined, r, side="right")])
-        return np.intersect1d(labels[left <= r], labels[right <= r]).size > 0
+        return _spans(labels, left <= r, right <= r)
 
     rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
     while True:
         pairs = _candidate_pairs(points, w, 2 * rho)
         dist = pair_distances(points, pairs, w)
-        # A pair's event is the least r with dist <= 2r.  At r = 0 the
-        # indicator joins no pair, but it cannot cross there either: no
-        # point of a half-open window lies in the right slab.
+        # A pair's event is the least r with dist <= 2r.
         joined = _entry_radii(lambda d, r: d <= 2 * r, dist, dist / 2, rho)
         order = np.argsort(joined, kind="stable")
         pairs, joined = pairs[order], joined[order]
@@ -409,14 +419,8 @@ def _site_crossing(open_cells: np.ndarray) -> bool:
 
 
 def k_percolation_crossing(
-    spec: GeneratorSpec,
-    w: Window,
-    r: float,
-    k: int = 1,
-    grid_n: int = 64,
-    reps: int = 50,
-    stream: RandomStream = None,
-    threads: int = 1,
+    spec: GeneratorSpec, w: Window, r: float, k: int = 1, grid_n: int = 64,
+    reps: int = 50, stream: RandomStream = None, threads: int = 1,
 ) -> EstimateWithError:
     """Crossing probability of the k-times-covered region, on a site grid.
 
@@ -426,11 +430,11 @@ def k_percolation_crossing(
     surrogate for continuum k-coverage percolation: refine grid_n to see
     the dependence.
     """
-    covered = _covered_cells("k_percolation_crossing", spec, w, r, k, grid_n)
+    covered = _covered_cells("k_percolation_crossing", spec, w, [r], k, grid_n)
     shape = (grid_n,) * w.dim
 
     def one(rep: RandomStream) -> float:
-        return float(_site_crossing(covered(rep).reshape(shape)))
+        return float(_site_crossing(covered(rep)[0].reshape(shape)))
 
     return _proportion(replicate(reps, stream, threads, one))
 

@@ -12,7 +12,8 @@ minimization.
 The additive and extremal fields evaluate h at every (eval, point) pair
 through ``core.pairwise_distances``, the one dense distance kernel, so they
 share its ``core.MAX_DENSE_ENTRIES`` cap.  Coverage counts read only the
-pairs within r, from one KD-tree query.
+pairs within r, from one KD-tree query per pattern at the largest radius
+of a coverage curve.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .core import (
     volume,
 )
 from .procgen import GeneratorSpec, sample
-from .summaries import _estimate
+from .summaries import _estimates
 
 __all__ = [
     "ResponseFunction",
@@ -201,44 +202,64 @@ def extremal_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
     return FieldSample(pts, values)
 
 
+def _coverage_counts(pattern: PointPattern, radii, grid_n: int) -> np.ndarray:
+    """Balls covering each grid_centers cell, one row per radius in the order
+    given, from one query at the largest.  Each offset's length (minimum
+    image, root of the sum of squares) is compared with every radius, so
+    ties fall as in a query at one radius."""
+    w = pattern.window
+    centers = grid_centers(w, grid_n)
+    pairs = near_pairs(centers, pattern.points, w, max(radii))
+    delta = min_image(np.abs(centers[pairs[:, 0]] - pattern.points[pairs[:, 1]]), w)
+    dist = np.sqrt(np.sum(delta**2, axis=1))
+    return np.array([np.bincount(pairs[dist <= r, 0], minlength=len(centers)) for r in radii])
+
+
 def coverage_field(pattern: PointPattern, r: float, grid_n: int) -> FieldSample:
     """Number of radius-r balls covering each point of a regular grid."""
     w = pattern.window
     check_number("coverage radius", r, "nonneg")
     check_window("coverage_field", w, reach=r)
-    centers = grid_centers(w, grid_n)
-    pairs = near_pairs(centers, pattern.points, w, r)
-    delta = min_image(np.abs(centers[pairs[:, 0]] - pattern.points[pairs[:, 1]]), w)
-    covered = np.sqrt(np.sum(delta**2, axis=1)) <= r
-    counts = np.bincount(pairs[covered, 0], minlength=centers.shape[0]).astype(float)
-    return FieldSample(centers, counts)
+    counts = _coverage_counts(pattern, [r], grid_n)[0].astype(float)
+    return FieldSample(grid_centers(w, grid_n), counts)
 
 
-def _covered_cells(what: str, spec: GeneratorSpec, w: Window, r: float, k: int, grid_n: int):
+def _covered_cells(what: str, spec: GeneratorSpec, w: Window, radii, k: int, grid_n: int):
     """Check a k-coverage statistic's parameters and window, and return its
-    replication: ``covered(rep)`` flags each grid cell whose centre lies in
-    at least k of the radius-r balls of the pattern sampled from ``rep``.
+    replication: ``covered(rep)`` is a (radii, cells) boolean array whose
+    row i flags each grid cell whose centre lies in at least k of the
+    radius-radii[i] balls of the pattern sampled from ``rep``.
     """
     check_number("k", k, 1)
-    check_number("coverage radius", r, "nonneg")
-    check_window(what, w, reach=r)
+    radii = [check_number("coverage radius", r, "nonneg") for r in radii]
+    check_window(what, w, reach=max(radii))
     check_number("grid_n", grid_n, 1)
 
     def covered(rep: RandomStream) -> np.ndarray:
-        return coverage_field(sample(spec, w, rep), r, grid_n).values >= k
+        return _coverage_counts(sample(spec, w, rep), radii, grid_n) >= k
 
     return covered
 
 
+def _coverage_curve(
+    spec: GeneratorSpec, w: Window, radii, k: int, grid_n: int,
+    reps: int, stream: RandomStream, threads: int = 1,
+) -> tuple:
+    """k_covered_volume at each radius, in the order given, all read from the
+    same replications; each estimate equals k_covered_volume at its radius
+    on the same stream, bit for bit."""
+    covered = _covered_cells("k_covered_volume", spec, w, radii, k, grid_n)
+    cell_volume = volume(w) / grid_n**w.dim
+
+    def one(rep: RandomStream) -> np.ndarray:
+        return cell_volume * np.count_nonzero(covered(rep), axis=1)
+
+    return _estimates(replicate(reps, stream, threads, one))
+
+
 def k_covered_volume(
-    spec: GeneratorSpec,
-    w: Window,
-    r: float,
-    k: int = 1,
-    grid_n: int = 64,
-    reps: int = 100,
-    stream: RandomStream = None,
-    threads: int = 1,
+    spec: GeneratorSpec, w: Window, r: float, k: int = 1, grid_n: int = 64,
+    reps: int = 100, stream: RandomStream = None, threads: int = 1,
 ):
     """Expected volume of the region covered by at least k balls of radius r.
 
@@ -247,13 +268,7 @@ def k_covered_volume(
     fraction, so the estimator is unbiased with a grid-resolution error
     of at most one cell layer along the coverage boundary.
     """
-    covered = _covered_cells("k_covered_volume", spec, w, r, k, grid_n)
-    cell_volume = volume(w) / grid_n**w.dim
-
-    def one(rep: RandomStream) -> float:
-        return cell_volume * float(np.count_nonzero(covered(rep)))
-
-    return _estimate(replicate(reps, stream, threads, one))
+    return _coverage_curve(spec, w, [r], k, grid_n, reps, stream, threads)[0]
 
 
 def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: int) -> float:

@@ -376,6 +376,28 @@ def dense_coverage_counts(eval_points, points, lower, upper, metric, r):
     return np.count_nonzero(np.sqrt(np.sum(delta**2, axis=2)) <= r, axis=1)
 
 
+def crossing_indicator(pattern, r):
+    """The one-radius crossing indicator, from its own pair query at 2r
+    (percolation._edge_index_array): True when one Gilbert component
+    touches both the left and the right slab of width 2r along the first
+    axis."""
+    import numpy as np
+
+    from ppclust.percolation import _component_labels, _edge_index_array
+
+    points = pattern.points
+    n = points.shape[0]
+    if n == 0:
+        return False
+    w = pattern.window
+    left = points[:, 0] <= w.lower[0] + 2 * r
+    right = points[:, 0] >= w.upper[0] - 2 * r
+    if not (left.any() and right.any()):
+        return False
+    labels = _component_labels(n, _edge_index_array(pattern, r))
+    return np.intersect1d(labels[left], labels[right]).size > 0
+
+
 def bisection_critical_radius(spec, w, reps=50, tol=0.02, stream=None, threads=1):
     """The resampling critical-radius bisection: one crossing_probability
     call, which samples every replication again, per bisection radius."""

@@ -16,9 +16,12 @@ from oracles import (
     bfs_site_crossing,
     bisection_critical_radius,
     brute_force_gilbert_edges,
+    crossing_indicator,
     dense_sinr_graph,
 )
+from ppclust.complexes import vietoris_rips
 from ppclust.core import PointPattern, RandomStream, box, cube
+from ppclust.graphs import rgg
 from ppclust.percolation import (
     Graph,
     PercolationSweep,
@@ -115,6 +118,17 @@ class TestGilbertGraph:
     def test_zero_radius_gives_no_edges(self):
         g = gilbert_graph(collinear_pattern(), 0.0)
         assert g.edges.tolist() == []
+
+    def test_zero_radius_joins_coincident_points(self):
+        # Within distance 2r at every radius, r = 0 included: the graph,
+        # the radius-grid prefix at r = 0, rgg and Vietoris-Rips agree.
+        p = PointPattern(cube(10.0, 2), np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]]))
+        assert gilbert_graph(p, 0.0).edges.tolist() == [[0, 1]]
+        assert components(gilbert_graph(p, 0.0)) == [2, 1]
+        (labels,) = percolation._gilbert_labels(p, [0.0])
+        assert sorted(np.bincount(labels).tolist(), reverse=True) == [2, 1]
+        assert rgg(p, 0.0).edges.tolist() == [[0, 1]]
+        assert vietoris_rips(p, 0.0, max_dim=1).faces[1] == ((0, 1),)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -383,6 +397,44 @@ class TestCrossingProbability:
             crossing_probability(
                 pg.homogeneous_poisson(1.0), euclid(10.0), r, reps=5,
                 stream=STREAM.derive(16),
+            )
+
+
+class TestCrossingCurve:
+    # Every radius reads the same replications, so each estimate is the
+    # one-radius call on the same stream.  Radii unsorted, one repeated.
+    SPECS = {
+        "poisson": pg.homogeneous_poisson(1.2),
+        "thomas": pg.thomas_cluster(0.3, 4.0, 0.4),
+        "geometric_lattice": pg.perturbed_lattice(
+            0.93, dists.geometric(0.5), pg.uniform_in_cell()
+        ),
+    }
+    RADII = [0.55, 0.0, 0.3, 0.8, 0.55]
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_each_radius_equals_the_one_radius_call(self, name):
+        spec, w, stream = self.SPECS[name], euclid(12.0), STREAM.derive(17)
+        curve = percolation._crossing_curve(spec, w, self.RADII, 12, stream, 1)
+        assert curve == [crossing_probability(spec, w, r, 12, stream) for r in self.RADII]
+        assert 0 < curve[0].value < 1
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_each_pattern_matches_a_query_per_radius(self, name):
+        for i in range(6):
+            pattern = pg.sample(self.SPECS[name], euclid(12.0), STREAM.derive(18).derive(i))
+            expected = [crossing_indicator(pattern, r) for r in self.RADII]
+            assert percolation._crossings(pattern, self.RADII) == expected
+
+    def test_empty_pattern_never_crosses(self):
+        pattern = PointPattern(euclid(4.0), np.empty((0, 2)))
+        assert percolation._crossings(pattern, [1.0, 0.0]) == [False, False]
+
+    def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="^radius must be non-negative$"):
+            percolation._crossing_curve(
+                pg.homogeneous_poisson(1.0), euclid(10.0), [0.5, -1.0], 5, STREAM, 1
             )
 
 

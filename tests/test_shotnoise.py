@@ -10,7 +10,7 @@ import ppclust.core as core
 import ppclust.shotnoise as shotnoise
 from oracles import dense_coverage_counts
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, grid_centers
-from ppclust.dists import deterministic
+from ppclust.dists import deterministic, geometric
 from ppclust.procgen import (
     homogeneous_poisson,
     perturbed_lattice,
@@ -291,6 +291,55 @@ class TestCoverageFieldAgainstDense:
         values = coverage_field(pattern, 0.0, 4).values
         assert values[0] == 2.0 and np.sum(values) == 2.0
         assert np.array_equal(values, dense_coverage(pattern, 0.0, 4))
+
+
+class TestCoverageCurve:
+    # Every radius reads the same replications and one query at the largest
+    # radius, so each row equals the one-radius call.  Radii unsorted, one
+    # repeated.
+    SPECS = {
+        "poisson": homogeneous_poisson(1.0),
+        "thomas": thomas_cluster(0.2, 5.0, 0.4),
+        "geometric_lattice": perturbed_lattice(0.93, geometric(0.5), uniform_in_cell()),
+    }
+    RADII = [0.8, 0.0, 0.4, 1.2, 0.8]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_each_radius_equals_the_one_radius_call(self, name, k):
+        spec, w, stream = self.SPECS[name], periodic(8.0), STREAM.derive(60)
+        curve = shotnoise._coverage_curve(spec, w, self.RADII, k, 16, 6, stream, 1)
+        assert list(curve) == [
+            k_covered_volume(spec, w, r, k, 16, 6, stream) for r in self.RADII
+        ]
+        assert curve[0].value > 0
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    def test_counts_match_the_dense_oracle_at_every_radius(self, metric):
+        w = cube(7.0, 2, origin=-1.3, metric=metric)
+        radii = [1.0, 0.0, 0.3, 2.5, 1.0]
+        for name in sorted(self.SPECS):
+            pattern = sample(self.SPECS[name], w, STREAM.derive(61))
+            counts = shotnoise._coverage_counts(pattern, radii, 24)
+            for row, r in zip(counts, radii):
+                assert np.array_equal(row, dense_coverage(pattern, r, 24))
+
+    def test_ties_at_each_radius(self):
+        # The tie pattern of TestCoverageFieldAgainstDense, read at 0.5 and
+        # 1.0 from one query at 1.0.
+        points = np.array([[1.5, 1.5], [0.5, 2.0], [3.5, np.nextafter(3.0, 4.0)]])
+        pattern = PointPattern(periodic(4.0), points)
+        counts = shotnoise._coverage_counts(pattern, [1.0, 0.5], 4)
+        assert counts.sum(axis=1).tolist() == [9, 4]
+        for row, r in zip(counts, [1.0, 0.5]):
+            assert np.array_equal(row, dense_coverage(pattern, r, 4))
+
+    def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(shotnoise, "sample", _no_sampling)
+        with pytest.raises(ValueError, match="coverage radius must be non-negative"):
+            shotnoise._coverage_curve(
+                homogeneous_poisson(1.0), periodic(8.0), [0.5, -1.0], 1, 8, 4, STREAM, 1
+            )
 
 
 class TestKCoveredVolume:

@@ -118,6 +118,17 @@ ESTIMATORS = {
         dict(reps=8, stream=STREAM.derive(15)),
     ),
     "induced_subgraph_count": (induced_subgraph_count, (GRAPH, named_motif("path3")), {}),
+    # The radius-grid curves: every radius from the same replications.
+    "_crossing_curve": (
+        percolation._crossing_curve,
+        (POISSON, BOX, [0.55, 0.3, 0.8, 0.3]),
+        dict(reps=8, stream=STREAM.derive(17)),
+    ),
+    "_coverage_curve": (
+        shotnoise._coverage_curve,
+        (THOMAS, TORUS, [0.6, 0.2, 1.0]),
+        dict(k=2, grid_n=16, reps=8, stream=STREAM.derive(18)),
+    ),
 }
 REPLICATED = sorted(name for name, (_, _, kwargs) in ESTIMATORS.items() if "reps" in kwargs)
 ESTIMATOR_MODULES = (percolation, summaries, compare, shotnoise, graphs, complexes)
