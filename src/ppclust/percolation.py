@@ -7,7 +7,9 @@ components (bulk statistic, periodic windows) and the probability that one
 component spans from the left to the right face (crossing statistic,
 Euclidean windows).  The critical radius is located by bisecting the
 crossing probability at 1/2 with common random numbers across radii, read
-off each replication's exact crossing threshold.
+off each replication's exact crossing threshold: the largest event radius
+on the source-sink path of one minimum spanning tree, where a source and a
+sink node stand for the two slabs.
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .core import (
     PointPattern,
@@ -258,7 +260,9 @@ def _entry_radii(holds, values: np.ndarray, guess: np.ndarray, r_max: float) -> 
 
     The guess is kept where it holds and its float predecessor does not,
     which is the usual case.  The rest are bisected on their bit patterns,
-    which order the non-negative floats.
+    which order the non-negative floats, from a bracket that gallops out
+    from the guess by 1, 2, 4, ... ulps until it holds at its top and fails
+    at its bottom (bit pattern -1 stands for a radius below 0).
     """
     r = np.clip(guess, 0.0, r_max)
     settled = holds(values, r) & ((r == 0) | ~holds(values, np.nextafter(r, -1.0)))
@@ -266,8 +270,17 @@ def _entry_radii(holds, values: np.ndarray, guess: np.ndarray, r_max: float) -> 
     todo = ~settled & ~never
     if todo.any():
         rest = values[todo]
-        lo = np.full(rest.shape, -1, dtype=np.int64)  # just below r = 0
-        hi = np.full(rest.shape, np.float64(r_max).view(np.int64))
+        top = np.float64(r_max).view(np.int64)
+        lo = hi = np.clip(r[todo].view(np.int64), 0, top)
+        step = 1
+        while True:
+            down = (lo >= 0) & holds(rest, np.maximum(lo, 0).view(np.float64))
+            up = ~holds(rest, hi.view(np.float64))
+            if not (down.any() or up.any()):
+                break
+            lo = np.where(down, lo - np.minimum(step, lo + 1), lo)
+            hi = np.where(up, hi + np.minimum(step, top - hi), hi)
+            step *= 2
         while np.any(hi - lo > 1):
             mid = np.where(hi - lo > 1, lo + (hi - lo) // 2, hi)
             ok = holds(rest, mid.view(np.float64))
@@ -282,12 +295,15 @@ def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
     the pattern does not cross at r_max.
 
     The indicator changes only where a point enters a slab or a pair joins,
-    so the threshold is one of those event radii, each the least float at
-    which the indicator's own comparison turns true.  The pairs come from
-    one query at rho, which starts at the Poisson lower bound on the
-    critical radius and doubles up to r_max until the pattern crosses at
-    rho; the least crossing event is then bisected on prefixes of the pairs
-    sorted by their event radius.
+    each at an event radius: the least float at which the indicator's own
+    comparison turns true.  Join the points by their pairs, a source node
+    to every point at its left-slab event and a sink node at its right-slab
+    event; the pattern crosses at r exactly when some source-sink path has
+    no event above r.  The least such r is the largest event on the
+    source-sink path of a minimum spanning tree (the minimax path; Hu,
+    Operations Research 1961).  The pairs come from one query at rho, which
+    starts at the Poisson lower bound on the critical radius and doubles up
+    to r_max until the tree joins the source to the sink.
     """
     points = pattern.points
     n = points.shape[0]
@@ -297,10 +313,8 @@ def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
     lower, upper, x = w.lower[0], w.upper[0], points[:, 0]
     left = _entry_radii(lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2, r_max)
     right = _entry_radii(lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2, r_max)
-
-    def crosses(r: float) -> bool:
-        labels = _component_labels(n, pairs[: np.searchsorted(joined, r, side="right")])
-        return _spans(labels, left <= r, right <= r)
+    source, sink = n, n + 1
+    slabs = np.stack([np.tile(np.arange(n), 2), np.repeat([source, sink], n)], axis=1)
 
     rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
     while True:
@@ -308,24 +322,29 @@ def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
         dist = pair_distances(points, pairs, w)
         # A pair's event is the least r with dist <= 2r.
         joined = _entry_radii(lambda d, r: d <= 2 * r, dist, dist / 2, rho)
-        order = np.argsort(joined, kind="stable")
-        pairs, joined = pairs[order], joined[order]
-        if crosses(rho):
+        edges = np.concatenate([pairs, slabs])
+        radii = np.concatenate([joined, left, right])
+        kept = radii <= rho
+        # Ranks from 1, so that an event at r = 0 is not a missing edge.
+        events, rank = np.unique(radii[kept], return_inverse=True)
+        edges = edges[kept]
+        graph = csr_matrix((rank + 1, (edges[:, 0], edges[:, 1])), shape=(n + 2, n + 2))
+        tree = minimum_spanning_tree(graph)
+        _, parent = breadth_first_order(tree, source, directed=False)
+        if parent[sink] >= 0:
             break
         if rho == r_max:
             return math.inf
         rho = min(2 * rho, r_max)
-    # The state at rho is that of its largest event, so the last one crosses.
-    events = np.unique(np.concatenate([joined, left, right]))
-    events = events[events <= rho]
-    lo, hi = -1, events.size - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if crosses(float(events[mid])):
-            hi = mid
-        else:
-            lo = mid
-    return float(events[hi])
+    path = [sink]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    # Each node's rank is that of the tree edge to its parent.
+    tree = tree.tocoo()
+    rows, cols = tree.row, tree.col
+    ranks = np.zeros(n + 2, dtype=np.int64)
+    ranks[np.where(parent[cols] == rows, cols, rows)] = tree.data
+    return float(events[ranks[path[:-1]].max() - 1])
 
 
 def critical_radius(
@@ -341,7 +360,8 @@ def critical_radius(
     Bisection with common random numbers.  The crossing indicator of each
     replicated pattern is monotone in r, so it equals (r >= t) for that
     pattern's exact threshold t; each replication is sampled once and its
-    t computed once, and the crossing probability at every bisection
+    t computed once, from one spanning tree per pair query
+    (_crossing_threshold), and the crossing probability at every bisection
     radius is the fraction of thresholds at or below it.  The estimate is
     the one that resampling the same streams at each radius would give.
     The reported error combines the final bracket half-width with the

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from oracles import (
     bfs_component_sizes,
     bfs_site_crossing,
+    bisected_crossing_threshold,
     bisection_critical_radius,
     brute_force_gilbert_edges,
     crossing_indicator,
     dense_sinr_graph,
+    full_range_entry_radii,
 )
 from ppclust.complexes import vietoris_rips
 from ppclust.core import PointPattern, RandomStream, box, cube
@@ -503,6 +505,21 @@ CRITICAL_CASES = {
 }
 
 
+# More inputs of the bit-for-bit comparison with the bisected threshold:
+# clustered points, one and three dimensions, and a window far from the
+# origin, where lower + 2r rounds away many radii.
+ORACLE_CASES = {
+    **CRITICAL_CASES,
+    "thomas": (pg.thomas_cluster(0.3, 4.0, 0.4), euclid(20.0)),
+    "poisson_1d": (pg.homogeneous_poisson(2 / math.sqrt(3)), cube(60.0, 1, metric="euclidean")),
+    "poisson_3d": (pg.homogeneous_poisson(2 / math.sqrt(3)), cube(6.0, 3, metric="euclidean")),
+    "far_window": (
+        pg.homogeneous_poisson(2 / math.sqrt(3)),
+        box((1000.1, 1020.1), (1000.1, 1020.1), metric="euclidean"),
+    ),
+}
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("sampled a pattern")
 
@@ -538,6 +555,20 @@ class TestCrossingThreshold:
         for i in range(2):
             _assert_threshold_is_exact(pg.sample(spec, w, stream.derive(i)))
 
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_threshold_equals_the_bisected_threshold(self, case):
+        # At r_max / 6 some one- and three-dimensional patterns never cross.
+        spec, w = ORACLE_CASES[case]
+        r_max = float(np.linalg.norm(w.sides)) / 4.0
+        got = []
+        for i in range(4):
+            pattern = pg.sample(spec, w, STREAM.derive(42).derive(i))
+            for cap in (r_max, r_max / 6):
+                t = percolation._crossing_threshold(pattern, cap)
+                assert t == bisected_crossing_threshold(pattern, cap), (i, cap)
+                got.append(t)
+        assert (math.inf in got) == (case in ("poisson_1d", "poisson_3d"))
+
     def test_empty_pattern_never_crosses(self):
         pattern = PointPattern(euclid(10.0), np.empty((0, 2)))
         assert _assert_threshold_is_exact(pattern) == math.inf
@@ -557,6 +588,40 @@ class TestCrossingThreshold:
         w = box((0.0, 4.0), (0.0, 1.0), metric="euclidean")
         points = np.array([[1.2, 0.5], [2.0, 0.5], [2.8, 0.5], [3.6, 0.5]])
         assert _assert_threshold_is_exact(PointPattern(w, points)) == 0.6
+
+    def test_threshold_at_a_right_slab_entry(self):
+        # The chain enters the left slab at r = 0.2 and joins at r = 0.4; it
+        # reaches the right slab at r = 0.6.
+        w = box((0.0, 4.0), (0.0, 1.0), metric="euclidean")
+        points = np.array([[0.4, 0.5], [1.2, 0.5], [2.0, 0.5], [2.8, 0.5]])
+        assert _assert_threshold_is_exact(PointPattern(w, points)) == 0.6
+
+    def test_sparse_crossing_doubles_the_query_radius(self, monkeypatch):
+        # A tight cluster sets a small Poisson bound rho (about 0.55), but
+        # the chain joins only at 1.25 > 2 rho: three pair queries.
+        w = euclid(10.0)
+        cluster = 0.01 * np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2)
+        chain = np.array([[0.0, 2.0], [2.5, 2.0], [5.0, 2.0], [7.5, 2.0], [9.5, 2.0]])
+        pattern = PointPattern(w, np.concatenate([cluster + [5.0, 9.0], chain]))
+        queries = []
+
+        def counted(*args):
+            queries.append(args[2])
+            return core.neighbor_pairs(*args)
+
+        monkeypatch.setattr(percolation, "_candidate_pairs", counted)
+        assert percolation._crossing_threshold(pattern, 2.5) == 1.25
+        assert len(queries) == 3
+        monkeypatch.undo()
+        assert _assert_threshold_is_exact(pattern) == 1.25
+
+    def test_coincident_points_on_the_slab_faces(self):
+        # Two coincident points on the left face: their slab entries and
+        # their join are events at r = 0, which must stay edges of the tree.
+        # They reach the right slab at r = 1.
+        w = box((0.0, 2.0), (0.0, 4.0), metric="euclidean")
+        points = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert _assert_threshold_is_exact(PointPattern(w, points)) == 1.0
 
     def test_point_on_the_lower_face(self):
         w = box((0.1, 4.1), (-3.3, 0.7), metric="euclidean")
@@ -580,6 +645,50 @@ class TestCrossingThreshold:
         assert np.all(holds(x[inner], r[inner]))
         assert not np.any(holds(x[inner], np.nextafter(r[inner], -1.0)))
         assert r[1] < (x[1] - lower) / 2
+        # Near an upper face far from the origin, upper - 2r rounds to x for
+        # radii far below (upper - x) / 2: the guess is off by many ulps.
+        upper = 1020.1
+        x = np.array([np.nextafter(upper, 0.0), upper - 3e-13, upper - 1e-9, upper])
+        holds = lambda v, r: v >= upper - 2 * r  # noqa: E731
+        guess = (upper - x) / 2
+        r = percolation._entry_radii(holds, x, guess, 10.0)
+        assert r[-1] == 0.0
+        assert np.all(holds(x, r)) and not np.any(holds(x[:-1], np.nextafter(r[:-1], -1.0)))
+        assert guess[0].view(np.int64) - r[0].view(np.int64) > 2**10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lower=st.floats(-1e6, 1e6),
+        side=st.floats(1e-3, 1e3),
+        cap=st.floats(1e-3, 1.0),
+        offsets=st.lists(
+            st.tuples(st.booleans(), st.integers(-(2**40), 2**40)), min_size=1, max_size=12
+        ),
+        spread=st.lists(st.floats(-1.0, 2.0), max_size=12),
+        shifts=st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=8),
+    )
+    def test_galloped_entry_radii_equal_a_full_range_bisection(
+        self, lower, side, cap, offsets, spread, shifts
+    ):
+        upper, r_max = lower + side, cap * side
+        near = [(upper if top else lower) + k * np.spacing(upper if top else lower)
+                for top, k in offsets]
+        x = np.array(near + [lower + f * side for f in spread])
+        dist = np.abs(x - lower)
+        # The least radius is the value itself; the guess is off by a shift
+        # of whole ulps either way.
+        least = dist / 2
+        shifted = np.maximum(least.view(np.int64) + np.resize(shifts, x.size), 0)
+        events = [
+            (lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2),
+            (lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2),
+            (lambda d, r: d <= 2 * r, dist, dist / 2),
+            (lambda v, r: r >= v, least, shifted.view(np.float64)),
+        ]
+        for holds, values, guess in events:
+            got = percolation._entry_radii(holds, values, guess, r_max)
+            expected = full_range_entry_radii(holds, values, guess, r_max)
+            assert np.array_equal(got, expected)
 
 
 class TestPercolationBounds:
