@@ -14,9 +14,10 @@ sink node stand for the two slabs.
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
 on the kept edges.  A radius grid (the sweep, the crossing curve) is read
-from one replication: one pattern, one query at the largest radius, pairs
-sorted by length, and the graph at each radius a prefix of that order.  A
-Graph holds its edges as that same (E, 2) int64 array, from the query
+from one replication: one pattern, one query at the largest radius, one
+minimum spanning forest whose edge weights rank the least radius that keeps
+each pair, and one labelling of a graph with one layer of the forest per
+radius.  A Graph holds its edges as the (E, 2) int64 array of the query,
 through components to graph_to_csv.  The site-grid crossing of k-coverage
 labels its open cells with scipy.ndimage.  SINR links come from one pair
 query too: with noise, a link needs the signal alone to clear T N, which
@@ -151,17 +152,38 @@ def components(g: Graph) -> list:
     return _component_sizes(_component_labels(g.n_vertices, g.edges)).tolist()
 
 
+def _spanning_forest(n: int, edges: np.ndarray, weights: np.ndarray):
+    """Minimum spanning forest, as a sparse matrix, of the n-node graph whose
+    (E, 2) edges carry the given weights; a weight must not be 0, which
+    sparse storage reads as no edge."""
+    return minimum_spanning_tree(csr_matrix((weights, (edges[:, 0], edges[:, 1])), shape=(n, n)))
+
+
 def _gilbert_labels(pattern: PointPattern, radii) -> list:
     """Gilbert component labels at each radius, in the order given, from one
-    pair query at twice the largest: the graph at radius r is the prefix of
-    the pairs, sorted stably by length, that are no longer than 2r."""
+    pair query at twice the largest and one labelling.
+
+    A pair's weight is 1 + the rank of the least of the K distinct sorted
+    radii r with dist <= 2r, so the graph at the radius of rank q keeps the
+    pairs of weight at most q + 1, and has the components of the minimum
+    spanning forest's edges of those weights (single linkage; Gower & Ross,
+    Applied Statistics 1969).  All K graphs are labelled by one call on K
+    disjoint layers of the n nodes, layer q holding the forest edges of
+    weight at most q + 1.  Components are numbered by their lowest node, so
+    layer q less the label of its node 0 is the labelling of its graph alone.
+    """
     points, w = pattern.points, pattern.window
-    pairs = _candidate_pairs(points, w, 2 * max(radii))
-    dist = pair_distances(points, pairs, w)
-    order = np.argsort(dist, kind="stable")
-    pairs = pairs[order]
-    prefixes = np.searchsorted(dist[order], 2 * np.array(radii), side="right")
-    return [_component_labels(points.shape[0], pairs[:m]) for m in prefixes]
+    n = points.shape[0]
+    twice, layer = np.unique(2 * np.array(radii, dtype=float), return_inverse=True)
+    pairs = _candidate_pairs(points, w, twice[-1])
+    weights = np.searchsorted(twice, pair_distances(points, pairs, w), side="left") + 1
+    kept = weights <= twice.size
+    forest = _spanning_forest(n, pairs[kept], weights[kept]).tocoo()
+    layers, edge = np.nonzero(forest.data <= np.arange(1, twice.size + 1)[:, None])
+    edges = np.stack([forest.row[edge], forest.col[edge]], axis=1) + n * layers[:, None]
+    labels = _component_labels(twice.size * n, edges).reshape(twice.size, n)
+    labels -= labels[:, :1]
+    return list(labels[layer])
 
 
 @dataclass(frozen=True)
@@ -242,6 +264,8 @@ def _crossing_curve(
     radius on the same stream, bit for bit."""
     check_window("crossing_probability", w, "euclidean")
     radii = [check_number("radius", r, "nonneg") for r in radii]
+    if not radii:
+        raise ValueError("crossing_probability needs at least one radius")
     hits = replicate(reps, stream, threads, lambda rep: _crossings(sample(spec, w, rep), radii))
     return [_proportion(column) for column in np.array(hits, dtype=float).T]
 
@@ -327,9 +351,7 @@ def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
         kept = radii <= rho
         # Ranks from 1, so that an event at r = 0 is not a missing edge.
         events, rank = np.unique(radii[kept], return_inverse=True)
-        edges = edges[kept]
-        graph = csr_matrix((rank + 1, (edges[:, 0], edges[:, 1])), shape=(n + 2, n + 2))
-        tree = minimum_spanning_tree(graph)
+        tree = _spanning_forest(n + 2, edges[kept], rank + 1)
         _, parent = breadth_first_order(tree, source, directed=False)
         if parent[sink] >= 0:
             break

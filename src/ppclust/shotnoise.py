@@ -232,6 +232,8 @@ def _covered_cells(what: str, spec: GeneratorSpec, w: Window, radii, k: int, gri
     """
     check_number("k", k, 1)
     radii = [check_number("coverage radius", r, "nonneg") for r in radii]
+    if not radii:
+        raise ValueError(f"{what} needs at least one radius")
     check_window(what, w, reach=max(radii))
     check_number("grid_n", grid_n, 1)
 

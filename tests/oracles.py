@@ -398,6 +398,25 @@ def crossing_indicator(pattern, r):
     return np.intersect1d(labels[left], labels[right]).size > 0
 
 
+def prefix_gilbert_labels(pattern, radii):
+    """Gilbert component labels at each radius, in the order given, from one
+    pair query at twice the largest: the graph at radius r is the prefix of
+    the pairs, sorted stably by length, that are no longer than 2r; one
+    component labelling per prefix."""
+    import numpy as np
+
+    from ppclust.core import pair_distances
+    from ppclust.percolation import _candidate_pairs, _component_labels
+
+    points, w = pattern.points, pattern.window
+    pairs = _candidate_pairs(points, w, 2 * max(radii))
+    dist = pair_distances(points, pairs, w)
+    order = np.argsort(dist, kind="stable")
+    pairs = pairs[order]
+    prefixes = np.searchsorted(dist[order], 2 * np.array(radii), side="right")
+    return [_component_labels(points.shape[0], pairs[:m]) for m in prefixes]
+
+
 def bisection_critical_radius(spec, w, reps=50, tol=0.02, stream=None, threads=1):
     """The resampling critical-radius bisection: one crossing_probability
     call, which samples every replication again, per bisection radius."""

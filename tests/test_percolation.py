@@ -20,6 +20,7 @@ from oracles import (
     crossing_indicator,
     dense_sinr_graph,
     full_range_entry_radii,
+    prefix_gilbert_labels,
 )
 from ppclust.complexes import vietoris_rips
 from ppclust.core import PointPattern, RandomStream, box, cube
@@ -253,6 +254,69 @@ class TestComponents:
         w = euclid(4.0)
         pattern = PointPattern(w, np.empty((0, 2)))
         assert components(gilbert_graph(pattern, 1.0)) == []
+
+
+def assert_same_labels(pattern, radii):
+    got = percolation._gilbert_labels(pattern, radii)
+    expected = prefix_gilbert_labels(pattern, radii)
+    assert len(got) == len(expected) == len(radii)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestGilbertLabelsAgainstPrefixes:
+    # One spanning forest and one layered labelling against one labelling
+    # per prefix of the length-sorted pairs: the same labels, not only the
+    # same partitions.  Radii unsorted, with a repeat and 0.
+    SPECS = {
+        "poisson": pg.homogeneous_poisson(1.2),
+        "thomas": pg.thomas_cluster(0.3, 4.0, 0.4),
+        "geometric_lattice": pg.perturbed_lattice(
+            0.93, dists.geometric(0.5), pg.uniform_in_cell()
+        ),
+    }
+    SIDES = {1: 60.0, 2: 12.0, 3: 5.0}
+    RADII = [0.55, 0.0, 0.3, 0.8, 0.55, 0.25]
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equals_one_labelling_per_prefix(self, name, d, metric):
+        w = cube(self.SIDES[d], d, metric=metric)
+        for i in range(3):
+            pattern = pg.sample(self.SPECS[name], w, STREAM.derive(40).derive(i))
+            assert_same_labels(pattern, self.RADII)
+            assert_same_labels(pattern, [0.5])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # Three coincident points, a pair at exactly 2r = 0.5 and one a
+            # few ulps inside 2r = 1.6.
+            [[1.0, 1.0], [1.0, 1.0], [4.0, 4.0], [1.0, 1.0], [1.5, 1.0], [4.0, 5.6]],
+            [[2.0, 3.0]],
+            np.empty((0, 2)),
+        ],
+        ids=["coincident", "one_point", "empty"],
+    )
+    def test_degenerate_patterns(self, points):
+        pattern = PointPattern(cube(8.0, 2), np.array(points, dtype=float))
+        assert_same_labels(pattern, self.RADII)
+        assert_same_labels(pattern, [0.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        metric=st.sampled_from(["periodic", "euclidean"]),
+        cells=st.lists(st.integers(0, 31), max_size=90),
+        radii=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.5]), min_size=1,
+                       max_size=6),
+    )
+    def test_random_quarter_grid_patterns(self, d, metric, cells, radii):
+        # Coordinates on a 1/4 grid of an 8-cube, so that coincident points
+        # and pairs at exactly 2r are common.
+        points = np.resize(np.array(cells, dtype=float) / 4, (len(cells) // d, d))
+        assert_same_labels(PointPattern(cube(8.0, d, metric=metric), points), radii)
 
 
 class TestComponentFractionSweep:

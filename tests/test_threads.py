@@ -158,6 +158,21 @@ def test_rejects_missing_stream_and_nonpositive_reps_before_sampling(name, monke
             run(name, reps=reps)
 
 
+@pytest.mark.parametrize(
+    "name, estimator_name",
+    [("_crossing_curve", "crossing_probability"), ("_coverage_curve", "k_covered_volume")],
+)
+def test_radius_grids_reject_no_radii_before_sampling(name, estimator_name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before validating the radii")
+
+    for module in ESTIMATOR_MODULES:
+        monkeypatch.setattr(module, "sample", refuse)
+    estimator, (spec, w, _), kwargs = ESTIMATORS[name]
+    with pytest.raises(ValueError, match=f"^{estimator_name} needs at least one radius$"):
+        estimator(spec, w, [], **kwargs)
+
+
 @pytest.mark.parametrize("name", ["scaling_experiment", "betti_scaling_experiment"])
 def test_scaling_runs_validate_with_no_window_sizes(name):
     estimator = ESTIMATORS[name][0]
