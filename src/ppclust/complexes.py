@@ -8,6 +8,16 @@ of Rips faces at matched radii.
 
 Betti numbers come from boundary-matrix ranks over Z/2, computed by
 column reduction on bitmask columns: beta_k = S_k - rank d_k - rank d_{k+1}.
+
+betti_scaling_experiment takes a shorter path for beta_0 and beta_1 in the
+plane.  The Cech complex, like the Delaunay-restricted (alpha) complex, has
+the homotopy type of the union of the radius-r discs (nerve theorem;
+Edelsbrunner, "The union of balls and its dual shape", DCG 1995).  So beta_0
+is the number of Gilbert components, and beta_1 = beta_0 - chi, with the
+Euler characteristic chi counted on the alpha complex of one Delaunay
+triangulation.  Where the two slack rules could disagree (a Delaunay edge
+or triangle value within a small band of r), or qhull cannot triangulate
+the points, the Cech path decides instead.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .core import (
     PointPattern,
@@ -28,7 +39,7 @@ from .core import (
     replicate,
 )
 from .graphs import _local_masks, _volume_windows
-from .percolation import _edge_index_array
+from .percolation import _component_labels, _edge_index_array
 from .procgen import GeneratorSpec, sample
 from .summaries import _estimate
 
@@ -50,6 +61,10 @@ MAX_COMPLEX_DIM = 4
 # Points this close to the smallest-enclosing-ball boundary count as inside;
 # the same slack decides face inclusion at radius r.
 MINIBALL_TOLERANCE = 1e-12
+# The planar Betti kernel leaves a pattern to the Cech path when a Delaunay
+# value lies within this relative band (plus twice the slack above) of r.
+ALPHA_BAND = 1e-9
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +304,70 @@ def euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** k * count for k, count in enumerate(simplex_counts(c)))
 
 
+def _planar_betti(pattern: PointPattern, r: float, k: int):
+    """(beta_0, ..., beta_k) of the radius-r Cech complex of a planar
+    pattern for k <= 1, or None where the Cech path must decide.
+
+    beta_0 counts the components of the Cech 1-skeleton (the Gilbert
+    graph, with its own comparison).  beta_1 = beta_0 - chi, where chi is
+    counted on the alpha complex of the distinct points' Delaunay
+    triangulation: a triangle enters at its circumradius; an edge at half
+    its length, unless the vertex opposite it in an incident triangle lies
+    strictly inside its diametral disk (an obtuse angle), when it enters
+    at the least circumradius of its incident triangles.  None when the
+    pattern is not planar or k > 1, when there are fewer than three
+    distinct points, when qhull fails or leaves a point out, and when a
+    Delaunay edge's half-length or a circumradius lies within the band of
+    r where the alpha and Cech slack rules may disagree.
+    """
+    points = pattern.points
+    if points.shape[1] != 2 or k > 1:
+        return None
+    check_window("cech_complex", pattern.window, "euclidean")
+    labels = _component_labels(points.shape[0], _edge_index_array(pattern, r))
+    b0 = int(labels.max(initial=-1)) + 1
+    if k == 0:
+        return (b0,)
+    ranked = points[np.lexsort(points.T)]
+    distinct = np.ones(ranked.shape[0], dtype=bool)
+    distinct[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    unique = ranked[distinct]
+    if unique.shape[0] < 3:
+        return None
+    try:
+        tri = Delaunay(unique)
+    except QhullError:
+        return None
+    if tri.coplanar.size:
+        return None
+    # Side s of a triangle joins corners s+1 and s+2 (mod 3), opposite corner s.
+    simplices = tri.simplices
+    corner = unique[simplices]
+    to_next = corner[:, _NEXT] - corner
+    to_last = corner[:, _LAST] - corner
+    half = 0.5 * np.hypot(*np.moveaxis(to_last - to_next, 2, 0))
+    cross = np.abs(
+        to_next[:, 0, 0] * to_last[:, 0, 1] - to_next[:, 0, 1] * to_last[:, 0, 0]
+    )
+    with np.errstate(divide="ignore"):
+        circum = 4.0 * np.prod(half, axis=1) / cross
+    obtuse = np.sum(to_next * to_last, axis=2) < 0.0
+    first, second = simplices[:, _NEXT].astype(np.int64), simplices[:, _LAST]
+    key = (np.minimum(first, second) * unique.shape[0] + np.maximum(first, second)).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    edge_half = half.ravel()[order][start]
+    values = np.concatenate([edge_half, circum])
+    if np.any(np.abs(values - r) <= ALPHA_BAND * r + 2.0 * MINIBALL_TOLERANCE):
+        return None
+    attached = np.logical_or.reduceat(obtuse.ravel()[order], start)
+    least = np.minimum.reduceat(np.repeat(circum, 3)[order], start)
+    edges = np.count_nonzero(np.where(attached, least, edge_half) <= r)
+    chi = unique.shape[0] - edges + np.count_nonzero(circum <= r)
+    return (b0, b0 - int(chi))
+
+
 @dataclass(frozen=True)
 class BettiScalingRow:
     n: int
@@ -312,18 +391,24 @@ def betti_scaling_experiment(
     """Mean beta_k of the coverage complex on growing volume-n windows.
 
     Windows are Euclidean (a torus would add wraparound cycles of its
-    own); the complex is built to dimension k+1, the minimum that makes
-    beta_k meaningful.
+    own).  In the plane with k <= 1, beta_k comes from the Gilbert
+    components and the alpha complex's Euler characteristic
+    (_planar_betti).  Every other (d, k), and every planar pattern that
+    kernel leaves to the Cech path, builds the Cech complex to dimension
+    k+1, the minimum that makes beta_k meaningful, and takes its Z/2 ranks.
     """
-    if not 0 <= k <= 2:
+    if check_number("k", k, 0) > 2:
         raise ValueError("k must be 0, 1, or 2")
     check_replications(reps, stream)
     rows = []
     for n, r, w, level in _volume_windows(r_rule, n_list, d, stream):
 
         def one(rep: RandomStream) -> float:
-            complex_ = cech_complex(sample(spec, w, rep), r, max_dim=k + 1)
-            return float(betti_numbers(complex_).betti[k])
+            pattern = sample(spec, w, rep)
+            betti = _planar_betti(pattern, r, k)
+            if betti is None:
+                betti = betti_numbers(cech_complex(pattern, r, max_dim=k + 1)).betti
+            return float(betti[k])
 
         values = np.array(replicate(reps, level, threads, one))
         est = _estimate(values)

@@ -406,6 +406,7 @@ def _volume_windows(r_rule, n_list, d: int, stream: RandomStream):
     """Yield (n, r, window, stream) per entry of n_list: the centred
     Euclidean cube of volume n, the radius r_rule(n), and the entry's
     sub-stream stream.derive(index)."""
+    check_number("d", d, 1)
     for idx, n in enumerate(n_list):
         r = check_number("r_rule radius", float(r_rule(n)), "pos")
         half = 0.5 * float(n) ** (1.0 / d)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppclust.complexes as cx
 import ppclust.percolation as perc
@@ -342,6 +344,118 @@ class TestEulerCharacteristic:
         assert checked >= 8
 
 
+def cech_betti(pattern, r, k):
+    return betti_numbers(cech_complex(pattern, r, max_dim=k + 1)).betti
+
+
+def assert_planar_betti_is_exact(pattern, r, fallback=False):
+    """beta_0 always comes from the planar kernel; beta_1 must equal the
+    Cech path's, or be left to it exactly when a fallback is expected."""
+    assert cx._planar_betti(pattern, r, 0) == cech_betti(pattern, r, 0)
+    got = cx._planar_betti(pattern, r, 1)
+    if fallback:
+        assert got is None
+    else:
+        assert got == cech_betti(pattern, r, 1)
+
+
+class TestPlanarBetti:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pg.homogeneous_poisson(1.0),
+            pg.thomas_cluster(0.2, 5.0, 0.5),
+            pg.ginibre_truncated(50, 7.0),
+        ],
+        ids=["poisson", "thomas", "ginibre"],
+    )
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+    def test_equals_the_cech_path(self, spec, r):
+        w = box((-5.0, 5.0), (-5.0, 5.0), metric="euclidean")
+        for i in range(6):
+            assert_planar_betti_is_exact(pg.sample(spec, w, STREAM.derive(600 + i)), r)
+
+    @pytest.mark.parametrize(
+        "lattice, r",
+        [
+            ("square", 0.5),
+            ("square", 1 / math.sqrt(2)),
+            ("hex", 0.5),
+            ("hex", 1 / math.sqrt(3)),
+        ],
+    )
+    def test_lattice_tie_radii_fall_back(self, lattice, r):
+        # Side half-lengths and circumradii sit exactly at r, where the
+        # Cech slack and the alpha comparison may disagree.
+        w = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
+        pattern = pg.sample(getattr(pg, f"{lattice}_lattice")(1.0, stationary=False), w, STREAM)
+        assert_planar_betti_is_exact(pattern, r, fallback=True)
+        assert_planar_betti_is_exact(pattern, r * (1 + 1e-6))
+        assert_planar_betti_is_exact(pattern, r * (1 - 1e-6))
+
+    def test_lattice_cycles_away_from_ties(self):
+        w = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
+        pattern = pg.sample(pg.square_lattice(1.0, stationary=False), w, STREAM)
+        # 5 x 5 sites: 16 empty unit squares below the circumradius.
+        assert cx._planar_betti(pattern, 0.6, 1) == (1, 16)
+        assert cx._planar_betti(pattern, 0.75, 1) == (1, 0)
+
+    def test_obtuse_triangle_edge_enters_with_the_triangle(self):
+        # The apex lies inside the long side's diametral disk, so between
+        # its half-length 1 and the circumradius 1.82 the side stays out.
+        pattern = euclid_pattern([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.3], [0.0, -10.0]])
+        for r in (0.9, 1.05, 1.5, 1.8, 2.0):
+            assert_planar_betti_is_exact(pattern, r)
+
+    def test_coincident_points_are_deduplicated(self):
+        points = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.3, 1.1], [1.0, 0.2], [1.4, 1.3]]
+        for r in (0.1, 0.55, 0.65, 0.9):
+            assert_planar_betti_is_exact(euclid_pattern(points), r)
+
+    def test_near_coincident_point_left_out_by_qhull_falls_back(self):
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-17, 1e-17]]
+        assert_planar_betti_is_exact(euclid_pattern(points), 0.3, fallback=True)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.5, 3.5]],
+            [[1.0, 1.0]] * 4,
+            [[1.0, 1.0]],
+            [[1.0, 1.0], [1.5, 1.0]],
+            np.empty((0, 2)),
+        ],
+        ids=["collinear", "coincident", "one_point", "two_points", "empty"],
+    )
+    def test_degenerate_patterns_fall_back(self, points):
+        w = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
+        pattern = PointPattern(w, np.array(points, dtype=float))
+        for r in (0.0, 0.3, 1.0):
+            assert_planar_betti_is_exact(pattern, r, fallback=True)
+
+    def test_scope(self):
+        pattern = random_pattern(7)
+        assert cx._planar_betti(pattern, 0.5, 2) is None
+        pattern3 = pg.sample(pg.homogeneous_poisson(1.0), cube(4.0, 3, metric="euclidean"), STREAM)
+        assert cx._planar_betti(pattern3, 0.5, 1) is None
+        with pytest.raises(ValueError, match="needs a Euclidean window"):
+            cx._planar_betti(PointPattern(cube(6.0, 2), pattern.points), 0.5, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(st.integers(0, 16), max_size=60),
+        r=st.sampled_from([0.0, 0.125, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0, 1.5]),
+    )
+    def test_random_quarter_grid_patterns(self, cells, r):
+        # Coordinates on a 1/4 grid, so that coincident, collinear and
+        # co-circular points and values at exactly r are common.
+        points = np.resize(np.array(cells, dtype=float) / 4, (len(cells) // 2, 2))
+        pattern = PointPattern(box((0.0, 4.25), (0.0, 4.25), metric="euclidean"), points)
+        assert cx._planar_betti(pattern, r, 0) == cech_betti(pattern, r, 0)
+        got = cx._planar_betti(pattern, r, 1)
+        assert got is None or got == cech_betti(pattern, r, 1)
+
+
 class TestBettiScaling:
     def test_sparse_regime_kills_cycles(self):
         rows = betti_scaling_experiment(
@@ -388,6 +502,27 @@ class TestBettiScaling:
                 reps=2,
                 stream=STREAM.derive(43),
             )
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize(
+        "spec",
+        [pg.homogeneous_poisson(1.0), pg.thomas_cluster(0.3, 4.0, 0.4)],
+        ids=["poisson", "thomas"],
+    )
+    def test_planar_path_equals_the_cech_path(self, monkeypatch, spec, k):
+        args = dict(k=k, reps=10, stream=STREAM.derive(46))
+        built = []
+
+        def counted(*a, **kw):
+            built.append(1)
+            return cech_complex(*a, **kw)
+
+        monkeypatch.setattr(cx, "cech_complex", counted)
+        planar = betti_scaling_experiment(spec, lambda n: 0.55, [30, 80], **args)
+        assert not built
+        monkeypatch.setattr(cx, "_planar_betti", lambda *a: None)
+        assert betti_scaling_experiment(spec, lambda n: 0.55, [30, 80], **args) == planar
+        assert len(built) == 20
 
     def test_deterministic_across_threads(self):
         args = dict(k=1, reps=8, stream=STREAM.derive(44))

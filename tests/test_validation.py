@@ -37,6 +37,8 @@ FINITE = []
 PLACEMENTS = [0, -1, 2.5]  # an integer >= 1
 ORDER = [0, -1, 5, 2.5]  # an integer factorial order between 1 and 4
 ORDER_MAX = [1, 5, 2.5]  # an integer highest order between 2 and 4
+DIM = [0, -1, 1.5]  # an integer dimension >= 1
+BETTI_K = [-1, 3, 1.5]  # an integer Betti index between 0 and 2
 
 POISSON = pg.homogeneous_poisson(1.0)
 BALL = sn.indicator_ball(1.0)
@@ -214,10 +216,28 @@ ESTIMATORS = [
         POS,
     ),
     (
+        "scaling_experiment.d",
+        lambda x: graphs.scaling_experiment(POISSON, lambda n: 0.5, [16], reps=2, stream=STREAM,
+                                            d=x),
+        DIM,
+    ),
+    (
         "betti_scaling_experiment.r_rule",
         lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: x, [16], reps=2,
                                                      stream=STREAM),
         POS,
+    ),
+    (
+        "betti_scaling_experiment.d",
+        lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: 0.5, [16], reps=2,
+                                                     stream=STREAM, d=x),
+        DIM,
+    ),
+    (
+        "betti_scaling_experiment.k",
+        lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: 0.5, [16], k=x, reps=2,
+                                                     stream=STREAM),
+        BETTI_K,
     ),
     ("stop_loss.a", lambda x: dists.stop_loss(ONE, x), NONNEG),
 ]
@@ -270,6 +290,9 @@ def test_in_bound_values_pass_validation(table):
         "weak_poisson_test.placements": 4,
         "weak_poisson_test.k_max": 3,
         "compare_two.k": 2,
+        "scaling_experiment.d": 2,
+        "betti_scaling_experiment.d": 2,
+        "betti_scaling_experiment.k": 1,
         "tabulated_response.radii[0]": 0.5,
         "tabulated_response.radii[1]": 1.5,
         "tabulated_response.radii[-1]": 3.0,
