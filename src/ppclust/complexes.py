@@ -310,39 +310,37 @@ def _planar_betti(pattern: PointPattern, r: float, k: int):
 
     beta_0 counts the components of the Cech 1-skeleton (the Gilbert
     graph, with its own comparison).  beta_1 = beta_0 - chi, where chi is
-    counted on the alpha complex of the distinct points' Delaunay
-    triangulation: a triangle enters at its circumradius; an edge at half
-    its length, unless the vertex opposite it in an incident triangle lies
-    strictly inside its diametral disk (an obtuse angle), when it enters
-    at the least circumradius of its incident triangles.  None when the
+    counted on the alpha complex of the points' Delaunay triangulation: a
+    triangle enters at its circumradius; an edge at half its length,
+    unless the vertex opposite it in an incident triangle lies strictly
+    inside its diametral disk (an obtuse angle), when it enters at the
+    least circumradius of its incident triangles.  The window is taken to
+    be Euclidean, as betti_scaling_experiment's always are.  None when the
     pattern is not planar or k > 1, when there are fewer than three
-    distinct points, when qhull fails or leaves a point out, and when a
-    Delaunay edge's half-length or a circumradius lies within the band of
-    r where the alpha and Cech slack rules may disagree.
+    points, when qhull fails or leaves a point out (coincident points
+    among them), and when a Delaunay edge's half-length or a circumradius
+    lies within the band of r where the alpha and Cech slack rules may
+    disagree.
     """
     points = pattern.points
+    n = points.shape[0]
     if points.shape[1] != 2 or k > 1:
         return None
-    check_window("cech_complex", pattern.window, "euclidean")
-    labels = _component_labels(points.shape[0], _edge_index_array(pattern, r))
+    labels = _component_labels(n, _edge_index_array(pattern, r))
     b0 = int(labels.max(initial=-1)) + 1
     if k == 0:
         return (b0,)
-    ranked = points[np.lexsort(points.T)]
-    distinct = np.ones(ranked.shape[0], dtype=bool)
-    distinct[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    unique = ranked[distinct]
-    if unique.shape[0] < 3:
+    if n < 3:
         return None
     try:
-        tri = Delaunay(unique)
+        tri = Delaunay(points)
     except QhullError:
         return None
     if tri.coplanar.size:
         return None
     # Side s of a triangle joins corners s+1 and s+2 (mod 3), opposite corner s.
     simplices = tri.simplices
-    corner = unique[simplices]
+    corner = points[simplices]
     to_next = corner[:, _NEXT] - corner
     to_last = corner[:, _LAST] - corner
     half = 0.5 * np.hypot(*np.moveaxis(to_last - to_next, 2, 0))
@@ -353,7 +351,7 @@ def _planar_betti(pattern: PointPattern, r: float, k: int):
         circum = 4.0 * np.prod(half, axis=1) / cross
     obtuse = np.sum(to_next * to_last, axis=2) < 0.0
     first, second = simplices[:, _NEXT].astype(np.int64), simplices[:, _LAST]
-    key = (np.minimum(first, second) * unique.shape[0] + np.maximum(first, second)).ravel()
+    key = (np.minimum(first, second) * n + np.maximum(first, second)).ravel()
     order = np.argsort(key)
     key = key[order]
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -364,7 +362,7 @@ def _planar_betti(pattern: PointPattern, r: float, k: int):
     attached = np.logical_or.reduceat(obtuse.ravel()[order], start)
     least = np.minimum.reduceat(np.repeat(circum, 3)[order], start)
     edges = np.count_nonzero(np.where(attached, least, edge_half) <= r)
-    chi = unique.shape[0] - edges + np.count_nonzero(circum <= r)
+    chi = n - edges + np.count_nonzero(circum <= r)
     return (b0, b0 - int(chi))
 
 
