@@ -5,18 +5,17 @@ distance at most 2r).  On a finite window, percolation is replaced by two
 computable proxies: the mean fractions of nodes in the two largest
 components (bulk statistic, periodic windows) and the probability that one
 component spans from the left to the right face (crossing statistic,
-Euclidean windows).  The critical radius is located by bisecting the
-crossing probability at 1/2 with common random numbers across radii, read
-off each replication's exact crossing threshold: the largest event radius
-on the source-sink path of one minimum spanning tree, where a source and a
-sink node stand for the two slabs.
+Euclidean windows).  The crossing curve and the critical radius (bisected
+at crossing probability 1/2 with common random numbers) ask one kernel
+whether a pattern crosses: the largest rank, of a grid radius or an exact
+event radius, on the source-sink path of one minimum spanning tree, where a
+source and a sink node stand for the two slabs.
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
 on the kept edges.  A radius grid (the sweep, the crossing curve) is read
-from one replication: one pattern, one query at the largest radius, one
-minimum spanning forest whose edge weights rank the least radius that keeps
-each pair, and one labelling of a graph with one layer of the forest per
+from one replication: one pattern, one query at the largest radius, and
+for the sweep one labelling of one minimum spanning forest, one layer per
 radius.  A Graph holds its edges as the (E, 2) int64 array of the query,
 through components to graph_to_csv.  The site-grid crossing of k-coverage
 labels its open cells with scipy.ndimage.  SINR links come from one pair
@@ -235,24 +234,51 @@ def component_fraction_sweep(
     return PercolationSweep(tuple(radii), _estimates(used[:, 0]), _estimates(used[:, 1]))
 
 
-def _spans(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> bool:
-    """True when one component label occurs in both slab masks."""
-    return np.intersect1d(labels[left], labels[right]).size > 0
+def _slab_edges(n: int) -> np.ndarray:
+    """Each of n points joined to a source node n, then to a sink node n + 1."""
+    return np.stack([np.tile(np.arange(n), 2), np.repeat([n, n + 1], n)], axis=1)
+
+
+def _source_sink_rank(n: int, edges: np.ndarray, ranks: np.ndarray) -> float:
+    """The largest rank (integers from 1) on the path from a source node n
+    to a sink node n + 1 in a minimum spanning forest of the edges (the
+    minimax path; Hu, Operations Research 1961), or inf when none joins them."""
+    tree = _spanning_forest(n + 2, edges, ranks)
+    _, parent = breadth_first_order(tree, n, directed=False)
+    if parent[n + 1] < 0:
+        return math.inf
+    path = [n + 1]
+    while path[-1] != n:
+        path.append(parent[path[-1]])
+    # Each node's rank is that of the tree edge to its parent.
+    tree = tree.tocoo()
+    node_ranks = np.zeros(n + 2, dtype=np.int64)
+    node_ranks[np.where(parent[tree.col] == tree.row, tree.col, tree.row)] = tree.data
+    return int(node_ranks[path[:-1]].max())
 
 
 def _crossings(pattern: PointPattern, radii) -> list:
-    """Per radius r, whether one Gilbert component touches both the left and
-    the right slab of width 2r along the first axis."""
-    x, w = pattern.points[:, 0], pattern.window
-    return [
-        _spans(labels, x <= w.lower[0] + 2 * r, x >= w.upper[0] - 2 * r)
-        for r, labels in zip(radii, _gilbert_labels(pattern, radii))
-    ]
+    """Per radius r, in the order given, whether one Gilbert component touches
+    both slabs of width 2r along the first axis.  An edge's rank is 1 + that of
+    the least radius at which dist <= 2r, x <= lower + 2r or x >= upper - 2r
+    holds; radius q crosses if no path rank exceeds q + 1."""
+    points, w = pattern.points, pattern.window
+    n, x, lower, upper = points.shape[0], points[:, 0], w.lower[0], w.upper[0]
+    twice, layer = np.unique(2 * np.array(radii, dtype=float), return_inverse=True)
+    pairs = _candidate_pairs(points, w, twice[-1])
+    ranks = 1 + np.concatenate([
+        np.searchsorted(twice, pair_distances(points, pairs, w), side="left"),
+        np.searchsorted(lower + twice, x, side="left"),
+        twice.size - np.searchsorted((upper - twice)[::-1], x, side="right"),
+    ])
+    kept = ranks <= twice.size
+    edges = np.concatenate([pairs, _slab_edges(n)])[kept]
+    return (_source_sink_rank(n, edges, ranks[kept]) <= layer + 1).tolist()
 
 
 def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
-    """_crossings at the one radius r.  The benchmark's tracer looks this
-    name up, so it stays."""
+    """_crossings at the one radius r.  It stays only while the benchmark's
+    tracer looks this name up."""
     return _crossings(pattern, [r])[0]
 
 
@@ -315,58 +341,32 @@ def _entry_radii(holds, values: np.ndarray, guess: np.ndarray, r_max: float) -> 
 
 
 def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
-    """The least radius r with _crossing_indicator(pattern, r), or inf when
-    the pattern does not cross at r_max.
-
-    The indicator changes only where a point enters a slab or a pair joins,
-    each at an event radius: the least float at which the indicator's own
-    comparison turns true.  Join the points by their pairs, a source node
-    to every point at its left-slab event and a sink node at its right-slab
-    event; the pattern crosses at r exactly when some source-sink path has
-    no event above r.  The least such r is the largest event on the
-    source-sink path of a minimum spanning tree (the minimax path; Hu,
-    Operations Research 1961).  The pairs come from one query at rho, which
-    starts at the Poisson lower bound on the critical radius and doubles up
-    to r_max until the tree joins the source to the sink.
-    """
-    points = pattern.points
+    """The least radius at which the pattern crosses, or inf past r_max: the
+    largest event (least float at which an edge's comparison holds) on the
+    source-sink path; the pair query's rho doubles from the Poisson bound."""
+    points, w = pattern.points, pattern.window
     n = points.shape[0]
     if n == 0:
         return math.inf
-    w = pattern.window
     lower, upper, x = w.lower[0], w.upper[0], points[:, 0]
     left = _entry_radii(lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2, r_max)
     right = _entry_radii(lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2, r_max)
-    source, sink = n, n + 1
-    slabs = np.stack([np.tile(np.arange(n), 2), np.repeat([source, sink], n)], axis=1)
-
+    slabs = _slab_edges(n)
     rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
     while True:
         pairs = _candidate_pairs(points, w, 2 * rho)
         dist = pair_distances(points, pairs, w)
         # A pair's event is the least r with dist <= 2r.
         joined = _entry_radii(lambda d, r: d <= 2 * r, dist, dist / 2, rho)
-        edges = np.concatenate([pairs, slabs])
         radii = np.concatenate([joined, left, right])
         kept = radii <= rho
-        # Ranks from 1, so that an event at r = 0 is not a missing edge.
-        events, rank = np.unique(radii[kept], return_inverse=True)
-        tree = _spanning_forest(n + 2, edges[kept], rank + 1)
-        _, parent = breadth_first_order(tree, source, directed=False)
-        if parent[sink] >= 0:
-            break
+        events, ranks = np.unique(radii[kept], return_inverse=True)
+        rank = _source_sink_rank(n, np.concatenate([pairs, slabs])[kept], ranks + 1)
+        if rank < math.inf:
+            return float(events[rank - 1])
         if rho == r_max:
             return math.inf
         rho = min(2 * rho, r_max)
-    path = [sink]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    # Each node's rank is that of the tree edge to its parent.
-    tree = tree.tocoo()
-    rows, cols = tree.row, tree.col
-    ranks = np.zeros(n + 2, dtype=np.int64)
-    ranks[np.where(parent[cols] == rows, cols, rows)] = tree.data
-    return float(events[ranks[path[:-1]].max() - 1])
 
 
 def critical_radius(

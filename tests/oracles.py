@@ -486,7 +486,7 @@ def bisected_crossing_threshold(pattern, r_max):
     import numpy as np
 
     from ppclust.core import pair_distances, unit_ball_volume, volume
-    from ppclust.percolation import _candidate_pairs, _component_labels, _spans
+    from ppclust.percolation import _candidate_pairs, _component_labels
 
     points = pattern.points
     n = points.shape[0]
@@ -499,7 +499,7 @@ def bisected_crossing_threshold(pattern, r_max):
 
     def crosses(r: float) -> bool:
         labels = _component_labels(n, pairs[: np.searchsorted(joined, r, side="right")])
-        return _spans(labels, left <= r, right <= r)
+        return np.intersect1d(labels[left <= r], labels[right <= r]).size > 0
 
     rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
     while True:

@@ -492,6 +492,17 @@ class TestCrossingCurve:
             expected = [crossing_indicator(pattern, r) for r in self.RADII]
             assert percolation._crossings(pattern, self.RADII) == expected
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_ties_at_grid_radii_match_a_query_per_radius(self, n):
+        # Points on a 1/4 grid of a 4 x 4 box: slab edges and pair lengths
+        # fall exactly on 2r.  Radii unsorted, with a repeat and 0.
+        radii = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.5]
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            pattern = PointPattern(euclid(4.0), rng.integers(0, 16, size=(n, 2)) / 4)
+            expected = [crossing_indicator(pattern, r) for r in radii]
+            assert percolation._crossings(pattern, radii) == expected, pattern.points
+
     def test_empty_pattern_never_crosses(self):
         pattern = PointPattern(euclid(4.0), np.empty((0, 2)))
         assert percolation._crossings(pattern, [1.0, 0.0]) == [False, False]
@@ -596,7 +607,7 @@ def _assert_threshold_is_exact(pattern):
         assert 0 < t <= r_max
         radii += [t, float(np.nextafter(t, 0.0))]
     for r in radii:
-        assert percolation._crossing_indicator(pattern, float(r)) == (r >= t), (r, t)
+        assert crossing_indicator(pattern, float(r)) == (r >= t), (r, t)
     return t
 
 
