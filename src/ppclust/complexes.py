@@ -15,9 +15,12 @@ the homotopy type of the union of the radius-r discs (nerve theorem;
 Edelsbrunner, "The union of balls and its dual shape", DCG 1995).  So beta_0
 is the number of Gilbert components, and beta_1 = beta_0 - chi, with the
 Euler characteristic chi counted on the alpha complex of one Delaunay
-triangulation.  Where the two slack rules could disagree (a Delaunay edge
-or triangle value within a small band of r), or qhull cannot triangulate
-the points, the Cech path decides instead.
+triangulation.  Each replication makes only its pair query and its one
+Delaunay call (_planar_parts); the labelling and the alpha-complex counts
+run once per row of replications on the stacked patterns
+(_planar_betti_row).  Where the two slack rules could disagree (a Delaunay
+edge or triangle value within a small band of r), or qhull cannot
+triangulate the points, the Cech path decides instead.
 """
 
 from __future__ import annotations
@@ -304,66 +307,98 @@ def euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** k * count for k, count in enumerate(simplex_counts(c)))
 
 
-def _planar_betti(pattern: PointPattern, r: float, k: int):
-    """(beta_0, ..., beta_k) of the radius-r Cech complex of a planar
-    pattern for k <= 1, or None where the Cech path must decide.
-
-    beta_0 counts the components of the Cech 1-skeleton (the Gilbert
-    graph, with its own comparison).  beta_1 = beta_0 - chi, where chi is
-    counted on the alpha complex of the points' Delaunay triangulation: a
-    triangle enters at its circumradius; an edge at half its length,
-    unless the vertex opposite it in an incident triangle lies strictly
-    inside its diametral disk (an obtuse angle), when it enters at the
-    least circumradius of its incident triangles.  The window is taken to
-    be Euclidean, as betti_scaling_experiment's always are.  None when the
-    pattern is not planar or k > 1, when there are fewer than three
-    points, when qhull fails or leaves a point out (coincident points
-    among them), and when a Delaunay edge's half-length or a circumradius
-    lies within the band of r where the alpha and Cech slack rules may
-    disagree.
-    """
+def _planar_parts(pattern: PointPattern, r: float, k: int) -> tuple:
+    """The per-replication part of the planar Betti kernel: the points, the
+    Gilbert edges at radius r and, for k = 1, the triangles of the points'
+    one Delaunay triangulation.  The triangles are None for k = 0, for
+    fewer than three points, and where qhull fails or leaves a point out
+    (coincident points among them)."""
     points = pattern.points
-    n = points.shape[0]
-    if points.shape[1] != 2 or k > 1:
-        return None
-    labels = _component_labels(n, _edge_index_array(pattern, r))
-    b0 = int(labels.max(initial=-1)) + 1
-    if k == 0:
-        return (b0,)
-    if n < 3:
-        return None
+    edges = _edge_index_array(pattern, r)
+    if k == 0 or points.shape[0] < 3:
+        return points, edges, None
     try:
         tri = Delaunay(points)
     except QhullError:
-        return None
-    if tri.coplanar.size:
-        return None
-    # Side s of a triangle joins corners s+1 and s+2 (mod 3), opposite corner s.
-    simplices = tri.simplices
-    corner = points[simplices]
-    to_next = corner[:, _NEXT] - corner
-    to_last = corner[:, _LAST] - corner
-    half = 0.5 * np.hypot(*np.moveaxis(to_last - to_next, 2, 0))
-    cross = np.abs(
-        to_next[:, 0, 0] * to_last[:, 0, 1] - to_next[:, 0, 1] * to_last[:, 0, 0]
+        return points, edges, None
+    return points, edges, None if tri.coplanar.size else tri.simplices
+
+
+def _planar_betti_row(parts: list, r: float, k: int) -> list:
+    """(beta_0, ..., beta_k) of the radius-r Cech complex, k <= 1, for each
+    planar pattern of a row given by its _planar_parts, or None where the
+    Cech path must decide.
+
+    The row's patterns are stacked with vertex offsets, so one labelling
+    and one set of array operations serve them all; a component, an edge
+    key or a triangle never spans two patterns, and per-pattern counts
+    come from bincount on the owning pattern.  beta_0 counts the
+    components of the Cech 1-skeleton (the Gilbert graph, with its own
+    comparison).  beta_1 = beta_0 - chi, where chi is counted on the alpha
+    complex of the points' Delaunay triangulation: a triangle enters at
+    its circumradius; an edge at half its length, unless the vertex
+    opposite it in an incident triangle lies strictly inside its diametral
+    disk (an obtuse angle), when it enters at the least circumradius of
+    its incident triangles.  Windows are taken to be Euclidean, as
+    betti_scaling_experiment's always are.  For k = 1 a pattern is None
+    when it has no triangles (see _planar_parts) and when a Delaunay
+    edge's half-length or a circumradius lies within the band of r where
+    the alpha and Cech slack rules may disagree.
+    """
+    m = len(parts)
+    sizes = np.array([points.shape[0] for points, _, _ in parts])
+    offsets = np.r_[0, np.cumsum(sizes)]
+    total = int(offsets[-1])
+    owner = np.repeat(np.arange(m), sizes)
+    labels = _component_labels(
+        total, np.concatenate([edges + at for (_, edges, _), at in zip(parts, offsets)])
     )
+    # One node per component (its first) names the pattern that owns it.
+    b0 = np.bincount(owner[np.unique(labels, return_index=True)[1]], minlength=m)
+    if k == 0:
+        return [(int(b),) for b in b0]
+    meshed = [i for i, (_, _, simplices) in enumerate(parts) if simplices is not None]
+    if not meshed:
+        return [None] * m
+    points = np.concatenate([points for points, _, _ in parts])
+    simplices = np.concatenate([parts[i][2] + offsets[i] for i in meshed])
+    tri_owner = np.repeat(meshed, [parts[i][2].shape[0] for i in meshed])
+    # Side s of a triangle joins corners s+1 and s+2 (mod 3), opposite corner s.
+    x, y = points.T[:, simplices]
+    next_x, next_y = x[:, _NEXT] - x, y[:, _NEXT] - y
+    last_x, last_y = x[:, _LAST] - x, y[:, _LAST] - y
+    half = 0.5 * np.hypot(last_x - next_x, last_y - next_y)
+    cross = np.abs(next_x[:, 0] * last_y[:, 0] - next_y[:, 0] * last_x[:, 0])
     with np.errstate(divide="ignore"):
         circum = 4.0 * np.prod(half, axis=1) / cross
-    obtuse = np.sum(to_next * to_last, axis=2) < 0.0
-    first, second = simplices[:, _NEXT].astype(np.int64), simplices[:, _LAST]
-    key = (np.minimum(first, second) * n + np.maximum(first, second)).ravel()
+    obtuse = next_x * last_x + next_y * last_y < 0.0
+    first, second = simplices[:, _NEXT], simplices[:, _LAST]
+    key = (np.minimum(first, second) * total + np.maximum(first, second)).ravel()
     order = np.argsort(key)
     key = key[order]
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    edge_owner = owner[key[start] // total]
     edge_half = half.ravel()[order][start]
-    values = np.concatenate([edge_half, circum])
-    if np.any(np.abs(values - r) <= ALPHA_BAND * r + 2.0 * MINIBALL_TOLERANCE):
-        return None
+    slack = ALPHA_BAND * r + 2.0 * MINIBALL_TOLERANCE
+    tied = np.zeros(m, dtype=bool)
+    tied[edge_owner[np.abs(edge_half - r) <= slack]] = True
+    tied[tri_owner[np.abs(circum - r) <= slack]] = True
     attached = np.logical_or.reduceat(obtuse.ravel()[order], start)
     least = np.minimum.reduceat(np.repeat(circum, 3)[order], start)
-    edges = np.count_nonzero(np.where(attached, least, edge_half) <= r)
-    chi = n - edges + np.count_nonzero(circum <= r)
-    return (b0, b0 - int(chi))
+    entered = np.where(attached, least, edge_half) <= r
+    chi = sizes - np.bincount(edge_owner[entered], minlength=m) + np.bincount(tri_owner[circum <= r], minlength=m)
+    return [
+        (int(b0[i]), int(b0[i] - chi[i]))
+        if parts[i][2] is not None and not tied[i]
+        else None
+        for i in range(m)
+    ]
+
+
+def _cech_betti(pattern: PointPattern, r: float, k: int) -> tuple:
+    """(beta_0, ..., beta_k) from the Cech complex built to dimension k+1,
+    the minimum that makes beta_k meaningful, and its Z/2 ranks."""
+    return betti_numbers(cech_complex(pattern, r, max_dim=k + 1)).betti
 
 
 @dataclass(frozen=True)
@@ -390,25 +425,32 @@ def betti_scaling_experiment(
 
     Windows are Euclidean (a torus would add wraparound cycles of its
     own).  In the plane with k <= 1, beta_k comes from the Gilbert
-    components and the alpha complex's Euler characteristic
-    (_planar_betti).  Every other (d, k), and every planar pattern that
-    kernel leaves to the Cech path, builds the Cech complex to dimension
-    k+1, the minimum that makes beta_k meaningful, and takes its Z/2 ranks.
+    components and the alpha complex's Euler characteristic: each
+    replication samples its pattern and takes its _planar_parts (the pair
+    query and the one Delaunay call), and one _planar_betti_row pass per
+    entry of n_list then counts every pattern of the row at once.  Every
+    other (d, k) builds the Cech complex to dimension k+1 inside its
+    replication (_cech_betti); a planar pattern the row pass leaves to the
+    Cech path builds it after the pass, on the calling thread.
     """
     if check_number("k", k, 0) > 2:
         raise ValueError("k must be 0, 1, or 2")
     check_replications(reps, stream)
+    planar = d == 2 and k <= 1
     rows = []
     for n, r, w, level in _volume_windows(r_rule, n_list, d, stream):
 
-        def one(rep: RandomStream) -> float:
+        def one(rep: RandomStream):
             pattern = sample(spec, w, rep)
-            betti = _planar_betti(pattern, r, k)
-            if betti is None:
-                betti = betti_numbers(cech_complex(pattern, r, max_dim=k + 1)).betti
-            return float(betti[k])
+            return _planar_parts(pattern, r, k) if planar else _cech_betti(pattern, r, k)
 
-        values = np.array(replicate(reps, level, threads, one))
+        results = replicate(reps, level, threads, one)
+        if planar:
+            results = [
+                _cech_betti(PointPattern(w, parts[0]), r, k) if betti is None else betti
+                for parts, betti in zip(results, _planar_betti_row(results, r, k))
+            ]
+        values = np.array([float(betti[k]) for betti in results])
         est = _estimate(values)
         rows.append(
             BettiScalingRow(

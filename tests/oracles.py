@@ -768,3 +768,71 @@ def dense_sinr_graph(pattern_b, pattern_i, params):
         ratio = signal / denom[None, :]
     ok = np.where(denom[None, :] == 0.0, signal > 0.0, ratio > params.threshold)
     return Graph(n, np.argwhere(np.triu(ok & ok.T, k=1)))
+
+
+def planar_betti(pattern, r, k):
+    """(beta_0, ..., beta_k) of the radius-r Cech complex of one planar
+    pattern for k <= 1, or None where the Cech path must decide: the
+    per-pattern planar kernel that complexes._planar_betti_row batches over
+    a row of patterns.
+
+    beta_0 counts the Gilbert components.  beta_1 = beta_0 - chi, where chi
+    is counted on the alpha complex of the points' Delaunay triangulation:
+    a triangle enters at its circumradius; an edge at half its length,
+    unless the vertex opposite it in an incident triangle lies strictly
+    inside its diametral disk, when it enters at the least circumradius of
+    its incident triangles.  None when the pattern is not planar or k > 1,
+    when there are fewer than three points, when qhull fails or leaves a
+    point out, and when a Delaunay edge's half-length or a circumradius
+    lies within the band of r where the alpha and Cech slack rules may
+    disagree.
+    """
+    import numpy as np
+    from scipy.spatial import Delaunay, QhullError
+
+    from ppclust.complexes import ALPHA_BAND, MINIBALL_TOLERANCE
+    from ppclust.percolation import _component_labels, _edge_index_array
+
+    points = pattern.points
+    n = points.shape[0]
+    if points.shape[1] != 2 or k > 1:
+        return None
+    labels = _component_labels(n, _edge_index_array(pattern, r))
+    b0 = int(labels.max(initial=-1)) + 1
+    if k == 0:
+        return (b0,)
+    if n < 3:
+        return None
+    try:
+        tri = Delaunay(points)
+    except QhullError:
+        return None
+    if tri.coplanar.size:
+        return None
+    # Side s of a triangle joins corners s+1 and s+2 (mod 3), opposite corner s.
+    following, preceding = [1, 2, 0], [2, 0, 1]
+    simplices = tri.simplices
+    corner = points[simplices]
+    to_next = corner[:, following] - corner
+    to_last = corner[:, preceding] - corner
+    half = 0.5 * np.hypot(*np.moveaxis(to_last - to_next, 2, 0))
+    cross = np.abs(
+        to_next[:, 0, 0] * to_last[:, 0, 1] - to_next[:, 0, 1] * to_last[:, 0, 0]
+    )
+    with np.errstate(divide="ignore"):
+        circum = 4.0 * np.prod(half, axis=1) / cross
+    obtuse = np.sum(to_next * to_last, axis=2) < 0.0
+    first, second = simplices[:, following].astype(np.int64), simplices[:, preceding]
+    key = (np.minimum(first, second) * n + np.maximum(first, second)).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    edge_half = half.ravel()[order][start]
+    values = np.concatenate([edge_half, circum])
+    if np.any(np.abs(values - r) <= ALPHA_BAND * r + 2.0 * MINIBALL_TOLERANCE):
+        return None
+    attached = np.logical_or.reduceat(obtuse.ravel()[order], start)
+    least = np.minimum.reduceat(np.repeat(circum, 3)[order], start)
+    edges = np.count_nonzero(np.where(attached, least, edge_half) <= r)
+    chi = n - edges + np.count_nonzero(circum <= r)
+    return (b0, b0 - int(chi))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 import ppclust.complexes as cx
 import ppclust.percolation as perc
@@ -12,6 +13,7 @@ from oracles import (
     brute_force_clique_faces,
     brute_force_miniball_radius,
     naive_betti_numbers,
+    planar_betti,
 )
 from ppclust.complexes import (
     BettiVector,
@@ -348,15 +350,40 @@ def cech_betti(pattern, r, k):
     return betti_numbers(cech_complex(pattern, r, max_dim=k + 1)).betti
 
 
+def row_betti(pattern, r, k):
+    """The planar row kernel on a one-pattern row."""
+    return cx._planar_betti_row([cx._planar_parts(pattern, r, k)], r, k)[0]
+
+
 def assert_planar_betti_is_exact(pattern, r, fallback=False):
     """beta_0 always comes from the planar kernel; beta_1 must equal the
     Cech path's, or be left to it exactly when a fallback is expected."""
-    assert cx._planar_betti(pattern, r, 0) == cech_betti(pattern, r, 0)
-    got = cx._planar_betti(pattern, r, 1)
+    assert row_betti(pattern, r, 0) == cech_betti(pattern, r, 0)
+    got = row_betti(pattern, r, 1)
     if fallback:
         assert got is None
     else:
         assert got == cech_betti(pattern, r, 1)
+
+
+DEGENERATE = [
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.5, 3.5]],
+    [[1.0, 1.0]] * 4,
+    [[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.3, 1.1], [1.0, 0.2], [1.4, 1.3]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-17, 1e-17]],
+    [[1.0, 1.0]],
+    [[1.0, 1.0], [1.5, 1.0]],
+    np.empty((0, 2)),
+]
+DEGENERATE_IDS = [
+    "collinear",
+    "coincident",
+    "repeated_points",
+    "near_coincident",
+    "one_point",
+    "two_points",
+    "empty",
+]
 
 
 class TestPlanarBetti:
@@ -397,8 +424,8 @@ class TestPlanarBetti:
         w = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
         pattern = pg.sample(pg.square_lattice(1.0, stationary=False), w, STREAM)
         # 5 x 5 sites: 16 empty unit squares below the circumradius.
-        assert cx._planar_betti(pattern, 0.6, 1) == (1, 16)
-        assert cx._planar_betti(pattern, 0.75, 1) == (1, 0)
+        assert row_betti(pattern, 0.6, 1) == (1, 16)
+        assert row_betti(pattern, 0.75, 1) == (1, 0)
 
     def test_obtuse_triangle_edge_enters_with_the_triangle(self):
         # The apex lies inside the long side's diametral disk, so between
@@ -407,27 +434,7 @@ class TestPlanarBetti:
         for r in (0.9, 1.05, 1.5, 1.8, 2.0):
             assert_planar_betti_is_exact(pattern, r)
 
-    @pytest.mark.parametrize(
-        "points",
-        [
-            [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.5, 3.5]],
-            [[1.0, 1.0]] * 4,
-            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.3, 1.1], [1.0, 0.2], [1.4, 1.3]],
-            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-17, 1e-17]],
-            [[1.0, 1.0]],
-            [[1.0, 1.0], [1.5, 1.0]],
-            np.empty((0, 2)),
-        ],
-        ids=[
-            "collinear",
-            "coincident",
-            "repeated_points",
-            "near_coincident",
-            "one_point",
-            "two_points",
-            "empty",
-        ],
-    )
+    @pytest.mark.parametrize("points", DEGENERATE, ids=DEGENERATE_IDS)
     def test_degenerate_patterns_fall_back(self, points):
         # qhull fails on the first two and leaves a point out of the next two.
         w = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
@@ -435,11 +442,32 @@ class TestPlanarBetti:
         for r in (0.0, 0.3, 1.0):
             assert_planar_betti_is_exact(pattern, r, fallback=True)
 
-    def test_scope(self):
-        pattern = random_pattern(7)
-        assert cx._planar_betti(pattern, 0.5, 2) is None
-        pattern3 = pg.sample(pg.homogeneous_poisson(1.0), cube(4.0, 3, metric="euclidean"), STREAM)
-        assert cx._planar_betti(pattern3, 0.5, 1) is None
+    def test_scope(self, monkeypatch):
+        # Beyond beta_1 and beyond the plane, every replication builds its
+        # Cech complex and none takes the planar parts.
+        built = []
+
+        def counted(*a, **kw):
+            built.append(1)
+            return cech_complex(*a, **kw)
+
+        def refuse(*a):
+            raise AssertionError("planar parts outside the planar scope")
+
+        monkeypatch.setattr(cx, "cech_complex", counted)
+        monkeypatch.setattr(cx, "_planar_parts", refuse)
+        for k, d in [(2, 2), (1, 3)]:
+            built.clear()
+            betti_scaling_experiment(
+                pg.homogeneous_poisson(1.0),
+                lambda n: 0.4,
+                [8, 27],
+                k=k,
+                reps=5,
+                stream=STREAM.derive(47),
+                d=d,
+            )
+            assert len(built) == 10
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -451,9 +479,45 @@ class TestPlanarBetti:
         # co-circular points and values at exactly r are common.
         points = np.resize(np.array(cells, dtype=float) / 4, (len(cells) // 2, 2))
         pattern = PointPattern(box((0.0, 4.25), (0.0, 4.25), metric="euclidean"), points)
-        assert cx._planar_betti(pattern, r, 0) == cech_betti(pattern, r, 0)
-        got = cx._planar_betti(pattern, r, 1)
+        assert row_betti(pattern, r, 0) == cech_betti(pattern, r, 0)
+        got = row_betti(pattern, r, 1)
         assert got is None or got == cech_betti(pattern, r, 1)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1 / math.sqrt(2)])
+    def test_row_equals_the_per_pattern_kernel(self, k, r):
+        # One row holding degenerate patterns, lattices at their tie radii
+        # and random patterns: a key collision or a label range leaking
+        # across the vertex offsets would show in some pattern's numbers.
+        small = box((0.0, 5.0), (0.0, 5.0), metric="euclidean")
+        large = box((-5.0, 5.0), (-5.0, 5.0), metric="euclidean")
+        row = [PointPattern(small, np.array(points, dtype=float)) for points in DEGENERATE]
+        for lattice in (pg.square_lattice, pg.hex_lattice):
+            row.append(pg.sample(lattice(1.0, stationary=False), small, STREAM))
+        for i, spec in enumerate(
+            [pg.homogeneous_poisson(1.0), pg.thomas_cluster(0.2, 5.0, 0.5), pg.ginibre_truncated(50, 7.0)]
+        ):
+            row.append(pg.sample(spec, large, STREAM.derive(610 + i)))
+        expected = [planar_betti(pattern, r, k) for pattern in row]
+        assert cx._planar_betti_row([cx._planar_parts(p, r, k) for p in row], r, k) == expected
+        assert any(b is not None and b[0] > 1 for b in expected)
+        if k:
+            assert any(b is None for b in expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(0, 16), max_size=40), min_size=1, max_size=6),
+        r=st.sampled_from([0.0, 0.125, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0, 1.5]),
+        k=st.sampled_from([0, 1]),
+    )
+    def test_random_quarter_grid_rows(self, rows, r, k):
+        w = box((0.0, 4.25), (0.0, 4.25), metric="euclidean")
+        row = [
+            PointPattern(w, np.resize(np.array(cells, dtype=float) / 4, (len(cells) // 2, 2)))
+            for cells in rows
+        ]
+        got = cx._planar_betti_row([cx._planar_parts(p, r, k) for p in row], r, k)
+        assert got == [planar_betti(pattern, r, k) for pattern in row]
 
 
 class TestBettiScaling:
@@ -520,9 +584,41 @@ class TestBettiScaling:
         monkeypatch.setattr(cx, "cech_complex", counted)
         planar = betti_scaling_experiment(spec, lambda n: 0.55, [30, 80], **args)
         assert not built
-        monkeypatch.setattr(cx, "_planar_betti", lambda *a: None)
+        monkeypatch.setattr(cx, "_planar_betti_row", lambda parts, r, k: [None] * len(parts))
         assert betti_scaling_experiment(spec, lambda n: 0.55, [30, 80], **args) == planar
         assert len(built) == 20
+
+    def test_k0_makes_no_delaunay_call(self, monkeypatch):
+        calls = []
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return Delaunay(*a, **kw)
+
+        monkeypatch.setattr(cx, "Delaunay", counted)
+        args = dict(reps=6, stream=STREAM.derive(48))
+        betti_scaling_experiment(pg.homogeneous_poisson(1.0), lambda n: 0.4, [16, 36], k=0, **args)
+        assert not calls
+        betti_scaling_experiment(pg.homogeneous_poisson(1.0), lambda n: 0.4, [16, 36], k=1, **args)
+        assert len(calls) == 12
+
+    def test_fallback_rows_are_thread_independent(self, monkeypatch):
+        # Every lattice edge's half-length is the tie radius 0.5, so every
+        # pattern goes to the Cech path after the row pass.
+        built = []
+
+        def counted(*a, **kw):
+            built.append(1)
+            return cech_complex(*a, **kw)
+
+        monkeypatch.setattr(cx, "cech_complex", counted)
+        args = dict(k=1, reps=6, stream=STREAM.derive(49))
+        spec = pg.square_lattice(1.0, stationary=False)
+        a = betti_scaling_experiment(spec, lambda n: 0.5, [16, 36], threads=1, **args)
+        assert len(built) == 12
+        b = betti_scaling_experiment(spec, lambda n: 0.5, [16, 36], threads=2, **args)
+        assert len(built) == 24
+        assert a == b
 
     def test_deterministic_across_threads(self):
         args = dict(k=1, reps=8, stream=STREAM.derive(44))
