@@ -9,7 +9,10 @@ Euclidean windows).  The crossing curve and the critical radius (bisected
 at crossing probability 1/2 with common random numbers) ask one kernel
 whether a pattern crosses: the largest rank, of a grid radius or an exact
 event radius, on the source-sink path of one minimum spanning tree, where a
-source and a sink node stand for the two slabs.
+source and a sink node stand for the two slabs.  Pairs and slabs share one
+rule: an edge of value v, a pair's distance or a point's offset from a
+face, is kept at radius r when v <= 2r, so its event radius is v / 2 (one ulp
+more where halving a value below 2**-1021 rounds down).
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
@@ -257,23 +260,29 @@ def _source_sink_rank(n: int, edges: np.ndarray, ranks: np.ndarray) -> float:
     return int(node_ranks[path[:-1]].max())
 
 
+def _crossing_edges(pattern: PointPattern, pairs: np.ndarray):
+    """The crossing edges and the value v of each, which is kept at radius r
+    when v <= 2r: the pairs with their distances, then each point's edge to
+    the source node (_slab_edges) with its offset x - lower from the left
+    face, then its edge to the sink node with its offset upper - x from the
+    right face, x the first coordinate."""
+    points, w = pattern.points, pattern.window
+    x = points[:, 0]
+    values = np.concatenate([pair_distances(points, pairs, w), x - w.lower[0], w.upper[0] - x])
+    return np.concatenate([pairs, _slab_edges(points.shape[0])]), values
+
+
 def _crossings(pattern: PointPattern, radii) -> list:
     """Per radius r, in the order given, whether one Gilbert component touches
     both slabs of width 2r along the first axis.  An edge's rank is 1 + that of
-    the least radius at which dist <= 2r, x <= lower + 2r or x >= upper - 2r
-    holds; radius q crosses if no path rank exceeds q + 1."""
+    the least radius r with v <= 2r (_crossing_edges); radius q crosses if no
+    path rank exceeds q + 1."""
     points, w = pattern.points, pattern.window
-    n, x, lower, upper = points.shape[0], points[:, 0], w.lower[0], w.upper[0]
     twice, layer = np.unique(2 * np.array(radii, dtype=float), return_inverse=True)
-    pairs = _candidate_pairs(points, w, twice[-1])
-    ranks = 1 + np.concatenate([
-        np.searchsorted(twice, pair_distances(points, pairs, w), side="left"),
-        np.searchsorted(lower + twice, x, side="left"),
-        twice.size - np.searchsorted((upper - twice)[::-1], x, side="right"),
-    ])
+    edges, values = _crossing_edges(pattern, _candidate_pairs(points, w, twice[-1]))
+    ranks = 1 + np.searchsorted(twice, values, side="left")
     kept = ranks <= twice.size
-    edges = np.concatenate([pairs, _slab_edges(n)])[kept]
-    return (_source_sink_rank(n, edges, ranks[kept]) <= layer + 1).tolist()
+    return (_source_sink_rank(points.shape[0], edges[kept], ranks[kept]) <= layer + 1).tolist()
 
 
 def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
@@ -304,64 +313,28 @@ def crossing_probability(
     return _crossing_curve(spec, w, [r], reps, stream, threads)[0]
 
 
-def _entry_radii(holds, values: np.ndarray, guess: np.ndarray, r_max: float) -> np.ndarray:
-    """Per value, the least float r in [0, r_max] with holds(values, r), or
-    inf where it fails at r_max; holds is elementwise and monotone in r.
-
-    The guess is kept where it holds and its float predecessor does not,
-    which is the usual case.  The rest are bisected on their bit patterns,
-    which order the non-negative floats, from a bracket that gallops out
-    from the guess by 1, 2, 4, ... ulps until it holds at its top and fails
-    at its bottom (bit pattern -1 stands for a radius below 0).
-    """
-    r = np.clip(guess, 0.0, r_max)
-    settled = holds(values, r) & ((r == 0) | ~holds(values, np.nextafter(r, -1.0)))
-    never = ~holds(values, np.full_like(r, r_max))
-    todo = ~settled & ~never
-    if todo.any():
-        rest = values[todo]
-        top = np.float64(r_max).view(np.int64)
-        lo = hi = np.clip(r[todo].view(np.int64), 0, top)
-        step = 1
-        while True:
-            down = (lo >= 0) & holds(rest, np.maximum(lo, 0).view(np.float64))
-            up = ~holds(rest, hi.view(np.float64))
-            if not (down.any() or up.any()):
-                break
-            lo = np.where(down, lo - np.minimum(step, lo + 1), lo)
-            hi = np.where(up, hi + np.minimum(step, top - hi), hi)
-            step *= 2
-        while np.any(hi - lo > 1):
-            mid = np.where(hi - lo > 1, lo + (hi - lo) // 2, hi)
-            ok = holds(rest, mid.view(np.float64))
-            hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-        r[todo] = hi.view(np.float64)
-    r[never] = np.inf
-    return r
+def _event_radii(values: np.ndarray) -> np.ndarray:
+    """Per value v, the least float r with v <= 2r: v / 2, one ulp up where
+    halving rounded down, which only values below 2**-1021 do."""
+    r = values / 2
+    return np.where(2 * r < values, np.nextafter(r, np.inf), r)
 
 
 def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
     """The least radius at which the pattern crosses, or inf past r_max: the
-    largest event (least float at which an edge's comparison holds) on the
+    largest event (the least float r with v <= 2r, _event_radii) on the
     source-sink path; the pair query's rho doubles from the Poisson bound."""
     points, w = pattern.points, pattern.window
     n = points.shape[0]
     if n == 0:
         return math.inf
-    lower, upper, x = w.lower[0], w.upper[0], points[:, 0]
-    left = _entry_radii(lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2, r_max)
-    right = _entry_radii(lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2, r_max)
-    slabs = _slab_edges(n)
     rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
     while True:
-        pairs = _candidate_pairs(points, w, 2 * rho)
-        dist = pair_distances(points, pairs, w)
-        # A pair's event is the least r with dist <= 2r.
-        joined = _entry_radii(lambda d, r: d <= 2 * r, dist, dist / 2, rho)
-        radii = np.concatenate([joined, left, right])
+        edges, values = _crossing_edges(pattern, _candidate_pairs(points, w, 2 * rho))
+        radii = _event_radii(values)
         kept = radii <= rho
         events, ranks = np.unique(radii[kept], return_inverse=True)
-        rank = _source_sink_rank(n, np.concatenate([pairs, slabs])[kept], ranks + 1)
+        rank = _source_sink_rank(n, edges[kept], ranks + 1)
         if rank < math.inf:
             return float(events[rank - 1])
         if rho == r_max:

@@ -284,16 +284,11 @@ def _sample_binomial(spec, w, rng):
     return _uniform_points(spec.get("n"), w, rng)
 
 
-def _lattice_counts(w: Window, delta: float) -> np.ndarray:
-    """Cells per axis on a periodic window (snapped), or a covering count."""
-    counts = np.maximum(1, np.rint(w.sides / delta).astype(int))
-    return counts
-
-
 def _square_lattice_sites(w: Window, delta: float, stationary: bool, rng):
     """Lattice sites inside the window; draws at most the stationarity shift."""
     if w.metric == "periodic":
-        counts = _lattice_counts(w, delta)
+        # Cells per axis, snapped so that the lattice tiles the torus.
+        counts = np.maximum(1, np.rint(w.sides / delta).astype(int))
         spacing = w.sides / counts
         axes = [np.arange(c) * s for c, s in zip(counts, spacing)]
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -380,7 +380,7 @@ def crossing_indicator(pattern, r):
     """The one-radius crossing indicator, from its own pair query at 2r
     (percolation._edge_index_array): True when one Gilbert component
     touches both the left and the right slab of width 2r along the first
-    axis."""
+    axis, a point's offset from the face no more than 2r."""
     import numpy as np
 
     from ppclust.percolation import _component_labels, _edge_index_array
@@ -390,8 +390,8 @@ def crossing_indicator(pattern, r):
     if n == 0:
         return False
     w = pattern.window
-    left = points[:, 0] <= w.lower[0] + 2 * r
-    right = points[:, 0] >= w.upper[0] - 2 * r
+    left = points[:, 0] - w.lower[0] <= 2 * r
+    right = w.upper[0] - points[:, 0] <= 2 * r
     if not (left.any() and right.any()):
         return False
     labels = _component_labels(n, _edge_index_array(pattern, r))
@@ -456,33 +456,11 @@ def bisection_critical_radius(spec, w, reps=50, tol=0.02, stream=None, threads=1
     return EstimateWithError(0.5 * (lo + hi), error, reps)
 
 
-def full_range_entry_radii(holds, values, guess, r_max):
-    """Per value, the least float r in [0, r_max] with holds(values, r), or
-    inf where it fails at r_max: the guess where it is exact, and otherwise
-    a bisection on the bit patterns over the whole range [-1, bits(r_max)]."""
-    import numpy as np
-
-    r = np.clip(guess, 0.0, r_max)
-    settled = holds(values, r) & ((r == 0) | ~holds(values, np.nextafter(r, -1.0)))
-    never = ~holds(values, np.full_like(r, r_max))
-    todo = ~settled & ~never
-    if todo.any():
-        rest = values[todo]
-        lo = np.full(rest.shape, -1, dtype=np.int64)  # just below r = 0
-        hi = np.full(rest.shape, np.float64(r_max).view(np.int64))
-        while np.any(hi - lo > 1):
-            mid = np.where(hi - lo > 1, lo + (hi - lo) // 2, hi)
-            ok = holds(rest, mid.view(np.float64))
-            hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid)
-        r[todo] = hi.view(np.float64)
-    r[never] = np.inf
-    return r
-
-
 def bisected_crossing_threshold(pattern, r_max):
-    """The least radius at which the pattern crosses, or inf: the event
-    radii of full_range_entry_radii, and a bisection over the events, one
-    component labelling of a prefix of the pairs per step."""
+    """The least radius at which the pattern crosses, or inf: a bisection
+    over the bit patterns of the floats in [0, rho], which order them, one
+    component labelling of a prefix of the pairs sorted by length per step;
+    rho doubles from the Poisson bound until the pattern crosses at rho."""
     import numpy as np
 
     from ppclust.core import pair_distances, unit_ball_volume, volume
@@ -494,37 +472,31 @@ def bisected_crossing_threshold(pattern, r_max):
         return math.inf
     w = pattern.window
     lower, upper, x = w.lower[0], w.upper[0], points[:, 0]
-    left = full_range_entry_radii(lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2, r_max)
-    right = full_range_entry_radii(lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2, r_max)
 
     def crosses(r: float) -> bool:
-        labels = _component_labels(n, pairs[: np.searchsorted(joined, r, side="right")])
-        return np.intersect1d(labels[left <= r], labels[right <= r]).size > 0
+        labels = _component_labels(n, pairs[: np.searchsorted(dist, 2 * r, side="right")])
+        return np.intersect1d(labels[x - lower <= 2 * r], labels[upper - x <= 2 * r]).size > 0
 
     rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
     while True:
         pairs = _candidate_pairs(points, w, 2 * rho)
         dist = pair_distances(points, pairs, w)
-        # A pair's event is the least r with dist <= 2r.
-        joined = full_range_entry_radii(lambda d, r: d <= 2 * r, dist, dist / 2, rho)
-        order = np.argsort(joined, kind="stable")
-        pairs, joined = pairs[order], joined[order]
+        order = np.argsort(dist, kind="stable")
+        pairs, dist = pairs[order], dist[order]
         if crosses(rho):
             break
         if rho == r_max:
             return math.inf
         rho = min(2 * rho, r_max)
-    # The state at rho is that of its largest event, so the last one crosses.
-    events = np.unique(np.concatenate([joined, left, right]))
-    events = events[events <= rho]
-    lo, hi = -1, events.size - 1
+    # Bit pattern -1 stands for a radius below 0, where nothing crosses.
+    lo, hi = -1, int(np.float64(rho).view(np.int64))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if crosses(float(events[mid])):
+        if crosses(float(np.int64(mid).view(np.float64))):
             hi = mid
         else:
             lo = mid
-    return float(events[hi])
+    return float(np.int64(hi).view(np.float64))
 
 
 def dense_field_covariance(w, grid_n, sigma, corr_length):

@@ -19,7 +19,6 @@ from oracles import (
     brute_force_gilbert_edges,
     crossing_indicator,
     dense_sinr_graph,
-    full_range_entry_radii,
     prefix_gilbert_labels,
 )
 from ppclust.complexes import vietoris_rips
@@ -44,6 +43,7 @@ from ppclust.percolation import (
 )
 
 STREAM = RandomStream(303)
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def euclid(side):
@@ -492,14 +492,19 @@ class TestCrossingCurve:
             expected = [crossing_indicator(pattern, r) for r in self.RADII]
             assert percolation._crossings(pattern, self.RADII) == expected
 
+    @pytest.mark.parametrize("origin", [0.0, 1022.9])
     @pytest.mark.parametrize("n", range(7))
-    def test_ties_at_grid_radii_match_a_query_per_radius(self, n):
+    def test_ties_at_grid_radii_match_a_query_per_radius(self, n, origin):
         # Points on a 1/4 grid of a 4 x 4 box: slab edges and pair lengths
-        # fall exactly on 2r.  Radii unsorted, with a repeat and 0.
+        # fall exactly on 2r.  The box at 1022.9 straddles 1024, where the
+        # float spacing doubles: there they fall within a rounding of 2r, and
+        # lower + 2r or upper - 2r would round where x - lower and upper - x
+        # do not.  Radii unsorted, with a repeat and 0.
+        w = box((origin, origin + 4.0), (origin, origin + 4.0), metric="euclidean")
         radii = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.5]
         rng = np.random.default_rng(n)
         for _ in range(40):
-            pattern = PointPattern(euclid(4.0), rng.integers(0, 16, size=(n, 2)) / 4)
+            pattern = PointPattern(w, origin + rng.integers(0, 16, size=(n, 2)) / 4)
             expected = [crossing_indicator(pattern, r) for r in radii]
             assert percolation._crossings(pattern, radii) == expected, pattern.points
 
@@ -582,7 +587,7 @@ CRITICAL_CASES = {
 
 # More inputs of the bit-for-bit comparison with the bisected threshold:
 # clustered points, one and three dimensions, and a window far from the
-# origin, where lower + 2r rounds away many radii.
+# origin, where a point's offsets from the faces are rounded.
 ORACLE_CASES = {
     **CRITICAL_CASES,
     "thomas": (pg.thomas_cluster(0.3, 4.0, 0.4), euclid(20.0)),
@@ -666,10 +671,12 @@ class TestCrossingThreshold:
 
     def test_threshold_at_a_right_slab_entry(self):
         # The chain enters the left slab at r = 0.2 and joins at r = 0.4; it
-        # reaches the right slab at r = 0.6.
+        # reaches the right slab when upper - x = 4.0 - 2.8 <= 2r.  In floats
+        # that offset is 1.2000000000000002, so the threshold is one ulp
+        # above 0.6.
         w = box((0.0, 4.0), (0.0, 1.0), metric="euclidean")
         points = np.array([[0.4, 0.5], [1.2, 0.5], [2.0, 0.5], [2.8, 0.5]])
-        assert _assert_threshold_is_exact(PointPattern(w, points)) == 0.6
+        assert _assert_threshold_is_exact(PointPattern(w, points)) == (4.0 - 2.8) / 2
 
     def test_sparse_crossing_doubles_the_query_radius(self, monkeypatch):
         # A tight cluster sets a small Poisson bound rho (about 0.55), but
@@ -708,62 +715,38 @@ class TestCrossingThreshold:
         points = np.array([[1.0, 0.5], [39.0, 0.5]])
         assert _assert_threshold_is_exact(PointPattern(w, points)) == math.inf
 
-    def test_entry_radius_is_the_least_float_where_the_guess_is_off(self):
-        # Near a lower face far from the origin, lower + 2r rounds to x for
-        # many floats r below (x - lower) / 2.
-        lower = 0.1
-        x = np.array([lower, np.nextafter(lower, 1.0), lower + 1e-12, 7.3, 1e6])
-        holds = lambda v, r: v <= lower + 2 * r  # noqa: E731
-        r = percolation._entry_radii(holds, x, (x - lower) / 2, 10.0)
-        assert r[0] == 0.0 and r[-1] == math.inf
-        inner = slice(1, -1)
-        assert np.all(holds(x[inner], r[inner]))
-        assert not np.any(holds(x[inner], np.nextafter(r[inner], -1.0)))
-        assert r[1] < (x[1] - lower) / 2
-        # Near an upper face far from the origin, upper - 2r rounds to x for
-        # radii far below (upper - x) / 2: the guess is off by many ulps.
-        upper = 1020.1
-        x = np.array([np.nextafter(upper, 0.0), upper - 3e-13, upper - 1e-9, upper])
-        holds = lambda v, r: v >= upper - 2 * r  # noqa: E731
-        guess = (upper - x) / 2
-        r = percolation._entry_radii(holds, x, guess, 10.0)
-        assert r[-1] == 0.0
-        assert np.all(holds(x, r)) and not np.any(holds(x[:-1], np.nextafter(r[:-1], -1.0)))
-        assert guess[0].view(np.int64) - r[0].view(np.int64) > 2**10
-
     @settings(max_examples=200, deadline=None)
     @given(
         lower=st.floats(-1e6, 1e6),
         side=st.floats(1e-3, 1e3),
-        cap=st.floats(1e-3, 1.0),
-        offsets=st.lists(
-            st.tuples(st.booleans(), st.integers(-(2**40), 2**40)), min_size=1, max_size=12
+        near=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 2**40)), min_size=1, max_size=12
         ),
-        spread=st.lists(st.floats(-1.0, 2.0), max_size=12),
-        shifts=st.lists(st.integers(-(2**12), 2**12), min_size=1, max_size=8),
+        spread=st.lists(st.floats(0.0, 1.0), max_size=12),
+        extreme=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 2.0**-1022, np.nextafter(2.0**-1021, 0.0)]),
+                st.integers(0, 2**53).map(lambda k: k * 5e-324),
+                st.floats(FLOAT_MAX / 4, FLOAT_MAX),
+            ),
+            max_size=8,
+        ),
     )
-    def test_galloped_entry_radii_equal_a_full_range_bisection(
-        self, lower, side, cap, offsets, spread, shifts
+    def test_event_is_the_least_float_where_the_rule_holds(
+        self, lower, side, near, spread, extreme
     ):
-        upper, r_max = lower + side, cap * side
-        near = [(upper if top else lower) + k * np.spacing(upper if top else lower)
-                for top, k in offsets]
-        x = np.array(near + [lower + f * side for f in spread])
-        dist = np.abs(x - lower)
-        # The least radius is the value itself; the guess is off by a shift
-        # of whole ulps either way.
-        least = dist / 2
-        shifted = np.maximum(least.view(np.int64) + np.resize(shifts, x.size), 0)
-        events = [
-            (lambda v, r: v <= lower + 2 * r, x, (x - lower) / 2),
-            (lambda v, r: v >= upper - 2 * r, x, (upper - x) / 2),
-            (lambda d, r: d <= 2 * r, dist, dist / 2),
-            (lambda v, r: r >= v, least, shifted.view(np.float64)),
-        ]
-        for holds, values, guess in events:
-            got = percolation._entry_radii(holds, values, guess, r_max)
-            expected = full_range_entry_radii(holds, values, guess, r_max)
-            assert np.array_equal(got, expected)
+        # Offsets x - lower and upper - x of points near the faces (k ulps in)
+        # and inside windows far from the origin; then 0, subnormals and the
+        # smallest normals, where halving rounds, and values near the float
+        # maximum, where doubling the event must not overflow.
+        upper = lower + side
+        x = [(upper - k * np.spacing(upper)) if top else (lower + k * np.spacing(lower))
+             for top, k in near]
+        x = np.clip(x + [lower + f * side for f in spread], lower, upper)
+        v = np.concatenate([x - lower, upper - x, extreme])
+        e = percolation._event_radii(v)
+        assert np.all(v <= 2 * e)
+        assert not np.any(v <= 2 * np.nextafter(e, -np.inf))
 
 
 class TestPercolationBounds:
