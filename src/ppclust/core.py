@@ -351,8 +351,10 @@ def run_indexed(n: int, fn, threads: int = 1) -> list:
 
     Work items are pure functions of their index (each derives its own
     stream), so the reduction order is fixed regardless of scheduling and
-    results are identical for any thread count.
+    results are identical for any thread count.  ``threads`` must be an
+    integer >= 1.
     """
+    check_number("threads", threads, 1)
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
     from concurrent.futures import ThreadPoolExecutor

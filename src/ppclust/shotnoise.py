@@ -7,7 +7,9 @@ response counts covering balls.  For the additive field of a process whose
 factorial moments are dominated by a Poisson process of rate lambda, the
 Poisson exponential moment yields Chernoff bounds on level exceedances;
 ``level_exceedance_bound`` evaluates those bounds by one-dimensional
-minimization.
+minimization.  It imports ``scipy.integrate`` and ``scipy.optimize`` on
+first use, and no CLI experiment calls it, so loading the package does not
+load either solver.
 
 The additive and extremal fields evaluate h at every (eval, point) pair
 through ``core.pairwise_distances``, the one dense distance kernel, so they
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .core import (
     PointPattern,
@@ -284,6 +285,8 @@ def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: in
         return math.expm1(sign * s * float(h.evaluate(r))) * r ** (d - 1)
 
     upper = h.support_radius()
+    from scipy import integrate
+
     value, _ = integrate.quad(
         integrand, 0.0, upper if math.isfinite(upper) else np.inf, epsrel=_QUAD_RTOL, limit=200
     )
@@ -325,6 +328,8 @@ def level_exceedance_bound(
     best = int(np.argmin(grid_values))
     if 0 < best < len(_S_GRID) - 1:
         bracket = (_S_GRID[best - 1], _S_GRID[best], _S_GRID[best + 1])
+        from scipy import optimize
+
         result = optimize.minimize_scalar(
             log_bound, bracket=bracket, method="golden", options={"xtol": _GOLDEN_RTOL}
         )

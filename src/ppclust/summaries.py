@@ -175,6 +175,8 @@ def _pair_distances(pattern: PointPattern, cutoff: float) -> np.ndarray:
 
 def close_pair_count(pattern: PointPattern, r: float) -> int:
     """Number of ordered pairs of distinct points at distance <= r."""
+    check_number("radius", r, "nonneg")
+    check_window("close_pair_count", pattern.window, reach=r)
     d = _pair_distances(pattern, r)
     return 2 * int(np.count_nonzero(d <= r))
 

@@ -6,12 +6,16 @@ round-trips, and determinism exactly as a shell user would see them.
 """
 
 import configparser
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ppclust import cli
+from ppclust.shotnoise import exponential_response, level_exceedance_bound
 
 
 def run_cli(*argv) -> int:
@@ -909,3 +913,38 @@ class TestCsvArtifacts:
                     except ValueError:
                         continue
                     assert format(value, ".17g") == cell, (path.name, cell)
+
+
+# Run in a fresh interpreter: record the modules that numpy and the scipy
+# the kernels call (KD-tree, Delaunay, csgraph, special) load, import one
+# ppclust module, report the scipy modules it added, then evaluate the one
+# Chernoff bound, whose solvers are imported on first use.
+STARTUP_CHILD = """
+import json, sys
+import numpy, scipy.spatial, scipy.sparse.csgraph, scipy.special
+base = set(sys.modules)
+import {module}
+added = sorted(m for m in set(sys.modules) - base if m.split(".")[0] == "scipy")
+from ppclust.shotnoise import exponential_response, level_exceedance_bound
+bound = level_exceedance_bound(1.0, exponential_response(1.0), 10.0, "min_above", 2)
+print(json.dumps({{"added": added, "bound": repr(bound)}}))
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize("module", ["ppclust.cli", "ppclust"])
+    def test_import_loads_only_the_scipy_the_kernels_run(self, module):
+        # Measured against the kernels' own scipy, so the test holds on any
+        # scipy version.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        child = subprocess.run(
+            [sys.executable, "-c", STARTUP_CHILD.format(module=module)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        report = json.loads(child.stdout)
+        assert report["added"] == []
+        expected = level_exceedance_bound(1.0, exponential_response(1.0), 10.0, "min_above", 2)
+        assert report["bound"] == repr(expected)

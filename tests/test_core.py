@@ -227,6 +227,14 @@ class TestRunIndexed:
         with pytest.raises(ValueError, match="index 3"):
             core.run_indexed(8, fn, threads)
 
+    @pytest.mark.parametrize("threads", [math.nan, math.inf, 0, -3, 2.5])
+    def test_out_of_bound_thread_count_raises_before_any_work(self, threads):
+        # A NaN worker cap would start no worker and wait forever.
+        calls = []
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            core.run_indexed(8, calls.append, threads)
+        assert calls == []
+
 
 def test_sort_points_lexicographic():
     pts = np.array([[2.0, 1.0], [1.0, 5.0], [1.0, 2.0]])

@@ -35,6 +35,7 @@ NONNEG = [-TINY]
 UNIT = [-TINY, np.nextafter(1.0, 2.0)]
 FINITE = []
 PLACEMENTS = [0, -1, 2.5]  # an integer >= 1
+THREADS = [0, -1, 2.5]  # an integer >= 1
 ORDER = [0, -1, 5, 2.5]  # an integer factorial order between 1 and 4
 ORDER_MAX = [1, 5, 2.5]  # an integer highest order between 2 and 4
 DIM = [0, -1, 1.5]  # an integer dimension >= 1
@@ -137,6 +138,7 @@ ESTIMATORS = [
     ),
     ("cech_complex.r", lambda x: complexes.cech_complex(_pattern(_euclid()), x), [-1e-300]),
     ("coverage_field.r", lambda x: sn.coverage_field(_pattern(_euclid()), x, 4), NONNEG),
+    ("close_pair_count.r", lambda x: summaries.close_pair_count(_pattern(_euclid()), x), NONNEG),
     (
         "k_covered_volume.r",
         lambda x: sn.k_covered_volume(POISSON, _periodic(), x, reps=5, stream=STREAM),
@@ -155,6 +157,11 @@ ESTIMATORS = [
     ("check_percolation_bounds.lam", lambda x: percolation.check_percolation_bounds(0.5, x), POS),
     ("level_exceedance_bound.lam", lambda x: sn.level_exceedance_bound(x, BALL, 2.0), NONNEG),
     ("level_exceedance_bound.a", lambda x: sn.level_exceedance_bound(1.0, BALL, x), POS),
+    (
+        "ripley_k.threads",
+        lambda x: summaries.ripley_k(POISSON, _periodic(), [1.0], 5, STREAM, threads=x),
+        THREADS,
+    ),
     (
         "pair_correlation.bandwidth",
         lambda x: summaries.pair_correlation(POISSON, _periodic(), [1.0], x, 5, STREAM),
@@ -283,6 +290,7 @@ def test_in_bound_values_pass_validation(table):
         "neg_binomial.p": 0.5,
         "geometric.p": 0.5,
         "mixture.weight": 0.0,
+        "ripley_k.threads": 2,
         "void_probability.placements": 4,
         "factorial_moment.placements": 4,
         "factorial_moment.k": 2,
@@ -320,6 +328,7 @@ CONTRACTS = [
         lambda w, rho: percolation.component_fraction_sweep(POISSON, w, [rho / 2], 5, STREAM),
     ),
     ("coverage_field", None, lambda w, rho: sn.coverage_field(_pattern(w), rho, 4)),
+    ("close_pair_count", None, lambda w, rho: summaries.close_pair_count(_pattern(w), rho)),
     (
         "k_covered_volume",
         None,
