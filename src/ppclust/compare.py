@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     RandomStream,
     Window,
+    as_float,
     ball_volume,
     check_number,
     check_replications,
@@ -91,7 +92,7 @@ class ConcentrationRow:
 
 
 def _positive_scales(scales) -> list:
-    scales = [check_number("scales", float(s), "pos") for s in scales]
+    scales = [check_number("scales", as_float("scales", s), "pos") for s in scales]
     if not scales:
         raise ValueError("scales must be non-empty")
     return scales

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,18 @@ def check_number(name: str, value, bound=None):
         if (isinstance(value, numbers.Integral) or math.isfinite(value)) and test(value):
             return value
     raise ValueError(f"{name} must be {phrase}")
+
+
+def as_float(name: str, value) -> float:
+    """``float(value)``, with ``ValueError`` naming ``name`` for an integer
+    beyond the float range, where ``float`` would raise ``OverflowError``.
+
+    The integer is compared before any conversion, exactly, as
+    ``check_number`` compares integers; the bound is left to the caller.
+    """
+    if isinstance(value, numbers.Integral) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must lie within the float range")
+    return float(value)
 
 
 def check_window(what: str, w: Window, metric: str = None, reach: float = None):
@@ -224,26 +237,34 @@ def pair_distances(points: np.ndarray, pairs: np.ndarray, w: Window) -> np.ndarr
     return np.sqrt(np.sum(delta**2, axis=1))
 
 
+def _shifted(points: np.ndarray, w: Window) -> np.ndarray:
+    """Points in window-relative coordinates ``x - lower``: the frame of every
+    KD-tree here, so tree offsets are differences of shifted coordinates.
+
+    On a torus a coordinate just below upper can round up to the full side
+    length; it wraps to 0, where the tree's periodic box puts it.
+    """
+    shifted = points - w.lower
+    if w.metric == "periodic":
+        shifted[shifted >= w.sides] = 0.0
+    return shifted
+
+
+def _tree(points: np.ndarray, w: Window) -> cKDTree:
+    """KD-tree on the shifted points, periodic through ``boxsize`` on a torus."""
+    return cKDTree(_shifted(points, w), boxsize=w.sides if w.metric == "periodic" else None)
+
+
 def _trees(w: Window, cutoff: float, *point_sets) -> tuple:
     """The padded query radius for the cutoff, then one KD-tree per point set.
 
-    Points are shifted to the window's origin; on a torus the tree is
-    periodic through ``boxsize``.  The radius carries a small slack, so a
-    query returns a superset of the pairs within the cutoff: callers
-    re-filter with their own formula, and ties on the boundary follow that
-    one formula.
+    The radius carries a small slack, so a query returns a superset of the
+    pairs within the cutoff: callers re-filter with their own formula, and
+    ties on the boundary follow that one formula.
     """
-    boxsize = w.sides if w.metric == "periodic" else None
-    trees = []
-    for points in point_sets:
-        shifted = points - w.lower
-        if boxsize is not None:
-            # A point just below upper can round up to the full side length.
-            shifted[shifted >= w.sides] = 0.0
-        trees.append(cKDTree(shifted, boxsize=boxsize))
     # Relative slack for the tree's rounding, absolute slack for the shift.
     radius = cutoff * (1 + 1e-9) + 1e-12 * float(np.max(np.abs(w.lower) + w.sides))
-    return (radius, *trees)
+    return (radius, *(_tree(points, w) for points in point_sets))
 
 
 def neighbor_pairs(points: np.ndarray, w: Window, cutoff: float) -> np.ndarray:
@@ -277,6 +298,32 @@ def near_pairs(
     radius, eval_tree, tree = _trees(w, cutoff, eval_points, points)
     found = eval_tree.sparse_distance_matrix(tree, radius, p=p, output_type="ndarray")
     return np.stack([found["i"], found["j"]], axis=1).astype(np.int64, copy=False)
+
+
+def count_near(eval_points, points: np.ndarray, w: Window, balls) -> np.ndarray:
+    """Number of points inside closed Minkowski balls: ``balls[i]`` is a
+    (radius, p) pair, with p = 2 for a Euclidean ball and inf for a
+    Chebyshev ball (a box of side 2 * radius), placed at each row of the
+    (placements, d) array ``eval_points[i]``.  The result is a
+    (len(balls), placements) int64 array.
+
+    One KD-tree on the points, then one counting query per ball, which
+    returns only the counts.  There is no slack and no re-filter: the
+    tree's own test, sum of squared offsets <= radius * radius at p = 2 and
+    largest offset <= radius at p = inf, is the membership formula.
+    Offsets are measured in window-relative coordinates (``_shifted``),
+    ``|(c - lower) - (x - lower)|`` per axis, the shorter way round on a
+    torus.  With lower = 0 that is ``|c - x|``; at another origin, rounding
+    in the shift can move a point lying exactly on a boundary across it.
+    """
+    tree = _tree(points, w)
+    return np.array(
+        [
+            tree.query_ball_point(_shifted(c, w), radius, p=p, return_length=True)
+            for c, (radius, p) in zip(eval_points, balls)
+        ],
+        dtype=np.int64,
+    )
 
 
 def volume(w: Window) -> float:

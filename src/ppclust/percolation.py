@@ -42,6 +42,7 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    as_float,
     check_number,
     check_replications,
     check_window,
@@ -216,7 +217,7 @@ def component_fraction_sweep(
     query (_gilbert_labels).  Empty patterns are skipped (with an error if
     more than half are empty).
     """
-    radii = [float(r) for r in radii]
+    radii = [as_float("radii", r) for r in radii]
     # NaN-safe: a NaN or inf radius fails one of the comparisons.
     if not (radii and radii[0] >= 0 and np.all(np.diff(radii) > 0) and radii[-1] < math.inf):
         raise ValueError("radii must be non-negative and strictly increasing")

@@ -7,7 +7,6 @@ sample mean and standard error of the package.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,13 +16,13 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
+    as_float,
     as_point,
     ball_volume,
     check_number,
     check_window,
+    count_near,
     csv_text,
-    min_image,
-    near_pairs,
     neighbor_pairs,
     pair_distances,
     replicate,
@@ -103,11 +102,11 @@ class Region:
 
 
 def ball(radius: float) -> Region:
-    return Region("ball", float(radius))
+    return Region("ball", as_float("radius", radius))
 
 
 def box(side: float) -> Region:
-    return Region("box", float(side))
+    return Region("box", as_float("side", side))
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +185,16 @@ def _counts_in_regions(pattern: PointPattern, centers: np.ndarray, regions) -> n
     ``centers[i]`` is a (placements, d) array placing ``regions[i]``, and
     the result is a (regions, placements) int64 array.
 
-    A ball is a Euclidean ball of radius ``size``, a box a Chebyshev ball
-    of radius ``size / 2``.  Both lie inside the Chebyshev ball of the
-    largest half-extent, so one max-norm KD-tree cross query at that radius
-    gives every region's candidates; membership comes from the offsets by
-    each region's own formula, so ties on the boundary are decided by the
-    comparisons below.
+    A ball is the closed Euclidean ball of radius ``size``, a box the closed
+    Chebyshev ball of radius ``size / 2``: one KD-tree on the pattern, then
+    one counting query per region (core.count_near).  Offsets are measured
+    in window-relative coordinates, ``c - lower`` against ``x - lower``, so
+    a point exactly on a region's boundary is inside when the region's
+    formula holds in that frame; on a window at origin 0 the frame is the
+    plain ``c - x``.
     """
-    pts, w = pattern.points, pattern.window
-    flat = centers.reshape(-1, w.dim)
-    pairs = near_pairs(flat, pts, w, max(r.max_extent() for r in regions) / 2, p=np.inf)
-    delta = min_image(np.abs(flat[pairs[:, 0]] - pts[pairs[:, 1]]), w)
-    which = pairs[:, 0] // centers.shape[1]
-    is_ball = np.array([r.kind == "ball" for r in regions])[which]
-    bound = np.array([r.size**2 if r.kind == "ball" else r.size / 2.0 for r in regions])[which]
-    # The largest offset column by column: a row-wise max over so short an
-    # axis costs far more than d elementwise passes, and max is exact.
-    chebyshev = functools.reduce(np.maximum, delta.T)
-    inside = np.where(is_ball, np.sum(delta**2, axis=1) <= bound, chebyshev <= bound)
-    counts = np.bincount(pairs[inside, 0], minlength=flat.shape[0])
-    return counts.reshape(centers.shape[:2]).astype(np.int64)
+    balls = [(r.size, 2.0) if r.kind == "ball" else (r.size / 2.0, np.inf) for r in regions]
+    return count_near(centers, pattern.points, pattern.window, balls)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +331,9 @@ def _region_estimates(what, spec, w, regions, statistics, placements, reps, stre
     region as one (regions, placements, d) block from one generator of
     ``rep.derive(1)``, which gives the values of drawing them region by
     region in order, and counts every region in one ``_counts_in_regions``
-    call.  A region's estimates do not depend on the regions after it, so
-    the first equal a single-region call's at the same stream.
+    call: one KD-tree on the pattern and one counting query per region.  A
+    region's estimates do not depend on the regions after it, so the first
+    equal a single-region call's at the same stream.
     """
     for k in (s for stats in statistics for s in stats if not isinstance(s, str)):
         if check_number("k", k, 1) > MAX_FACTORIAL_ORDER:

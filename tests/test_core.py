@@ -350,6 +350,37 @@ class TestNearPairs:
         assert sorted(map(tuple, pairs.tolist())) == [(0, 0), (0, 2)]
 
 
+class TestCountNear:
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_the_brute_force_pairs_in_every_dimension(self, d, metric):
+        side = {1: 40.0, 2: 7.0, 3: 4.0}[d]
+        w = core.cube(side, d, origin=-1.3, metric=metric)
+        rng = np.random.default_rng(20 + d)
+        eval_points = w.lower + rng.random((3, 30, d)) * w.sides
+        points = w.lower + rng.random((50, d)) * w.sides
+        balls = [(0.3, 2.0), (0.8, np.inf), (1.5, 2.0)]
+        counts = core.count_near(eval_points, points, w, balls)
+        assert counts.dtype == np.int64 and counts.shape == (3, 30)
+        for row, c, (radius, p) in zip(counts, eval_points, balls):
+            pairs = _brute_near(c, points, w, radius, p)
+            assert row.tolist() == [sum(i == k for i, _ in pairs) for k in range(30)]
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_zero_radius_counts_coincident_points(self, p):
+        eval_points = np.array([[[1.0, 1.0], [3.0, 3.0]]])
+        points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+        assert core.count_near(eval_points, points, core.cube(4.0, 2), [(0.0, p)]).tolist() == [
+            [2, 0]
+        ]
+
+    def test_no_points_give_zero_counts(self):
+        eval_points = np.array([[[1.0, 1.0], [3.0, 3.0]]] * 2)
+        counts = core.count_near(eval_points, np.empty((0, 2)), core.cube(4.0, 2),
+                                 [(1.0, 2.0), (1.0, np.inf)])
+        assert counts.dtype == np.int64 and counts.tolist() == [[0, 0], [0, 0]]
+
+
 class TestPairwiseDistances:
     @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ppclust.summaries as summaries
-from oracles import dense_counts_in_regions, per_region_counts
+from oracles import dense_counts_in_regions, one_query_counts_in_regions, per_region_counts
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, pairwise_distances
 from ppclust.dists import deterministic
 from ppclust.procgen import (
@@ -168,9 +168,10 @@ def one_region_counts(pattern, centers, region):
 
 
 class TestCountsInRegionsAgainstDense:
-    # The KD-tree cross query must give exactly the counts of the dense
+    # The KD-tree counting queries must give exactly the counts of the dense
     # (centres, n, d) broadcast, ties on the region boundary included, for
-    # one region and for regions of both kinds and several sizes at once.
+    # one region and for regions of both kinds and several sizes at once,
+    # and the counts of the retired one-cross-query kernel.
     SPECS = {
         "poisson": homogeneous_poisson(1.0),
         "thomas": thomas_cluster(0.2, 5.0, 0.4),
@@ -186,10 +187,15 @@ class TestCountsInRegionsAgainstDense:
             pattern = sample(self.SPECS[name], w, stream.derive(0))
             rng = stream.derive(1).generator()
             centers = w.lower + rng.random((64, d)) * w.sides
-            for region in (ball(0.3), ball(1.0), ball(2.5), box(0.5), box(2.0), box(5.0)):
+            regions = (ball(0.3), ball(1.0), ball(2.5), box(0.5), box(2.0), box(5.0))
+            for region in regions:
                 got = one_region_counts(pattern, centers, region)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, dense_counts(pattern, centers, region))
+                assert np.array_equal(got, per_region_counts(pattern, centers, region))
+            every = np.stack([centers] * len(regions))
+            got = summaries._counts_in_regions(pattern, every, regions)
+            assert np.array_equal(got, one_query_counts_in_regions(pattern, every, regions))
 
     @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -205,6 +211,7 @@ class TestCountsInRegionsAgainstDense:
             for row, c, region in zip(got, centers, regions):
                 assert np.array_equal(row, dense_counts(pattern, c, region))
                 assert np.array_equal(row, per_region_counts(pattern, c, region))
+            assert np.array_equal(got, one_query_counts_in_regions(pattern, centers, regions))
 
     @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
     def test_points_exactly_on_the_boundary(self, metric):
@@ -250,6 +257,35 @@ class TestCountsInRegionsAgainstDense:
             got = one_region_counts(pattern, centers, region)
             assert got.tolist() == [1, 1, 1, 0]
             assert np.array_equal(got, dense_counts(pattern, centers, region))
+
+    @pytest.mark.parametrize("origin", [0.0, -1.3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("step", [0.1, 0.25, 0.3, 1 / 3], ids=["0.1", "0.25", "0.3", "1/3"])
+    def test_lattice_ties_follow_window_relative_coordinates(self, step, d, origin):
+        # Lattice centres and points put many points exactly on the sphere of
+        # a ball of 1-5 steps and on the faces of a box of 2-6 steps, and the
+        # centres on the first and last lattice rows reach across the seam.
+        # Offsets are measured between c - lower and x - lower, so the counts
+        # are the dense formula in that frame; at origin 0 it is the plain one.
+        n = 12
+        w = cube(n * step, d, origin=origin)
+        axis = w.lower[0] + step * np.arange(n)
+        grid = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        pattern = PointPattern(w, grid)
+        placed = axis[[0, 1, n // 2, n - 1]]
+        centers = np.stack(np.meshgrid(*[placed] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        shifted = grid - w.lower
+        assert np.all(shifted < w.sides)  # no coordinate wraps in the shift
+        regions = [ball(j * step) for j in range(1, 6)] + [box(j * step) for j in range(2, 7)]
+        got = summaries._counts_in_regions(pattern, np.stack([centers] * len(regions)), regions)
+        for row, region in zip(got, regions):
+            want = dense_counts_in_regions(
+                centers - w.lower, shifted, np.zeros(d), w.sides, "periodic", region.kind,
+                region.size,
+            )
+            assert np.array_equal(row, want)
+            if origin == 0.0:
+                assert np.array_equal(row, dense_counts(pattern, centers, region))
 
     def test_empty_pattern(self):
         pattern = PointPattern(periodic(4.0), np.empty((0, 2)))

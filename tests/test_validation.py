@@ -8,7 +8,8 @@ values just outside its bound, and must raise ValueError at once: ``sample``
 is replaced by a function that fails, in every module that imports it.  A
 third table states the window contract of each estimator and kernel: the
 metric it needs and the reach that must stay below half the smallest side
-of a torus.
+of a torus.  A fourth gives float parameters an integer beyond the float
+range, which must raise ValueError naming the parameter, not OverflowError.
 """
 
 import math
@@ -313,6 +314,41 @@ def test_in_bound_values_pass_validation(table):
             build(value)
         except AssertionError as exc:
             assert "sampled a pattern" in str(exc), label
+
+
+# Float parameters given an integer beyond the float range, where float()
+# raises OverflowError: (label, call at that value, the parameter named).
+HUGE = 10**400
+HUGE_INTEGERS = [
+    ("summaries.ball.radius", summaries.ball, "radius"),
+    ("summaries.box.side", summaries.box, "side"),
+    (
+        "weak_poisson_test.scales",
+        lambda x: compare.weak_poisson_test(POISSON, _periodic(), [0.5, x], reps=5, stream=STREAM),
+        "scales",
+    ),
+    (
+        "compare_two.scales",
+        lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "voids", [x], reps=5,
+                                      stream=STREAM),
+        "scales",
+    ),
+    (
+        "component_fraction_sweep.radii",
+        lambda x: percolation.component_fraction_sweep(POISSON, _periodic(), [0.1, x], 5, STREAM),
+        "radii",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, name", [pytest.param(b, n, id=label) for label, b, n in HUGE_INTEGERS]
+)
+def test_integers_beyond_the_float_range_raise_value_error_naming_the_parameter(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must lie within the float range$"):
+        build(HUGE)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build(-HUGE)
 
 
 # The window contract: (what the error names, the metric it needs or None,
