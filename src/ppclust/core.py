@@ -22,9 +22,13 @@ from scipy.spatial import cKDTree
 MAX_DIMENSION = 8
 # Cap on grid_centers output size (cells across all axes combined).
 MAX_GRID_CELLS = 1 << 24
-# Cap on the (n, m, d) offset array of pairwise_distances, the one dense
-# distance kernel (shot-noise fields, SINR).
+# Cap on the (n, m, d) offsets of the one dense distance kernel
+# (pairwise_distances and reduce_distances: shot-noise fields, SINR): a bound
+# on its work, checked before the first block.
 MAX_DENSE_ENTRIES = 1 << 24
+# Offset entries the dense kernel holds at once: one row block of
+# max(1, _DENSE_BLOCK_ENTRIES // (m * d)) rows.
+_DENSE_BLOCK_ENTRIES = 1 << 14
 
 METRICS = ("euclidean", "periodic")
 
@@ -212,23 +216,64 @@ def distance(a, b, w: Window) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
-def pairwise_distances(points: np.ndarray, w: Window, others: np.ndarray = None) -> np.ndarray:
-    """Dense (n, m) distance matrix from points to others (by default the
-    points themselves) under the window's metric.
+def _distance_blocks(points: np.ndarray, w: Window, others: np.ndarray):
+    """Check the whole (n, m, d) offset array against MAX_DENSE_ENTRIES, then
+    return an iterator of (rows, distances): consecutive row slices of
+    points and their dense distances to others, one block of at most
+    _DENSE_BLOCK_ENTRIES offsets at a time (a single row may exceed it).
 
-    The one dense distance kernel.  Its (n, m, d) offset array is checked
-    against MAX_DENSE_ENTRIES before anything is allocated.
+    The one place that broadcasts offsets.  Every entry is the same
+    elementwise formula whatever the block size.
     """
-    if others is None:
-        others = points
     n, m = points.shape[0], others.shape[0]
     if n * m * w.dim > MAX_DENSE_ENTRIES:
         raise ValueError(
             f"the offsets of {n} x {m} points in dimension {w.dim} exceed "
             f"MAX_DENSE_ENTRIES ({MAX_DENSE_ENTRIES})"
         )
-    delta = min_image(np.abs(points[:, None, :] - others[None, :, :]), w)
-    return np.sqrt(np.sum(delta * delta, axis=2))
+    step = max(1, _DENSE_BLOCK_ENTRIES // max(1, m * w.dim))
+
+    def block(start: int) -> tuple:
+        rows = slice(start, start + step)
+        delta = min_image(np.abs(points[rows, None, :] - others[None, :, :]), w)
+        return rows, np.sqrt(np.sum(delta * delta, axis=2))
+
+    return map(block, range(0, n, step))
+
+
+def pairwise_distances(points: np.ndarray, w: Window, others: np.ndarray = None) -> np.ndarray:
+    """Dense (n, m) distance matrix from points to others (by default the
+    points themselves) under the window's metric.
+
+    The one dense distance kernel, for callers that need every entry.  Its
+    (n, m, d) offsets are checked against MAX_DENSE_ENTRIES before anything
+    is allocated, then computed one row block at a time, so memory is the
+    (n, m) result plus one block.
+    """
+    if others is None:
+        others = points
+    blocks = _distance_blocks(points, w, others)
+    dist = np.empty((points.shape[0], others.shape[0]))
+    for rows, block in blocks:
+        dist[rows] = block
+    return dist
+
+
+def reduce_distances(points: np.ndarray, w: Window, others: np.ndarray, f, reduce) -> np.ndarray:
+    """``reduce(f(D), axis=1)`` for the dense (n, m) distance matrix D from
+    points to others, as an (n,) array, without holding D.
+
+    The same kernel and cap as pairwise_distances, but each row block is
+    mapped by f (elementwise, returning an array of the block's shape) and
+    reduced (np.sum, np.max) as soon as it exists, so memory is one block
+    plus the result.  A row's reduction runs over the same m values in the
+    same order for any block size.
+    """
+    blocks = _distance_blocks(points, w, others)
+    out = np.empty(points.shape[0])
+    for rows, block in blocks:
+        out[rows] = reduce(f(block), axis=1)
+    return out
 
 
 def pair_distances(points: np.ndarray, pairs: np.ndarray, w: Window) -> np.ndarray:

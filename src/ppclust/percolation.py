@@ -24,9 +24,10 @@ through components to graph_to_csv.  The site-grid crossing of k-coverage
 labels its open cells with scipy.ndimage.  SINR links come from one pair
 query too: with noise, a link needs the signal alone to clear T N, which
 bounds its length.  What stays dense is the interference (receivers x
-interferers, once per pattern, when some gamma is positive) and, at zero
-noise with an unbounded attenuation, the signal; both come from
-core.pairwise_distances under MAX_DENSE_ENTRIES.
+interferers, once per pattern, when some gamma is positive), summed one row
+block at a time by core.reduce_distances, and, at zero noise with an
+unbounded attenuation, the signal matrix of core.pairwise_distances; both
+are capped by MAX_DENSE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     neighbor_pairs,
     pair_distances,
     pairwise_distances,
+    reduce_distances,
     replicate,
     unit_ball_volume,
     volume,
@@ -515,7 +517,8 @@ def _sinr_graphs(
     The candidates are the pairs within _sinr_reach, from one pair query;
     only zero noise with an unbounded attenuation takes every pair, with
     distances from the dense kernel under MAX_DENSE_ENTRIES.  The
-    interference is computed once, and only when some gamma is positive.
+    interference is computed once, and only when some gamma is positive, as
+    one dense reduction that holds one row block of distances at a time.
     """
     wb, wi = pattern_b.window, pattern_i.window
     if (
@@ -535,11 +538,14 @@ def _sinr_graphs(
     # raises before the pairs exist.
     interference = np.zeros(n)
     if any(gamma > 0 for gamma in gammas):
-        dist_i = pairwise_distances(pts, wb, pattern_i.points)
-        terms = l.evaluate(dist_i)
-        # A receiver that is itself an interferer does not hear its own signal.
-        terms[dist_i == 0.0] = 0.0
-        interference = np.sum(terms, axis=1)
+
+        def heard(dist: np.ndarray) -> np.ndarray:
+            terms = l.evaluate(dist)
+            # A receiver that is itself an interferer does not hear its own signal.
+            terms[dist == 0.0] = 0.0
+            return terms
+
+        interference = reduce_distances(pts, wb, pattern_i.points, heard, np.sum)
     reach = _sinr_reach(params)
     if reach < math.inf:
         pairs = neighbor_pairs(pts, wb, reach)

@@ -12,8 +12,9 @@ first use, and no CLI experiment calls it, so loading the package does not
 load either solver.
 
 The additive and extremal fields evaluate h at every (eval, point) pair
-through ``core.pairwise_distances``, the one dense distance kernel, so they
-share its ``core.MAX_DENSE_ENTRIES`` cap.  Coverage counts read only the
+and sum or max each row through ``core.reduce_distances``, the one dense
+distance kernel, so they share its ``core.MAX_DENSE_ENTRIES`` cap on work
+and hold one row block of distances at a time.  Coverage counts read only the
 pairs within r, from one KD-tree query per pattern at the largest radius
 of a coverage curve.
 """
@@ -35,7 +36,7 @@ from .core import (
     grid_centers,
     min_image,
     near_pairs,
-    pairwise_distances,
+    reduce_distances,
     replicate,
     unit_ball_volume,
     volume,
@@ -189,7 +190,7 @@ def additive_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
     pts = _check_eval_points(eval_points, pattern.window)
     if pattern.points.shape[0] == 0:
         return FieldSample(pts, np.zeros(pts.shape[0]))
-    values = np.sum(h.evaluate(pairwise_distances(pts, pattern.window, pattern.points)), axis=1)
+    values = reduce_distances(pts, pattern.window, pattern.points, h.evaluate, np.sum)
     return FieldSample(pts, values)
 
 
@@ -199,7 +200,7 @@ def extremal_field(pattern: PointPattern, h: ResponseFunction, eval_points) -> F
     pts = _check_eval_points(eval_points, pattern.window)
     if pattern.points.shape[0] == 0:
         return FieldSample(pts, np.zeros(pts.shape[0]))
-    values = np.max(h.evaluate(pairwise_distances(pts, pattern.window, pattern.points)), axis=1)
+    values = reduce_distances(pts, pattern.window, pattern.points, h.evaluate, np.max)
     return FieldSample(pts, values)
 
 
@@ -302,8 +303,10 @@ def level_exceedance_bound(
     I(s) = integral of (e^{s h} - 1); ``max_below`` bounds P(V <= a) with
     the signs flipped.  The integral is closed-form for indicator
     responses and adaptive quadrature otherwise; the infimum is taken
-    over a log grid of s refined by golden-section search.  Bounds above
-    1 are vacuous and reported as 1.
+    over a log grid of s refined by golden-section search.  An s at which
+    e^{s h} overflows bounds nothing, so its log-bound counts as +inf and
+    the infimum runs over the other s.  Bounds above 1 are vacuous and
+    reported as 1.
     """
     if direction not in ("min_above", "max_below"):
         raise ValueError("direction must be 'min_above' or 'max_below'")
@@ -320,11 +323,13 @@ def level_exceedance_bound(
     def log_bound(s: float) -> float:
         if s <= 0:
             return 0.0
-        return -sign * s * a + lam * _exponential_moment_integral(h, s, sign, d)
+        try:
+            value = -sign * s * a + lam * _exponential_moment_integral(h, s, sign, d)
+        except OverflowError:
+            return math.inf
+        return value if math.isfinite(value) else math.inf
 
     grid_values = np.array([log_bound(s) for s in _S_GRID])
-    if not np.all(np.isfinite(grid_values)):
-        return math.inf
     best = int(np.argmin(grid_values))
     if 0 < best < len(_S_GRID) - 1:
         bracket = (_S_GRID[best - 1], _S_GRID[best], _S_GRID[best + 1])

@@ -332,6 +332,58 @@ def _dense_offsets(eval_points, points, lower, upper, metric):
     return delta
 
 
+def dense_distances(eval_points, points, lower, upper, metric):
+    """(eval, n) distance matrix from the whole (eval, n, d) offset array
+    at once: the one-shot form of core.pairwise_distances."""
+    import numpy as np
+
+    delta = _dense_offsets(eval_points, points, lower, upper, metric)
+    return np.sqrt(np.sum(delta * delta, axis=2))
+
+
+def dense_field(eval_points, points, lower, upper, metric, h, reduce):
+    """reduce (np.sum or np.max) over each row of h(distances), from the
+    one-shot distance matrix: the additive or extremal shot-noise field."""
+    return reduce(h.evaluate(dense_distances(eval_points, points, lower, upper, metric)), axis=1)
+
+
+def dense_interference(receivers, interferers, lower, upper, metric, attenuation):
+    """Per receiver, the attenuation summed over every interferer from the
+    one-shot distance matrix, except that a receiver coinciding with an
+    interferer does not hear itself (zero distance contributes nothing)."""
+    dist = dense_distances(receivers, interferers, lower, upper, metric)
+    terms = attenuation.evaluate(dist)
+    terms[dist == 0.0] = 0.0
+    return terms.sum(axis=1)
+
+
+def chernoff_grid_bound(lam, h, a, d, s_values):
+    """min(1, exp(min over s of -s a + lam I(s))) for the min_above bound,
+    I(s) = integral over R^d of (e^{s h(|x|)} - 1), by quadrature at each s.
+
+    An s with s h(0) beyond the largest finite exponent is skipped, decided
+    up front from h(0): h is non-increasing, so e^{s h} is finite everywhere
+    exactly when it is finite at the origin.
+    """
+    import sys
+
+    from scipy import integrate
+
+    h0 = float(h.evaluate(0.0))
+    upper = h.support_radius()
+    surface = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+    best = 0.0
+    for s in s_values:
+        if s * h0 > math.log(sys.float_info.max):
+            continue
+        value, _ = integrate.quad(
+            lambda r: math.expm1(s * float(h.evaluate(r))) * r ** (d - 1),
+            0.0, upper, epsrel=1e-10, limit=400,
+        )
+        best = min(best, -s * a + lam * surface * value)
+    return math.exp(best)
+
+
 def dense_counts_in_regions(centers, points, lower, upper, metric, kind, size):
     """Points inside the ball of radius size (kind "ball") or the box of
     side size (kind "box") placed at each centre, from the dense offsets."""
@@ -732,7 +784,6 @@ def dense_sinr_graph(pattern_b, pattern_i, params):
     """
     import numpy as np
 
-    from ppclust.core import pairwise_distances
     from ppclust.percolation import Graph
 
     wb, wi = pattern_b.window, pattern_i.window
@@ -748,17 +799,12 @@ def dense_sinr_graph(pattern_b, pattern_i, params):
     if n < 2:
         return Graph(n, ())
     l = params.attenuation
+    frame = (wb.lower, wb.upper, wb.metric)
 
-    # Interference first, so that an interferer set over the dense cap
-    # raises before the n x n signal exists.
     interference = np.zeros(n)
     if params.gamma > 0:
-        dist_i = pairwise_distances(pts, wb, pattern_i.points)
-        terms = l.evaluate(dist_i)
-        # A receiver that is itself an interferer does not hear its own signal.
-        terms[dist_i == 0.0] = 0.0
-        interference = np.sum(terms, axis=1)
-    signal = params.power * l.evaluate(pairwise_distances(pts, wb))
+        interference = dense_interference(pts, pattern_i.points, *frame, l)
+    signal = params.power * l.evaluate(dense_distances(pts, pts, *frame))
 
     denom = params.noise + params.gamma * params.power * interference  # per receiver
     # ok[i, j]: transmission i -> j clears the threshold at receiver j.

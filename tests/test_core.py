@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_distances
 from ppclust import core
 
 
@@ -448,6 +449,83 @@ class TestPairwiseDistances:
         assert core.pairwise_distances(points, w, np.ones((4, 3))).shape == (2, 4)
         with pytest.raises(ValueError, match="2 x 5 points.*MAX_DENSE_ENTRIES \\(24\\)"):
             core.pairwise_distances(points, w, np.ones((5, 3)))
+
+
+class TestDenseRowBlocks:
+    # pairwise_distances and reduce_distances compute the offsets one row
+    # block of at most _DENSE_BLOCK_ENTRIES entries at a time; every block
+    # size gives the floats of the whole offset array at once.
+    @pytest.mark.parametrize("block", [1, 7, 64, core._DENSE_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_the_one_shot_oracle(self, monkeypatch, block, d, metric):
+        monkeypatch.setattr(core, "_DENSE_BLOCK_ENTRIES", block)
+        w = core.cube(5.0, d, origin=-1.3, metric=metric)
+        rng = np.random.default_rng(40 + d)
+        points = w.lower + rng.random((13, d)) * w.sides
+        others = w.lower + rng.random((5, d)) * w.sides
+        others[2] = points[4]
+        frame = (w.lower, w.upper, metric)
+        for a, b in ((points, others), (others, points), (points, points)):
+            dist = dense_distances(a, b, *frame)
+            assert np.array_equal(core.pairwise_distances(a, w, b), dist)
+            for f in (np.sqrt, lambda x: np.exp(-x)):
+                for reduce in (np.sum, np.max):
+                    expected = reduce(f(dist), axis=1)
+                    assert np.array_equal(core.reduce_distances(a, w, b, f, reduce), expected)
+
+    @pytest.mark.parametrize("m, d, rows", [(5, 2, 6), (13, 3, 1), (40, 1, 1), (0, 2, 64)])
+    def test_block_rows(self, monkeypatch, m, d, rows):
+        # max(1, B // (m d)) rows per block, the last block holding the rest.
+        monkeypatch.setattr(core, "_DENSE_BLOCK_ENTRIES", 64)
+        w = core.cube(1.0, d)
+        shapes = []
+
+        def f(dist):
+            shapes.append(dist.shape)
+            return dist
+
+        core.reduce_distances(np.zeros((13, d)), w, np.zeros((m, d)), f, np.sum)
+        expected = [(min(rows, 13 - i), m) for i in range(0, 13, rows)]
+        assert shapes == expected
+
+    def test_empty_reductions(self):
+        w = core.cube(4.0, 2)
+        summed = core.reduce_distances(np.ones((3, 2)), w, np.empty((0, 2)), np.sqrt, np.sum)
+        assert summed.tolist() == [0.0, 0.0, 0.0]
+        none = core.reduce_distances(np.empty((0, 2)), w, np.ones((3, 2)), np.sqrt, np.max)
+        assert none.shape == (0,)
+
+    def test_reduction_cap_raises_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", 24)
+        w = core.cube(4.0, 3)
+        blocks = []
+
+        def f(dist):
+            blocks.append(dist.shape)
+            return dist
+
+        points = np.ones((2, 3))
+        assert core.reduce_distances(points, w, np.ones((4, 3)), f, np.sum).shape == (2,)
+        with pytest.raises(ValueError, match="2 x 5 points.*MAX_DENSE_ENTRIES \\(24\\)"):
+            core.reduce_distances(points, w, np.ones((5, 3)), f, np.sum)
+        assert blocks == [(2, 4)]
+
+    def test_memory_is_the_result_plus_one_block(self):
+        # The whole (1000, 1000, 2) offset array would take 16 MB per copy.
+        w = core.cube(10.0, 2)
+        points = w.lower + np.random.default_rng(7).random((1000, 2)) * w.sides
+        tracemalloc.start()
+        try:
+            core.reduce_distances(points, w, points, np.sqrt, np.sum)
+            reduced = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            core.pairwise_distances(points, w)
+            dense = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reduced < 2**20
+        assert dense < 1000 * 1000 * 8 + 2**20
 
 
 class TestCsvText:

@@ -18,6 +18,7 @@ from oracles import (
     bisection_critical_radius,
     brute_force_gilbert_edges,
     crossing_indicator,
+    dense_interference,
     dense_sinr_graph,
     prefix_gilbert_labels,
 )
@@ -1193,11 +1194,59 @@ def peak_bytes_raising(match, fn, *args) -> int:
         tracemalloc.stop()
 
 
+class TestSinrInterferenceBlocks:
+    # The interference is one core.reduce_distances sum, one row block of
+    # distances at a time; every block size gives the floats of the one-shot
+    # oracle, bit for bit, and with them the same graphs.
+    @pytest.mark.parametrize("block", [1, 7, 64, core._DENSE_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_one_shot_oracle(self, monkeypatch, block, d, metric):
+        monkeypatch.setattr(core, "_DENSE_BLOCK_ENTRIES", block)
+        sums = []
+
+        def spy(*args):
+            sums.append(core.reduce_distances(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(percolation, "reduce_distances", spy)
+        w = cube(5.0, d, origin=-0.4, metric=metric)
+        rng = np.random.default_rng(80 + d)
+        receivers = w.lower + rng.random((13, d)) * w.sides
+        jammers = w.lower + rng.random((6, d)) * w.sides
+        jammers[4] = receivers[2]  # an interferer on a receiver
+        frame = (w.lower, w.upper, metric)
+        attenuations = {**ATTENUATIONS, "power_law": sn.power_law_response(d + 0.5, 1.0)}
+        for attenuation in attenuations.values():
+            params = SinrParams(1.0, 0.05, 1.0, 0.3, attenuation)
+            for interferers in (jammers, receivers, np.empty((0, d))):
+                pattern_b, pattern_i = PointPattern(w, receivers), PointPattern(w, interferers)
+                sums.clear()
+                edges = sinr_graph(pattern_b, pattern_i, params).edges
+                expected = dense_interference(receivers, interferers, *frame, attenuation)
+                assert len(sums) == 1 and np.array_equal(sums[0], expected)
+                assert np.array_equal(edges, dense_sinr_graph(pattern_b, pattern_i, params).edges)
+
+    def test_memory_is_one_block(self):
+        # The whole (1000, 1000, 2) interference offsets took 45.8 MB traced.
+        w = cube(30.0, 2)
+        pattern = PointPattern(w, np.random.default_rng(9).random((1000, 2)) * 30.0)
+        params = exponential_params(gamma=0.01)
+        tracemalloc.start()
+        try:
+            g = sinr_graph(pattern, pattern, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) > 0
+        assert peak < 4 * 2**20
+
+
 class TestSinrMemoryCap:
-    # The interference (n x m x d) offsets, and at zero noise with an
-    # unbounded attenuation the signal (n x n x d) offsets, come from
-    # core.pairwise_distances, capped at core.MAX_DENSE_ENTRIES and checked
-    # before either is allocated.
+    # The interference (n x m x d) offsets, reduced by core.reduce_distances,
+    # and at zero noise with an unbounded attenuation the signal (n x n x d)
+    # offsets of core.pairwise_distances, are capped at
+    # core.MAX_DENSE_ENTRIES and checked before either is allocated.
     def test_signal_cap_raises_before_allocating(self):
         # Zero noise with an unbounded attenuation is the one path that
         # still builds the n x n signal: every pair can link.

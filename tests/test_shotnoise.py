@@ -8,7 +8,7 @@ import pytest
 
 import ppclust.core as core
 import ppclust.shotnoise as shotnoise
-from oracles import dense_coverage_counts
+from oracles import chernoff_grid_bound, dense_coverage_counts, dense_field
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, grid_centers
 from ppclust.dists import deterministic, geometric
 from ppclust.procgen import (
@@ -220,6 +220,50 @@ class TestDenseFieldCap:
         assert additive_field(pattern, h, [[0.5, 0.5]] * 3).values.shape == (3,)
         with pytest.raises(ValueError, match="MAX_DENSE_ENTRIES"):
             extremal_field(pattern, h, [[0.5, 0.5]] * 4)
+
+
+RESPONSES = (
+    indicator_ball(0.8),
+    exponential_response(1.5),
+    power_law_response(3.0, 0.5),
+    tabulated_response([0.0, 0.5, 1.5], [1.0, 0.4, 0.15]),
+)
+
+
+class TestDenseFieldBlocks:
+    # The fields reduce one row block of distances at a time; every block
+    # size gives the floats of the one-shot oracle, bit for bit.
+    @pytest.mark.parametrize("block", [1, 7, 64, core._DENSE_BLOCK_ENTRIES])
+    @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fields_match_the_one_shot_oracle(self, monkeypatch, block, d, metric):
+        monkeypatch.setattr(core, "_DENSE_BLOCK_ENTRIES", block)
+        w = cube(4.0, d, origin=-0.7, metric=metric)
+        rng = np.random.default_rng(60 + d)
+        points = w.lower + rng.random((9, d)) * w.sides
+        evals = w.lower + rng.random((13, d)) * w.sides
+        evals[3] = points[5]  # an evaluation point on a pattern point
+        pattern = PointPattern(w, points)
+        frame = (w.lower, w.upper, metric)
+        for h in RESPONSES:
+            for field, reduce in ((additive_field, np.sum), (extremal_field, np.max)):
+                expected = dense_field(evals, points, *frame, h, reduce)
+                assert np.array_equal(field(pattern, h, evals).values, expected)
+
+    @pytest.mark.parametrize("field", [additive_field, extremal_field])
+    def test_memory_is_one_block(self, field):
+        # The whole (1000, 1000, 2) offset array took 45.8 MB traced.
+        w = periodic(30.0)
+        rng = np.random.default_rng(8)
+        pattern = PointPattern(w, rng.random((1000, 2)) * 30.0)
+        evals = rng.random((1000, 2)) * 30.0
+        tracemalloc.start()
+        try:
+            field(pattern, exponential_response(1.0), evals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def dense_coverage(pattern, r, grid_n):
@@ -483,6 +527,37 @@ class TestLevelExceedanceBound:
             freq = hits / reps
             se = math.sqrt(freq * (1 - freq) / reps)
             assert freq <= bound + 3 * se
+
+
+class TestLevelExceedanceOverflow:
+    # With h(0) above 709.78 / 64 the grid's largest s overflows e^{s h};
+    # such an s bounds nothing and the infimum runs over the others.
+    @pytest.mark.parametrize(
+        "lam, h, a",
+        [
+            (1.0, power_law_response(3.0, 0.1), 20.0),
+            (1.0, power_law_response(3.0, 0.2), 20.0),
+            (1.0, power_law_response(3.0, 0.3), 20.0),
+            (1.0, power_law_response(3.0, 0.4), 20.0),
+            (1.0, tabulated_response([0.0, 0.5, 1.0], [12.0, 10.0, 0.0]), 200.0),
+            (1.0, tabulated_response([0.0, 0.5, 1.0], [50.0, 10.0, 0.0]), 20.0),
+            (1.0, tabulated_response([0.0, 0.5, 1.0], [50.0, 10.0, 0.0]), 200.0),
+        ],
+    )
+    def test_bound_over_the_finite_grid(self, lam, h, a):
+        bound = level_exceedance_bound(lam, h, a, "min_above", 2)
+        assert 0.0 <= bound <= 1.0
+        # The golden-section refinement only lowers the grid's minimum; the
+        # log-bound is convex in s, so a fine grid finds the same infimum.
+        finite_grid = chernoff_grid_bound(lam, h, a, 2, shotnoise._S_GRID)
+        assert bound <= finite_grid * (1 + 1e-9)
+        fine = chernoff_grid_bound(lam, h, a, 2, 2.0 ** np.linspace(-10.0, 6.0, 1281))
+        assert bound == pytest.approx(fine, rel=1e-3)
+
+    def test_vacuous_when_no_finite_s_bounds(self):
+        h = power_law_response(3.0, 0.1)
+        assert chernoff_grid_bound(1.0, h, 20.0, 2, shotnoise._S_GRID) == 1.0
+        assert level_exceedance_bound(1.0, h, 20.0, "min_above", 2) == 1.0
 
 
 class TestSerialization:
