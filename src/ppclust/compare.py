@@ -28,9 +28,9 @@ import numpy as np
 from .core import (
     RandomStream,
     Window,
-    as_float,
     ball_volume,
     check_number,
+    check_radii,
     check_replications,
     check_window,
     csv_text,
@@ -89,13 +89,6 @@ class ConcentrationRow:
     bound: float
     std_error: float
     status: str  # holds | fails | skipped
-
-
-def _positive_scales(scales) -> list:
-    scales = [check_number("scales", as_float("scales", s), "pos") for s in scales]
-    if not scales:
-        raise ValueError("scales must be non-empty")
-    return scales
 
 
 def _z_score(diff: float, se: float) -> float:
@@ -180,7 +173,7 @@ def weak_poisson_test(
     with the voids at the balls and every order at the boxes.  The
     references enter the z-scores as estimates with no error.
     """
-    scales = _positive_scales(scales)
+    scales = check_radii("scales", scales, "pos").tolist()
     if check_number("k_max", k_max, 2) > 4:
         raise ValueError("k_max must be between 2 and 4")
     lam, d = intensity(spec, d=w.dim, w=w).value, w.dim
@@ -227,7 +220,7 @@ def compare_two(
     """
     if statistic not in COMPARISON_STATISTICS:
         raise ValueError(f"statistic must be one of {COMPARISON_STATISTICS}")
-    scales = _positive_scales(scales)
+    scales = check_radii("scales", scales, "pos").tolist()
     check_replications(reps, stream)
     lam_a = intensity(spec_a, d=w.dim, w=w).value
     lam_b = intensity(spec_b, d=w.dim, w=w).value
@@ -242,11 +235,7 @@ def compare_two(
 
     def estimates(spec: GeneratorSpec, stream: RandomStream) -> list:
         if statistic == "ripley_k":
-            # K's grid must be strictly increasing; each scale's estimate
-            # does not depend on the others, so any order is answered.
-            grid, where = np.unique(scales, return_inverse=True)
-            curve = ripley_k(spec, w, grid, reps, stream, threads)
-            return [curve.estimates[i] for i in where]
+            return list(ripley_k(spec, w, scales, reps, stream, threads).estimates)
         regions = [(ball if statistic == "voids" else box)(s) for s in scales]
         stats = [[k if statistic == "factorial_moments" else statistic]] * len(scales)
         per_region = _region_estimates(

@@ -1,6 +1,6 @@
 """Geometry primitives: windows, metrics, grids, deterministic random streams,
 the replication driver, the CSV artifact format, the one finite-number
-validator and the one window contract.
+validator, the one radius-grid contract and the one window contract.
 
 Everything here is immutable after construction and safe to share across
 parallel workers. Stationary statistics default to periodic (torus) windows;
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,20 @@ def as_float(name: str, value) -> float:
     if isinstance(value, numbers.Integral) and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must lie within the float range")
     return float(value)
+
+
+def check_radii(name: str, values, bound="nonneg") -> np.ndarray:
+    """Return a non-empty 1-d list of radii or scales as a float array in
+    the order given, each value checked by ``check_number(name, ...,
+    bound)``; else raise ``ValueError`` naming ``name``.
+
+    Order is free and repeats are allowed: every grid kernel answers each
+    value on its own, in the caller's order.  An iterator is read once.
+    """
+    values = list(values) if isinstance(values, Iterator) else values
+    if np.ndim(values) != 1 or len(values) == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    return np.array([check_number(name, as_float(name, v), bound) for v in values])
 
 
 def check_window(what: str, w: Window, metric: str = None, reach: float = None):

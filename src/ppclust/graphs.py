@@ -405,10 +405,13 @@ class ScalingRow:
 def _volume_windows(r_rule, n_list, d: int, stream: RandomStream):
     """Yield (n, r, window, stream) per entry of n_list: the centred
     Euclidean cube of volume n, the radius r_rule(n), and the entry's
-    sub-stream stream.derive(index)."""
+    sub-stream stream.derive(index).  Every n (an integer >= 1) and then
+    every radius is checked before the first yield, so before any row
+    samples."""
     check_number("d", d, 1)
-    for idx, n in enumerate(n_list):
-        r = check_number("r_rule radius", float(r_rule(n)), "pos")
+    ns = [check_number("n_list", n, 1) for n in n_list]
+    radii = [check_number("r_rule radius", float(r_rule(n)), "pos") for n in ns]
+    for idx, (n, r) in enumerate(zip(ns, radii)):
         half = 0.5 * float(n) ** (1.0 / d)
         yield int(n), r, box(*(((-half, half),) * d), metric="euclidean"), stream.derive(idx)
 

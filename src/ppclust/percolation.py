@@ -43,8 +43,8 @@ from .core import (
     PointPattern,
     RandomStream,
     Window,
-    as_float,
     check_number,
+    check_radii,
     check_replications,
     check_window,
     csv_text,
@@ -216,14 +216,12 @@ def component_fraction_sweep(
     """Mean fractions of nodes in the largest and second-largest component.
 
     Each replication labels the components at every radius from one pair
-    query (_gilbert_labels).  Empty patterns are skipped (with an error if
-    more than half are empty).
+    query (_gilbert_labels).  The radii may come in any order, repeats
+    included; the fractions follow it.  Empty patterns are skipped (with an
+    error if more than half are empty).
     """
-    radii = [as_float("radii", r) for r in radii]
-    # NaN-safe: a NaN or inf radius fails one of the comparisons.
-    if not (radii and radii[0] >= 0 and np.all(np.diff(radii) > 0) and radii[-1] < math.inf):
-        raise ValueError("radii must be non-negative and strictly increasing")
-    check_window("component_fraction_sweep", w, reach=2 * radii[-1])
+    radii = check_radii("radii", radii).tolist()
+    check_window("component_fraction_sweep", w, reach=2 * max(radii))
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep)
@@ -301,9 +299,7 @@ def _crossing_curve(
     the same replications; each estimate equals crossing_probability at its
     radius on the same stream, bit for bit."""
     check_window("crossing_probability", w, "euclidean")
-    radii = [check_number("radius", r, "nonneg") for r in radii]
-    if not radii:
-        raise ValueError("crossing_probability needs at least one radius")
+    radii = check_radii("radii", radii)
     hits = replicate(reps, stream, threads, lambda rep: _crossings(sample(spec, w, rep), radii))
     return [_proportion(column) for column in np.array(hits, dtype=float).T]
 

@@ -31,6 +31,7 @@ from .core import (
     RandomStream,
     Window,
     check_number,
+    check_radii,
     check_window,
     csv_text,
     grid_centers,
@@ -233,10 +234,8 @@ def _covered_cells(what: str, spec: GeneratorSpec, w: Window, radii, k: int, gri
     radius-radii[i] balls of the pattern sampled from ``rep``.
     """
     check_number("k", k, 1)
-    radii = [check_number("coverage radius", r, "nonneg") for r in radii]
-    if not radii:
-        raise ValueError(f"{what} needs at least one radius")
-    check_window(what, w, reach=max(radii))
+    radii = check_radii("radii", radii)
+    check_window(what, w, reach=radii.max())
     check_number("grid_n", grid_n, 1)
 
     def covered(rep: RandomStream) -> np.ndarray:
@@ -276,7 +275,8 @@ def k_covered_volume(
 
 
 def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: int) -> float:
-    """integral over R^d of (exp(sign * s * h(|x|)) - 1) dx."""
+    """integral over R^d of (exp(sign * s * h(|x|)) - 1) dx; ArithmeticError
+    (of which OverflowError is a kind) where the quadrature reports failure."""
     if h.kind == "indicator_ball":
         rho = h.params[0]
         return math.expm1(sign * s) * unit_ball_volume(d) * rho**d
@@ -288,9 +288,13 @@ def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: in
     upper = h.support_radius()
     from scipy import integrate
 
-    value, _ = integrate.quad(
-        integrand, 0.0, upper if math.isfinite(upper) else np.inf, epsrel=_QUAD_RTOL, limit=200
+    # With full_output, quad warns of nothing and appends its message on failure.
+    value, _, _, *failure = integrate.quad(
+        integrand, 0.0, upper if math.isfinite(upper) else np.inf, epsrel=_QUAD_RTOL, limit=200,
+        full_output=1,
     )
+    if failure:
+        raise ArithmeticError(failure[0])
     return surface * value
 
 
@@ -304,9 +308,9 @@ def level_exceedance_bound(
     the signs flipped.  The integral is closed-form for indicator
     responses and adaptive quadrature otherwise; the infimum is taken
     over a log grid of s refined by golden-section search.  An s at which
-    e^{s h} overflows bounds nothing, so its log-bound counts as +inf and
-    the infimum runs over the other s.  Bounds above 1 are vacuous and
-    reported as 1.
+    e^{s h} overflows, or whose quadrature reports failure, bounds nothing,
+    so its log-bound counts as +inf and the infimum runs over the other s.
+    Bounds above 1 are vacuous and reported as 1.
     """
     if direction not in ("min_above", "max_below"):
         raise ValueError("direction must be 'min_above' or 'max_below'")
@@ -325,7 +329,7 @@ def level_exceedance_bound(
             return 0.0
         try:
             value = -sign * s * a + lam * _exponential_moment_integral(h, s, sign, d)
-        except OverflowError:
+        except ArithmeticError:
             return math.inf
         return value if math.isfinite(value) else math.inf
 

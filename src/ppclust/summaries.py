@@ -20,6 +20,7 @@ from .core import (
     as_point,
     ball_volume,
     check_number,
+    check_radii,
     check_window,
     count_near,
     csv_text,
@@ -111,17 +112,6 @@ def box(side: float) -> Region:
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-
-def _check_grid(r_grid) -> np.ndarray:
-    grid = np.asarray(r_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("r_grid must be a non-empty 1-d sequence")
-    if not np.all(np.diff(grid) > 0):
-        raise ValueError("r_grid must be strictly increasing")
-    if not np.all(grid >= 0):
-        raise ValueError("r_grid values must be non-negative")
-    return grid
 
 
 def _mean_and_se(values) -> tuple:
@@ -217,15 +207,15 @@ def ripley_k(
     replications carry no pairs and are skipped (an error is raised if more
     than half are empty, since the estimate would then be meaningless).
     """
-    grid = _check_grid(r_grid)
-    check_window("ripley_k", w, "periodic", reach=grid[-1])
+    grid = check_radii("r_grid", r_grid)
+    check_window("ripley_k", w, "periodic", reach=grid.max())
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep)
         n = pattern.points.shape[0]
         if n == 0:
             return None
-        dists = np.sort(_pair_distances(pattern, grid[-1]))
+        dists = np.sort(_pair_distances(pattern, grid.max()))
         counts = 2.0 * np.searchsorted(dists, grid, side="right")
         return n, counts
 
@@ -253,20 +243,20 @@ def pair_correlation(
     Poisson process gives g = 1 at every scale.  The default bandwidth is
     0.15 times the largest grid value.
     """
-    grid = _check_grid(r_grid)
-    if grid[0] == 0.0:
+    grid = check_radii("r_grid", r_grid)
+    if np.any(grid == 0.0):
         raise ValueError("r=0 is not estimable: the surface factor vanishes there")
     if bandwidth is None:
-        bandwidth = DEFAULT_BANDWIDTH_FRACTION * float(grid[-1])
+        bandwidth = DEFAULT_BANDWIDTH_FRACTION * float(grid.max())
     check_number("bandwidth", bandwidth, "pos")
-    check_window("pair_correlation", w, "periodic", reach=grid[-1] + bandwidth)
+    check_window("pair_correlation", w, "periodic", reach=grid.max() + bandwidth)
     d = w.dim
     surface = d * unit_ball_volume(d) * grid ** (d - 1)
 
     def one(rep: RandomStream):
         pattern = sample(spec, w, rep)
         n = pattern.points.shape[0]
-        dists = _pair_distances(pattern, grid[-1] + bandwidth)
+        dists = _pair_distances(pattern, grid.max() + bandwidth)
         if dists.size == 0:
             return n, np.zeros(grid.size)
         u = (grid[:, None] - dists[None, :]) / bandwidth

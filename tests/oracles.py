@@ -363,7 +363,8 @@ def chernoff_grid_bound(lam, h, a, d, s_values):
 
     An s with s h(0) beyond the largest finite exponent is skipped, decided
     up front from h(0): h is non-increasing, so e^{s h} is finite everywhere
-    exactly when it is finite at the origin.
+    exactly when it is finite at the origin.  An s whose quadrature reports
+    failure is skipped too: its value bounds nothing.
     """
     import sys
 
@@ -376,10 +377,12 @@ def chernoff_grid_bound(lam, h, a, d, s_values):
     for s in s_values:
         if s * h0 > math.log(sys.float_info.max):
             continue
-        value, _ = integrate.quad(
+        value, _, _, *failure = integrate.quad(
             lambda r: math.expm1(s * float(h.evaluate(r))) * r ** (d - 1),
-            0.0, upper, epsrel=1e-10, limit=400,
+            0.0, upper, epsrel=1e-10, limit=400, full_output=1,
         )
+        if failure:
+            continue
         best = min(best, -s * a + lam * surface * value)
     return math.exp(best)
 

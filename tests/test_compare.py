@@ -141,6 +141,7 @@ class TestWeakPoissonTest:
         alone = void_probability(spec, w, ball(0.5), placements=16, reps=12, stream=stream)
         assert voids.per_scale[0].estimate == alone.value
 
+    @pytest.mark.parametrize("scales", [[0.5, 1.0, 2.0], [2.0, 0.5, 1.0, 0.5]])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k_max", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -152,10 +153,12 @@ class TestWeakPoissonTest:
         ],
         ids=["poisson", "matern", "lgcp"],
     )
-    def test_matches_the_replication_loop(self, spec, k_max, threads):
+    def test_matches_the_replication_loop(self, spec, k_max, threads, scales):
         # The one-call test equals the old per-replication loop field for
-        # field, down to the last bit of every estimate and z-score.
-        w, scales, stream = periodic(20.0), [0.5, 1.0, 2.0], STREAM.derive(5)
+        # field, down to the last bit of every estimate and z-score, with the
+        # scales in any order, repeats included: the loop draws each region's
+        # centres in the order given.
+        w, stream = periodic(20.0), STREAM.derive(5)
         reports = weak_poisson_test(
             spec, w, scales, k_max, placements=24, reps=10, stream=stream, threads=threads
         )

@@ -633,6 +633,34 @@ class TestCheckNumber:
             core.check_number("k", -(10**400), "nonneg")
 
 
+class TestCheckRadii:
+    def test_keeps_the_callers_order_and_repeats(self):
+        for values in ([0.6, 0.2, 0.4, 0.2], (1, np.float32(0.5), np.int64(0)), np.array([0.0])):
+            got = core.check_radii("radii", values)
+            assert got.dtype == np.float64
+            assert got.tolist() == [float(v) for v in values]
+        assert core.check_radii("radii", (r for r in [0.6, 0.2, 0.6])).tolist() == [0.6, 0.2, 0.6]
+
+    @pytest.mark.parametrize("bound, outside", [("nonneg", [-5e-324]), ("pos", [0.0, -1.0])])
+    def test_every_value_is_checked_against_the_bound(self, bound, outside):
+        phrase = TestCheckNumber.PHRASES[bound]
+        for value in outside + TestCheckNumber.NON_FINITE:
+            for values in ([value], [0.5, value], [value, 0.5, 0.5]):
+                with pytest.raises(ValueError, match=f"^scales must be {phrase}$"):
+                    core.check_radii("scales", values, bound)
+
+    @pytest.mark.parametrize(
+        "values", [[], (), np.empty(0), iter([]), 0.5, [[0.5, 1.0]], np.ones((2, 2))]
+    )
+    def test_needs_a_non_empty_1d_sequence(self, values):
+        with pytest.raises(ValueError, match="^r_grid must be a non-empty 1-d sequence$"):
+            core.check_radii("r_grid", values)
+
+    def test_integers_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="^radii must lie within the float range$"):
+            core.check_radii("radii", [0.5, 10**400])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     value=st.one_of(st.floats(), st.floats(width=32).map(np.float32)),

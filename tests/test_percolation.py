@@ -379,22 +379,23 @@ class TestComponentFractionSweep:
             assert sweep.largest_fraction[k].value == sizes[0] / n
             assert sweep.second_fraction[k].value == sizes[1] / n
 
-    def test_radii_must_increase(self):
-        with pytest.raises(ValueError):
-            component_fraction_sweep(
-                pg.homogeneous_poisson(1.0),
-                cube(10.0, 2),
-                [0.5, 0.5],
-                reps=5,
-                stream=STREAM.derive(11),
-            )
+    def test_any_order_with_repeats_equals_the_sorted_call(self):
+        # Each radius is read on its own, so an unsorted grid with a repeat
+        # gives the sorted call's estimates in the caller's order, bit for bit.
+        spec, w = pg.thomas_cluster(0.3, 4.0, 0.4), cube(10.0, 2)
+        given = component_fraction_sweep(spec, w, [0.6, 0.2, 0.4, 0.2], 5, STREAM.derive(11))
+        ordered = component_fraction_sweep(spec, w, [0.2, 0.4, 0.6], 5, STREAM.derive(11))
+        where = [2, 0, 1, 0]
+        assert given.radii == (0.6, 0.2, 0.4, 0.2)
+        assert given.largest_fraction == tuple(ordered.largest_fraction[i] for i in where)
+        assert given.second_fraction == tuple(ordered.second_fraction[i] for i in where)
 
     @pytest.mark.parametrize(
         "radii", [[0.1, math.nan], [math.nan], [math.nan, 0.1], [-0.1, 0.1], [0.1, math.inf]]
     )
     def test_rejects_nan_or_negative_radii_before_sampling(self, radii, monkeypatch):
         monkeypatch.setattr(percolation, "sample", _no_sampling)
-        message = "^radii must be non-negative and strictly increasing$"
+        message = "^radii must be non-negative$"
         with pytest.raises(ValueError, match=message):
             component_fraction_sweep(
                 pg.homogeneous_poisson(1.0),
@@ -460,7 +461,7 @@ class TestCrossingProbability:
     @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
     def test_rejects_negative_or_nan_radius_before_sampling(self, r, monkeypatch):
         monkeypatch.setattr(percolation, "sample", _no_sampling)
-        with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        with pytest.raises(ValueError, match="^radii must be non-negative$"):
             crossing_probability(
                 pg.homogeneous_poisson(1.0), euclid(10.0), r, reps=5,
                 stream=STREAM.derive(16),
@@ -515,7 +516,7 @@ class TestCrossingCurve:
 
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
         monkeypatch.setattr(percolation, "sample", _no_sampling)
-        with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        with pytest.raises(ValueError, match="^radii must be non-negative$"):
             percolation._crossing_curve(
                 pg.homogeneous_poisson(1.0), euclid(10.0), [0.5, -1.0], 5, STREAM, 1
             )

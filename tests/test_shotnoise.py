@@ -380,7 +380,7 @@ class TestCoverageCurve:
 
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
         monkeypatch.setattr(shotnoise, "sample", _no_sampling)
-        with pytest.raises(ValueError, match="coverage radius must be non-negative"):
+        with pytest.raises(ValueError, match="^radii must be non-negative$"):
             shotnoise._coverage_curve(
                 homogeneous_poisson(1.0), periodic(8.0), [0.5, -1.0], 1, 8, 4, STREAM, 1
             )
@@ -558,6 +558,24 @@ class TestLevelExceedanceOverflow:
         h = power_law_response(3.0, 0.1)
         assert chernoff_grid_bound(1.0, h, 20.0, 2, shotnoise._S_GRID) == 1.0
         assert level_exceedance_bound(1.0, h, 20.0, "min_above", 2) == 1.0
+
+    # A narrow power law (h(0) = eps^-3) makes quad report failure at some s
+    # of the grid, where e^{s h} is a spike of height up to e^700 at r = 0.
+    # Such an s bounds nothing and counts as +inf, as an overflowing one does.
+    @pytest.mark.parametrize(
+        "eps, a", [(0.05, 20.0), (0.03, 20.0), (0.05, 2000.0), (0.05, 20000.0)]
+    )
+    def test_bound_skips_a_failed_quadrature(self, eps, a):
+        h = power_law_response(3.0, eps)
+        bound = level_exceedance_bound(1.0, h, a, "min_above", 2)
+        assert 0.0 <= bound <= 1.0
+        assert bound <= chernoff_grid_bound(1.0, h, a, 2, shotnoise._S_GRID) * (1 + 1e-9)
+
+    def test_a_failed_quadrature_raises_instead_of_warning(self):
+        h = power_law_response(3.0, 0.05)
+        assert 0.0625 in shotnoise._S_GRID
+        with pytest.raises(ArithmeticError, match="does not converge"):
+            shotnoise._exponential_moment_integral(h, 0.0625, 1, 2)
 
 
 class TestSerialization:

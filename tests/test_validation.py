@@ -40,6 +40,7 @@ THREADS = [0, -1, 2.5]  # an integer >= 1
 ORDER = [0, -1, 5, 2.5]  # an integer factorial order between 1 and 4
 ORDER_MAX = [1, 5, 2.5]  # an integer highest order between 2 and 4
 DIM = [0, -1, 1.5]  # an integer dimension >= 1
+N_LIST = [0, -4, 2.5]  # an integer window volume >= 1
 BETTI_K = [-1, 3, 1.5]  # an integer Betti index between 0 and 2
 
 POISSON = pg.homogeneous_poisson(1.0)
@@ -139,6 +140,22 @@ ESTIMATORS = [
     ),
     ("cech_complex.r", lambda x: complexes.cech_complex(_pattern(_euclid()), x), [-1e-300]),
     ("coverage_field.r", lambda x: sn.coverage_field(_pattern(_euclid()), x, 4), NONNEG),
+    # Grids: the bad value follows a good one.
+    (
+        "component_fraction_sweep.radii",
+        lambda x: percolation.component_fraction_sweep(POISSON, _periodic(), [0.5, x], 5, STREAM),
+        NONNEG,
+    ),
+    (
+        "ripley_k.r_grid",
+        lambda x: summaries.ripley_k(POISSON, _periodic(), [1.0, x], 5, STREAM),
+        NONNEG,
+    ),
+    (
+        "pair_correlation.r_grid",
+        lambda x: summaries.pair_correlation(POISSON, _periodic(), [1.0, x], 0.5, 5, STREAM),
+        POS,
+    ),
     ("close_pair_count.r", lambda x: summaries.close_pair_count(_pattern(_euclid()), x), NONNEG),
     (
         "k_covered_volume.r",
@@ -224,6 +241,11 @@ ESTIMATORS = [
         POS,
     ),
     (
+        "scaling_experiment.n_list",
+        lambda x: graphs.scaling_experiment(POISSON, lambda n: 0.5, [16, x], reps=2, stream=STREAM),
+        N_LIST,
+    ),
+    (
         "scaling_experiment.d",
         lambda x: graphs.scaling_experiment(POISSON, lambda n: 0.5, [16], reps=2, stream=STREAM,
                                             d=x),
@@ -234,6 +256,12 @@ ESTIMATORS = [
         lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: x, [16], reps=2,
                                                      stream=STREAM),
         POS,
+    ),
+    (
+        "betti_scaling_experiment.n_list",
+        lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: 0.5, [16, x], reps=2,
+                                                     stream=STREAM),
+        N_LIST,
     ),
     (
         "betti_scaling_experiment.d",
@@ -299,7 +327,9 @@ def test_in_bound_values_pass_validation(table):
         "weak_poisson_test.placements": 4,
         "weak_poisson_test.k_max": 3,
         "compare_two.k": 2,
+        "scaling_experiment.n_list": 4,
         "scaling_experiment.d": 2,
+        "betti_scaling_experiment.n_list": 4,
         "betti_scaling_experiment.d": 2,
         "betti_scaling_experiment.k": 1,
         "tabulated_response.radii[0]": 0.5,
