@@ -37,8 +37,8 @@ from .core import (
     cube,
     replicate,
 )
-from .procgen import GeneratorSpec, intensity, sample
-from .summaries import EstimateWithError, _proportion, _region_estimates, ball, box, ripley_k
+from .procgen import GeneratorSpec, intensity, prepare
+from .summaries import EstimateWithError, _proportion, _region_estimates, _ripley_k, ball, box
 
 __all__ = [
     "ScaleComparison",
@@ -180,8 +180,8 @@ def weak_poisson_test(
     orders = list(range(2, k_max + 1))
     regions = [region for s in scales for region in (ball(s), box(s))]
     estimates = _region_estimates(
-        "weak_poisson_test", spec, w, regions, [["voids"], orders] * len(scales), placements,
-        reps, stream, threads,
+        "weak_poisson_test", prepare(spec, w), regions, [["voids"], orders] * len(scales),
+        placements, reps, stream, threads,
     )
     voids = [e for (e,) in estimates[0::2]]
     refs = [_exact(math.exp(-lam * ball_volume(s, d))) for s in scales]
@@ -232,18 +232,19 @@ def compare_two(
 
     if statistic == "ripley_k":
         check_window("compare_two", w, "periodic", reach=max(scales))
+    sampler_a, sampler_b = prepare(spec_a, w), prepare(spec_b, w)
 
-    def estimates(spec: GeneratorSpec, stream: RandomStream) -> list:
+    def estimates(sampler, stream: RandomStream) -> list:
         if statistic == "ripley_k":
-            return list(ripley_k(spec, w, scales, reps, stream, threads).estimates)
+            return list(_ripley_k(sampler, np.array(scales), reps, stream, threads).estimates)
         regions = [(ball if statistic == "voids" else box)(s) for s in scales]
         stats = [[k if statistic == "factorial_moments" else statistic]] * len(scales)
         per_region = _region_estimates(
-            "compare_two", spec, w, regions, stats, placements, reps, stream, threads
+            "compare_two", sampler, regions, stats, placements, reps, stream, threads
         )
         return [e for (e,) in per_region]
 
-    est_a, est_b = estimates(spec_a, stream.derive(0)), estimates(spec_b, stream.derive(1))
+    est_a, est_b = estimates(sampler_a, stream.derive(0)), estimates(sampler_b, stream.derive(1))
     name = f"factorial_moments({k})" if statistic == "factorial_moments" else statistic
     return _report(name, scales, est_a, est_b)
 
@@ -284,12 +285,11 @@ def concentration_check(
         if reps < 10.0 / bound:
             rows.append(ConcentrationRow(n, math.nan, bound, math.nan, "skipped"))
             continue
-        side = n ** (1.0 / d)
-        w_n = cube(side, d, metric="periodic")
+        sampler = prepare(spec, cube(n ** (1.0 / d), d, metric="periodic"))
         threshold = n**a
 
         def one(rep: RandomStream) -> float:
-            pattern = sample(spec, w_n, rep)
+            pattern = sampler.draw(rep)
             return float(abs(pattern.points.shape[0] - n) >= threshold)
 
         est = _proportion(replicate(reps, stream.derive(idx), threads, one))

@@ -43,7 +43,7 @@ from .core import (
 )
 from .graphs import _local_masks, _volume_windows
 from .percolation import _component_labels, _edge_index_array
-from .procgen import GeneratorSpec, sample
+from .procgen import GeneratorSpec
 from .summaries import _estimate
 
 __all__ = [
@@ -438,14 +438,15 @@ def betti_scaling_experiment(
     check_replications(reps, stream)
     planar = d == 2 and k <= 1
     rows = []
-    for n, r, w, level in _volume_windows(r_rule, n_list, d, stream):
+    for n, r, sampler, level in _volume_windows(spec, r_rule, n_list, d, stream):
 
         def one(rep: RandomStream):
-            pattern = sample(spec, w, rep)
+            pattern = sampler.draw(rep)
             return _planar_parts(pattern, r, k) if planar else _cech_betti(pattern, r, k)
 
         results = replicate(reps, level, threads, one)
         if planar:
+            w = sampler.window
             results = [
                 _cech_betti(PointPattern(w, parts[0]), r, k) if betti is None else betti
                 for parts, betti in zip(results, _planar_betti_row(results, r, k))

@@ -311,8 +311,19 @@ def _shifted(points: np.ndarray, w: Window) -> np.ndarray:
 
 
 def _tree(points: np.ndarray, w: Window) -> cKDTree:
-    """KD-tree on the shifted points, periodic through ``boxsize`` on a torus."""
-    return cKDTree(_shifted(points, w), boxsize=w.sides if w.metric == "periodic" else None)
+    """KD-tree on the shifted points, periodic through ``boxsize`` on a torus.
+
+    Built by sliding midpoint splits with no node shrinking, the cheapest
+    build: no caller's result depends on the tree's shape, since
+    neighbor_pairs sorts its pairs, near_pairs feeds order-free counts and
+    count_near returns counts.
+    """
+    return cKDTree(
+        _shifted(points, w),
+        boxsize=w.sides if w.metric == "periodic" else None,
+        balanced_tree=False,
+        compact_nodes=False,
+    )
 
 
 def _trees(w: Window, cutoff: float, *point_sets) -> tuple:
@@ -339,7 +350,10 @@ def neighbor_pairs(points: np.ndarray, w: Window, cutoff: float) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
     radius, tree = _trees(w, cutoff, points)
     pairs = tree.query_pairs(radius, output_type="ndarray").astype(np.int64, copy=False)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    # One int64 key per pair, i * n + j, sorts as (i, j) does.
+    keys = pairs[:, 0] * points.shape[0] + pairs[:, 1]
+    keys.sort()
+    return np.stack(np.divmod(keys, points.shape[0]), axis=1)
 
 
 def near_pairs(

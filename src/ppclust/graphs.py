@@ -28,9 +28,19 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import PointPattern, RandomStream, box, check_number, check_replications, csv_text, replicate, run_indexed
+from .core import (
+    PointPattern,
+    RandomStream,
+    as_float,
+    box,
+    check_number,
+    check_replications,
+    csv_text,
+    replicate,
+    run_indexed,
+)
 from .percolation import Graph, _edge_index_array
-from .procgen import GeneratorSpec, sample
+from .procgen import GeneratorSpec, prepare
 
 __all__ = [
     "Motif",
@@ -402,18 +412,19 @@ class ScalingRow:
     chromatic_all_exact: bool
 
 
-def _volume_windows(r_rule, n_list, d: int, stream: RandomStream):
-    """Yield (n, r, window, stream) per entry of n_list: the centred
-    Euclidean cube of volume n, the radius r_rule(n), and the entry's
-    sub-stream stream.derive(index).  Every n (an integer >= 1) and then
-    every radius is checked before the first yield, so before any row
-    samples."""
+def _volume_windows(spec, r_rule, n_list, d: int, stream: RandomStream):
+    """Yield (n, r, sampler, stream) per entry of n_list: the spec prepared
+    on the centred Euclidean cube of volume n, the radius r_rule(n), and
+    the entry's sub-stream stream.derive(index).  Every n (an integer >= 1
+    within the float range), then every radius, then every window's
+    sampler is checked before the first yield, so before any row samples."""
     check_number("d", d, 1)
     ns = [check_number("n_list", n, 1) for n in n_list]
+    halves = [0.5 * as_float("n_list", n) ** (1.0 / d) for n in ns]
     radii = [check_number("r_rule radius", float(r_rule(n)), "pos") for n in ns]
-    for idx, (n, r) in enumerate(zip(ns, radii)):
-        half = 0.5 * float(n) ** (1.0 / d)
-        yield int(n), r, box(*(((-half, half),) * d), metric="euclidean"), stream.derive(idx)
+    samplers = [prepare(spec, box(*(((-h, h),) * d), metric="euclidean")) for h in halves]
+    for idx, (n, r, sampler) in enumerate(zip(ns, radii, samplers)):
+        yield int(n), r, sampler, stream.derive(idx)
 
 
 def scaling_experiment(
@@ -431,10 +442,10 @@ def scaling_experiment(
     geometric graph at radius r_rule(n), and average its statistics."""
     check_replications(reps, stream)
     rows = []
-    for n, r, w, level in _volume_windows(r_rule, n_list, d, stream):
+    for n, r, sampler, level in _volume_windows(spec, r_rule, n_list, d, stream):
 
         def one(rep: RandomStream):
-            graph = rgg(sample(spec, w, rep), r)
+            graph = rgg(sampler.draw(rep), r)
             stats = graph_stats(graph, exact_chromatic_limit)
             return (
                 stats.clique_number,

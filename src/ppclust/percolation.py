@@ -56,7 +56,7 @@ from .core import (
     unit_ball_volume,
     volume,
 )
-from .procgen import GeneratorSpec, sample
+from .procgen import GeneratorSpec, prepare
 from .shotnoise import ResponseFunction, _covered_cells
 from .summaries import EstimateWithError, _estimates, _proportion
 
@@ -222,9 +222,10 @@ def component_fraction_sweep(
     """
     radii = check_radii("radii", radii).tolist()
     check_window("component_fraction_sweep", w, reach=2 * max(radii))
+    sampler = prepare(spec, w)
 
     def one(rep: RandomStream):
-        pattern = sample(spec, w, rep)
+        pattern = sampler.draw(rep)
         n = pattern.points.shape[0]
         if n == 0:
             return None
@@ -300,7 +301,8 @@ def _crossing_curve(
     radius on the same stream, bit for bit."""
     check_window("crossing_probability", w, "euclidean")
     radii = check_radii("radii", radii)
-    hits = replicate(reps, stream, threads, lambda rep: _crossings(sample(spec, w, rep), radii))
+    sampler = prepare(spec, w)
+    hits = replicate(reps, stream, threads, lambda rep: _crossings(sampler.draw(rep), radii))
     return [_proportion(column) for column in np.array(hits, dtype=float).T]
 
 
@@ -364,10 +366,10 @@ def critical_radius(
     check_number("tol", tol, "pos")
     check_replications(reps, stream)
     check_window("critical_radius", w, "euclidean")
+    sampler = prepare(spec, w)
     r_max = float(np.linalg.norm(w.sides)) / 4.0
     thresholds = replicate(
-        reps, stream.derive(0), threads,
-        lambda rep: _crossing_threshold(sample(spec, w, rep), r_max),
+        reps, stream.derive(0), threads, lambda rep: _crossing_threshold(sampler.draw(rep), r_max)
     )
 
     def p_hat(r: float) -> EstimateWithError:

@@ -1,9 +1,14 @@
 """Samplers for the point-process families, keyed by declarative specs.
 
-Each family is described by a GeneratorSpec; sample(spec, window, stream) is a
-pure function of its arguments, so replications parallelize by deriving child
-streams per replication index. Point order is canonical (lexicographic). No
-sampler caches anything: each LGCP pattern draws its field by FFT.
+Each family is described by a GeneratorSpec.  prepare(spec, window) checks
+the spec against the window and returns a frozen Sampler; its draw(stream)
+is a pure function of its arguments, so replications parallelize by deriving
+child streams per replication index, and sample(spec, window, stream) is
+prepare(spec, window).draw(stream).  Point order is canonical
+(lexicographic).  The family's constants are prepared once per estimator
+call, not once per pattern: the LGCP field's square-root spectrum, embedding
+shape and grid centres, and the Ginibre matrix rank.  Each LGCP pattern then
+draws its field with one FFT pair.
 
 The truncated Ginibre process is the N x N Ginibre ensemble restricted to
 the disk of radius R: its kernel sum_{k<N} lambda_k psi_k(z) conj(psi_k(w))
@@ -259,16 +264,38 @@ def _check_dimension(spec: GeneratorSpec, d: int):
         raise ValueError(f"{_PLANAR_FAMILIES[spec.family]} requires d = 2")
 
 
-def sample(spec: GeneratorSpec, w: Window, stream: RandomStream) -> PointPattern:
-    """Draw one pattern; pure in (spec, w, stream)."""
+@dataclass(frozen=True, eq=False)
+class Sampler:
+    """A spec checked against one window, with the family's per-call
+    constants (``prepare``): shared read-only by every replication."""
+
+    spec: GeneratorSpec
+    window: Window
+    constants: tuple  # the sampler's arguments after (spec, w, rng)
+
+    def draw(self, stream: RandomStream) -> PointPattern:
+        """Draw one pattern; pure in (spec, window, stream)."""
+        w = self.window
+        points = _SAMPLERS[self.spec.family](self.spec, w, stream.generator(), *self.constants)
+        if w.metric == "periodic":
+            points = w.wrap(points)
+        if points.shape[0]:
+            points = points[w.contains(points)]
+        return PointPattern(w, sort_points(points))
+
+
+def prepare(spec: GeneratorSpec, w: Window) -> Sampler:
+    """Check the spec against the window, raising every error that drawing
+    from it would, and compute the family's constants once."""
     _check_dimension(spec, w.dim)
-    rng = stream.generator()
-    points = _SAMPLERS[spec.family](spec, w, rng)
-    if w.metric == "periodic":
-        points = w.wrap(points)
-    if points.shape[0]:
-        points = points[w.contains(points)]
-    return PointPattern(w, sort_points(points))
+    constants = _CONSTANTS.get(spec.family)
+    return Sampler(spec, w, constants(spec, w) if constants else ())
+
+
+def sample(spec: GeneratorSpec, w: Window, stream: RandomStream) -> PointPattern:
+    """Draw one pattern, ``prepare(spec, w).draw(stream)``; pure in (spec,
+    w, stream).  A caller drawing many patterns prepares once."""
+    return prepare(spec, w).draw(stream)
 
 
 def _uniform_points(n: int, w: Window, rng) -> np.ndarray:
@@ -429,12 +456,13 @@ def _sample_mixed_poisson(spec, w, rng):
     return _uniform_points(n, w, rng)
 
 
-def _gaussian_field(sigma, corr_length, grid_n, w: Window, rng) -> np.ndarray:
-    """Gaussian field of covariance sigma^2 exp(-d / corr_length) on the
-    grid_centers(w, grid_n) cells, by circulant embedding (Dietrich & Newsam
-    1997): on a torus of cells that covariance is block-circulant, with one
-    FFT of its first row as eigenvalues.  A Euclidean window is the corner
-    of a torus of 2 grid_n cells per axis, doubled until none is negative."""
+def _field_root(corr_length, grid_n, w: Window) -> tuple:
+    """Square-root spectrum and shape of the circulant embedding of the
+    covariance exp(-d / corr_length) on the grid_centers(w, grid_n) cells
+    (Dietrich & Newsam 1997): on a torus of cells that covariance is
+    block-circulant, with one FFT of its first row as eigenvalues.  A
+    Euclidean window is the corner of a torus of 2 grid_n cells per axis,
+    doubled until none is negative."""
     size = grid_n if w.metric == "periodic" else 2 * grid_n
     while True:
         if size**w.dim > MAX_COX_CELLS:
@@ -455,16 +483,32 @@ def _gaussian_field(sigma, corr_length, grid_n, w: Window, rng) -> np.ndarray:
                 "corr_length must be short against the window side"
             )
         size *= 2
-    noise = rng.standard_normal((size,) * w.dim)
-    spectrum = np.sqrt(np.maximum(eig, 0.0)) * np.fft.rfftn(noise)
-    field = np.fft.irfftn(spectrum, noise.shape, axes=range(w.dim))
-    return sigma * field[(slice(grid_n),) * w.dim].ravel()
+    root = np.sqrt(np.maximum(eig, 0.0))
+    root.setflags(write=False)
+    return root, (size,) * w.dim
 
 
-def _sample_log_gaussian_cox(spec, w, rng):
+def _gaussian_field(sigma, grid_n, root, shape, rng) -> np.ndarray:
+    """Gaussian field of covariance sigma^2 exp(-d / corr_length) on the grid
+    cells, from the embedding's square-root spectrum (_field_root): one FFT
+    pair of one standard normal draw."""
+    noise = rng.standard_normal(shape)
+    field = np.fft.irfftn(root * np.fft.rfftn(noise), shape, axes=range(len(shape)))
+    return sigma * field[(slice(grid_n),) * len(shape)].ravel()
+
+
+def _lgcp_constants(spec, w):
+    """The field's square-root spectrum and embedding shape, and the grid
+    centres: all of an LGCP pattern that does not depend on its stream."""
     grid_n = spec.get("grid_n")
-    field = _gaussian_field(spec.get("sigma"), spec.get("corr_length"), grid_n, w, rng)
     centers = grid_centers(w, grid_n)
+    centers.setflags(write=False)
+    return (*_field_root(spec.get("corr_length"), grid_n, w), centers)
+
+
+def _sample_log_gaussian_cox(spec, w, rng, root, shape, centers):
+    grid_n = spec.get("grid_n")
+    field = _gaussian_field(spec.get("sigma"), grid_n, root, shape, rng)
     cell_sides = w.sides / grid_n
     cell_vol = float(np.prod(cell_sides))
     counts = rng.poisson(np.exp(spec.get("mu_g") + field) * cell_vol)
@@ -482,14 +526,17 @@ def ginibre_eigenvalues(n_rank: int, radius: float) -> np.ndarray:
     return special.gammainc(ks + 1.0, radius**2)
 
 
-def _sample_ginibre(spec, w, rng):
+def _ginibre_constants(spec, w):
+    """The matrix rank m: the smallest with sum_{k>=m} lambda_k <= 2^-53."""
     check_window("the non-stationary Ginibre process", w, "euclidean")
-    radius = spec.get("radius")
-    tails = np.cumsum(ginibre_eigenvalues(spec.get("n_rank"), radius)[::-1])[::-1]
-    m = np.count_nonzero(tails > 2.0**-53)
+    tails = np.cumsum(ginibre_eigenvalues(spec.get("n_rank"), spec.get("radius"))[::-1])[::-1]
+    return (int(np.count_nonzero(tails > 2.0**-53)),)
+
+
+def _sample_ginibre(spec, w, rng, m):
     g = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) * math.sqrt(0.5)
     zs = np.linalg.eigvals(g)
-    zs = zs[np.abs(zs) < radius]
+    zs = zs[np.abs(zs) < spec.get("radius")]
     return np.column_stack((zs.real, zs.imag))
 
 
@@ -507,6 +554,8 @@ _SAMPLERS = {
     "log_gaussian_cox": _sample_log_gaussian_cox,
     "ginibre_truncated": _sample_ginibre,
 }
+# Family -> its per-call constants from (spec, w), the samplers' extra arguments.
+_CONSTANTS = {"log_gaussian_cox": _lgcp_constants, "ginibre_truncated": _ginibre_constants}
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +569,7 @@ def intensity(spec: GeneratorSpec, d: int = 2, w: Window | None = None) -> Inten
     window to turn a fixed count into a rate.  The truncated Ginibre process
     is not stationary: its value is the mean count on the disk, the sum of
     the kernel's eigenvalues, over the disk's area.  The hexagonal lattice
-    and the Ginibre process raise for d != 2, as ``sample`` does.
+    and the Ginibre process raise for d != 2, as ``prepare`` does.
     """
     if w is not None:
         d = w.dim

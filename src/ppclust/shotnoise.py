@@ -42,7 +42,7 @@ from .core import (
     unit_ball_volume,
     volume,
 )
-from .procgen import GeneratorSpec, sample
+from .procgen import GeneratorSpec, prepare
 from .summaries import _estimates
 
 __all__ = [
@@ -61,9 +61,11 @@ __all__ = [
 ]
 
 RESPONSE_KINDS = ("indicator_ball", "exponential", "power_law", "tabulated")
-# Chernoff optimization: log-spaced candidate exponents, then golden-section
-# refinement to 1e-6 relative accuracy around the best grid point.
+# Chernoff optimization: log-spaced candidate exponents of ratio _S_RATIO,
+# then golden-section refinement to 1e-6 relative accuracy around the best
+# grid point.
 _S_GRID = 2.0 ** np.arange(-10.0, 6.5, 0.5)
+_S_RATIO = math.sqrt(2.0)
 _GOLDEN_RTOL = 1e-6
 _QUAD_RTOL = 1e-8
 
@@ -237,9 +239,10 @@ def _covered_cells(what: str, spec: GeneratorSpec, w: Window, radii, k: int, gri
     radii = check_radii("radii", radii)
     check_window(what, w, reach=radii.max())
     check_number("grid_n", grid_n, 1)
+    sampler = prepare(spec, w)
 
     def covered(rep: RandomStream) -> np.ndarray:
-        return _coverage_counts(sample(spec, w, rep), radii, grid_n) >= k
+        return _coverage_counts(sampler.draw(rep), radii, grid_n) >= k
 
     return covered
 
@@ -307,7 +310,8 @@ def level_exceedance_bound(
     I(s) = integral of (e^{s h} - 1); ``max_below`` bounds P(V <= a) with
     the signs flipped.  The integral is closed-form for indicator
     responses and adaptive quadrature otherwise; the infimum is taken
-    over a log grid of s refined by golden-section search.  An s at which
+    over a log grid of s refined by golden-section search, bracketed by
+    s = 0 below the grid and by the grid's extension above it.  An s at which
     e^{s h} overflows, or whose quadrature reports failure, bounds nothing,
     so its log-bound counts as +inf and the infimum runs over the other s.
     Bounds above 1 are vacuous and reported as 1.
@@ -333,18 +337,26 @@ def level_exceedance_bound(
             return math.inf
         return value if math.isfinite(value) else math.inf
 
-    grid_values = np.array([log_bound(s) for s in _S_GRID])
-    best = int(np.argmin(grid_values))
-    if 0 < best < len(_S_GRID) - 1:
-        bracket = (_S_GRID[best - 1], _S_GRID[best], _S_GRID[best + 1])
+    # The log-bound is 0 at s = 0, below the grid; past a minimum at the
+    # grid's top, the grid extends by its ratio until the log-bound rises
+    # (it is convex in s).  So a grid minimum at either end is bracketed.
+    s_values = [0.0, *_S_GRID.tolist()]
+    values = [0.0, *(log_bound(s) for s in s_values[1:])]
+    while values[-1] < values[-2]:
+        s_values.append(s_values[-1] * _S_RATIO)
+        values.append(log_bound(s_values[-1]))
+    best = int(np.argmin(values))
+    log_min = values[best]
+    if best > 0 and values[best] < values[best + 1]:
         from scipy import optimize
 
         result = optimize.minimize_scalar(
-            log_bound, bracket=bracket, method="golden", options={"xtol": _GOLDEN_RTOL}
+            log_bound,
+            bracket=tuple(s_values[best - 1 : best + 2]),
+            method="golden",
+            options={"xtol": _GOLDEN_RTOL},
         )
-        log_min = min(float(result.fun), float(grid_values[best]))
-    else:
-        log_min = float(grid_values[best])
+        log_min = min(float(result.fun), log_min)
     if log_min >= 0:
         return 1.0
     return min(1.0, math.exp(log_min))

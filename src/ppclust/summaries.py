@@ -30,7 +30,7 @@ from .core import (
     unit_ball_volume,
     volume,
 )
-from .procgen import GeneratorSpec, sample
+from .procgen import GeneratorSpec, Sampler, prepare
 
 __all__ = [
     "EstimateWithError",
@@ -209,9 +209,14 @@ def ripley_k(
     """
     grid = check_radii("r_grid", r_grid)
     check_window("ripley_k", w, "periodic", reach=grid.max())
+    return _ripley_k(prepare(spec, w), grid, reps, stream, threads)
+
+
+def _ripley_k(sampler: Sampler, grid: np.ndarray, reps, stream, threads) -> CurveEstimate:
+    """ripley_k of a prepared sampler at a checked grid."""
 
     def one(rep: RandomStream):
-        pattern = sample(spec, w, rep)
+        pattern = sampler.draw(rep)
         n = pattern.points.shape[0]
         if n == 0:
             return None
@@ -220,7 +225,7 @@ def ripley_k(
         return n, counts
 
     used = replicate(reps, stream, threads, one)
-    volume_w = volume(w)
+    volume_w = volume(sampler.window)
     total_points = sum(n for n, _ in used)
     lam_hat = total_points / (len(used) * volume_w)
     per_rep = np.array([counts / (lam_hat**2 * volume_w) for _, counts in used])
@@ -252,9 +257,10 @@ def pair_correlation(
     check_window("pair_correlation", w, "periodic", reach=grid.max() + bandwidth)
     d = w.dim
     surface = d * unit_ball_volume(d) * grid ** (d - 1)
+    sampler = prepare(spec, w)
 
     def one(rep: RandomStream):
-        pattern = sample(spec, w, rep)
+        pattern = sampler.draw(rep)
         n = pattern.points.shape[0]
         dists = _pair_distances(pattern, grid.max() + bandwidth)
         if dists.size == 0:
@@ -276,11 +282,10 @@ def pair_correlation(
 # Region-sampling statistics
 
 
-def _total_variance(pairs, placements: int) -> EstimateWithError:
-    """Count variance from per-replication (mean, within-pattern variance)
-    pairs by the law of total variance, with a leave-one-out jackknife
+def _total_variance(means: np.ndarray, wvars: np.ndarray, placements: int) -> EstimateWithError:
+    """Count variance from the replications' means and within-pattern
+    variances by the law of total variance, with a leave-one-out jackknife
     error."""
-    means, wvars = (np.array(column) for column in zip(*pairs))
     reps = len(means)
 
     def estimator(ms: np.ndarray, vs: np.ndarray) -> float:
@@ -301,30 +306,34 @@ def _total_variance(pairs, placements: int) -> EstimateWithError:
     return EstimateWithError(value, se, reps)
 
 
-def _region_value(counts: np.ndarray, statistic, placements: int):
-    """One replication's value of ``"voids"``, ``"variance"`` (a pair of
-    the mean and the within-pattern variance) or factorial order k."""
+def _region_estimate(counts: np.ndarray, statistic, placements: int) -> EstimateWithError:
+    """The estimate of ``"voids"``, ``"variance"`` or factorial order k
+    from one region's (reps, placements) counts.  Each row reduces as the
+    replication's own 1-d counts would, bit for bit."""
     if statistic == "voids":
-        return float(np.mean(counts == 0))
+        return _estimate(np.mean(counts == 0, axis=1))
     if statistic == "variance":
-        return float(np.mean(counts)), float(np.var(counts, ddof=1)) if placements > 1 else 0.0
-    return float(np.mean(_falling_factorial(counts, statistic)))
+        wvars = np.var(counts, axis=1, ddof=1) if placements > 1 else np.zeros(len(counts))
+        return _total_variance(np.mean(counts, axis=1), wvars, placements)
+    return _estimate(np.mean(_falling_factorial(counts, statistic), axis=1))
 
 
-def _region_estimates(what, spec, w, regions, statistics, placements, reps, stream, threads):
+def _region_estimates(what, sampler, regions, statistics, placements, reps, stream, threads):
     """Estimate each statistic of ``statistics[i]`` at ``regions[i]``: one
     tuple of estimates per region, all from one replication.
 
     A statistic is ``"voids"``, ``"variance"`` or a factorial order k.
-    Every input is checked before sampling.  Each replication samples the
+    Every input is checked before sampling.  Each replication draws the
     pattern from ``rep.derive(0)``, draws ``placements`` uniform centres per
     region as one (regions, placements, d) block from one generator of
     ``rep.derive(1)``, which gives the values of drawing them region by
     region in order, and counts every region in one ``_counts_in_regions``
-    call: one KD-tree on the pattern and one counting query per region.  A
-    region's estimates do not depend on the regions after it, so the first
-    equal a single-region call's at the same stream.
+    call: one KD-tree on the pattern and one counting query per region.
+    Each statistic is then reduced once over the (reps, regions,
+    placements) counts.  A region's estimates do not depend on the regions
+    after it, so the first equal a single-region call's at the same stream.
     """
+    w = sampler.window
     for k in (s for stats in statistics for s in stats if not isinstance(s, str)):
         if check_number("k", k, 1) > MAX_FACTORIAL_ORDER:
             raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
@@ -334,22 +343,15 @@ def _region_estimates(what, spec, w, regions, statistics, placements, reps, stre
         # two means must be left after each leave-one-out deletion
         raise ValueError("the jackknife needs reps >= 3")
 
-    def one(rep: RandomStream) -> list:
-        pattern = sample(spec, w, rep.derive(0))
+    def one(rep: RandomStream) -> np.ndarray:
+        pattern = sampler.draw(rep.derive(0))
         draws = rep.derive(1).generator().random((len(regions), placements, w.dim))
-        counts = _counts_in_regions(pattern, w.lower + draws * w.sides, regions).astype(float)
-        return [
-            [_region_value(row, s, placements) for s in stats]
-            for row, stats in zip(counts, statistics)
-        ]
+        return _counts_in_regions(pattern, w.lower + draws * w.sides, regions)
 
-    rows = replicate(reps, stream, threads, one)
+    counts = np.array(replicate(reps, stream, threads, one), dtype=float)
     return tuple(
-        tuple(
-            _total_variance(column, placements) if s == "variance" else _estimate(column)
-            for s, column in zip(stats, zip(*per_region))
-        )
-        for stats, per_region in zip(statistics, zip(*rows))
+        tuple(_region_estimate(counts[:, i], s, placements) for s in stats)
+        for i, stats in enumerate(statistics)
     )
 
 
@@ -369,7 +371,8 @@ def void_probability(
     honest about the within-pattern correlation of overlapping placements.
     """
     return _region_estimates(
-        "void_probability", spec, w, [region], [["voids"]], placements, reps, stream, threads
+        "void_probability", prepare(spec, w), [region], [["voids"]], placements, reps, stream,
+        threads,
     )[0][0]
 
 
@@ -389,7 +392,8 @@ def factorial_moment(
     higher falling factorials are numerically dominated by rare large counts.
     """
     return _region_estimates(
-        "factorial_moment", spec, w, [box(box_side)], [[k]], placements, reps, stream, threads
+        "factorial_moment", prepare(spec, w), [box(box_side)], [[k]], placements, reps, stream,
+        threads,
     )[0][0]
 
 
@@ -410,8 +414,8 @@ def count_variance(
     standard error comes from a leave-one-replication-out jackknife.
     """
     return _region_estimates(
-        "count_variance", spec, w, [box(box_side)], [["variance"]], placements, reps, stream,
-        threads,
+        "count_variance", prepare(spec, w), [box(box_side)], [["variance"]], placements, reps,
+        stream, threads,
     )[0][0]
 
 
@@ -437,9 +441,10 @@ def laplace_functional(
     """
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
+    sampler = prepare(spec, w)
 
     def one(rep: RandomStream) -> float:
-        pattern = sample(spec, w, rep)
+        pattern = sampler.draw(rep)
         if pattern.points.shape[0] == 0:
             return 0.0
         values = np.asarray(f(pattern.points), dtype=float)

@@ -448,6 +448,79 @@ def one_query_counts_in_regions(pattern, centers, regions):
     return counts.reshape(centers.shape[:2]).astype(np.int64)
 
 
+def _window_relative(points, lower, upper, metric):
+    """Points as offsets from lower, wrapped to 0 where a torus coordinate
+    rounds up to the full side."""
+    import numpy as np
+
+    lower = np.asarray(lower, dtype=float)
+    sides = np.asarray(upper, dtype=float) - lower
+    shifted = np.asarray(points, dtype=float) - lower
+    if metric == "periodic":
+        shifted[shifted >= sides] = 0.0
+    return shifted
+
+
+def _balanced_tree(points, lower, upper, metric):
+    """A default cKDTree (median splits, shrunk nodes) on the points in
+    window-relative coordinates, periodic on a torus: the tree core built
+    before it chose the cheapest build."""
+    import numpy as np
+    from scipy.spatial import cKDTree
+
+    sides = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
+    return cKDTree(
+        _window_relative(points, lower, upper, metric),
+        boxsize=sides if metric == "periodic" else None,
+    )
+
+
+def _slack_radius(cutoff, lower, upper):
+    """The padded query radius of core._trees."""
+    import numpy as np
+
+    lower = np.asarray(lower, dtype=float)
+    sides = np.asarray(upper, dtype=float) - lower
+    return cutoff * (1 + 1e-9) + 1e-12 * float(np.max(np.abs(lower) + sides))
+
+
+def lexsorted_neighbor_pairs(points, lower, upper, metric, cutoff):
+    """The retired core.neighbor_pairs: the candidate pairs (i < j) of one
+    query_pairs call on a default balanced tree, at the same slack radius,
+    ordered by a two-key np.lexsort."""
+    import numpy as np
+
+    if len(points) < 2 or not cutoff >= 0:
+        return np.empty((0, 2), dtype=np.int64)
+    tree = _balanced_tree(points, lower, upper, metric)
+    radius = _slack_radius(cutoff, lower, upper)
+    pairs = tree.query_pairs(radius, output_type="ndarray").astype(np.int64, copy=False)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def balanced_near_pairs(eval_points, points, lower, upper, metric, cutoff, p):
+    """core.near_pairs on default balanced trees: the set of candidate
+    (eval, point) pairs."""
+    if len(eval_points) == 0 or len(points) == 0 or not cutoff >= 0:
+        return set()
+    eval_tree = _balanced_tree(eval_points, lower, upper, metric)
+    tree = _balanced_tree(points, lower, upper, metric)
+    found = eval_tree.sparse_distance_matrix(
+        tree, _slack_radius(cutoff, lower, upper), p=p, output_type="ndarray"
+    )
+    return set(zip(found["i"].tolist(), found["j"].tolist()))
+
+
+def balanced_count_near(eval_points, points, lower, upper, metric, radius, p):
+    """core.count_near of one ball on a default balanced tree: the points
+    within the closed p-norm ball of the radius at each evaluation point."""
+    import numpy as np
+
+    tree = _balanced_tree(points, lower, upper, metric)
+    shifted = _window_relative(eval_points, lower, upper, metric)
+    return np.asarray(tree.query_ball_point(shifted, radius, p=p, return_length=True))
+
+
 def dense_coverage_counts(eval_points, points, lower, upper, metric, r):
     """Number of points within Euclidean distance r of each evaluation
     point, from the dense offsets."""

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_distances
+from oracles import (
+    balanced_count_near,
+    balanced_near_pairs,
+    dense_counts_in_regions,
+    dense_distances,
+    lexsorted_neighbor_pairs,
+)
 from ppclust import core
 
 
@@ -380,6 +386,69 @@ class TestCountNear:
         counts = core.count_near(eval_points, np.empty((0, 2)), core.cube(4.0, 2),
                                  [(1.0, 2.0), (1.0, np.inf)])
         assert counts.dtype == np.int64 and counts.tolist() == [[0, 0], [0, 0]]
+
+
+@st.composite
+def lattice_ties(draw):
+    """Points on a lattice of `cells` steps per axis over a window at origin
+    0, repeats allowed (coincident points), or uniform points; a cutoff and
+    placements of lattice offsets, so pairs and region boundaries tie
+    exactly; both metrics, dimension 1 to 3, and n = 0, 1 and 2 included."""
+    d = draw(st.integers(1, 3))
+    metric = draw(st.sampled_from(["euclidean", "periodic"]))
+    step = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0, 1 / 3]))
+    cells = draw(st.integers(3, 8))
+    w = core.cube(cells * step, d, metric=metric)
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 40))
+    lattice = st.lists(st.integers(0, cells - 1), min_size=d, max_size=d)
+    if draw(st.booleans()):
+        points = np.array(draw(st.lists(lattice, min_size=n, max_size=n)), float).reshape(n, d)
+        points *= step
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        points = w.lower + np.random.default_rng(seed).random((n, d)) * w.sides
+    centers = np.array(draw(st.lists(lattice, min_size=1, max_size=8)), float) * step
+    # A torus reach stays below half the side, as check_window asks.
+    cutoff = step * draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    return w, points, centers, cutoff
+
+
+class TestTreeShapeAndPairOrder:
+    # The library builds its KD-trees by sliding midpoint with no node
+    # shrinking and orders pairs by one integer key.  Neither may change a
+    # result: the pairs equal the retired lexsort of a default balanced
+    # tree's query, the cross-query candidates are that tree's, and the
+    # counts are that tree's and the dense formula's, ties included.
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_ties())
+    def test_neighbor_pairs_equal_the_retired_lexsort_order(self, case):
+        w, points, _, cutoff = case
+        got = core.neighbor_pairs(points, w, cutoff)
+        want = lexsorted_neighbor_pairs(points, w.lower, w.upper, w.metric, cutoff)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_ties(), p=st.sampled_from([2.0, np.inf]))
+    def test_near_pairs_are_the_balanced_trees_candidates(self, case, p):
+        w, points, centers, cutoff = case
+        got = core.near_pairs(centers, points, w, cutoff, p)
+        found = set(map(tuple, got.tolist()))
+        assert len(found) == got.shape[0]
+        assert found == balanced_near_pairs(centers, points, w.lower, w.upper, w.metric, cutoff, p)
+        assert _brute_near(centers, points, w, cutoff, p) <= found
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_ties(), kind=st.sampled_from(["ball", "box"]))
+    def test_count_near_equals_the_balanced_tree_and_the_dense_formula(self, case, kind):
+        w, points, centers, cutoff = case
+        radius, p, size = (cutoff, 2.0, cutoff) if kind == "ball" else (cutoff, np.inf, 2 * cutoff)
+        (got,) = core.count_near(centers[None], points, w, [(radius, p)])
+        assert np.array_equal(
+            got, balanced_count_near(centers, points, w.lower, w.upper, w.metric, radius, p)
+        )
+        dense = dense_counts_in_regions(centers, points, w.lower, w.upper, w.metric, kind, size)
+        assert np.array_equal(got, dense)
 
 
 class TestPairwiseDistances:

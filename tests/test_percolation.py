@@ -8,6 +8,7 @@ import ppclust.core as core
 import ppclust.dists as dists
 import ppclust.percolation as percolation
 import ppclust.procgen as pg
+from ppclust.procgen import Sampler
 import ppclust.shotnoise as sn
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -394,7 +395,7 @@ class TestComponentFractionSweep:
         "radii", [[0.1, math.nan], [math.nan], [math.nan, 0.1], [-0.1, 0.1], [0.1, math.inf]]
     )
     def test_rejects_nan_or_negative_radii_before_sampling(self, radii, monkeypatch):
-        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         message = "^radii must be non-negative$"
         with pytest.raises(ValueError, match=message):
             component_fraction_sweep(
@@ -460,7 +461,7 @@ class TestCrossingProbability:
 
     @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
     def test_rejects_negative_or_nan_radius_before_sampling(self, r, monkeypatch):
-        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^radii must be non-negative$"):
             crossing_probability(
                 pg.homogeneous_poisson(1.0), euclid(10.0), r, reps=5,
@@ -515,7 +516,7 @@ class TestCrossingCurve:
         assert percolation._crossings(pattern, [1.0, 0.0]) == [False, False]
 
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^radii must be non-negative$"):
             percolation._crossing_curve(
                 pg.homogeneous_poisson(1.0), euclid(10.0), [0.5, -1.0], 5, STREAM, 1
@@ -554,7 +555,7 @@ class TestCriticalRadius:
         assert str(got.value).startswith("crossing probability at r=3.53553 is only 0;")
 
     def test_rejects_periodic_window_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^critical_radius needs a Euclidean window$"):
             critical_radius(
                 pg.homogeneous_poisson(1.0), cube(10.0, 2), reps=8, tol=0.1,
@@ -830,7 +831,7 @@ class TestKPercolationCrossing:
 
     @pytest.mark.parametrize("grid_n", [2.5, 24.0])
     def test_rejects_non_integer_grid_count_before_sampling(self, grid_n, monkeypatch):
-        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^grid_n must be >= 1$"):
             k_percolation_crossing(
                 pg.homogeneous_poisson(1.0), cube(8.0, 2), r=0.5, grid_n=grid_n,
@@ -839,7 +840,7 @@ class TestKPercolationCrossing:
 
 
     def test_rejects_torus_wide_radius_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(percolation, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="below half the smallest window side"):
             k_percolation_crossing(
                 pg.homogeneous_poisson(1.0), cube(8.0, 2), r=5.0, reps=5,

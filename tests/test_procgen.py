@@ -108,6 +108,23 @@ class TestSpecValidation:
             procgen.sample(spec, core.cube(4.0, 3, origin=-2.0, metric="euclidean"), s)
 
 
+# One spec of each of the 12 families.
+ALL_FAMILIES = [
+    procgen.homogeneous_poisson(2.0),
+    procgen.square_lattice(0.7),
+    procgen.hex_lattice(0.7),
+    procgen.bernoulli_lattice(0.7, 0.5),
+    procgen.binomial_process(40),
+    procgen.perturbed_lattice(1.0, dists.poisson(1.0), procgen.gaussian_displacement(0.3)),
+    procgen.matern_cluster(0.5, 4.0, 0.5),
+    procgen.thomas_cluster(0.5, 4.0, 0.4),
+    procgen.neyman_scott(0.5, dists.geometric(0.3), procgen.ball_displacement(0.5)),
+    procgen.mixed_poisson([(0.5, 1.0), (0.5, 3.0)]),
+    procgen.log_gaussian_cox(0.0, 0.8, 1.0, 8),
+    procgen.ginibre_truncated(20, 3.0),
+]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "spec",
@@ -145,6 +162,30 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+    @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda spec: spec.family)
+    def test_one_prepared_sampler_draws_what_sample_draws(self, spec, metric):
+        # One Sampler, shared by two threads over many streams, gives every
+        # pattern that a fresh sample(spec, w, stream) gives: a draw reads
+        # the prepared constants and changes nothing.
+        w = core.cube(6.0, 2, metric=metric)
+        if spec.family == "ginibre_truncated" and metric == "periodic":
+            with pytest.raises(ValueError, match="needs a Euclidean window"):
+                procgen.prepare(spec, w)
+            return
+        sampler = procgen.prepare(spec, w)
+        assert sampler.spec is spec and sampler.window is w
+        assert all(not c.flags.writeable for c in sampler.constants if isinstance(c, np.ndarray))
+        streams = [RandomStream(57).derive(i) for i in range(16)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            drawn = list(pool.map(sampler.draw, streams))
+        for pattern, s in zip(drawn, streams):
+            assert pattern.window is w
+            assert np.array_equal(pattern.points, procgen.sample(spec, w, s).points)
+
+    def test_the_family_list_covers_every_sampler(self):
+        assert sorted(spec.family for spec in ALL_FAMILIES) == sorted(procgen._SAMPLERS)
 
     def test_points_sorted(self):
         w = core.cube(8.0, 2)
@@ -245,13 +286,19 @@ class BasisNoise:
         return e
 
 
+def gaussian_field(sigma, corr_length, grid_n, w, rng):
+    """One field from the embedding's square-root spectrum."""
+    root, shape = procgen._field_root(corr_length, grid_n, w)
+    return procgen._gaussian_field(sigma, grid_n, root, shape, rng)
+
+
 def field_covariance(sigma, corr_length, grid_n, w):
     """The field's exact covariance, from its response to every unit noise
     vector, and the shape of the embedding torus."""
     noise = BasisNoise()
-    columns = [procgen._gaussian_field(sigma, corr_length, grid_n, w, noise)]
+    columns = [gaussian_field(sigma, corr_length, grid_n, w, noise)]
     while noise.calls < math.prod(noise.shape):
-        columns.append(procgen._gaussian_field(sigma, corr_length, grid_n, w, noise))
+        columns.append(gaussian_field(sigma, corr_length, grid_n, w, noise))
     a = np.array(columns).T
     return a @ a.T, noise.shape
 
@@ -280,7 +327,7 @@ class TestGaussianField:
         w = core.cube(8.0, 2)
         rng = RandomStream(404).generator()
         fields = np.array(
-            [procgen._gaussian_field(sigma, corr_length, n, w, rng) for _ in range(400)]
+            [gaussian_field(sigma, corr_length, n, w, rng) for _ in range(400)]
         ).reshape(400, n, n)
         assert abs(fields.mean()) < 0.05
         for axis in (1, 2):
@@ -292,7 +339,7 @@ class TestGaussianField:
     def test_euclidean_sample_covariance_over_many_fields(self):
         w = core.cube(5.0, 2, metric="euclidean")
         rng = RandomStream(405).generator()
-        fields = np.array([procgen._gaussian_field(0.8, 2.0, 8, w, rng) for _ in range(2000)])
+        fields = np.array([gaussian_field(0.8, 2.0, 8, w, rng) for _ in range(2000)])
         cov = fields.T @ fields / len(fields)
         assert np.max(np.abs(cov - dense_field_covariance(w, 8, 0.8, 2.0))) < 0.1
 
@@ -307,7 +354,7 @@ class TestGaussianField:
         spec = procgen.log_gaussian_cox(0.0, 1.0, 2.0, 32)
         w = core.cube(5.0, 2, metric="euclidean")
         noise = BasisNoise()
-        procgen._gaussian_field(1.0, 2.0, 32, w, noise)
+        gaussian_field(1.0, 2.0, 32, w, noise)
         assert noise.shape == (128, 128)
         p = procgen.sample(spec, w, RandomStream(2))
         assert len(p) > 0 and np.all(w.contains(p.points))

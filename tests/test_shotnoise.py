@@ -12,6 +12,7 @@ from oracles import chernoff_grid_bound, dense_coverage_counts, dense_field
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, grid_centers
 from ppclust.dists import deterministic, geometric
 from ppclust.procgen import (
+    Sampler,
     homogeneous_poisson,
     perturbed_lattice,
     sample,
@@ -379,7 +380,7 @@ class TestCoverageCurve:
             assert np.array_equal(row, dense_coverage(pattern, r, 4))
 
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(shotnoise, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^radii must be non-negative$"):
             shotnoise._coverage_curve(
                 homogeneous_poisson(1.0), periodic(8.0), [0.5, -1.0], 1, 8, 4, STREAM, 1
@@ -448,7 +449,7 @@ class TestKCoveredVolume:
     def test_rejects_non_integer_grid_count_before_sampling(self, grid_n, monkeypatch):
         # grid_n=2.5 once reported 25.92 on a 36-area window against 18.0 at
         # 2 and 17.0 at 3: most of its 9 cell centres lay outside the window.
-        monkeypatch.setattr(shotnoise, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^grid_n must be >= 1$"):
             k_covered_volume(
                 homogeneous_poisson(1.0), periodic(6.0), 0.5, grid_n=grid_n, reps=4,
@@ -457,7 +458,7 @@ class TestKCoveredVolume:
 
 
     def test_rejects_torus_wide_radius_before_sampling(self, monkeypatch):
-        monkeypatch.setattr(shotnoise, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="below half the smallest window side"):
             k_covered_volume(homogeneous_poisson(1.0), periodic(8.0), 5.0, reps=5, stream=STREAM)
 
@@ -576,6 +577,26 @@ class TestLevelExceedanceOverflow:
         assert 0.0625 in shotnoise._S_GRID
         with pytest.raises(ArithmeticError, match="does not converge"):
             shotnoise._exponential_moment_integral(h, 0.0625, 1, 2)
+
+
+class TestLevelExceedanceGridEnds:
+    # A grid minimum at either end of _S_GRID is refined like one inside it.
+    def test_a_minimum_at_the_bottom_of_the_grid_is_refined(self):
+        # The log-bound is -1.74 at the grid's smallest s, 2^-10, and rises
+        # from there; its minimum lies between 0 (where it is 0) and 2^-9.5.
+        h = power_law_response(3.0, 0.05)
+        bound = level_exceedance_bound(1.0, h, 2000.0, "min_above", 2)
+        assert bound < 0.99 * chernoff_grid_bound(1.0, h, 2000.0, 2, shotnoise._S_GRID)
+        fine = chernoff_grid_bound(1.0, h, 2000.0, 2, np.linspace(0.0, 2**-9.5, 4001)[1:])
+        assert bound == pytest.approx(fine, rel=shotnoise._GOLDEN_RTOL)
+
+    def test_a_minimum_past_the_top_of_the_grid_is_refined(self):
+        # A response this weak keeps the log-bound falling past s = 2^6.
+        h = tabulated_response([0.0, 0.5, 1.0], [0.001, 0.0005, 0.0])
+        bound = level_exceedance_bound(1.0, h, 0.01, "min_above", 2)
+        assert bound < 1e-9 * chernoff_grid_bound(1.0, h, 0.01, 2, shotnoise._S_GRID)
+        fine = chernoff_grid_bound(1.0, h, 0.01, 2, np.geomspace(2**6, 2**16, 8001))
+        assert bound == pytest.approx(fine, rel=shotnoise._GOLDEN_RTOL)
 
 
 class TestSerialization:

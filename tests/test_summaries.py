@@ -10,6 +10,7 @@ from oracles import dense_counts_in_regions, one_query_counts_in_regions, per_re
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, pairwise_distances
 from ppclust.dists import deterministic
 from ppclust.procgen import (
+    Sampler,
     binomial_process,
     homogeneous_poisson,
     matern_cluster,
@@ -363,7 +364,7 @@ class TestRipleyK:
 
     @pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.nan, 0.5]])
     def test_rejects_nan_radius_before_sampling(self, grid, monkeypatch):
-        monkeypatch.setattr(summaries, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^r_grid must be non-negative$"):
             ripley_k(homogeneous_poisson(1.0), periodic(4.0), grid, reps=5, stream=STREAM)
 
@@ -421,7 +422,7 @@ class TestPairCorrelation:
 
     @pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan, 0.5]])
     def test_rejects_nan_radius_before_sampling(self, grid, monkeypatch):
-        monkeypatch.setattr(summaries, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^r_grid must be non-negative$"):
             pair_correlation(
                 homogeneous_poisson(1.0),
@@ -435,7 +436,7 @@ class TestPairCorrelation:
     def test_empty_grid_rejected_with_default_bandwidth(self, monkeypatch):
         # The default bandwidth reads the grid's largest value, so the grid
         # is checked before it.
-        monkeypatch.setattr(summaries, "sample", _no_sampling)
+        monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^r_grid must be a non-empty 1-d sequence$"):
             pair_correlation(homogeneous_poisson(1.0), periodic(8.0), [], reps=5, stream=STREAM)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ppclust.procgen as pg
-from ppclust import compare, complexes, graphs, percolation, shotnoise, summaries
+from ppclust import percolation, shotnoise
 from ppclust.compare import compare_two, concentration_check, weak_poisson_test
 from ppclust.complexes import betti_scaling_experiment
 from ppclust.core import RandomStream, cube
@@ -53,6 +53,10 @@ ESTIMATORS = {
     ),
     "crossing_probability": (
         crossing_probability, (POISSON, BOX, 0.55), dict(reps=8, stream=STREAM.derive(1))
+    ),
+    # One prepared Euclidean LGCP spectrum serves every replication's field.
+    "lgcp_crossing_probability": (
+        crossing_probability, (LGCP, BOX, 0.8), dict(reps=8, stream=STREAM.derive(19))
     ),
     "critical_radius": (
         critical_radius, (POISSON, BOX), dict(reps=6, tol=0.1, stream=STREAM.derive(2))
@@ -131,7 +135,6 @@ ESTIMATORS = {
     ),
 }
 REPLICATED = sorted(name for name, (_, _, kwargs) in ESTIMATORS.items() if "reps" in kwargs)
-ESTIMATOR_MODULES = (percolation, summaries, compare, shotnoise, graphs, complexes)
 
 
 def run(name, **overrides):
@@ -149,8 +152,7 @@ def test_rejects_missing_stream_and_nonpositive_reps_before_sampling(name, monke
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before validating reps and stream")
 
-    for module in ESTIMATOR_MODULES:
-        monkeypatch.setattr(module, "sample", refuse)
+    monkeypatch.setattr(pg.Sampler, "draw", refuse)
     with pytest.raises(ValueError, match="explicit RandomStream"):
         run(name, stream=None)
     for reps in (0, -3):
@@ -163,8 +165,7 @@ def test_radius_grids_reject_no_radii_before_sampling(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before validating the radii")
 
-    for module in ESTIMATOR_MODULES:
-        monkeypatch.setattr(module, "sample", refuse)
+    monkeypatch.setattr(pg.Sampler, "draw", refuse)
     estimator, (spec, w, _), kwargs = ESTIMATORS[name]
     with pytest.raises(ValueError, match="^radii must be a non-empty 1-d sequence$"):
         estimator(spec, w, [], **kwargs)

@@ -4,11 +4,12 @@ by core.check_window, before any work.
 One table covers every public factory and parameter dataclass, with each of
 their float parameters; a second covers the scalar arguments of the
 estimators and kernels.  Each parameter is tried at NaN, +inf, -inf and at
-values just outside its bound, and must raise ValueError at once: ``sample``
-is replaced by a function that fails, in every module that imports it.  A
-third table states the window contract of each estimator and kernel: the
-metric it needs and the reach that must stay below half the smallest side
-of a torus.  A fourth gives float parameters an integer beyond the float
+values just outside its bound, and must raise ValueError at once:
+``procgen.Sampler.draw``, the one way to draw a pattern, is replaced by a
+function that fails.  A third table states the window contract of each
+estimator and kernel: the metric it needs and the reach that must stay
+below half the smallest side of a torus, and the windows its generator
+cannot be drawn on.  A fourth gives float parameters an integer beyond the float
 range, which must raise ValueError naming the parameter, not OverflowError.
 """
 
@@ -292,8 +293,7 @@ def _no_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled a pattern before validating the parameters")
 
-    for module in (pg, summaries, percolation, sn, compare, graphs, complexes):
-        monkeypatch.setattr(module, "sample", refuse)
+    monkeypatch.setattr(pg.Sampler, "draw", refuse)
 
 
 @pytest.mark.parametrize("build, value", _cases(FACTORIES))
@@ -367,6 +367,17 @@ HUGE_INTEGERS = [
         "component_fraction_sweep.radii",
         lambda x: percolation.component_fraction_sweep(POISSON, _periodic(), [0.1, x], 5, STREAM),
         "radii",
+    ),
+    (
+        "scaling_experiment.n_list",
+        lambda x: graphs.scaling_experiment(POISSON, lambda n: 0.5, [4, x], reps=5, stream=STREAM),
+        "n_list",
+    ),
+    (
+        "betti_scaling_experiment.n_list",
+        lambda x: complexes.betti_scaling_experiment(POISSON, lambda n: 0.5, [4, x], reps=5,
+                                                     stream=STREAM),
+        "n_list",
     ),
 ]
 
@@ -518,3 +529,133 @@ def test_torus_reach_one_ulp_below_half_the_smallest_side_passes(what, metric, c
 @pytest.mark.parametrize("what, metric, call", _contracts(lambda m: m != "periodic"))
 def test_euclidean_windows_have_no_reach_limit(what, metric, call):
     _clears_the_contract(lambda: call(_rectangle("euclidean"), HALF_SIDE))
+
+
+# The spec x window contract: a generator that cannot be drawn on a window
+# raises when procgen.prepare checks it, which every estimator does before
+# it samples.  (label, spec, window, the error).  The LGCP specs have unit
+# intensity (mu_g = -sigma^2 / 2), as concentration_check asks.
+GINIBRE = pg.ginibre_truncated(20, 4.0)
+LONG_LGCP = pg.log_gaussian_cox(-0.5, 1.0, 2.0, 32)
+HUGE_LGCP = pg.log_gaussian_cox(-0.5, 1.0, 0.1, 1025)
+SPEC_WINDOW = [
+    ("ginibre-torus", GINIBRE, cube(8.0, 2),
+     "^the non-stationary Ginibre process needs a Euclidean window$"),
+    ("ginibre-3d", GINIBRE, cube(8.0, 3, metric="euclidean"), "^Ginibre requires d = 2$"),
+    ("lgcp-torus-eigenvalue", LONG_LGCP, cube(8.0, 2), "negative eigenvalue on the torus"),
+    ("lgcp-cox-cells-torus", HUGE_LGCP, cube(8.0, 2), "MAX_COX_CELLS"),
+    ("lgcp-cox-cells-euclidean", HUGE_LGCP, cube(8.0, 2, metric="euclidean"), "MAX_COX_CELLS"),
+]
+
+
+def _poisson_like(spec, w):
+    """A Poisson generator of the spec's intensity, for compare_two."""
+    return pg.homogeneous_poisson(pg.intensity(spec, w=w).value)
+
+
+# Every estimator that samples: (name, the metric it needs or None, its call
+# on (spec, w)).  The scaling experiments and concentration_check make their
+# own windows of volume 64 (side 8 in the plane) in the window's dimension.
+SAMPLING = [
+    ("ripley_k", "periodic", lambda s, w: summaries.ripley_k(s, w, [0.5], 5, STREAM)),
+    (
+        "pair_correlation",
+        "periodic",
+        lambda s, w: summaries.pair_correlation(s, w, [0.5], 0.2, 5, STREAM),
+    ),
+    (
+        "void_probability",
+        "periodic",
+        lambda s, w: summaries.void_probability(s, w, summaries.ball(0.5), reps=5, stream=STREAM),
+    ),
+    (
+        "factorial_moment",
+        "periodic",
+        lambda s, w: summaries.factorial_moment(s, w, 1.0, 2, reps=5, stream=STREAM),
+    ),
+    (
+        "count_variance",
+        "periodic",
+        lambda s, w: summaries.count_variance(s, w, 1.0, reps=5, stream=STREAM),
+    ),
+    (
+        "weak_poisson_test",
+        "periodic",
+        lambda s, w: compare.weak_poisson_test(s, w, [0.5], reps=5, stream=STREAM),
+    ),
+    (
+        "compare_two",
+        "periodic",
+        lambda s, w: compare.compare_two(_poisson_like(s, w), s, w, "voids", [0.5], reps=5,
+                                         stream=STREAM),
+    ),
+    (
+        "compare_two-ripley_k",
+        "periodic",
+        lambda s, w: compare.compare_two(_poisson_like(s, w), s, w, "ripley_k", [0.5], reps=5,
+                                         stream=STREAM),
+    ),
+    (
+        "concentration_check",
+        "periodic",
+        lambda s, w: compare.concentration_check(s, n_list=[64], reps=20, stream=STREAM,
+                                                 d=w.dim),
+    ),
+    (
+        "laplace_functional",
+        None,
+        lambda s, w: summaries.laplace_functional(s, w, lambda x: np.zeros(len(x)), reps=5,
+                                                  stream=STREAM),
+    ),
+    (
+        "component_fraction_sweep",
+        None,
+        lambda s, w: percolation.component_fraction_sweep(s, w, [0.5], 5, STREAM),
+    ),
+    ("k_covered_volume", None, lambda s, w: sn.k_covered_volume(s, w, 0.5, reps=5, stream=STREAM)),
+    (
+        "k_percolation_crossing",
+        None,
+        lambda s, w: percolation.k_percolation_crossing(s, w, 0.5, reps=5, stream=STREAM),
+    ),
+    (
+        "crossing_probability",
+        "euclidean",
+        lambda s, w: percolation.crossing_probability(s, w, 0.5, 5, STREAM),
+    ),
+    (
+        "critical_radius",
+        "euclidean",
+        lambda s, w: percolation.critical_radius(s, w, 5, 0.1, STREAM),
+    ),
+    (
+        "scaling_experiment",
+        "euclidean",
+        lambda s, w: graphs.scaling_experiment(s, lambda n: 0.5, [64], reps=5, stream=STREAM,
+                                               d=w.dim),
+    ),
+    (
+        "betti_scaling_experiment",
+        "euclidean",
+        lambda s, w: complexes.betti_scaling_experiment(s, lambda n: 0.5, [64], reps=5,
+                                                        stream=STREAM, d=w.dim),
+    ),
+]
+
+
+def _spec_window_cases():
+    # An estimator meets each row whose window it takes; concentration_check
+    # takes only unit-intensity generators.
+    return [
+        pytest.param(spec, w, message, call, id=f"{label}-{name}")
+        for label, spec, w, message in SPEC_WINDOW
+        for name, metric, call in SAMPLING
+        if metric in (None, w.metric)
+        and (name != "concentration_check" or spec.family == "log_gaussian_cox")
+    ]
+
+
+@pytest.mark.parametrize("spec, w, message, call", _spec_window_cases())
+def test_spec_window_errors_raise_before_sampling(spec, w, message, call):
+    with pytest.raises(ValueError, match=message):
+        call(spec, w)
