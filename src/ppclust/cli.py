@@ -829,6 +829,11 @@ def _run_compare(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
 def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["percolation"]
     mode = p["mode"]
+    if mode != "sweep" and rc.generator_b is not None:
+        raise ConfigError(
+            f"[generator_b] is only used by percolation mode 'sweep'; {mode} "
+            "mode reads [generator] alone"
+        )
     if mode == "critical":
         est = percolation.critical_radius(
             rc.generator, rc.window, reps, p["tol"], stream, threads
@@ -840,11 +845,11 @@ def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
         return [("critical.csv", text)], []
     radii = _radii(rc, "percolation")
     if mode == "crossing":
-        estimates = percolation._crossing_curve(
+        curve = percolation.crossing_probability(
             rc.generator, rc.window, radii, reps, stream.derive(0), threads
         )
-        files = [("crossing.csv", percolation.crossing_to_csv(zip(radii, estimates)))]
-        series = [("crossing", radii, [e.value for e in estimates])]
+        files = [("crossing.csv", percolation.crossing_to_csv(curve))]
+        series = [("crossing", curve.abscissa, curve.values())]
         title = "Horizontal crossing probability"
         return files, [("crossing.svg", series, title, "r", "P(crossing)")]
     sweeps = [("a", rc.generator, stream.derive(0))]
@@ -868,18 +873,21 @@ def _run_percolation(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
 
 def _run_coverage(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     p = rc["coverage"]
-    grid = _radii(rc, "coverage")
-    estimates = shotnoise._coverage_curve(
-        rc.generator, rc.window, grid, p["k"], p["grid_n"], reps, stream.derive(0), threads
+    curve = shotnoise.k_covered_volume(
+        rc.generator, rc.window, _radii(rc, "coverage"), p["k"], p["grid_n"], reps,
+        stream.derive(0), threads,
     )
-    entries = [(r, p["k"], est) for r, est in zip(grid, estimates)]
-    files = [("coverage.csv", shotnoise.coverage_summary_to_csv(entries))]
-    series = [(f"k={p['k']} covered volume", grid, [e.value for _, _, e in entries])]
+    files = [("coverage.csv", shotnoise.coverage_summary_to_csv(curve, p["k"]))]
+    series = [(f"k={p['k']} covered volume", curve.abscissa, curve.values())]
     title = "Expected k-covered volume"
     return files, [("coverage.svg", series, title, "r", "volume")]
 
 
 def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
+    """One SINR graph per gamma from one percolation._sinr_graphs call, the
+    CLI's only call of a private library function: the public sinr_graph
+    builds one graph, at one gamma, and the benchmark's tracer counts the
+    edges of that one Graph."""
     p = rc["sinr"]
     pattern_b = procgen.sample(rc.generator, rc.window, stream.derive(0))
     if rc.generator_b is None:
@@ -1042,20 +1050,13 @@ def _run_kernel_chain(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     curves = {}
     for chain, lower, upper in pairs:
         verdict = dists.check_cx(lower, upper)
-        p_lower, p_upper = dists.pmf_table(lower).tolist(), dists.pmf_table(upper).tolist()
-        a_max = max(len(p_lower), len(p_upper)) - 1
-        grid = np.arange(0.0, a_max + 0.5, 0.5)
-        slack = min(
-            dists.stop_loss_from_pmf(p_upper, a) - dists.stop_loss_from_pmf(p_lower, a)
-            for a in grid
-        )
         witness = "" if verdict.witness is None else verdict.witness
-        rows.append(
-            (chain, _dist_label(lower), _dist_label(upper), verdict.status, slack, witness)
-        )
-        for d, pmfs in ((lower, p_lower), (upper, p_upper)):
+        labels = (_dist_label(lower), _dist_label(upper))
+        rows.append((chain, *labels, verdict.status, verdict.min_slack, witness))
+        for d in (lower, upper):
             label = f"{chain}: {_dist_label(d)}"
             if label not in curves:
+                pmfs = dists.pmf_table(d).tolist()
                 top = len(pmfs) - 1
                 xs = [0.5 * i for i in range(2 * min(top, 12) + 1)]
                 curves[label] = (xs, [dists.stop_loss_from_pmf(pmfs, a) for a in xs])

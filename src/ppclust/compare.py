@@ -268,9 +268,8 @@ def concentration_check(
     """
     if not 0.5 < a < 1.0:
         raise ValueError("the deviation exponent a must lie in (0.5, 1)")
-    n_list = [int(n) for n in n_list]
-    if any(n < 16 for n in n_list):
-        raise ValueError("window volumes below 16 are too small to be informative")
+    # Window volumes below 16 are too small to be informative.
+    n_list = [int(check_number("n_list", n, 16)) for n in n_list]
     check_replications(reps, stream)
     lam = intensity(spec, d=d).value
     if not math.isclose(lam, 1.0, rel_tol=0.0, abs_tol=UNIT_INTENSITY_ATOL):

@@ -221,10 +221,14 @@ def _clique_levels(n: int, edges: np.ndarray, max_dim: int, keep=None) -> list:
     return levels
 
 
+def _check_max_dim(max_dim: int) -> None:
+    if check_number("max_dim", max_dim, 0) > MAX_COMPLEX_DIM:
+        raise ValueError(f"max_dim must be between 0 and {MAX_COMPLEX_DIM}")
+
+
 def vietoris_rips(pattern: PointPattern, r: float, max_dim: int = 2) -> SimplicialComplex:
     """Clique complex of the distance-2r graph, up to max_dim."""
-    if not 0 <= max_dim <= MAX_COMPLEX_DIM:
-        raise ValueError(f"max_dim must be between 0 and {MAX_COMPLEX_DIM}")
+    _check_max_dim(max_dim)
     edges = _edge_index_array(pattern, r)
     levels = _clique_levels(pattern.points.shape[0], edges, max_dim)
     return SimplicialComplex(max_dim, tuple(levels))
@@ -238,8 +242,7 @@ def cech_complex(pattern: PointPattern, r: float, max_dim: int = 2) -> Simplicia
     the smallest-enclosing-ball test.  Edges need no test: two points at
     distance <= 2r always fit in one radius-r ball.
     """
-    if not 0 <= max_dim <= MAX_COMPLEX_DIM:
-        raise ValueError(f"max_dim must be between 0 and {MAX_COMPLEX_DIM}")
+    _check_max_dim(max_dim)
     check_window("cech_complex", pattern.window, "euclidean")
     points = pattern.points
     edges = _edge_index_array(pattern, r)

@@ -73,12 +73,12 @@ class Motif:
     name: str = ""
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
-        object.__setattr__(self, "adjacency", adj)
-        if self.k < 2 or self.k > MAX_MOTIF_VERTICES:
+        if check_number("k", self.k, 2) > MAX_MOTIF_VERTICES:
             raise ValueError(
                 f"motif too large: need 2 <= k <= {MAX_MOTIF_VERTICES}, got {self.k}"
             )
+        adj = np.asarray(self.adjacency, dtype=bool)
+        object.__setattr__(self, "adjacency", adj)
         if adj.shape != (self.k, self.k):
             raise ValueError("adjacency must be k x k")
         if not np.array_equal(adj, adj.T):
@@ -197,7 +197,7 @@ def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
 
 
 def _subset_values(pattern: PointPattern, k: int, f) -> list:
-    if not 1 <= k <= 4:
+    if check_number("k", k, 1) > 4:
         raise ValueError("k must be between 1 and 4")
     points = pattern.points
     n = points.shape[0]

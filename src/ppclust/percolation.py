@@ -16,18 +16,19 @@ more where halving a value below 2**-1021 rounds down).
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
-on the kept edges.  A radius grid (the sweep, the crossing curve) is read
-from one replication: one pattern, one query at the largest radius, and
-for the sweep one labelling of one minimum spanning forest, one layer per
-radius.  A Graph holds its edges as the (E, 2) int64 array of the query,
-through components to graph_to_csv.  The site-grid crossing of k-coverage
-labels its open cells with scipy.ndimage.  SINR links come from one pair
-query too: with noise, a link needs the signal alone to clear T N, which
-bounds its length.  What stays dense is the interference (receivers x
-interferers, once per pattern, when some gamma is positive), summed one row
-block at a time by core.reduce_distances, and, at zero noise with an
-unbounded attenuation, the signal matrix of core.pairwise_distances; both
-are capped by MAX_DENSE_ENTRIES.
+on the kept edges.  Each curve in r (the sweep, and the CurveEstimate of
+crossing_probability and k_percolation_crossing) takes its list of radii
+and reads it from one replication: one pattern, one query at the largest
+radius, and for the sweep one labelling of one minimum spanning forest,
+one layer per radius.  A Graph holds its edges as the (E, 2) int64 array
+of the query, through components to graph_to_csv.  The site-grid crossing
+of k-coverage labels its open cells with scipy.ndimage.  SINR links come
+from one pair query too: with noise, a link needs the signal alone to
+clear T N, which bounds its length.  What stays dense is the interference
+(receivers x interferers, once per pattern, when some gamma is positive),
+summed one row block at a time by core.reduce_distances, and, at zero
+noise with an unbounded attenuation, the signal matrix of
+core.pairwise_distances; both are capped by MAX_DENSE_ENTRIES.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .core import (
 )
 from .procgen import GeneratorSpec, prepare
 from .shotnoise import ResponseFunction, _covered_cells
-from .summaries import EstimateWithError, _estimates, _proportion
+from .summaries import CurveEstimate, EstimateWithError, _estimates, _proportion
 
 __all__ = [
     "Graph",
@@ -293,25 +294,26 @@ def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
     return _crossings(pattern, [r])[0]
 
 
-def _crossing_curve(
-    spec: GeneratorSpec, w: Window, radii, reps: int, stream: RandomStream, threads: int = 1
-) -> list:
-    """crossing_probability at each radius, in the order given, all read from
-    the same replications; each estimate equals crossing_probability at its
-    radius on the same stream, bit for bit."""
-    check_window("crossing_probability", w, "euclidean")
-    radii = check_radii("radii", radii)
-    sampler = prepare(spec, w)
-    hits = replicate(reps, stream, threads, lambda rep: _crossings(sampler.draw(rep), radii))
-    return [_proportion(column) for column in np.array(hits, dtype=float).T]
+def _hit_curve(radii: np.ndarray, hits: list) -> CurveEstimate:
+    """Per radius, the frequency of the replications' 0/1 outcomes, from
+    one (radii,) row of outcomes per replication."""
+    columns = np.array(hits, dtype=float).T
+    return CurveEstimate(tuple(radii.tolist()), tuple(map(_proportion, columns)))
 
 
 def crossing_probability(
-    spec: GeneratorSpec, w: Window, r: float, reps: int = 50,
+    spec: GeneratorSpec, w: Window, radii, reps: int = 50,
     stream: RandomStream = None, threads: int = 1,
-) -> EstimateWithError:
-    """Probability that a Gilbert component spans the window horizontally."""
-    return _crossing_curve(spec, w, [r], reps, stream, threads)[0]
+) -> CurveEstimate:
+    """Probability that a Gilbert component spans the window horizontally,
+    at each radius in the order given, all read from the same replications
+    (_crossings): each estimate equals the one-radius call, bit for bit."""
+    check_window("crossing_probability", w, "euclidean")
+    radii = check_radii("radii", radii)
+    sampler = prepare(spec, w)
+    return _hit_curve(
+        radii, replicate(reps, stream, threads, lambda rep: _crossings(sampler.draw(rep), radii))
+    )
 
 
 def _event_radii(values: np.ndarray) -> np.ndarray:
@@ -435,10 +437,11 @@ def _site_crossing(open_cells: np.ndarray) -> bool:
 
 
 def k_percolation_crossing(
-    spec: GeneratorSpec, w: Window, r: float, k: int = 1, grid_n: int = 64,
+    spec: GeneratorSpec, w: Window, radii, k: int = 1, grid_n: int = 64,
     reps: int = 50, stream: RandomStream = None, threads: int = 1,
-) -> EstimateWithError:
-    """Crossing probability of the k-times-covered region, on a site grid.
+) -> CurveEstimate:
+    """Crossing probability of the k-times-covered region, on a site grid,
+    at each radius in the order given, all read from the same replications.
 
     A grid cell is open when its center is covered by at least k balls of
     radius r; the open sites percolate left to right through close-packed
@@ -446,13 +449,13 @@ def k_percolation_crossing(
     surrogate for continuum k-coverage percolation: refine grid_n to see
     the dependence.
     """
-    covered = _covered_cells("k_percolation_crossing", spec, w, [r], k, grid_n)
+    radii, covered = _covered_cells("k_percolation_crossing", spec, w, radii, k, grid_n)
     shape = (grid_n,) * w.dim
 
-    def one(rep: RandomStream) -> float:
-        return float(_site_crossing(covered(rep)[0].reshape(shape)))
+    def one(rep: RandomStream) -> list:
+        return [_site_crossing(cells.reshape(shape)) for cells in covered(rep)]
 
-    return _proportion(replicate(reps, stream, threads, one))
+    return _hit_curve(radii, replicate(reps, stream, threads, one))
 
 
 @dataclass(frozen=True)
@@ -595,11 +598,11 @@ def sweep_to_csv(sweep: PercolationSweep) -> str:
     )
 
 
-def crossing_to_csv(entries) -> str:
-    """CSV rows r,crossing_prob,std_error from (r, EstimateWithError)."""
+def crossing_to_csv(curve: CurveEstimate) -> str:
+    """CSV rows r,crossing_prob,std_error, one per radius of the curve."""
     return csv_text(
         ("r", "crossing_prob", "std_error"),
-        ((r, est.value, est.std_error) for r, est in entries),
+        ((r, est.value, est.std_error) for r, est in zip(curve.abscissa, curve.estimates)),
     )
 
 

@@ -15,8 +15,8 @@ The additive and extremal fields evaluate h at every (eval, point) pair
 and sum or max each row through ``core.reduce_distances``, the one dense
 distance kernel, so they share its ``core.MAX_DENSE_ENTRIES`` cap on work
 and hold one row block of distances at a time.  Coverage counts read only the
-pairs within r, from one KD-tree query per pattern at the largest radius
-of a coverage curve.
+pairs within r, from one KD-tree query per pattern at the largest of the
+radii of a coverage curve, which ``k_covered_volume`` takes as one list.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .core import (
     volume,
 )
 from .procgen import GeneratorSpec, prepare
-from .summaries import _estimates
+from .summaries import CurveEstimate, _estimates
 
 __all__ = [
     "ResponseFunction",
@@ -230,10 +230,10 @@ def coverage_field(pattern: PointPattern, r: float, grid_n: int) -> FieldSample:
 
 
 def _covered_cells(what: str, spec: GeneratorSpec, w: Window, radii, k: int, grid_n: int):
-    """Check a k-coverage statistic's parameters and window, and return its
-    replication: ``covered(rep)`` is a (radii, cells) boolean array whose
-    row i flags each grid cell whose centre lies in at least k of the
-    radius-radii[i] balls of the pattern sampled from ``rep``.
+    """Check a k-coverage statistic's parameters and window, and return the
+    checked radii and its replication: ``covered(rep)`` is a (radii, cells)
+    boolean array whose row i flags each grid cell whose centre lies in at
+    least k of the radius-radii[i] balls of the pattern sampled from ``rep``.
     """
     check_number("k", k, 1)
     radii = check_radii("radii", radii)
@@ -244,49 +244,40 @@ def _covered_cells(what: str, spec: GeneratorSpec, w: Window, radii, k: int, gri
     def covered(rep: RandomStream) -> np.ndarray:
         return _coverage_counts(sampler.draw(rep), radii, grid_n) >= k
 
-    return covered
-
-
-def _coverage_curve(
-    spec: GeneratorSpec, w: Window, radii, k: int, grid_n: int,
-    reps: int, stream: RandomStream, threads: int = 1,
-) -> tuple:
-    """k_covered_volume at each radius, in the order given, all read from the
-    same replications; each estimate equals k_covered_volume at its radius
-    on the same stream, bit for bit."""
-    covered = _covered_cells("k_covered_volume", spec, w, radii, k, grid_n)
-    cell_volume = volume(w) / grid_n**w.dim
-
-    def one(rep: RandomStream) -> np.ndarray:
-        return cell_volume * np.count_nonzero(covered(rep), axis=1)
-
-    return _estimates(replicate(reps, stream, threads, one))
+    return radii, covered
 
 
 def k_covered_volume(
-    spec: GeneratorSpec, w: Window, r: float, k: int = 1, grid_n: int = 64,
+    spec: GeneratorSpec, w: Window, radii, k: int = 1, grid_n: int = 64,
     reps: int = 100, stream: RandomStream = None, threads: int = 1,
-):
-    """Expected volume of the region covered by at least k balls of radius r.
+) -> CurveEstimate:
+    """Expected volume of the region covered by at least k balls of radius
+    r, at each radius in the order given, all read from the same replications.
 
     Counts grid cells whose center is covered k or more times; by
     stationarity the cell-center coverage probability equals the volume
     fraction, so the estimator is unbiased with a grid-resolution error
     of at most one cell layer along the coverage boundary.
     """
-    return _coverage_curve(spec, w, [r], k, grid_n, reps, stream, threads)[0]
+    radii, covered = _covered_cells("k_covered_volume", spec, w, radii, k, grid_n)
+    cell_volume = volume(w) / grid_n**w.dim
+
+    def one(rep: RandomStream) -> np.ndarray:
+        return cell_volume * np.count_nonzero(covered(rep), axis=1)
+
+    return CurveEstimate(tuple(radii.tolist()), _estimates(replicate(reps, stream, threads, one)))
 
 
-def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: int) -> float:
-    """integral over R^d of (exp(sign * s * h(|x|)) - 1) dx; ArithmeticError
+def _radial_integral(h: ResponseFunction, f, d: int) -> float:
+    """integral over R^d of f(h(|x|)), for an f with f(0) = 0; ArithmeticError
     (of which OverflowError is a kind) where the quadrature reports failure."""
     if h.kind == "indicator_ball":
         rho = h.params[0]
-        return math.expm1(sign * s) * unit_ball_volume(d) * rho**d
+        return f(1.0) * unit_ball_volume(d) * rho**d
     surface = d * unit_ball_volume(d)
 
     def integrand(r):
-        return math.expm1(sign * s * float(h.evaluate(r))) * r ** (d - 1)
+        return f(float(h.evaluate(r))) * r ** (d - 1)
 
     upper = h.support_radius()
     from scipy import integrate
@@ -299,6 +290,11 @@ def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: in
     if failure:
         raise ArithmeticError(failure[0])
     return surface * value
+
+
+def _exponential_moment_integral(h: ResponseFunction, s: float, sign: int, d: int) -> float:
+    """integral over R^d of (exp(sign * s * h(|x|)) - 1) dx."""
+    return _radial_integral(h, lambda v: math.expm1(sign * s * v), d)
 
 
 def level_exceedance_bound(
@@ -315,6 +311,12 @@ def level_exceedance_bound(
     e^{s h} overflows, or whose quadrature reports failure, bounds nothing,
     so its log-bound counts as +inf and the infimum runs over the other s.
     Bounds above 1 are vacuous and reported as 1.
+
+    The log-bound is convex, 0 at s = 0, with slope sign (lam int h - a)
+    there.  If that slope is negative and no grid value is below 0, s walks
+    down by _S_RATIO until the log-bound is below 0, and the minimum is
+    refined on (0, s, _S_RATIO s); the walk stops with a bound of 1 once
+    slope s >= -_GOLDEN_RTOL, which by convexity bounds the log-bound below s.
     """
     if direction not in ("min_above", "max_below"):
         raise ValueError("direction must be 'min_above' or 'max_below'")
@@ -345,6 +347,14 @@ def level_exceedance_bound(
     while values[-1] < values[-2]:
         s_values.append(s_values[-1] * _S_RATIO)
         values.append(log_bound(s_values[-1]))
+    if min(values) >= 0:
+        try:
+            slope = sign * (lam * _radial_integral(h, float, d) - a)
+        except ArithmeticError:  # a failed quadrature gives no slope: vacuous
+            slope = 0.0
+        while values[1] >= 0 and slope * s_values[1] < -_GOLDEN_RTOL:
+            s_values.insert(1, s_values[1] / _S_RATIO)
+            values.insert(1, log_bound(s_values[1]))
     best = int(np.argmin(values))
     log_min = values[best]
     if best > 0 and values[best] < values[best + 1]:
@@ -366,9 +376,9 @@ def level_exceedance_bound(
 # Serialization
 
 
-def coverage_summary_to_csv(entries) -> str:
-    """CSV rows r,k,volume,std_error from (r, k, EstimateWithError) triples."""
+def coverage_summary_to_csv(curve: CurveEstimate, k: int) -> str:
+    """CSV rows r,k,volume,std_error, one per radius of the curve."""
     return csv_text(
         ("r", "k", "volume", "std_error"),
-        ((r, k, est.value, est.std_error) for r, k, est in entries),
+        ((r, k, est.value, est.std_error) for r, est in zip(curve.abscissa, curve.estimates)),
     )

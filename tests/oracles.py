@@ -586,7 +586,7 @@ def bisection_critical_radius(spec, w, reps=50, tol=0.02, stream=None, threads=1
     eval_stream = stream.derive(0)
 
     def p_hat(r):
-        return crossing_probability(spec, w, r, reps, eval_stream, threads)
+        return crossing_probability(spec, w, [r], reps, eval_stream, threads).estimates[0]
 
     r_max = float(np.linalg.norm(w.sides)) / 4.0
     hi_est = p_hat(r_max)

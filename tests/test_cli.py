@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ppclust import cli
+from ppclust import cli, percolation, shotnoise
 from ppclust.shotnoise import exponential_response, level_exceedance_bound
 
 
@@ -286,6 +286,11 @@ r_min = 0.3
 r_max = 0.5
 r_step = 0.1
 """
+# The crossing and critical modes read [generator] alone.
+PERC_ONE = (
+    PERC_SWEEP[: PERC_SWEEP.index("[generator_b]")]
+    + PERC_SWEEP[PERC_SWEEP.index("[percolation]") :]
+)
 
 
 class TestPercolationExperiment:
@@ -317,7 +322,7 @@ class TestPercolationExperiment:
             ).read_bytes()
 
     def test_critical_mode(self, tmp_path):
-        cfg = write_config(tmp_path / "p.ini", PERC_SWEEP)
+        cfg = write_config(tmp_path / "p.ini", PERC_ONE)
         assert run_cli(
             "percolation",
             "--config",
@@ -337,7 +342,7 @@ class TestPercolationExperiment:
         # crossing mode on a periodic window is a module-level error
         cfg = write_config(
             tmp_path / "p.ini",
-            PERC_SWEEP.replace("metric = euclidean", "metric = periodic").replace(
+            PERC_ONE.replace("metric = euclidean", "metric = periodic").replace(
                 "mode = sweep", "mode = crossing"
             ),
         )
@@ -346,16 +351,65 @@ class TestPercolationExperiment:
         assert "runtime error" in err
         assert "Euclidean" in err
 
+    @pytest.mark.parametrize("mode", ["crossing", "critical"])
+    def test_generator_b_rejected_outside_sweep_mode(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path / "p.ini", PERC_SWEEP)
+        out = tmp_path / "a"
+        assert run_cli("percolation", "--config", cfg, "--percolation.mode", mode,
+                       "--out", out) == 2
+        assert "[generator_b]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nothing_written_on_runtime_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "p.ini",
-            PERC_SWEEP.replace("metric = euclidean", "metric = periodic").replace(
+            PERC_ONE.replace("metric = euclidean", "metric = periodic").replace(
                 "mode = sweep", "mode = crossing"
             ),
         )
         out = tmp_path / "a"
         assert run_cli("percolation", "--config", cfg, "--out", out) == 3
         assert not out.exists()
+
+
+CURVE_RUNS = [
+    ("percolation", PERC_ONE.replace("mode = sweep", "mode = crossing"), "crossing.csv",
+     "crossing_probability"),
+    (
+        "coverage",
+        "[run]\nseed = 5\nreplications = 3\n[window]\nsides = 5\n"
+        "[generator]\ntype = poisson\nintensity = 1\n"
+        "[coverage]\nr_min = 0.2\nr_max = 0.4\nr_count = 3\ngrid_n = 16\n",
+        "coverage.csv",
+        "k_covered_volume",
+    ),
+]
+
+
+class TestOneCallPerCurve:
+    @pytest.mark.parametrize(
+        "experiment, config, table, estimator", CURVE_RUNS, ids=["crossing", "coverage"]
+    )
+    def test_one_estimator_call_with_every_radius(
+        self, tmp_path, monkeypatch, experiment, config, table, estimator
+    ):
+        calls = []
+        for module, name in (
+            (percolation, "crossing_probability"),
+            (percolation, "k_percolation_crossing"),
+            (shotnoise, "k_covered_volume"),
+        ):
+
+            def recorded(spec, w, radii, *args, _name=name, _call=getattr(module, name), **kw):
+                calls.append((_name, list(radii)))
+                return _call(spec, w, radii, *args, **kw)
+
+            monkeypatch.setattr(module, name, recorded)
+        cfg = write_config(tmp_path / "c.ini", config)
+        assert run_cli(experiment, "--config", cfg, "--out", tmp_path / "a") == 0
+        rows = (tmp_path / "a" / table).read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert calls == [(estimator, [float(row.split(",")[0]) for row in rows])]
 
 
 class TestKernelChainExperiment:
@@ -810,7 +864,7 @@ PLOT_RUNS = [
     ("percolation", PERC_SWEEP.replace("replications = 8", "replications = 3"), ["sweep.svg"]),
     (
         "percolation",
-        PERC_SWEEP.replace("replications = 8", "replications = 3").replace(
+        PERC_ONE.replace("replications = 8", "replications = 3").replace(
             "mode = sweep", "mode = crossing"
         ),
         ["crossing.svg"],
@@ -867,7 +921,7 @@ class TestPlotsForEveryExperiment:
             assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
     def test_critical_mode_has_no_plot(self, tmp_path):
-        cfg = write_config(tmp_path / "p.ini", PERC_SWEEP)
+        cfg = write_config(tmp_path / "p.ini", PERC_ONE)
         out = tmp_path / "a"
         assert run_cli(
             "percolation", "--config", cfg, "--percolation.mode", "critical",
@@ -879,7 +933,7 @@ class TestPlotsForEveryExperiment:
 CSV_RUNS = [(exp, config, []) for exp, config, _ in PLOT_RUNS] + [
     (
         "percolation",
-        PERC_SWEEP,
+        PERC_ONE,
         ["--percolation.mode", "critical", "--run.replications", "3"],
     ),
 ]

@@ -432,8 +432,9 @@ class TestCrossingProbability:
         # Sub/super-critical radii around the percolation transition.
         spec = pg.homogeneous_poisson(1.154701)
         w = euclid(30.0)
-        low = crossing_probability(spec, w, 0.45, reps=40, stream=STREAM.derive(13))
-        high = crossing_probability(spec, w, 0.70, reps=40, stream=STREAM.derive(13))
+        low, high = crossing_probability(
+            spec, w, [0.45, 0.70], reps=40, stream=STREAM.derive(13)
+        ).estimates
         assert low.value < 0.5 < high.value
 
     def test_monotone_under_common_random_numbers(self):
@@ -441,21 +442,21 @@ class TestCrossingProbability:
         w = euclid(15.0)
         shared = STREAM.derive(14)
         values = [
-            crossing_probability(spec, w, r, reps=25, stream=shared).value
+            crossing_probability(spec, w, [r], reps=25, stream=shared).estimates[0].value
             for r in (0.3, 0.5, 0.8)
         ]
         assert values[0] <= values[1] <= values[2]
 
     def test_empty_pattern_never_crosses(self):
-        est = crossing_probability(
-            pg.binomial_process(0), euclid(10.0), 1.0, reps=8, stream=STREAM.derive(15)
+        curve = crossing_probability(
+            pg.binomial_process(0), euclid(10.0), [1.0], reps=8, stream=STREAM.derive(15)
         )
-        assert est.value == 0.0
+        assert curve.values().tolist() == [0.0]
 
     def test_rejects_periodic_window(self):
         with pytest.raises(ValueError, match="Euclidean"):
             crossing_probability(
-                pg.homogeneous_poisson(1.0), cube(10.0, 2), 0.5, reps=5,
+                pg.homogeneous_poisson(1.0), cube(10.0, 2), [0.5], reps=5,
                 stream=STREAM.derive(16),
             )
 
@@ -464,14 +465,14 @@ class TestCrossingProbability:
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^radii must be non-negative$"):
             crossing_probability(
-                pg.homogeneous_poisson(1.0), euclid(10.0), r, reps=5,
+                pg.homogeneous_poisson(1.0), euclid(10.0), [r], reps=5,
                 stream=STREAM.derive(16),
             )
 
 
 class TestCrossingCurve:
     # Every radius reads the same replications, so each estimate is the
-    # one-radius call on the same stream.  Radii unsorted, one repeated.
+    # one-radius call ([r]) on the same stream.  Radii unsorted, one repeated.
     SPECS = {
         "poisson": pg.homogeneous_poisson(1.2),
         "thomas": pg.thomas_cluster(0.3, 4.0, 0.4),
@@ -484,9 +485,12 @@ class TestCrossingCurve:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_each_radius_equals_the_one_radius_call(self, name):
         spec, w, stream = self.SPECS[name], euclid(12.0), STREAM.derive(17)
-        curve = percolation._crossing_curve(spec, w, self.RADII, 12, stream, 1)
-        assert curve == [crossing_probability(spec, w, r, 12, stream) for r in self.RADII]
-        assert 0 < curve[0].value < 1
+        curve = crossing_probability(spec, w, self.RADII, 12, stream)
+        assert curve.abscissa == tuple(self.RADII)
+        assert curve.estimates == tuple(
+            crossing_probability(spec, w, [r], 12, stream).estimates[0] for r in self.RADII
+        )
+        assert 0 < curve.estimates[0].value < 1
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_each_pattern_matches_a_query_per_radius(self, name):
@@ -518,8 +522,8 @@ class TestCrossingCurve:
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^radii must be non-negative$"):
-            percolation._crossing_curve(
-                pg.homogeneous_poisson(1.0), euclid(10.0), [0.5, -1.0], 5, STREAM, 1
+            crossing_probability(
+                pg.homogeneous_poisson(1.0), euclid(10.0), [0.5, -1.0], 5, STREAM
             )
 
 
@@ -798,34 +802,47 @@ class TestPercolationBounds:
 
 class TestKPercolationCrossing:
     def test_large_radius_always_crosses(self):
-        est = k_percolation_crossing(
-            pg.homogeneous_poisson(1.0), cube(8.0, 2), r=1.9, k=1, grid_n=24,
+        curve = k_percolation_crossing(
+            pg.homogeneous_poisson(1.0), cube(8.0, 2), [1.9], k=1, grid_n=24,
             reps=10, stream=STREAM.derive(20),
         )
-        assert est.value == 1.0
+        assert curve.values().tolist() == [1.0]
 
     def test_unreachable_coverage_level_never_crosses(self):
-        est = k_percolation_crossing(
-            pg.homogeneous_poisson(1.0), cube(8.0, 2), r=0.3, k=50, grid_n=24,
+        curve = k_percolation_crossing(
+            pg.homogeneous_poisson(1.0), cube(8.0, 2), [0.3], k=50, grid_n=24,
             reps=10, stream=STREAM.derive(21),
         )
-        assert est.value == 0.0
+        assert curve.values().tolist() == [0.0]
 
     def test_monotone_in_radius_with_shared_seeds(self):
         shared = STREAM.derive(22)
         values = [
             k_percolation_crossing(
-                pg.homogeneous_poisson(1.2), cube(10.0, 2), r=r, k=2, grid_n=32,
+                pg.homogeneous_poisson(1.2), cube(10.0, 2), [r], k=2, grid_n=32,
                 reps=12, stream=shared,
-            ).value
+            ).estimates[0].value
             for r in (0.4, 0.8, 1.6)
         ]
         assert values[0] <= values[1] <= values[2]
 
+    def test_each_radius_equals_the_one_radius_call(self):
+        # Every radius reads the same replications and one coverage query at
+        # the largest.  Radii unsorted, one repeated.
+        spec, w, stream = pg.homogeneous_poisson(1.2), cube(10.0, 2), STREAM.derive(22)
+        radii = [0.8, 0.4, 1.6, 0.8]
+        curve = k_percolation_crossing(spec, w, radii, k=2, grid_n=32, reps=12, stream=stream)
+        assert curve.abscissa == tuple(radii)
+        assert curve.estimates == tuple(
+            k_percolation_crossing(spec, w, [r], k=2, grid_n=32, reps=12, stream=stream)
+            .estimates[0]
+            for r in radii
+        )
+
     def test_k_validation(self):
         with pytest.raises(ValueError):
             k_percolation_crossing(
-                pg.homogeneous_poisson(1.0), cube(8.0, 2), r=0.5, k=0,
+                pg.homogeneous_poisson(1.0), cube(8.0, 2), [0.5], k=0,
                 reps=5, stream=STREAM.derive(23),
             )
 
@@ -834,7 +851,7 @@ class TestKPercolationCrossing:
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^grid_n must be >= 1$"):
             k_percolation_crossing(
-                pg.homogeneous_poisson(1.0), cube(8.0, 2), r=0.5, grid_n=grid_n,
+                pg.homogeneous_poisson(1.0), cube(8.0, 2), [0.5], grid_n=grid_n,
                 reps=5, stream=STREAM.derive(23),
             )
 
@@ -843,7 +860,7 @@ class TestKPercolationCrossing:
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="below half the smallest window side"):
             k_percolation_crossing(
-                pg.homogeneous_poisson(1.0), cube(8.0, 2), r=5.0, reps=5,
+                pg.homogeneous_poisson(1.0), cube(8.0, 2), [0.5, 5.0], reps=5,
                 stream=STREAM.derive(23),
             )
 
@@ -1305,9 +1322,9 @@ class TestSerialization:
         assert text.endswith("\n")
 
     def test_crossing_csv(self):
-        from ppclust.summaries import EstimateWithError
+        from ppclust.summaries import CurveEstimate, EstimateWithError
 
-        text = crossing_to_csv([(0.5, EstimateWithError(0.25, 0.0625, 16))])
+        text = crossing_to_csv(CurveEstimate((0.5,), (EstimateWithError(0.25, 0.0625, 16),)))
         assert text == "r,crossing_prob,std_error\n0.5,0.25,0.0625\n"
 
     def test_graph_csv(self):

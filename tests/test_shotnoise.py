@@ -34,7 +34,7 @@ from ppclust.shotnoise import (
     power_law_response,
     tabulated_response,
 )
-from ppclust.summaries import EstimateWithError
+from ppclust.summaries import CurveEstimate, EstimateWithError
 
 STREAM = RandomStream(91)
 
@@ -340,8 +340,8 @@ class TestCoverageFieldAgainstDense:
 
 class TestCoverageCurve:
     # Every radius reads the same replications and one query at the largest
-    # radius, so each row equals the one-radius call.  Radii unsorted, one
-    # repeated.
+    # radius, so each row equals the one-radius call ([r]).  Radii unsorted,
+    # one repeated.
     SPECS = {
         "poisson": homogeneous_poisson(1.0),
         "thomas": thomas_cluster(0.2, 5.0, 0.4),
@@ -353,11 +353,12 @@ class TestCoverageCurve:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_each_radius_equals_the_one_radius_call(self, name, k):
         spec, w, stream = self.SPECS[name], periodic(8.0), STREAM.derive(60)
-        curve = shotnoise._coverage_curve(spec, w, self.RADII, k, 16, 6, stream, 1)
-        assert list(curve) == [
-            k_covered_volume(spec, w, r, k, 16, 6, stream) for r in self.RADII
-        ]
-        assert curve[0].value > 0
+        curve = k_covered_volume(spec, w, self.RADII, k, 16, 6, stream)
+        assert curve.abscissa == tuple(self.RADII)
+        assert curve.estimates == tuple(
+            k_covered_volume(spec, w, [r], k, 16, 6, stream).estimates[0] for r in self.RADII
+        )
+        assert curve.estimates[0].value > 0
 
     @pytest.mark.parametrize("metric", ["periodic", "euclidean"])
     def test_counts_match_the_dense_oracle_at_every_radius(self, metric):
@@ -382,67 +383,67 @@ class TestCoverageCurve:
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^radii must be non-negative$"):
-            shotnoise._coverage_curve(
-                homogeneous_poisson(1.0), periodic(8.0), [0.5, -1.0], 1, 8, 4, STREAM, 1
+            k_covered_volume(
+                homogeneous_poisson(1.0), periodic(8.0), [0.5, -1.0], 1, 8, 4, STREAM
             )
 
 
 class TestKCoveredVolume:
     def test_poisson_single_coverage(self):
         # P(covered) = 1 - exp(-lambda pi r^2); window volume 100.
-        est = k_covered_volume(
+        (est,) = k_covered_volume(
             homogeneous_poisson(1.0),
             periodic(10.0),
-            0.5,
+            [0.5],
             k=1,
             grid_n=64,
             reps=60,
             stream=STREAM,
-        )
+        ).estimates
         exact = 100.0 * (1.0 - math.exp(-math.pi / 4.0))
         assert est.value == pytest.approx(exact, abs=3 * est.std_error)
 
     def test_full_volume_when_radius_covers_lattice(self):
         # Square lattice spacing 1: half-diagonal ~0.7071 covers everything.
-        est = k_covered_volume(
-            square_lattice(1.0), periodic(4.0), 0.75, k=1, grid_n=32, reps=5, stream=STREAM
-        )
+        (est,) = k_covered_volume(
+            square_lattice(1.0), periodic(4.0), [0.75], k=1, grid_n=32, reps=5, stream=STREAM
+        ).estimates
         assert est.value == pytest.approx(16.0)
         assert est.std_error == 0.0
 
     def test_empty_process_covers_nothing(self):
         spec = perturbed_lattice(1.0, deterministic(0), uniform_in_cell())
-        est = k_covered_volume(spec, periodic(4.0), 0.5, k=1, grid_n=16, reps=5, stream=STREAM)
-        assert est.value == 0.0
+        curve = k_covered_volume(spec, periodic(4.0), [0.5], k=1, grid_n=16, reps=5, stream=STREAM)
+        assert curve.values().tolist() == [0.0]
 
     def test_monotone_in_k_and_r(self):
         # On a fixed seed the covered region shrinks with k and grows with r.
         w = periodic(6.0)
         values_k = [
             k_covered_volume(
-                homogeneous_poisson(2.0), w, 0.5, k=k, grid_n=48, reps=8, stream=STREAM.derive(1)
-            ).value
+                homogeneous_poisson(2.0), w, [0.5], k=k, grid_n=48, reps=8, stream=STREAM.derive(1)
+            ).estimates[0].value
             for k in (1, 2, 3)
         ]
         assert values_k[0] >= values_k[1] >= values_k[2]
         values_r = [
             k_covered_volume(
-                homogeneous_poisson(2.0), w, r, k=1, grid_n=48, reps=8, stream=STREAM.derive(1)
-            ).value
+                homogeneous_poisson(2.0), w, [r], k=1, grid_n=48, reps=8, stream=STREAM.derive(1)
+            ).estimates[0].value
             for r in (0.2, 0.4, 0.8)
         ]
         assert values_r[0] <= values_r[1] <= values_r[2]
 
     def test_grid_refinement_converges(self):
-        args = (homogeneous_poisson(1.0), periodic(10.0), 0.5, 1)
+        args = (homogeneous_poisson(1.0), periodic(10.0), [0.5], 1)
         coarse = k_covered_volume(*args, grid_n=64, reps=5, stream=STREAM.derive(2))
         fine = k_covered_volume(*args, grid_n=128, reps=5, stream=STREAM.derive(2))
-        assert abs(coarse.value - fine.value) < 1.0
+        assert abs(coarse.values()[0] - fine.values()[0]) < 1.0
 
     def test_k_validated(self):
         with pytest.raises(ValueError, match="k must be"):
             k_covered_volume(
-                homogeneous_poisson(1.0), periodic(4.0), 0.5, k=0, reps=2, stream=STREAM
+                homogeneous_poisson(1.0), periodic(4.0), [0.5], k=0, reps=2, stream=STREAM
             )
 
     @pytest.mark.parametrize("grid_n", [2.5, 2.0])
@@ -452,7 +453,7 @@ class TestKCoveredVolume:
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="^grid_n must be >= 1$"):
             k_covered_volume(
-                homogeneous_poisson(1.0), periodic(6.0), 0.5, grid_n=grid_n, reps=4,
+                homogeneous_poisson(1.0), periodic(6.0), [0.5], grid_n=grid_n, reps=4,
                 stream=STREAM,
             )
 
@@ -460,7 +461,9 @@ class TestKCoveredVolume:
     def test_rejects_torus_wide_radius_before_sampling(self, monkeypatch):
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
         with pytest.raises(ValueError, match="below half the smallest window side"):
-            k_covered_volume(homogeneous_poisson(1.0), periodic(8.0), 5.0, reps=5, stream=STREAM)
+            k_covered_volume(
+                homogeneous_poisson(1.0), periodic(8.0), [0.5, 5.0], reps=5, stream=STREAM
+            )
 
 
 class TestLevelExceedanceBound:
@@ -590,6 +593,17 @@ class TestLevelExceedanceGridEnds:
         fine = chernoff_grid_bound(1.0, h, 2000.0, 2, np.linspace(0.0, 2**-9.5, 4001)[1:])
         assert bound == pytest.approx(fine, rel=shotnoise._GOLDEN_RTOL)
 
+    def test_a_minimum_below_the_grid_is_found(self):
+        # The log-bound is +27.75 at 2^-10, the grid's smallest s, and above
+        # 0 across the grid, but its slope at 0, lam * (integral of h) - a,
+        # is 25 pi - 500 < 0: it dips to -0.121 at 2^-11.
+        h = power_law_response(3.0, 0.04)
+        assert chernoff_grid_bound(1.0, h, 500.0, 2, shotnoise._S_GRID) == 1.0
+        bound = level_exceedance_bound(1.0, h, 500.0, "min_above", 2)
+        fine = chernoff_grid_bound(1.0, h, 500.0, 2, np.linspace(0.0, 2**-9.5, 4001)[1:])
+        assert fine == pytest.approx(0.874, abs=1e-3)
+        assert bound == pytest.approx(fine, rel=shotnoise._GOLDEN_RTOL)
+
     def test_a_minimum_past_the_top_of_the_grid_is_refined(self):
         # A response this weak keeps the log-bound falling past s = 2^6.
         h = tabulated_response([0.0, 0.5, 1.0], [0.001, 0.0005, 0.0])
@@ -601,6 +615,6 @@ class TestLevelExceedanceGridEnds:
 
 class TestSerialization:
     def test_coverage_csv(self):
-        rows = [(0.5, 1, EstimateWithError(54.5, 0.25, 60))]
-        text = coverage_summary_to_csv(rows)
+        curve = CurveEstimate((0.5,), (EstimateWithError(54.5, 0.25, 60),))
+        text = coverage_summary_to_csv(curve, 1)
         assert text == "r,k,volume,std_error\n0.5,1,54.5,0.25\n"

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import ppclust.procgen as pg
-from ppclust import percolation, shotnoise
 from ppclust.compare import compare_two, concentration_check, weak_poisson_test
 from ppclust.complexes import betti_scaling_experiment
 from ppclust.core import RandomStream, cube
@@ -52,11 +51,11 @@ ESTIMATORS = {
         dict(reps=8, stream=STREAM.derive(0)),
     ),
     "crossing_probability": (
-        crossing_probability, (POISSON, BOX, 0.55), dict(reps=8, stream=STREAM.derive(1))
+        crossing_probability, (POISSON, BOX, [0.55]), dict(reps=8, stream=STREAM.derive(1))
     ),
     # One prepared Euclidean LGCP spectrum serves every replication's field.
     "lgcp_crossing_probability": (
-        crossing_probability, (LGCP, BOX, 0.8), dict(reps=8, stream=STREAM.derive(19))
+        crossing_probability, (LGCP, BOX, [0.8]), dict(reps=8, stream=STREAM.derive(19))
     ),
     "critical_radius": (
         critical_radius, (POISSON, BOX), dict(reps=6, tol=0.1, stream=STREAM.derive(2))
@@ -97,12 +96,12 @@ ESTIMATORS = {
     ),
     "k_percolation_crossing": (
         k_percolation_crossing,
-        (POISSON, TORUS, 0.6),
+        (POISSON, TORUS, [0.6]),
         dict(k=2, grid_n=16, reps=8, stream=STREAM.derive(10)),
     ),
     "k_covered_volume": (
         k_covered_volume,
-        (THOMAS, TORUS, 0.6),
+        (THOMAS, TORUS, [0.6]),
         dict(k=2, grid_n=16, reps=8, stream=STREAM.derive(11)),
     ),
     "void_probability": (
@@ -123,17 +122,23 @@ ESTIMATORS = {
     ),
     "induced_subgraph_count": (induced_subgraph_count, (GRAPH, named_motif("path3")), {}),
     # The radius-grid curves: every radius from the same replications.
-    "_crossing_curve": (
-        percolation._crossing_curve,
+    "crossing_probability_grid": (
+        crossing_probability,
         (POISSON, BOX, [0.55, 0.3, 0.8, 0.3]),
         dict(reps=8, stream=STREAM.derive(17)),
     ),
-    "_coverage_curve": (
-        shotnoise._coverage_curve,
+    "k_covered_volume_grid": (
+        k_covered_volume,
         (THOMAS, TORUS, [0.6, 0.2, 1.0]),
         dict(k=2, grid_n=16, reps=8, stream=STREAM.derive(18)),
     ),
+    "k_percolation_crossing_grid": (
+        k_percolation_crossing,
+        (POISSON, TORUS, [0.6, 1.2, 0.3, 1.2]),
+        dict(k=2, grid_n=16, reps=8, stream=STREAM.derive(20)),
+    ),
 }
+GRIDS = ["crossing_probability_grid", "k_covered_volume_grid", "k_percolation_crossing_grid"]
 REPLICATED = sorted(name for name, (_, _, kwargs) in ESTIMATORS.items() if "reps" in kwargs)
 
 
@@ -160,7 +165,7 @@ def test_rejects_missing_stream_and_nonpositive_reps_before_sampling(name, monke
             run(name, reps=reps)
 
 
-@pytest.mark.parametrize("name", ["_crossing_curve", "_coverage_curve"])
+@pytest.mark.parametrize("name", GRIDS)
 def test_radius_grids_reject_no_radii_before_sampling(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before validating the radii")

@@ -43,6 +43,10 @@ ORDER_MAX = [1, 5, 2.5]  # an integer highest order between 2 and 4
 DIM = [0, -1, 1.5]  # an integer dimension >= 1
 N_LIST = [0, -4, 2.5]  # an integer window volume >= 1
 BETTI_K = [-1, 3, 1.5]  # an integer Betti index between 0 and 2
+MAX_DIM = [-1, 5, 1.5]  # an integer complex dimension between 0 and 4
+SUBSET_K = [0, 5, 2.5]  # an integer subset size between 1 and 4
+MOTIF_K = [1, 6, 2.0]  # an integer motif size between 2 and 5
+CONCENTRATION_N = [15, 16.9, 64.0]  # an integer window volume >= 16
 
 POISSON = pg.homogeneous_poisson(1.0)
 BALL = sn.indicator_ball(1.0)
@@ -60,6 +64,10 @@ def _euclid():
 
 def _pattern(w):
     return PointPattern(w, np.array([[1.0, 1.0], [2.0, 1.5], [6.0, 6.0]]))
+
+
+def _one(points):
+    return 1.0
 
 
 # (label, constructor of the parameter value, values just outside its bound)
@@ -123,11 +131,6 @@ FACTORIES = [
 
 ESTIMATORS = [
     (
-        "crossing_probability.r",
-        lambda x: percolation.crossing_probability(POISSON, _euclid(), x, 5, STREAM),
-        [-1e-300],
-    ),
-    (
         "critical_radius.tol",
         lambda x: percolation.critical_radius(POISSON, _euclid(), 5, x, STREAM),
         POS,
@@ -140,8 +143,35 @@ ESTIMATORS = [
         [-1e-300],
     ),
     ("cech_complex.r", lambda x: complexes.cech_complex(_pattern(_euclid()), x), [-1e-300]),
+    (
+        "vietoris_rips.max_dim",
+        lambda x: complexes.vietoris_rips(_pattern(_euclid()), 0.5, x),
+        MAX_DIM,
+    ),
+    (
+        "cech_complex.max_dim",
+        lambda x: complexes.cech_complex(_pattern(_euclid()), 0.5, x),
+        MAX_DIM,
+    ),
+    ("u_statistic.k", lambda x: graphs.u_statistic(_pattern(_euclid()), x, _one), SUBSET_K),
+    (
+        "u_statistic_pattern.k",
+        lambda x: graphs.u_statistic_pattern(_pattern(_euclid()), x, _one),
+        SUBSET_K,
+    ),
+    ("Motif.k", lambda x: graphs.Motif(x, np.ones((2, 2)) - np.eye(2)), MOTIF_K),
+    (
+        "concentration_check.n_list",
+        lambda x: compare.concentration_check(POISSON, n_list=[64, x], reps=20, stream=STREAM),
+        CONCENTRATION_N,
+    ),
     ("coverage_field.r", lambda x: sn.coverage_field(_pattern(_euclid()), x, 4), NONNEG),
     # Grids: the bad value follows a good one.
+    (
+        "crossing_probability.radii",
+        lambda x: percolation.crossing_probability(POISSON, _euclid(), [0.5, x], 5, STREAM),
+        [-1e-300],
+    ),
     (
         "component_fraction_sweep.radii",
         lambda x: percolation.component_fraction_sweep(POISSON, _periodic(), [0.5, x], 5, STREAM),
@@ -159,13 +189,14 @@ ESTIMATORS = [
     ),
     ("close_pair_count.r", lambda x: summaries.close_pair_count(_pattern(_euclid()), x), NONNEG),
     (
-        "k_covered_volume.r",
-        lambda x: sn.k_covered_volume(POISSON, _periodic(), x, reps=5, stream=STREAM),
+        "k_covered_volume.radii",
+        lambda x: sn.k_covered_volume(POISSON, _periodic(), [0.5, x], reps=5, stream=STREAM),
         NONNEG,
     ),
     (
-        "k_percolation_crossing.r",
-        lambda x: percolation.k_percolation_crossing(POISSON, _euclid(), x, reps=5, stream=STREAM),
+        "k_percolation_crossing.radii",
+        lambda x: percolation.k_percolation_crossing(POISSON, _euclid(), [0.5, x], reps=5,
+                                                     stream=STREAM),
         NONNEG,
     ),
     (
@@ -332,6 +363,12 @@ def test_in_bound_values_pass_validation(table):
         "betti_scaling_experiment.n_list": 4,
         "betti_scaling_experiment.d": 2,
         "betti_scaling_experiment.k": 1,
+        "vietoris_rips.max_dim": 2,
+        "cech_complex.max_dim": 2,
+        "u_statistic.k": 2,
+        "u_statistic_pattern.k": 2,
+        "Motif.k": 2,
+        "concentration_check.n_list": 16,
         "tabulated_response.radii[0]": 0.5,
         "tabulated_response.radii[1]": 1.5,
         "tabulated_response.radii[-1]": 3.0,
@@ -409,12 +446,13 @@ CONTRACTS = [
     (
         "k_covered_volume",
         None,
-        lambda w, rho: sn.k_covered_volume(POISSON, w, rho, reps=5, stream=STREAM),
+        lambda w, rho: sn.k_covered_volume(POISSON, w, [rho], reps=5, stream=STREAM),
     ),
     (
         "k_percolation_crossing",
         None,
-        lambda w, rho: percolation.k_percolation_crossing(POISSON, w, rho, reps=5, stream=STREAM),
+        lambda w, rho: percolation.k_percolation_crossing(POISSON, w, [rho], reps=5,
+                                                          stream=STREAM),
     ),
     ("ripley_k", "periodic", lambda w, rho: summaries.ripley_k(POISSON, w, [rho], 5, STREAM)),
     (
@@ -471,7 +509,7 @@ CONTRACTS = [
     (
         "crossing_probability",
         "euclidean",
-        lambda w, rho: percolation.crossing_probability(POISSON, w, rho / 2, 5, STREAM),
+        lambda w, rho: percolation.crossing_probability(POISSON, w, [rho / 2], 5, STREAM),
     ),
     (
         "critical_radius",
@@ -612,16 +650,20 @@ SAMPLING = [
         None,
         lambda s, w: percolation.component_fraction_sweep(s, w, [0.5], 5, STREAM),
     ),
-    ("k_covered_volume", None, lambda s, w: sn.k_covered_volume(s, w, 0.5, reps=5, stream=STREAM)),
+    (
+        "k_covered_volume",
+        None,
+        lambda s, w: sn.k_covered_volume(s, w, [0.5], reps=5, stream=STREAM),
+    ),
     (
         "k_percolation_crossing",
         None,
-        lambda s, w: percolation.k_percolation_crossing(s, w, 0.5, reps=5, stream=STREAM),
+        lambda s, w: percolation.k_percolation_crossing(s, w, [0.5], reps=5, stream=STREAM),
     ),
     (
         "crossing_probability",
         "euclidean",
-        lambda s, w: percolation.crossing_probability(s, w, 0.5, 5, STREAM),
+        lambda s, w: percolation.crossing_probability(s, w, [0.5], 5, STREAM),
     ),
     (
         "critical_radius",
