@@ -38,7 +38,15 @@ from .core import (
     replicate,
 )
 from .procgen import GeneratorSpec, intensity, prepare
-from .summaries import EstimateWithError, _proportion, _region_estimates, _ripley_k, ball, box
+from .summaries import (
+    EstimateWithError,
+    _check_count_parameters,
+    _proportion,
+    _region_estimates,
+    _ripley_k,
+    ball,
+    box,
+)
 
 __all__ = [
     "ScaleComparison",
@@ -216,10 +224,12 @@ def compare_two(
     ``stream.derive(0)`` and B on ``stream.derive(1)``.  Voids use a ball of
     radius s and the moments and variance a box of side s, so each
     generator's estimate at the first scale equals the single-region
-    estimator's on the same stream, bit for bit.
+    estimator's on the same stream, bit for bit.  ``k`` and ``placements``
+    are checked whatever the statistic.
     """
     if statistic not in COMPARISON_STATISTICS:
         raise ValueError(f"statistic must be one of {COMPARISON_STATISTICS}")
+    _check_count_parameters([k], placements)
     scales = check_radii("scales", scales, "pos").tolist()
     check_replications(reps, stream)
     lam_a = intensity(spec_a, d=w.dim, w=w).value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -473,14 +474,17 @@ def run_indexed(n: int, fn, threads: int = 1) -> list:
     Work items are pure functions of their index (each derives its own
     stream), so the reduction order is fixed regardless of scheduling and
     results are identical for any thread count.  ``threads`` must be an
-    integer >= 1.
+    integer >= 1.  The pool has min(threads, n, os.cpu_count()) workers:
+    it starts one OS thread per submit up to that cap, and a thread beyond
+    the work items or the cores adds no overlap.
     """
     check_number("threads", threads, 1)
-    if threads <= 1 or n <= 1:
+    workers = min(threads, n, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(n)]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 
 

@@ -318,6 +318,15 @@ def _region_estimate(counts: np.ndarray, statistic, placements: int) -> Estimate
     return _estimate(np.mean(_falling_factorial(counts, statistic), axis=1))
 
 
+def _check_count_parameters(orders, placements):
+    """Reject a factorial order outside 1..MAX_FACTORIAL_ORDER or fewer than
+    one placement per region."""
+    for k in orders:
+        if check_number("k", k, 1) > MAX_FACTORIAL_ORDER:
+            raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
+    check_number("placements", placements, 1)
+
+
 def _region_estimates(what, sampler, regions, statistics, placements, reps, stream, threads):
     """Estimate each statistic of ``statistics[i]`` at ``regions[i]``: one
     tuple of estimates per region, all from one replication.
@@ -334,11 +343,9 @@ def _region_estimates(what, sampler, regions, statistics, placements, reps, stre
     after it, so the first equal a single-region call's at the same stream.
     """
     w = sampler.window
-    for k in (s for stats in statistics for s in stats if not isinstance(s, str)):
-        if check_number("k", k, 1) > MAX_FACTORIAL_ORDER:
-            raise ValueError(f"k must be between 1 and {MAX_FACTORIAL_ORDER}")
+    orders = [s for stats in statistics for s in stats if not isinstance(s, str)]
+    _check_count_parameters(orders, placements)
     check_window(what, w, "periodic", reach=max(r.max_extent() for r in regions) / 2)
-    check_number("placements", placements, 1)
     if any("variance" in stats for stats in statistics) and not reps >= 3:
         # two means must be left after each leave-one-out deletion
         raise ValueError("the jackknife needs reps >= 3")

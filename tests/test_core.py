@@ -242,6 +242,37 @@ class TestRunIndexed:
             core.run_indexed(8, calls.append, threads)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "threads, n, cores, workers",
+        [(64, 10, 4, 4), (3, 10, 8, 3), (64, 5, 8, 5), (2, 10, 2, 2), (64, 10, 1, None),
+         (64, 10, None, None), (4, 1, 8, None)],
+    )
+    def test_pool_workers_are_capped_by_items_and_cores(self, monkeypatch, threads, n, cores,
+                                                         workers):
+        # The executor starts one OS thread per submit up to max_workers, so
+        # the cap is read from a stand-in that starts none.
+        import concurrent.futures
+
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(core.os, "cpu_count", lambda: cores)
+        assert core.run_indexed(n, lambda i: i * i, threads) == [i * i for i in range(n)]
+        assert made == ([] if workers is None else [workers])
+
 
 def test_sort_points_lexicographic():
     pts = np.array([[2.0, 1.0], [1.0, 5.0], [1.0, 2.0]])

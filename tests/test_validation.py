@@ -268,6 +268,24 @@ ESTIMATORS = [
         ORDER,
     ),
     (
+        "compare_two.voids.k",
+        lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "voids", [0.5], k=x, reps=5,
+                                      stream=STREAM),
+        ORDER,
+    ),
+    (
+        "compare_two.ripley_k.k",
+        lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "ripley_k", [0.5], k=x,
+                                      reps=5, stream=STREAM),
+        ORDER,
+    ),
+    (
+        "compare_two.ripley_k.placements",
+        lambda x: compare.compare_two(POISSON, POISSON, _periodic(), "ripley_k", [0.5],
+                                      placements=x, reps=5, stream=STREAM),
+        PLACEMENTS,
+    ),
+    (
         "scaling_experiment.r_rule",
         lambda x: graphs.scaling_experiment(POISSON, lambda n: x, [16], reps=2, stream=STREAM),
         POS,
@@ -358,6 +376,9 @@ def test_in_bound_values_pass_validation(table):
         "weak_poisson_test.placements": 4,
         "weak_poisson_test.k_max": 3,
         "compare_two.k": 2,
+        "compare_two.voids.k": 2,
+        "compare_two.ripley_k.k": 2,
+        "compare_two.ripley_k.placements": 4,
         "scaling_experiment.n_list": 4,
         "scaling_experiment.d": 2,
         "betti_scaling_experiment.n_list": 4,
