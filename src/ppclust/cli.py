@@ -50,7 +50,7 @@ from . import (
     shotnoise,
     summaries,
 )
-from .core import RandomStream, Window, box, check_number, csv_text
+from .core import MAX_DIMENSION, RandomStream, Window, box, check_number, csv_text
 
 
 class ConfigError(Exception):
@@ -344,6 +344,11 @@ def _handle_window(section: str, items: dict) -> tuple:
     """Validate a [window] section; returns (Window, canonical key dict)."""
     values, _ = _validate_section(section, items, _WINDOW_KEYS)
     sides, dim, metric = values["sides"], values["dimension"], values["metric"]
+    if (dim or len(sides)) > MAX_DIMENSION:
+        raise ConfigError(
+            f"[{section}] dimension: a window has at most {MAX_DIMENSION} axes, "
+            f"got {dim or len(sides)}"
+        )
     if dim is not None:
         if len(sides) == 1:
             sides = sides * dim
@@ -578,11 +583,16 @@ def read_config_file(path: Path) -> dict:
     except configparser.Error as exc:
         # configparser messages already name the key and line where relevant
         raise ConfigError(str(exc))
-    raw = {}
+    raw, names = {}, {}
     for section in parser.sections():
-        raw[section.strip().lower()] = {
-            key: value for key, value in parser.items(section)
-        }
+        name = section.strip().lower()
+        if name in names:
+            raise ConfigError(
+                f"sections [{names[name]}] and [{section}] are the same section: "
+                "section names ignore case"
+            )
+        names[name] = section
+        raw[name] = dict(parser.items(section))
     if parser.defaults():
         raise ConfigError("a [DEFAULT] section is not allowed")
     return raw
@@ -884,10 +894,7 @@ def _run_coverage(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
 
 
 def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
-    """One SINR graph per gamma from one percolation._sinr_graphs call, the
-    CLI's only call of a private library function: the public sinr_graph
-    builds one graph, at one gamma, and the benchmark's tracer counts the
-    edges of that one Graph."""
+    """One SINR graph per gamma, from one sinr_graphs call per pattern."""
     p = rc["sinr"]
     pattern_b = procgen.sample(rc.generator, rc.window, stream.derive(0))
     if rc.generator_b is None:
@@ -900,7 +907,7 @@ def _run_sinr(rc: ResolvedConfig, stream, reps, threads: int) -> tuple:
     )
     gammas = p["gammas"]
     sweep = gammas if len(gammas) > 1 else []
-    g, *swept = percolation._sinr_graphs(pattern_b, pattern_i, params, [p["gamma"], *sweep])
+    g, *swept = percolation.sinr_graphs(pattern_b, pattern_i, params, [p["gamma"], *sweep])
     sizes = percolation.components(g)
     files = [
         ("edges.csv", percolation.graph_to_csv(g)),

@@ -358,11 +358,10 @@ def neighbor_pairs(points: np.ndarray, w: Window, cutoff: float) -> np.ndarray:
 
 
 def near_pairs(
-    eval_points: np.ndarray, points: np.ndarray, w: Window, cutoff: float, p: float = 2.0
+    eval_points: np.ndarray, points: np.ndarray, w: Window, cutoff: float
 ) -> np.ndarray:
-    """(eval, point) index pairs that may lie within the cutoff in the
-    Minkowski p-norm (2 for balls, inf for boxes), as an unsorted (m, 2)
-    int64 array.
+    """(eval, point) index pairs that may lie within the Euclidean cutoff,
+    as an unsorted (m, 2) int64 array.
 
     One KD-tree cross query, periodic on a torus, with the slack of
     ``_trees``: the result is a superset of the pairs within the cutoff,
@@ -371,7 +370,7 @@ def near_pairs(
     if eval_points.shape[0] == 0 or points.shape[0] == 0 or not cutoff >= 0:
         return np.empty((0, 2), dtype=np.int64)
     radius, eval_tree, tree = _trees(w, cutoff, eval_points, points)
-    found = eval_tree.sparse_distance_matrix(tree, radius, p=p, output_type="ndarray")
+    found = eval_tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
     return np.stack([found["i"], found["j"]], axis=1).astype(np.int64, copy=False)
 
 
@@ -468,26 +467,6 @@ def sort_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def run_indexed(n: int, fn, threads: int = 1) -> list:
-    """Evaluate fn(0..n-1), collecting results in index order.
-
-    Work items are pure functions of their index (each derives its own
-    stream), so the reduction order is fixed regardless of scheduling and
-    results are identical for any thread count.  ``threads`` must be an
-    integer >= 1.  The pool has min(threads, n, os.cpu_count()) workers:
-    it starts one OS thread per submit up to that cap, and a thread beyond
-    the work items or the cores adds no overlap.
-    """
-    check_number("threads", threads, 1)
-    workers = min(threads, n, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def check_replications(reps: int, stream: RandomStream):
     """Reject a missing stream or a replication count below one."""
     if stream is None:
@@ -507,12 +486,25 @@ def replicate(reps: int, stream: RandomStream, threads: int, one) -> list:
     on the same replications, so neighbouring estimates share noise but
     each is individually unbiased.
 
+    This is the library's one thread pool.  ``threads`` must be an integer
+    >= 1; the pool has min(threads, reps, os.cpu_count()) workers, since a
+    thread beyond the replications or the cores adds no overlap, and one
+    worker runs the replications serially on the calling thread.
+
     A replication that returns None is empty (a pattern with no points,
     say) and is dropped; more than half empty raises ValueError, since the
     estimate would then rest on a minority of the replications.
     """
     check_replications(reps, stream)
-    results = run_indexed(reps, lambda i: one(stream.derive(i)), threads)
+    check_number("threads", threads, 1)
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers <= 1:
+        results = [one(stream.derive(i)) for i in range(reps)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, map(stream.derive, range(reps))))
     kept = [r for r in results if r is not None]
     empties = reps - len(kept)
     if empties * 2 > reps:

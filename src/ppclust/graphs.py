@@ -37,7 +37,6 @@ from .core import (
     check_replications,
     csv_text,
     replicate,
-    run_indexed,
 )
 from .percolation import Graph, _edge_index_array
 from .procgen import GeneratorSpec, prepare
@@ -176,11 +175,12 @@ def _connected_subsets_from_root(neighbors: list, root: int, k: int) -> list:
     return results
 
 
-def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
+def induced_subgraph_count(g: Graph, motif: Motif) -> int:
     """Number of vertex subsets whose induced subgraph matches the motif.
 
     This is the unordered count; multiply by k! for the sum over ordered
-    k-tuples (as u_statistic does).
+    k-tuples (as u_statistic does).  The roots are counted serially: the
+    enumeration is pure Python and holds the GIL, so threads add only cost.
     """
     neighbors = _neighbor_sets(g.n_vertices, g.edges)
     orbit = _orbit_masks(motif.adjacency)
@@ -193,7 +193,7 @@ def induced_subgraph_count(g: Graph, motif: Motif, threads: int = 1) -> int:
             total += mask in orbit
         return total
 
-    return sum(run_indexed(g.n_vertices, count_from_root, threads))
+    return sum(map(count_from_root, range(g.n_vertices)))
 
 
 def _subset_values(pattern: PointPattern, k: int, f) -> list:

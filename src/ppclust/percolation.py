@@ -74,6 +74,7 @@ __all__ = [
     "check_percolation_bounds",
     "k_percolation_crossing",
     "sinr_graph",
+    "sinr_graphs",
     "sweep_to_csv",
     "crossing_to_csv",
     "graph_to_csv",
@@ -509,10 +510,10 @@ def _sinr_reach(params: SinrParams) -> float:
     return l.radial_inverse(level * (1 - 1e-6))
 
 
-def _sinr_graphs(
+def sinr_graphs(
     pattern_b: PointPattern, pattern_i: PointPattern, params: SinrParams, gammas
 ) -> list:
-    """One SINR graph per interference factor in gammas (params.gamma is
+    """sinr_graph at each interference factor in gammas (params.gamma is
     not read), from one set of candidate pairs and one interference field.
 
     The candidates are the pairs within _sinr_reach, from one pair query;
@@ -579,7 +580,7 @@ def sinr_graph(
     except that a receiver coinciding with an interferer does not hear
     itself (self-term removed by coordinate match).
     """
-    return _sinr_graphs(pattern_b, pattern_i, params, [params.gamma])[0]
+    return sinr_graphs(pattern_b, pattern_i, params, [params.gamma])[0]
 
 
 # ---------------------------------------------------------------------------

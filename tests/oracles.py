@@ -401,10 +401,10 @@ def dense_counts_in_regions(centers, points, lower, upper, metric, kind, size):
 
 
 def per_region_counts(pattern, centers, region):
-    """Points inside one region at each centre, by one KD-tree cross query
-    per region: a Euclidean query at the radius for a ball, a max-norm
-    query at half the side for a box, then the region's own formula on the
-    offsets.  A reference for summaries._counts_in_regions."""
+    """Points inside one region at each centre, by one Euclidean KD-tree
+    cross query per region: at the radius for a ball, at the circumradius
+    for a box, then the region's own formula on the offsets.  A reference
+    for summaries._counts_in_regions."""
     import numpy as np
 
     from ppclust.core import min_image, near_pairs
@@ -413,7 +413,7 @@ def per_region_counts(pattern, centers, region):
     if region.kind == "ball":
         pairs = near_pairs(centers, pts, w, region.size)
     else:
-        pairs = near_pairs(centers, pts, w, region.size / 2.0, p=np.inf)
+        pairs = near_pairs(centers, pts, w, region.size / 2.0 * np.sqrt(w.dim))
     delta = min_image(np.abs(centers[pairs[:, 0]] - pts[pairs[:, 1]]), w)
     if region.kind == "ball":
         inside = np.sum(delta**2, axis=1) <= region.size**2
@@ -423,10 +423,11 @@ def per_region_counts(pattern, centers, region):
 
 
 def one_query_counts_in_regions(pattern, centers, regions):
-    """Points inside each region at each of its centres, by one max-norm
-    KD-tree cross query at the largest half-extent of all the regions, then
-    each candidate's offsets re-filtered by its own region's formula.  The
-    retired kernel of summaries._counts_in_regions, kept as its reference."""
+    """Points inside each region at each of its centres, by one Euclidean
+    KD-tree cross query at the circumradius of the largest half-extent of
+    all the regions, then each candidate's offsets re-filtered by its own
+    region's formula.  The retired kernel of summaries._counts_in_regions,
+    which queried the max norm, kept as its reference."""
     import functools
 
     import numpy as np
@@ -435,7 +436,8 @@ def one_query_counts_in_regions(pattern, centers, regions):
 
     pts, w = pattern.points, pattern.window
     flat = centers.reshape(-1, w.dim)
-    pairs = near_pairs(flat, pts, w, max(r.max_extent() for r in regions) / 2, p=np.inf)
+    reach = max(r.max_extent() for r in regions) / 2 * np.sqrt(w.dim)
+    pairs = near_pairs(flat, pts, w, reach)
     delta = min_image(np.abs(flat[pairs[:, 0]] - pts[pairs[:, 1]]), w)
     which = pairs[:, 0] // centers.shape[1]
     is_ball = np.array([r.kind == "ball" for r in regions])[which]
@@ -498,7 +500,7 @@ def lexsorted_neighbor_pairs(points, lower, upper, metric, cutoff):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-def balanced_near_pairs(eval_points, points, lower, upper, metric, cutoff, p):
+def balanced_near_pairs(eval_points, points, lower, upper, metric, cutoff):
     """core.near_pairs on default balanced trees: the set of candidate
     (eval, point) pairs."""
     if len(eval_points) == 0 or len(points) == 0 or not cutoff >= 0:
@@ -506,7 +508,7 @@ def balanced_near_pairs(eval_points, points, lower, upper, metric, cutoff, p):
     eval_tree = _balanced_tree(eval_points, lower, upper, metric)
     tree = _balanced_tree(points, lower, upper, metric)
     found = eval_tree.sparse_distance_matrix(
-        tree, _slack_radius(cutoff, lower, upper), p=p, output_type="ndarray"
+        tree, _slack_radius(cutoff, lower, upper), output_type="ndarray"
     )
     return set(zip(found["i"].tolist(), found["j"].tolist()))
 

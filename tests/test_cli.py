@@ -131,6 +131,39 @@ class TestConfigParsing:
         assert run_cli("sample", "--config", cfg, "--badflag", "3") == 2
         assert "--badflag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window", ["sides = 1\ndimension = 9", "sides = " + ",".join(["1"] * 9)],
+        ids=["dimension", "sides"],
+    )
+    def test_window_beyond_eight_dimensions_rejected(self, tmp_path, capsys, window):
+        body = POISSON_SAMPLE.replace("sides = 8\ndimension = 2", window)
+        cfg = write_config(tmp_path / "c.ini", body)
+        assert run_cli("sample", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "[window] dimension: a window has at most 8 axes, got 9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sections_differing_only_in_case_rejected(self, tmp_path, capsys):
+        body = "[Run]\nseed = 1\nreplications = 999\n" + POISSON_SAMPLE.replace("11", "2")
+        cfg = write_config(tmp_path / "c.ini", body)
+        assert run_cli("sample", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "sections [Run] and [run]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "window", ["sides = 1\ndimension = 8", "sides = " + ",".join(["1"] * 8)],
+        ids=["dimension", "sides"],
+    )
+    def test_window_of_eight_dimensions_accepted(self, tmp_path, window):
+        body = POISSON_SAMPLE.replace("sides = 8\ndimension = 2", window)
+        cfg = write_config(tmp_path / "c.ini", body)
+        assert run_cli("sample", "--config", cfg, "--out", tmp_path / "o") == 0
+        assert "sides = " + ",".join(["1.0"] * 8) in (tmp_path / "o" / "manifest.ini").read_text()
+
+    def test_one_section_in_any_case_is_read(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", POISSON_SAMPLE.replace("[run]", "[Run]"))
+        assert run_cli("sample", "--config", cfg, "--out", tmp_path / "o") == 0
+        assert "seed = 11" in (tmp_path / "o" / "manifest.ini").read_text()
+
     def test_comments_and_inline_comments_ignored(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.ini",

@@ -223,34 +223,13 @@ class TestReplicate:
             core.replicate(3, None, 1, lambda rep: 0.0)
 
 
-class TestRunIndexed:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_first_failing_index_raises(self, threads):
-        def fn(i):
-            if i in (3, 5):
-                raise ValueError(f"index {i}")
-            return i
+class TestReplicatePool:
+    # The executor starts one OS thread per submit up to max_workers, so the
+    # pool is replaced by a recorder of that cap which starts none.
+    STREAM = core.RandomStream(37)
 
-        with pytest.raises(ValueError, match="index 3"):
-            core.run_indexed(8, fn, threads)
-
-    @pytest.mark.parametrize("threads", [math.nan, math.inf, 0, -3, 2.5])
-    def test_out_of_bound_thread_count_raises_before_any_work(self, threads):
-        # A NaN worker cap would start no worker and wait forever.
-        calls = []
-        with pytest.raises(ValueError, match="^threads must be >= 1$"):
-            core.run_indexed(8, calls.append, threads)
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "threads, n, cores, workers",
-        [(64, 10, 4, 4), (3, 10, 8, 3), (64, 5, 8, 5), (2, 10, 2, 2), (64, 10, 1, None),
-         (64, 10, None, None), (4, 1, 8, None)],
-    )
-    def test_pool_workers_are_capped_by_items_and_cores(self, monkeypatch, threads, n, cores,
-                                                         workers):
-        # The executor starts one OS thread per submit up to max_workers, so
-        # the cap is read from a stand-in that starts none.
+    @pytest.fixture
+    def caps(self, monkeypatch):
         import concurrent.futures
 
         made = []
@@ -269,9 +248,50 @@ class TestRunIndexed:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        return made
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_first_failing_index_raises(self, monkeypatch, caps, threads):
+        def one(rep):
+            if rep.path[-1] in (3, 5):
+                raise ValueError(f"index {rep.path[-1]}")
+            return rep.path[-1]
+
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        with pytest.raises(ValueError, match="index 3"):
+            core.replicate(8, self.STREAM, threads, one)
+        assert caps == ([] if threads == 1 else [threads])
+
+    @pytest.mark.parametrize("threads", [math.nan, math.inf, 0, -3, 2.5])
+    def test_out_of_bound_thread_count_raises_before_any_work(self, caps, threads):
+        # A NaN worker cap would start no worker and wait forever.
+        calls = []
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            core.replicate(8, self.STREAM, threads, calls.append)
+        assert calls == [] and caps == []
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_empty_rule_holds_on_either_path(self, monkeypatch, caps, threads):
+        def first_empty(count):
+            return lambda rep: None if rep.path[-1] < count else rep.path[-1]
+
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        assert core.replicate(8, self.STREAM, threads, first_empty(4)) == [4, 5, 6, 7]
+        with pytest.raises(ValueError, match="5 of 8 replications were empty"):
+            core.replicate(8, self.STREAM, threads, first_empty(5))
+        assert caps == ([] if threads == 1 else [threads, threads])
+
+    @pytest.mark.parametrize(
+        "threads, reps, cores, workers",
+        [(64, 10, 4, 4), (3, 10, 8, 3), (64, 5, 8, 5), (2, 10, 2, 2), (64, 10, 1, None),
+         (64, 10, None, None), (4, 1, 8, None)],
+    )
+    def test_pool_workers_are_capped_by_replications_and_cores(self, monkeypatch, caps, threads,
+                                                               reps, cores, workers):
         monkeypatch.setattr(core.os, "cpu_count", lambda: cores)
-        assert core.run_indexed(n, lambda i: i * i, threads) == [i * i for i in range(n)]
-        assert made == ([] if workers is None else [workers])
+        got = core.replicate(reps, self.STREAM, threads, lambda rep: rep.path[-1] ** 2)
+        assert got == [i * i for i in range(reps)]
+        assert caps == ([] if workers is None else [workers])
 
 
 def test_sort_points_lexicographic():
@@ -352,21 +372,20 @@ def _brute_near(eval_points, points, w, cutoff, p):
 
 
 class TestNearPairs:
-    @pytest.mark.parametrize("p", [2.0, np.inf])
     @pytest.mark.parametrize("metric", ["euclidean", "periodic"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_superset_of_brute_force_in_every_dimension(self, d, metric, p):
+    def test_superset_of_brute_force_in_every_dimension(self, d, metric):
         side = {1: 40.0, 2: 7.0, 3: 4.0}[d]
         w = core.cube(side, d, origin=-1.3, metric=metric)
         rng = np.random.default_rng(10 + d)
         eval_points = w.lower + rng.random((30, d)) * w.sides
         points = w.lower + rng.random((50, d)) * w.sides
         for cutoff in (0.3, 0.8, 1.5):
-            pairs = core.near_pairs(eval_points, points, w, cutoff, p)
+            pairs = core.near_pairs(eval_points, points, w, cutoff)
             assert pairs.dtype == np.int64 and pairs.shape[1] == 2
             found = set(map(tuple, pairs.tolist()))
             assert len(found) == pairs.shape[0]
-            assert _brute_near(eval_points, points, w, cutoff, p) <= found
+            assert _brute_near(eval_points, points, w, cutoff, 2.0) <= found
 
     @pytest.mark.parametrize(
         "eval_points, points, cutoff",
@@ -380,11 +399,10 @@ class TestNearPairs:
         pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), cutoff)
         assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
-    @pytest.mark.parametrize("p", [2.0, np.inf])
-    def test_zero_cutoff_keeps_coincident_points(self, p):
+    def test_zero_cutoff_keeps_coincident_points(self):
         eval_points = np.array([[1.0, 1.0], [3.0, 3.0]])
         points = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
-        pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), 0.0, p)
+        pairs = core.near_pairs(eval_points, points, core.cube(4.0, 2), 0.0)
         assert sorted(map(tuple, pairs.tolist())) == [(0, 0), (0, 2)]
 
 
@@ -460,14 +478,14 @@ class TestTreeShapeAndPairOrder:
         assert np.array_equal(got, want)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=lattice_ties(), p=st.sampled_from([2.0, np.inf]))
-    def test_near_pairs_are_the_balanced_trees_candidates(self, case, p):
+    @given(case=lattice_ties())
+    def test_near_pairs_are_the_balanced_trees_candidates(self, case):
         w, points, centers, cutoff = case
-        got = core.near_pairs(centers, points, w, cutoff, p)
+        got = core.near_pairs(centers, points, w, cutoff)
         found = set(map(tuple, got.tolist()))
         assert len(found) == got.shape[0]
-        assert found == balanced_near_pairs(centers, points, w.lower, w.upper, w.metric, cutoff, p)
-        assert _brute_near(centers, points, w, cutoff, p) <= found
+        assert found == balanced_near_pairs(centers, points, w.lower, w.upper, w.metric, cutoff)
+        assert _brute_near(centers, points, w, cutoff, 2.0) <= found
 
     @settings(max_examples=300, deadline=None)
     @given(case=lattice_ties(), kind=st.sampled_from(["ball", "box"]))

@@ -1074,7 +1074,7 @@ class TestSinrAgainstDenseOracle:
         if separate:
             interferers = pg.sample(pg.homogeneous_poisson(0.8), w, STREAM.derive(41))
         attenuation = ATTENUATIONS[kind]
-        graphs = percolation._sinr_graphs(
+        graphs = percolation.sinr_graphs(
             pattern, interferers, SinrParams(1.0, noise, 1.0, 0.0, attenuation), self.GAMMAS
         )
         assert len(graphs) == len(self.GAMMAS)

@@ -73,8 +73,10 @@ RULES = [
     ("one clique candidate kernel", ALL, named("intersection", "intersection_update"), 0),
     ("one Ginibre sampler", ALL,
      named("_ginibre_basis", "gammaincinv", "MAX_GINIBRE_PROPOSALS"), 0),
-    ("one SINR pass per pattern", {"cli"}, named("sinr_graph"), 0),
-    ("one SINR pass per pattern", {"cli"}, calls("_sinr_graphs"), 1),
+    ("one SINR pass per pattern", {"cli"}, named("sinr_graph", "_sinr_graphs"), 0),
+    ("one SINR pass per pattern", {"cli"}, calls("sinr_graphs"), 1),
+    ("the CLI calls only public library functions", {"cli"},
+     lambda n: isinstance(n, ast.Attribute) and n.attr.startswith("_"), 0),
     ("one pass over each radius grid", {"cli"},
      lambda n: calls("derive")(n) and any(not isinstance(a, ast.Constant) for a in n.args), 0),
     ("one pass over each radius grid", ALL, named("_crossing_curve", "_coverage_curve"), 0),
@@ -95,6 +97,9 @@ RULES = [
      lambda n: isinstance(n, ast.BinOp) and re.search(r"lower \+ 2|upper - 2", ast.unparse(n)), 0),
     ("one prepared sampler", {"compare", "complexes", "graphs", "percolation", "shotnoise",
                               "summaries"}, lambda n: str(name(n)).endswith("sample"), 0),
+    # Both uses, the import and the call, sit in core.replicate.
+    ("one thread pool", ALL, named("ThreadPoolExecutor", "Thread", "threading", "run_indexed"), 2),
+    ("one thread pool", {"core.replicate"}, named("ThreadPoolExecutor"), 2),
 ]
 
 # (rule, text, the one "module.function" that may hold it, or None).

@@ -14,7 +14,7 @@ import ppclust.procgen as pg
 from ppclust.compare import compare_two, concentration_check, weak_poisson_test
 from ppclust.complexes import betti_scaling_experiment
 from ppclust.core import RandomStream, cube
-from ppclust.graphs import induced_subgraph_count, named_motif, rgg, scaling_experiment
+from ppclust.graphs import scaling_experiment
 from ppclust.percolation import (
     component_fraction_sweep,
     critical_radius,
@@ -41,7 +41,6 @@ BOX = cube(10.0, 2, metric="euclidean")
 GRID = np.linspace(0.2, 2.0, 10)
 LGCP = pg.log_gaussian_cox(0.0, 1.0, 1.0, 8)
 GINIBRE = pg.ginibre_truncated(20, 4.0)
-GRAPH = rgg(pg.sample(POISSON, BOX, STREAM.derive(99)), 1.5)
 
 # name -> (estimator, positional arguments, keyword arguments)
 ESTIMATORS = {
@@ -120,7 +119,6 @@ ESTIMATORS = {
         (THOMAS, TORUS, lambda pts: 0.1 * np.ones(len(pts))),
         dict(reps=8, stream=STREAM.derive(15)),
     ),
-    "induced_subgraph_count": (induced_subgraph_count, (GRAPH, named_motif("path3")), {}),
     # The radius-grid curves: every radius from the same replications.
     "crossing_probability_grid": (
         crossing_probability,
