@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     RandomStream,
     Window,
+    as_float,
     ball_volume,
     check_number,
     check_radii,
@@ -280,6 +281,8 @@ def concentration_check(
         raise ValueError("the deviation exponent a must lie in (0.5, 1)")
     # Window volumes below 16 are too small to be informative.
     n_list = [int(check_number("n_list", n, 16)) for n in n_list]
+    for n in n_list:
+        as_float("n_list", n)  # n ** a and the cube side take n as a float
     check_replications(reps, stream)
     lam = intensity(spec, d=d).value
     if not math.isclose(lam, 1.0, rel_tol=0.0, abs_tol=UNIT_INTENSITY_ATOL):

@@ -9,6 +9,7 @@ stop-loss transform E(X-a)+, which characterizes cx order at equal means.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,7 +138,14 @@ def _pmf(dist: CountDistribution, i: int) -> float:
         n, prob = p
         if i > n:
             return 0.0
-        return math.comb(n, i) * prob**i * (1.0 - prob) ** (n - i)
+        coefficient = math.comb(n, i)
+        if coefficient <= sys.float_info.max:
+            return coefficient * prob**i * (1.0 - prob) ** (n - i)
+        # Beyond the float range 0 < i < n, so prob 0 or 1 leaves no mass;
+        # math.log reads the exact integer, which lgamma sums would not.
+        if prob in (0.0, 1.0):
+            return 0.0
+        return math.exp(math.log(coefficient) + i * math.log(prob) + (n - i) * math.log1p(-prob))
     if kind == "poisson":
         (lam,) = p
         if lam == 0.0:

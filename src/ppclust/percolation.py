@@ -532,8 +532,6 @@ def sinr_graphs(
     params.attenuation.check_integrable(wb.dim)
     pts = pattern_b.points
     n = pts.shape[0]
-    if n < 2:
-        return [Graph(n, ()) for _ in gammas]
     l = params.attenuation
 
     # Interference first, so that an interferer set over the dense cap

@@ -263,8 +263,6 @@ def pair_correlation(
         pattern = sampler.draw(rep)
         n = pattern.points.shape[0]
         dists = _pair_distances(pattern, grid.max() + bandwidth)
-        if dists.size == 0:
-            return n, np.zeros(grid.size)
         u = (grid[:, None] - dists[None, :]) / bandwidth
         kern = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2) / bandwidth, 0.0)
         return n, 2.0 * np.sum(kern, axis=1)
@@ -306,16 +304,16 @@ def _total_variance(means: np.ndarray, wvars: np.ndarray, placements: int) -> Es
     return EstimateWithError(value, se, reps)
 
 
-def _region_estimate(counts: np.ndarray, statistic, placements: int) -> EstimateWithError:
-    """The estimate of ``"voids"``, ``"variance"`` or factorial order k
-    from one region's (reps, placements) counts.  Each row reduces as the
-    replication's own 1-d counts would, bit for bit."""
+def _region_values(counts: np.ndarray, statistic, placements: int) -> np.ndarray:
+    """One replication's ``"voids"`` or order-k value at each region of its
+    (regions, placements) counts, or for ``"variance"`` the (2, regions) means
+    and within variances; each row reduces as its own 1-d counts would."""
     if statistic == "voids":
-        return _estimate(np.mean(counts == 0, axis=1))
+        return np.mean(counts == 0, axis=1)
     if statistic == "variance":
         wvars = np.var(counts, axis=1, ddof=1) if placements > 1 else np.zeros(len(counts))
-        return _total_variance(np.mean(counts, axis=1), wvars, placements)
-    return _estimate(np.mean(_falling_factorial(counts, statistic), axis=1))
+        return np.array([np.mean(counts, axis=1), wvars])
+    return np.mean(_falling_factorial(counts, statistic), axis=1)
 
 
 def _check_count_parameters(orders, placements):
@@ -338,9 +336,10 @@ def _region_estimates(what, sampler, regions, statistics, placements, reps, stre
     ``rep.derive(1)``, which gives the values of drawing them region by
     region in order, and counts every region in one ``_counts_in_regions``
     call: one KD-tree on the pattern and one counting query per region.
-    Each statistic is then reduced once over the (reps, regions,
-    placements) counts.  A region's estimates do not depend on the regions
-    after it, so the first equal a single-region call's at the same stream.
+    Each replication reduces its own counts to one value per region and
+    statistic, and each estimate stacks its values across replications.  A
+    region's estimates do not depend on the regions after it, so the first
+    equal a single-region call's at the same stream.
     """
     w = sampler.window
     orders = [s for stats in statistics for s in stats if not isinstance(s, str)]
@@ -350,16 +349,23 @@ def _region_estimates(what, sampler, regions, statistics, placements, reps, stre
         # two means must be left after each leave-one-out deletion
         raise ValueError("the jackknife needs reps >= 3")
 
-    def one(rep: RandomStream) -> np.ndarray:
+    kinds = {s for stats in statistics for s in stats}
+
+    def one(rep: RandomStream) -> dict:
         pattern = sampler.draw(rep.derive(0))
         draws = rep.derive(1).generator().random((len(regions), placements, w.dim))
-        return _counts_in_regions(pattern, w.lower + draws * w.sides, regions)
+        counts = _counts_in_regions(pattern, w.lower + draws * w.sides, regions).astype(float)
+        return {s: _region_values(counts, s, placements) for s in kinds}
 
-    counts = np.array(replicate(reps, stream, threads, one), dtype=float)
-    return tuple(
-        tuple(_region_estimate(counts[:, i], s, placements) for s in stats)
-        for i, stats in enumerate(statistics)
-    )
+    per_rep = replicate(reps, stream, threads, one)
+
+    def estimate(i: int, s) -> EstimateWithError:
+        values = np.array([v[s][..., i] for v in per_rep])
+        if s == "variance":
+            return _total_variance(values[:, 0], values[:, 1], placements)
+        return _estimate(values)
+
+    return tuple(tuple(estimate(i, s) for s in stats) for i, stats in enumerate(statistics))
 
 
 def void_probability(

@@ -450,6 +450,31 @@ def one_query_counts_in_regions(pattern, centers, regions):
     return counts.reshape(centers.shape[:2]).astype(np.int64)
 
 
+def batch_region_estimates(counts, statistics, placements):
+    """The estimates of summaries._region_estimates from every
+    replication's counts at once: ``counts`` is the (reps, regions,
+    placements) array, and each statistic of ``statistics[i]`` reduces
+    region i's (reps, placements) slice.  The retired reduction, which held
+    the whole array, kept as its reference."""
+    import numpy as np
+
+    from ppclust.summaries import _estimate, _falling_factorial, _total_variance
+
+    counts = np.array(counts, dtype=float)
+
+    def estimate(c, statistic):
+        if statistic == "voids":
+            return _estimate(np.mean(c == 0, axis=1))
+        if statistic == "variance":
+            wvars = np.var(c, axis=1, ddof=1) if placements > 1 else np.zeros(len(c))
+            return _total_variance(np.mean(c, axis=1), wvars, placements)
+        return _estimate(np.mean(_falling_factorial(c, statistic), axis=1))
+
+    return tuple(
+        tuple(estimate(counts[:, i], s) for s in stats) for i, stats in enumerate(statistics)
+    )
+
+
 def _window_relative(points, lower, upper, metric):
     """Points as offsets from lower, wrapped to 0 where a torus coordinate
     rounds up to the full side."""

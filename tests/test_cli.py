@@ -456,6 +456,15 @@ class TestKernelChainExperiment:
         assert all(row[3] == "holds" for row in rows)
         assert all(float(row[4]) >= -1e-12 for row in rows)
 
+    def test_binomial_beyond_the_float_range(self, tmp_path):
+        # C(2000, i) passes the float range; every verdict still holds.
+        cfg = write_config(tmp_path / "k.ini", "[kernel_chain]\nr_values = 2,4,2000\n")
+        assert run_cli("kernel_chain", "--config", cfg, "--out", tmp_path / "a") == 0
+        lines = (tmp_path / "a" / "chain.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        assert "binomial(2000 0.0005)" in rows[4]
+        assert [row[3] for row in rows[1:]] == ["holds"] * 9
+
     def test_chain_endpoints(self, tmp_path):
         cfg = write_config(tmp_path / "k.ini", "[kernel_chain]\n")
         run_cli("kernel_chain", "--config", cfg, "--out", tmp_path / "a")

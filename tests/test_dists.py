@@ -1,6 +1,7 @@
 """Count-distribution pmfs, means, stop-loss transforms, and cx-order checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,24 @@ class TestPmf:
 
     def test_binomial(self):
         assert dists.pmf(dists.binomial(2, 0.5), 1) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.01])
+    def test_binomial_beyond_the_float_range_of_its_coefficient(self, p):
+        # C(2000, i) passes the float range for i in 230..1770, where the
+        # pmf is taken in log space.
+        from scipy.stats import binom
+
+        d = dists.binomial(2000, p)
+        i = [k for k in range(2001) if math.comb(2000, k) > sys.float_info.max]
+        assert (i[0], i[-1]) == (230, 1770)
+        got = [dists.pmf(d, k) for k in i]
+        np.testing.assert_allclose(got, binom.pmf(i, 2000, p), rtol=1e-12, atol=0)
+        assert dists.pmf_table(d).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_binomial_with_a_certain_outcome_beyond_the_float_range(self):
+        assert dists.pmf(dists.binomial(2000, 0.0), 1000) == 0.0
+        assert dists.pmf(dists.binomial(2000, 1.0), 1000) == 0.0
+        assert dists.pmf(dists.binomial(2000, 1.0), 2000) == 1.0
 
     def test_poisson_zero(self):
         assert dists.pmf(dists.poisson(1.0), 0) == pytest.approx(math.exp(-1))

@@ -1025,11 +1025,18 @@ class TestSinrGraph:
             edges[...] = 0
 
     def test_empty_and_single_point_graphs_have_shape_0_by_2(self):
+        # Fewer than two receivers take the general path, interference
+        # included; zero noise with an unbounded attenuation is the dense one.
         w = euclid(6.0)
+        jammers = PointPattern(w, np.array([[1.0, 1.0], [3.0, 2.0]]))
+        dense = SinrParams(1.0, 0.0, 1.0, 0.5, sn.power_law_response(3.0, 1.0))
         for points in (np.empty((0, 2)), np.array([[1.0, 1.0]])):
             pattern = PointPattern(w, points)
-            g = sinr_graph(pattern, pattern, exponential_params())
-            assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+            for params in (exponential_params(), exponential_params(0.5), dense):
+                for interferers in (pattern, jammers):
+                    g = sinr_graph(pattern, interferers, params)
+                    assert g.n_vertices == len(points)
+                    assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
 
     def test_periodic_window_uses_wrapped_distances(self):
         w = cube(6.0, 2)
@@ -1307,6 +1314,16 @@ class TestSinrMemoryCap:
         assert sinr_graph(pair, jammers, exponential_params()).edges.tolist() == [[0, 1]]
         with pytest.raises(ValueError, match="2 x 3 points.*MAX_DENSE_ENTRIES"):
             sinr_graph(pair, jammers, exponential_params(2.0))
+
+    def test_one_receiver_meets_the_cap(self, monkeypatch):
+        # A lone receiver's interference is the same dense reduction.
+        monkeypatch.setattr(core, "MAX_DENSE_ENTRIES", 2)
+        w = euclid(6.0)
+        one = PointPattern(w, np.array([[1.0, 1.0]]))
+        jammers = PointPattern(w, np.array([[1.6, 1.0], [4.0, 4.0], [5.0, 5.0]]))
+        assert sinr_graph(one, jammers, exponential_params()).edges.shape == (0, 2)
+        with pytest.raises(ValueError, match="1 x 3 points.*MAX_DENSE_ENTRIES"):
+            sinr_graph(one, jammers, exponential_params(2.0))
 
 
 class TestSerialization:

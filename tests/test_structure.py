@@ -65,6 +65,8 @@ RULES = [
     ("one region query per replication", {"summaries"}, calls("_counts_in_regions"), 1),
     ("one region query per replication", {"summaries._region_estimates"},
      lambda n: calls("_counts_in_regions")(n) and holds(named("regions"))(n), 1),
+    ("region counts are reduced in their replication", {"summaries._region_estimates"},
+     lambda n: calls("array")(n) and holds(calls("replicate"))(n), 0),
     ("region counts come from counting queries", {"summaries"},
      named("near_pairs", "min_image", "sparse_distance_matrix", "cKDTree"), 0),
     ("one multi-region estimator", {"compare"},

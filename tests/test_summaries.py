@@ -1,12 +1,20 @@
 """Tests for the Monte Carlo summary statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppclust.summaries as summaries
-from oracles import dense_counts_in_regions, one_query_counts_in_regions, per_region_counts
+from oracles import (
+    batch_region_estimates,
+    dense_counts_in_regions,
+    one_query_counts_in_regions,
+    per_region_counts,
+)
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, pairwise_distances
 from ppclust.dists import deterministic
 from ppclust.procgen import (
@@ -15,6 +23,7 @@ from ppclust.procgen import (
     homogeneous_poisson,
     matern_cluster,
     perturbed_lattice,
+    prepare,
     square_lattice,
     sample,
     thomas_cluster,
@@ -305,6 +314,55 @@ class TestCountsInRegionsAgainstDense:
         monkeypatch.setattr(summaries, "_counts_in_regions", dense_region_counts)
         assert void_probability(spec, w, ball(1.0), reps=6, stream=STREAM.derive(130)) == fast[0]
         assert factorial_moment(spec, w, 2.0, 2, reps=6, stream=STREAM.derive(131)) == fast[1]
+
+
+class TestRegionReduction:
+    # Each replication reduces its own (regions, placements) counts; the
+    # estimates must equal those of the reduction over every replication's
+    # counts at once, bit for bit.
+    STATISTICS = ["voids", "variance", 1, 2, 3, 4]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        regions=st.integers(1, 4),
+        placements=st.integers(1, 50),
+        reps=st.integers(3, 12),
+        top=st.sampled_from([1, 3, 40]),  # small counts give zeros and ties
+    )
+    def test_matches_the_batch_oracle(self, data, regions, placements, reps, top):
+        statistics = [
+            data.draw(st.lists(st.sampled_from(self.STATISTICS), min_size=1, max_size=3))
+            for _ in range(regions)
+        ]
+        counts = data.draw(
+            st.lists(st.integers(0, top), min_size=reps * regions * placements,
+                     max_size=reps * regions * placements)
+        )
+        counts = np.array(counts, dtype=np.int64).reshape(reps, regions, placements)
+        per_rep = iter(counts)
+        sampler = prepare(homogeneous_poisson(0.5), periodic(6.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(summaries, "_counts_in_regions", lambda *args: next(per_rep))
+            got = summaries._region_estimates(
+                "test", sampler, [ball(1.0)] * regions, statistics, placements, reps, STREAM, 1
+            )
+        assert got == batch_region_estimates(counts, statistics, placements)
+
+    def test_memory_is_one_replication(self):
+        # 400 replications of 20000 placements: the (reps, regions,
+        # placements) float array took 122.2 MB traced, the replication's
+        # own reduction 1.4 MB.
+        tracemalloc.start()
+        try:
+            void_probability(
+                homogeneous_poisson(0.05), cube(20.0, 2), ball(1.0), placements=20000, reps=400,
+                stream=RandomStream(1),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("estimator", [ripley_k, pair_correlation])

@@ -437,6 +437,11 @@ HUGE_INTEGERS = [
                                                      stream=STREAM),
         "n_list",
     ),
+    (
+        "concentration_check.n_list",
+        lambda x: compare.concentration_check(POISSON, n_list=[64, x], reps=5, stream=STREAM),
+        "n_list",
+    ),
 ]
 
 
