@@ -139,10 +139,12 @@ def _pmf(dist: CountDistribution, i: int) -> float:
         if i > n:
             return 0.0
         coefficient = math.comb(n, i)
-        if coefficient <= sys.float_info.max:
-            return coefficient * prob**i * (1.0 - prob) ** (n - i)
-        # Beyond the float range 0 < i < n, so prob 0 or 1 leaves no mass;
-        # math.log reads the exact integer, which lgamma sums would not.
+        powers = prob**i, (1.0 - prob) ** (n - i)
+        if coefficient <= sys.float_info.max and min(powers) >= sys.float_info.min:
+            return coefficient * powers[0] * powers[1]
+        # A power below the normal range has lost digits, and a coefficient
+        # beyond the float range has 0 < i < n; either way prob 0 or 1 leaves
+        # no mass.  math.log reads the exact integer, which lgamma sums would not.
         if prob in (0.0, 1.0):
             return 0.0
         return math.exp(math.log(coefficient) + i * math.log(prob) + (n - i) * math.log1p(-prob))

@@ -12,7 +12,10 @@ event radius, on the source-sink path of one minimum spanning tree, where a
 source and a sink node stand for the two slabs.  Pairs and slabs share one
 rule: an edge of value v, a pair's distance or a point's offset from a
 face, is kept at radius r when v <= 2r, so its event radius is v / 2 (one ulp
-more where halving a value below 2**-1021 rounds down).
+more where halving a value below 2**-1021 rounds down).  Its scipy calls
+hold the GIL, so both estimators draw their patterns in the thread pool and
+answer them on the calling thread, a group of patterns per spanning forest
+(_replicate_crossings).
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
@@ -246,22 +249,47 @@ def _slab_edges(n: int) -> np.ndarray:
     return np.stack([np.tile(np.arange(n), 2), np.repeat([n, n + 1], n)], axis=1)
 
 
-def _source_sink_rank(n: int, edges: np.ndarray, ranks: np.ndarray) -> float:
-    """The largest rank (integers from 1) on the path from a source node n
-    to a sink node n + 1 in a minimum spanning forest of the edges (the
-    minimax path; Hu, Operations Research 1961), or inf when none joins them."""
-    tree = _spanning_forest(n + 2, edges, ranks)
-    _, parent = breadth_first_order(tree, n, directed=False)
-    if parent[n + 1] < 0:
-        return math.inf
-    path = [n + 1]
-    while path[-1] != n:
-        path.append(parent[path[-1]])
+def _source_sink_ranks(graphs: list) -> list:
+    """Per graph (n, edges, ranks), the largest rank (integers from 1) on
+    the path from its source node n to its sink node n + 1 in a minimum
+    spanning forest of its edges (the minimax path; Hu, Operations Research
+    1961), or inf when none joins them.
+
+    The graphs are stacked with node offsets, and every other graph's source
+    joins the first graph's source, the root, by a rank-1 edge: each such
+    edge is a bridge, so it lies in every spanning forest, and the forest of
+    the stack is one forest per graph.  One forest and one breadth-first
+    order from the root answer every graph, each by a walk up the parents
+    from its sink.  One graph is used as it is, with no offset copy.
+    """
+    starts = [0]
+    for n, _, _ in graphs:
+        starts.append(starts[-1] + n + 2)
+    sources = [start + n for start, (n, _, _) in zip(starts, graphs)]
+    root, total = sources[0], starts[-1]
+    if len(graphs) == 1:
+        _, edges, ranks = graphs[0]
+    else:
+        bridges = np.stack([np.full(len(sources) - 1, root), sources[1:]], axis=1)
+        edges = np.concatenate([e + o for (_, e, _), o in zip(graphs, starts)] + [bridges])
+        ranks = np.concatenate([r for _, _, r in graphs] + [np.ones(len(bridges), np.int64)])
+    tree = _spanning_forest(total, edges, ranks)
+    _, parent = breadth_first_order(tree, root, directed=False)
     # Each node's rank is that of the tree edge to its parent.
     tree = tree.tocoo()
-    node_ranks = np.zeros(n + 2, dtype=np.int64)
+    node_ranks = np.zeros(total, dtype=np.int64)
     node_ranks[np.where(parent[tree.col] == tree.row, tree.col, tree.row)] = tree.data
-    return int(node_ranks[path[:-1]].max())
+
+    def rank(source: int) -> float:
+        # A reached sink's path to the root passes its own source.
+        path = [source + 1]
+        if parent[path[0]] < 0:
+            return math.inf
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        return int(node_ranks[path[:-1]].max())
+
+    return [rank(source) for source in sources]
 
 
 def _crossing_edges(pattern: PointPattern, pairs: np.ndarray):
@@ -276,23 +304,69 @@ def _crossing_edges(pattern: PointPattern, pairs: np.ndarray):
     return np.concatenate([pairs, _slab_edges(points.shape[0])]), values
 
 
-def _crossings(pattern: PointPattern, radii) -> list:
-    """Per radius r, in the order given, whether one Gilbert component touches
-    both slabs of width 2r along the first axis.  An edge's rank is 1 + that of
-    the least radius r with v <= 2r (_crossing_edges); radius q crosses if no
-    path rank exceeds q + 1."""
-    points, w = pattern.points, pattern.window
+def _crossings(patterns: list, radii) -> list:
+    """Per pattern, and per radius r in the order given, whether one Gilbert
+    component touches both slabs of width 2r along the first axis, from one
+    _source_sink_ranks call.  An edge's rank is 1 + that of the least radius
+    r with v <= 2r (_crossing_edges); radius q crosses if no path rank
+    exceeds q + 1."""
     twice, layer = np.unique(2 * np.array(radii, dtype=float), return_inverse=True)
-    edges, values = _crossing_edges(pattern, _candidate_pairs(points, w, twice[-1]))
-    ranks = 1 + np.searchsorted(twice, values, side="left")
-    kept = ranks <= twice.size
-    return (_source_sink_rank(points.shape[0], edges[kept], ranks[kept]) <= layer + 1).tolist()
+    graphs = []
+    for pattern in patterns:
+        points, w = pattern.points, pattern.window
+        edges, values = _crossing_edges(pattern, _candidate_pairs(points, w, twice[-1]))
+        ranks = 1 + np.searchsorted(twice, values, side="left")
+        kept = ranks <= twice.size
+        graphs.append((points.shape[0], edges[kept], ranks[kept]))
+    return [(rank <= layer + 1).tolist() for rank in _source_sink_ranks(graphs)]
 
 
 def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
-    """_crossings at the one radius r.  It stays only while the benchmark's
-    tracer looks this name up."""
-    return _crossings(pattern, [r])[0]
+    """_crossings of the one pattern at the one radius r.  It stays only
+    while the benchmark's tracer looks this name up."""
+    return _crossings([pattern], [r])[0][0]
+
+
+# The pattern size from which _replicate_crossings answers a pattern in its
+# replication.  On a 2-vCPU host at two threads the grouped path was faster
+# up to about 900 points, and the pool from 1,024 points on (critical radius
+# 18% at 1,024, 39% at 4,150).  These are in-process timings: the benchmark's
+# crossing patterns have about 460 points, so no workload runs the pool side.
+_POOL_POINTS = 2**10
+
+# The most points of one group on the calling thread: 2**10 was slower on
+# patterns of about 460 points, and 2**12 raised the peak memory with no gain.
+_GROUP_POINTS = 2**11
+
+
+def _replicate_crossings(sampler, reps: int, stream: RandomStream, threads: int, answer) -> list:
+    """answer(patterns) per replication's pattern, in index order.
+
+    The pool draws the patterns.  One of at least _POOL_POINTS points is
+    answered in its replication, where its pair query releases the GIL.
+    The others come back as they are, and the calling thread answers them
+    in consecutive groups of at most _GROUP_POINTS points, one call per
+    group, since the spanning forest holds the GIL.
+    """
+
+    def one(rep: RandomStream):
+        pattern = sampler.draw(rep)
+        return pattern if pattern.points.shape[0] < _POOL_POINTS else answer([pattern])[0]
+
+    results = replicate(reps, stream, threads, one)
+    groups, size = [], 0
+    for i, pattern in enumerate(results):
+        if isinstance(pattern, PointPattern):
+            n = pattern.points.shape[0]
+            if not groups or size + n > _GROUP_POINTS:
+                groups.append([])
+                size = 0
+            groups[-1].append(i)
+            size += n
+    for group in groups:
+        for i, value in zip(group, answer([results[i] for i in group])):
+            results[i] = value
+    return results
 
 
 def _hit_curve(radii: np.ndarray, hits: list) -> CurveEstimate:
@@ -308,12 +382,19 @@ def crossing_probability(
 ) -> CurveEstimate:
     """Probability that a Gilbert component spans the window horizontally,
     at each radius in the order given, all read from the same replications
-    (_crossings): each estimate equals the one-radius call, bit for bit."""
+    (_crossings): each estimate equals the one-radius call, bit for bit.
+
+    The pool draws the patterns and answers those of at least _POOL_POINTS
+    points; the calling thread answers the rest in consecutive groups of at
+    most _GROUP_POINTS points, one spanning forest per group
+    (_replicate_crossings).  The outcomes do not depend on the grouping.
+    """
     check_window("crossing_probability", w, "euclidean")
     radii = check_radii("radii", radii)
     sampler = prepare(spec, w)
     return _hit_curve(
-        radii, replicate(reps, stream, threads, lambda rep: _crossings(sampler.draw(rep), radii))
+        radii,
+        _replicate_crossings(sampler, reps, stream, threads, lambda ps: _crossings(ps, radii)),
     )
 
 
@@ -324,26 +405,36 @@ def _event_radii(values: np.ndarray) -> np.ndarray:
     return np.where(2 * r < values, np.nextafter(r, np.inf), r)
 
 
-def _crossing_threshold(pattern: PointPattern, r_max: float) -> float:
-    """The least radius at which the pattern crosses, or inf past r_max: the
-    largest event (the least float r with v <= 2r, _event_radii) on the
-    source-sink path; the pair query's rho doubles from the Poisson bound."""
-    points, w = pattern.points, pattern.window
-    n = points.shape[0]
-    if n == 0:
-        return math.inf
-    rho = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
-    while True:
-        edges, values = _crossing_edges(pattern, _candidate_pairs(points, w, 2 * rho))
-        radii = _event_radii(values)
-        kept = radii <= rho
-        events, ranks = np.unique(radii[kept], return_inverse=True)
-        rank = _source_sink_rank(n, edges[kept], ranks + 1)
-        if rank < math.inf:
-            return float(events[rank - 1])
-        if rho == r_max:
-            return math.inf
-        rho = min(2 * rho, r_max)
+def _crossing_thresholds(patterns: list, r_max: float) -> list:
+    """Per pattern, the least radius at which it crosses, or inf past r_max:
+    the largest event (the least float r with v <= 2r, _event_radii) on the
+    source-sink path.  Each pattern's pair query radius rho doubles from the
+    Poisson bound; each round makes one _source_sink_ranks call over the
+    patterns that have not yet crossed at their rho."""
+    thresholds = [math.inf] * len(patterns)
+    rho = {}
+    for i, pattern in enumerate(patterns):
+        n, w = pattern.points.shape[0], pattern.window
+        if n > 0:
+            rho[i] = min((n / volume(w) * unit_ball_volume(w.dim)) ** (-1.0 / w.dim), r_max)
+    while rho:
+        graphs, events = [], []
+        for i, r in rho.items():
+            points, w = patterns[i].points, patterns[i].window
+            edges, values = _crossing_edges(patterns[i], _candidate_pairs(points, w, 2 * r))
+            radii = _event_radii(values)
+            kept = radii <= r
+            unique, ranks = np.unique(radii[kept], return_inverse=True)
+            graphs.append((points.shape[0], edges[kept], ranks + 1))
+            events.append(unique)
+        for (i, r), unique, rank in zip(list(rho.items()), events, _source_sink_ranks(graphs)):
+            if rank < math.inf:
+                thresholds[i] = float(unique[rank - 1])
+            if rank < math.inf or r == r_max:
+                del rho[i]
+            else:
+                rho[i] = min(2 * r, r_max)
+    return thresholds
 
 
 def critical_radius(
@@ -360,19 +451,26 @@ def critical_radius(
     replicated pattern is monotone in r, so it equals (r >= t) for that
     pattern's exact threshold t; each replication is sampled once and its
     t computed once, from one spanning tree per pair query
-    (_crossing_threshold), and the crossing probability at every bisection
+    (_crossing_thresholds), and the crossing probability at every bisection
     radius is the fraction of thresholds at or below it.  The estimate is
     the one that resampling the same streams at each radius would give.
-    The reported error combines the final bracket half-width with the
-    binomial noise propagated through the locally estimated slope.
+    The bisection stops at the bracket width tol, or where the bracket ends
+    are adjacent floats.  The reported error combines the final bracket
+    half-width with the binomial noise propagated through the locally
+    estimated slope.
+
+    The pool draws the patterns and answers those of at least
+    _POOL_POINTS points; the calling thread answers the rest in
+    consecutive groups of at most _GROUP_POINTS points, one spanning forest
+    per group and doubling round (_replicate_crossings).
     """
     check_number("tol", tol, "pos")
     check_replications(reps, stream)
     check_window("critical_radius", w, "euclidean")
     sampler = prepare(spec, w)
     r_max = float(np.linalg.norm(w.sides)) / 4.0
-    thresholds = replicate(
-        reps, stream.derive(0), threads, lambda rep: _crossing_threshold(sampler.draw(rep), r_max)
+    thresholds = _replicate_crossings(
+        sampler, reps, stream.derive(0), threads, lambda ps: _crossing_thresholds(ps, r_max)
     )
 
     def p_hat(r: float) -> EstimateWithError:
@@ -388,6 +486,8 @@ def critical_radius(
     hi, hi_p = r_max, hi_est.value
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         est = p_hat(mid)
         if est.value >= 0.5:
             hi, hi_p = mid, est.value

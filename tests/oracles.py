@@ -579,6 +579,31 @@ def crossing_indicator(pattern, r):
     return np.intersect1d(labels[left], labels[right]).size > 0
 
 
+def source_sink_rank(n, edges, ranks):
+    """One graph's minimax source-sink rank, the retired one-graph kernel:
+    the largest rank (integers from 1) on the path from a source node n to
+    a sink node n + 1 in a minimum spanning forest of the edges (Hu,
+    Operations Research 1961), walked up the breadth-first parents from the
+    sink, or inf when none joins them."""
+    import numpy as np
+    from scipy.sparse.csgraph import breadth_first_order
+
+    from ppclust.percolation import _spanning_forest
+
+    tree = _spanning_forest(n + 2, edges, ranks)
+    _, parent = breadth_first_order(tree, n, directed=False)
+    if parent[n + 1] < 0:
+        return math.inf
+    path = [n + 1]
+    while path[-1] != n:
+        path.append(parent[path[-1]])
+    # Each node's rank is that of the tree edge to its parent.
+    tree = tree.tocoo()
+    node_ranks = np.zeros(n + 2, dtype=np.int64)
+    node_ranks[np.where(parent[tree.col] == tree.row, tree.col, tree.row)] = tree.data
+    return int(node_ranks[path[:-1]].max())
+
+
 def prefix_gilbert_labels(pattern, radii):
     """Gilbert component labels at each radius, in the order given, from one
     pair query at twice the largest: the graph at radius r is the prefix of

@@ -8,6 +8,7 @@ round-trips, and determinism exactly as a shell user would see them.
 import configparser
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,31 @@ class TestPercolationExperiment:
         text = (tmp_path / "a" / "critical.csv").read_text()
         assert text.splitlines()[0] == "r_c,std_error,replications"
         assert text.splitlines()[1].endswith(",6")
+
+    def test_critical_mode_with_tol_below_the_float_spacing(self, tmp_path):
+        # Both end where lo and hi are adjacent floats, so they agree.  The
+        # alarm turns a bisection that never ends into a failure.
+        cfg = write_config(tmp_path / "p.ini", PERC_ONE)
+        texts = []
+
+        def stop(signum, frame):
+            raise TimeoutError("critical_radius did not return within 20 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(20)
+        try:
+            for tol in ("1e-18", "5e-324"):
+                out = tmp_path / tol
+                assert run_cli("percolation", "--config", cfg, "--percolation.mode", "critical",
+                               "--percolation.tol", tol, "--run.replications", "6",
+                               "--out", out) == 0
+                texts.append((out / "critical.csv").read_text())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert texts[0] == texts[1]
+        r_c, error, reps = map(float, texts[0].splitlines()[1].split(","))
+        assert 0 < r_c and 0 < error < 1e-12 and reps == 6
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         # crossing mode on a periodic window is a module-level error

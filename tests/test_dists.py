@@ -34,6 +34,25 @@ class TestPmf:
         np.testing.assert_allclose(got, binom.pmf(i, 2000, p), rtol=1e-12, atol=0)
         assert dists.pmf_table(d).sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.5, 0.01])
+    def test_binomial_where_a_power_falls_below_the_normal_range(self, p):
+        # At n = 2000, p**i or (1 - p)**(n - i) is subnormal or 0 for some i
+        # whose coefficient fits a float (p = 0.01: i = 156..229; p = 0.5:
+        # i = 198..229 and 1771..1802); a product over such a power has lost
+        # digits.  Every mass at or above the normal range meets scipy.
+        from scipy.stats import binom
+
+        n, d = 2000, dists.binomial(2000, p)
+        expected = binom.pmf(np.arange(n + 1), n, p)
+        normal = np.flatnonzero(expected >= sys.float_info.min)
+        got = [dists.pmf(d, int(k)) for k in normal]
+        np.testing.assert_allclose(got, expected[normal], rtol=1e-12, atol=0)
+        # Where both powers stay normal the pmf is the product itself.
+        for k in range(n + 1):
+            powers = p**k, (1 - p) ** (n - k)
+            if math.comb(n, k) <= sys.float_info.max and min(powers) >= sys.float_info.min:
+                assert dists.pmf(d, k) == math.comb(n, k) * powers[0] * powers[1]
+
     def test_binomial_with_a_certain_outcome_beyond_the_float_range(self):
         assert dists.pmf(dists.binomial(2000, 0.0), 1000) == 0.0
         assert dists.pmf(dists.binomial(2000, 1.0), 1000) == 0.0

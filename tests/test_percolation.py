@@ -1,5 +1,8 @@
+import contextlib
 import math
+import signal
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from oracles import (
     dense_interference,
     dense_sinr_graph,
     prefix_gilbert_labels,
+    source_sink_rank,
 )
 from ppclust.complexes import vietoris_rips
 from ppclust.core import PointPattern, RandomStream, box, cube
@@ -497,7 +501,7 @@ class TestCrossingCurve:
         for i in range(6):
             pattern = pg.sample(self.SPECS[name], euclid(12.0), STREAM.derive(18).derive(i))
             expected = [crossing_indicator(pattern, r) for r in self.RADII]
-            assert percolation._crossings(pattern, self.RADII) == expected
+            assert percolation._crossings([pattern], self.RADII)[0] == expected
 
     @pytest.mark.parametrize("origin", [0.0, 1022.9])
     @pytest.mark.parametrize("n", range(7))
@@ -513,11 +517,11 @@ class TestCrossingCurve:
         for _ in range(40):
             pattern = PointPattern(w, origin + rng.integers(0, 16, size=(n, 2)) / 4)
             expected = [crossing_indicator(pattern, r) for r in radii]
-            assert percolation._crossings(pattern, radii) == expected, pattern.points
+            assert percolation._crossings([pattern], radii)[0] == expected, pattern.points
 
     def test_empty_pattern_never_crosses(self):
         pattern = PointPattern(euclid(4.0), np.empty((0, 2)))
-        assert percolation._crossings(pattern, [1.0, 0.0]) == [False, False]
+        assert percolation._crossings([pattern], [1.0, 0.0])[0] == [False, False]
 
     def test_rejects_a_bad_radius_before_sampling(self, monkeypatch):
         monkeypatch.setattr(Sampler, "draw", _no_sampling)
@@ -525,6 +529,156 @@ class TestCrossingCurve:
             crossing_probability(
                 pg.homogeneous_poisson(1.0), euclid(10.0), [0.5, -1.0], 5, STREAM
             )
+
+
+@st.composite
+def ranked_graphs(draw):
+    """(n, edges, ranks) on n points, a source node n and a sink node n + 1:
+    any edges, ranks 1..4 so that ties are common; n = 0 and a sink with no
+    edge occur."""
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n + 2) for j in range(i + 1, n + 2)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n + 4))
+    ranks = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+    return n, np.array(chosen, dtype=np.int64).reshape(-1, 2), np.array(ranks, dtype=np.int64)
+
+
+def crossing_graph(pattern, radii):
+    """The graph that _crossings hands the crossing kernel for one pattern."""
+    seen, kernel = [], percolation._source_sink_ranks
+    with mock.patch.object(
+        percolation, "_source_sink_ranks", lambda graphs: seen.extend(graphs) or kernel(graphs)
+    ):
+        percolation._crossings([pattern], radii)
+    return seen[0]
+
+
+@st.composite
+def quarter_grid_graphs(draw):
+    """The crossing graph of a pattern on the 1/4 grid of a 4 x 4 box (see
+    test_ties_at_grid_radii_match_a_query_per_radius), empty ones included."""
+    origin = draw(st.sampled_from([0.0, 1022.9]))
+    w = box((origin, origin + 4.0), (origin, origin + 4.0), metric="euclidean")
+    cells = draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=6))
+    pattern = PointPattern(w, origin + np.array(cells, dtype=float).reshape(-1, 2) / 4)
+    return crossing_graph(pattern, [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+
+
+class TestSourceSinkRanks:
+    # The stacked kernel answers each graph as the one-graph oracle does.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(ranked_graphs(), quarter_grid_graphs()), min_size=1, max_size=8))
+    def test_each_graph_equals_the_one_graph_oracle(self, graphs):
+        assert percolation._source_sink_ranks(graphs) == [source_sink_rank(*g) for g in graphs]
+
+    def test_unreached_and_empty_graphs_give_inf(self):
+        edges = np.array([[0, 1], [1, 2]])  # the sink, node 3, has no edge
+        empty = (0, np.empty((0, 2), np.int64), np.empty(0, np.int64))
+        graphs = [(2, edges, np.array([1, 2])), empty]
+        graphs.append((1, np.array([[0, 1], [0, 2]]), np.array([3, 2])))
+        assert percolation._source_sink_ranks(graphs) == [math.inf, math.inf, 3]
+
+    def test_one_graph_is_not_copied(self):
+        # The one-pattern call in the pool hands its arrays to the forest.
+        n, edges, ranks = 3, np.array([[0, 3], [0, 1], [1, 2], [2, 4]]), np.array([1, 2, 3, 1])
+        seen = []
+        forest = percolation._spanning_forest
+
+        def spy(total, e, w):
+            seen.append((total, e, w))
+            return forest(total, e, w)
+
+        with mock.patch.object(percolation, "_spanning_forest", spy):
+            assert percolation._source_sink_ranks([(n, edges, ranks)]) == [3]
+        assert seen[0][0] == n + 2 and seen[0][1] is edges and seen[0][2] is ranks
+
+
+# A clustered process whose pattern sizes range from 20 to 135 points on an
+# 8 x 8 window: with _POOL_POINTS and _GROUP_POINTS patched to 100, one call
+# answers some patterns in their replications and groups the rest, some
+# alone and some two together.
+GROUPED_SPEC = pg.thomas_cluster(0.05, 20.0, 1.0)
+GROUPED_RADII = [0.3, 0.55, 0.8, 1.2, 0.55]
+
+
+def _patterns(spec, w, stream, reps):
+    sampler = pg.prepare(spec, w)
+    return [sampler.draw(stream.derive(i)) for i in range(reps)]
+
+
+class TestGroupedReplications:
+    def _calls(self, monkeypatch, name):
+        """Patch _POOL_POINTS and _GROUP_POINTS to 100 and record the number
+        of patterns in each call of the named batch function."""
+        sizes, real = [], getattr(percolation, name)
+        monkeypatch.setattr(percolation, "_POOL_POINTS", 100)
+        monkeypatch.setattr(percolation, "_GROUP_POINTS", 100)
+
+        def counted(patterns, *args):
+            sizes.append(len(patterns))
+            return real(patterns, *args)
+
+        monkeypatch.setattr(percolation, name, counted)
+        return sizes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_crossings_match_the_indicator_per_pattern(self, monkeypatch, threads):
+        w, stream = euclid(8.0), STREAM.derive(50)
+        default = crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, threads)
+        sizes = self._calls(monkeypatch, "_crossings")
+        sampler = pg.prepare(GROUPED_SPEC, w)
+        got = percolation._replicate_crossings(
+            sampler, 24, stream, threads, lambda ps: percolation._crossings(ps, GROUPED_RADII)
+        )
+        patterns = _patterns(GROUPED_SPEC, w, stream, 24)
+        assert got == [[crossing_indicator(p, r) for r in GROUPED_RADII] for p in patterns]
+        assert sorted(set(sizes)) == [1, 2]
+        assert sizes.count(1) > sum(len(p) >= 100 for p in patterns) > 0
+        grouped = crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, threads)
+        assert grouped == default
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_thresholds_match_the_bisected_threshold_per_pattern(self, monkeypatch, threads):
+        w, stream = euclid(8.0), STREAM.derive(51)
+        default = critical_radius(GROUPED_SPEC, w, 24, 0.02, stream, threads)
+        sizes = self._calls(monkeypatch, "_crossing_thresholds")
+        r_max = float(np.linalg.norm(w.sides)) / 4.0
+        for cap in (r_max, r_max / 6):
+            sampler = pg.prepare(GROUPED_SPEC, w)
+            got = percolation._replicate_crossings(
+                sampler, 24, stream.derive(0), threads,
+                lambda ps: percolation._crossing_thresholds(ps, cap),
+            )
+            patterns = _patterns(GROUPED_SPEC, w, stream.derive(0), 24)
+            assert got == [bisected_crossing_threshold(p, cap) for p in patterns]
+        assert sorted(set(sizes)) == [1, 2]
+        assert critical_radius(GROUPED_SPEC, w, 24, 0.02, stream, threads) == default
+
+    def test_the_group_bound_is_apart_from_the_pool_switch(self, monkeypatch):
+        # Every pattern below 100 points comes back from the pool, and one
+        # group takes them all.
+        w, stream = euclid(8.0), STREAM.derive(50)
+        default = crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, 2)
+        sizes = self._calls(monkeypatch, "_crossings")
+        monkeypatch.setattr(percolation, "_GROUP_POINTS", 10**6)
+        assert crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, 2) == default
+        small = sum(len(p) < 100 for p in _patterns(GROUPED_SPEC, w, stream, 24))
+        assert sorted(sizes) == [1] * (24 - small) + [small]
+
+    def test_memory_holds_small_patterns_only(self):
+        # The crossing_poisson bench input at 1,000 replications holds every
+        # pattern (about 460 points each) until the pool is done: a peak of
+        # 8.2 MB measured with tracemalloc, against 0.5 MB when each
+        # replication answered its own.  The bound of the design is
+        # reps x _POOL_POINTS x d x 8 = 16.4 MB; the ceiling is 3x the peak.
+        spec, w = pg.homogeneous_poisson(1.1547005383792515), euclid(20.0)
+        tracemalloc.start()
+        try:
+            crossing_probability(spec, w, [0.5, 0.55, 0.6], 1000, RandomStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak
 
 
 class TestCriticalRadius:
@@ -565,6 +719,26 @@ class TestCriticalRadius:
                 pg.homogeneous_poisson(1.0), cube(10.0, 2), reps=8, tol=0.1,
                 stream=STREAM.derive(19),
             )
+
+    @pytest.mark.parametrize("tol", [1e-18, 5e-324])
+    def test_tol_below_the_float_spacing_ends_at_adjacent_floats(self, tol):
+        # Once lo and hi are adjacent floats their midpoint is one of them;
+        # the bisection ends there.  With 6 thresholds t, p(r) >= 1/2 from
+        # the third smallest on, so hi is that threshold and lo its
+        # predecessor.
+        spec, w, stream = pg.homogeneous_poisson(1.2), euclid(10.0), RandomStream(1)
+        with returns_within(20):
+            est = critical_radius(spec, w, reps=6, tol=tol, stream=stream)
+        sampler = pg.prepare(spec, w)
+        patterns = [sampler.draw(stream.derive(0).derive(i)) for i in range(6)]
+        r_max = float(np.linalg.norm(w.sides)) / 4.0
+        t = sorted(percolation._crossing_thresholds(patterns, r_max))
+        hi = t[2]
+        lo = float(np.nextafter(hi, 0.0))
+        hi_p, lo_p = (sum(x <= r for x in t) / 6 for r in (hi, lo))
+        assert lo_p < 0.5 <= hi_p
+        assert est.value == 0.5 * (lo + hi)
+        assert est.std_error == 0.5 * (hi - lo) + math.sqrt(0.25 / 6) / ((hi_p - lo_p) / (hi - lo))
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -607,13 +781,29 @@ ORACLE_CASES = {
 }
 
 
+@contextlib.contextmanager
+def returns_within(seconds):
+    """Fail, rather than hang, if the block runs longer than seconds."""
+
+    def stop(signum, frame):
+        raise AssertionError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("sampled a pattern")
 
 
 def _assert_threshold_is_exact(pattern):
     r_max = float(np.linalg.norm(pattern.window.sides)) / 4.0
-    t = percolation._crossing_threshold(pattern, r_max)
+    t = percolation._crossing_thresholds([pattern], r_max)[0]
     radii = list(np.linspace(0.0, r_max, 61))
     if math.isfinite(t):
         assert 0 < t <= r_max
@@ -651,7 +841,7 @@ class TestCrossingThreshold:
         for i in range(4):
             pattern = pg.sample(spec, w, STREAM.derive(42).derive(i))
             for cap in (r_max, r_max / 6):
-                t = percolation._crossing_threshold(pattern, cap)
+                t = percolation._crossing_thresholds([pattern], cap)[0]
                 assert t == bisected_crossing_threshold(pattern, cap), (i, cap)
                 got.append(t)
         assert (math.inf in got) == (case in ("poisson_1d", "poisson_3d"))
@@ -699,7 +889,7 @@ class TestCrossingThreshold:
             return core.neighbor_pairs(*args)
 
         monkeypatch.setattr(percolation, "_candidate_pairs", counted)
-        assert percolation._crossing_threshold(pattern, 2.5) == 1.25
+        assert percolation._crossing_thresholds([pattern], 2.5)[0] == 1.25
         assert len(queries) == 3
         monkeypatch.undo()
         assert _assert_threshold_is_exact(pattern) == 1.25

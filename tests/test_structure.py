@@ -94,6 +94,8 @@ RULES = [
     ("one crossing kernel", ALL, named("_spans"), 0),
     ("one crossing kernel", {"percolation"}, calls("breadth_first_order"), 1),
     ("one crossing kernel", {"percolation"}, calls("_gilbert_labels"), 1),
+    ("one crossing kernel answers every pattern of a group", ALL,
+     named("_source_sink_rank", "_crossing_threshold"), 0),
     ("one crossing edge rule", ALL, named("_entry_radii"), 0),
     ("one crossing edge rule", {"percolation"},
      lambda n: isinstance(n, ast.BinOp) and re.search(r"lower \+ 2|upper - 2", ast.unparse(n)), 0),
