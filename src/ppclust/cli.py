@@ -729,6 +729,10 @@ def svg_plot(series, title: str, x_label: str, y_label: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The most radii in one r_min..r_max grid; no bench config has over 20.
+MAX_RADII = 10_000
+
+
 def _radii(rc: ResolvedConfig, section: str) -> list:
     """r_min..r_max of a section: r_step apart, or r_count evenly spaced."""
     p = rc[section]
@@ -736,10 +740,13 @@ def _radii(rc: ResolvedConfig, section: str) -> list:
     if hi < lo:
         raise ConfigError(f"[{section}] r_max: must be >= r_min")
     if "r_step" in p:
-        count = int(math.floor((hi - lo) / p["r_step"] + 1e-9)) + 1
-        return [lo + i * p["r_step"] for i in range(count)]
-    if p["r_count"] == 1:
-        return [lo]
+        key, steps = "r_step", (hi - lo) / p["r_step"] + 1e-9
+    else:
+        key, steps = "r_count", p["r_count"] - 1
+    if steps >= MAX_RADII:
+        raise ConfigError(f"[{section}] {key}: gives more than {MAX_RADII} radii")
+    if key == "r_step":
+        return [lo + i * p["r_step"] for i in range(int(steps) + 1)]
     return [float(v) for v in np.linspace(lo, hi, p["r_count"])]
 
 
@@ -1167,7 +1174,7 @@ def main(argv=None) -> int:
         print(f"ppclust: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"ppclust: runtime error: {exc}", file=sys.stderr)
+        print(f"ppclust: runtime error: {str(exc) or repr(exc)}", file=sys.stderr)
         return 3
 
     artifacts = [("manifest.ini", render_manifest(rc))] + files

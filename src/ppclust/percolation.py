@@ -450,10 +450,10 @@ def critical_radius(
     Bisection with common random numbers.  The crossing indicator of each
     replicated pattern is monotone in r, so it equals (r >= t) for that
     pattern's exact threshold t; each replication is sampled once and its
-    t computed once, from one spanning tree per pair query
-    (_crossing_thresholds), and the crossing probability at every bisection
-    radius is the fraction of thresholds at or below it.  The estimate is
-    the one that resampling the same streams at each radius would give.
+    t computed once (_crossing_thresholds), and the crossing probability
+    at every bisection radius is the fraction of thresholds at or below
+    it.  The estimate is the one that resampling the same streams at each
+    radius would give.
     The bisection stops at the bracket width tol, or where the bracket ends
     are adjacent floats.  The reported error combines the final bracket
     half-width with the binomial noise propagated through the locally

@@ -61,10 +61,8 @@ __all__ = [
 ]
 
 RESPONSE_KINDS = ("indicator_ball", "exponential", "power_law", "tabulated")
-# Chernoff optimization: log-spaced candidate exponents of ratio _S_RATIO,
-# then golden-section refinement to 1e-6 relative accuracy around the best
-# grid point.
-_S_GRID = 2.0 ** np.arange(-10.0, 6.5, 0.5)
+# Chernoff optimization: a walk over exponents in ratio _S_RATIO, then
+# golden-section refinement to 1e-6 relative accuracy around its minimum.
 _S_RATIO = math.sqrt(2.0)
 _GOLDEN_RTOL = 1e-6
 _QUAD_RTOL = 1e-8
@@ -304,19 +302,16 @@ def level_exceedance_bound(
 
     ``min_above`` bounds P(V >= a) by inf_s exp(-s a + lam I(s)) with
     I(s) = integral of (e^{s h} - 1); ``max_below`` bounds P(V <= a) with
-    the signs flipped.  The integral is closed-form for indicator
-    responses and adaptive quadrature otherwise; the infimum is taken
-    over a log grid of s refined by golden-section search, bracketed by
-    s = 0 below the grid and by the grid's extension above it.  An s at which
-    e^{s h} overflows, or whose quadrature reports failure, bounds nothing,
-    so its log-bound counts as +inf and the infimum runs over the other s.
-    Bounds above 1 are vacuous and reported as 1.
+    the signs flipped.  I is closed-form for indicator responses and
+    adaptive quadrature otherwise; where e^{s h} overflows or the quadrature
+    fails, the log-bound counts as +inf.  Bounds above 1 are reported as 1.
 
-    The log-bound is convex, 0 at s = 0, with slope sign (lam int h - a)
-    there.  If that slope is negative and no grid value is below 0, s walks
-    down by _S_RATIO until the log-bound is below 0, and the minimum is
-    refined on (0, s, _S_RATIO s); the walk stops with a bound of 1 once
-    slope s >= -_GOLDEN_RTOL, which by convexity bounds the log-bound below s.
+    The log-bound is convex and 0 at s = 0, with slope sign (lam int h - a)
+    there, so the bound is 1 unless that slope is negative.  From s = 1, s
+    walks down by _S_RATIO until the log-bound is below 0 (giving 1 once
+    slope s >= -_GOLDEN_RTOL, as the log-bound is at least slope s below s),
+    then up while it falls; golden section refines the minimum on (the
+    previous s or 0, s, s _S_RATIO).
     """
     if direction not in ("min_above", "max_below"):
         raise ValueError("direction must be 'min_above' or 'max_below'")
@@ -339,37 +334,33 @@ def level_exceedance_bound(
             return math.inf
         return value if math.isfinite(value) else math.inf
 
-    # The log-bound is 0 at s = 0, below the grid; past a minimum at the
-    # grid's top, the grid extends by its ratio until the log-bound rises
-    # (it is convex in s).  So a grid minimum at either end is bracketed.
-    s_values = [0.0, *_S_GRID.tolist()]
-    values = [0.0, *(log_bound(s) for s in s_values[1:])]
-    while values[-1] < values[-2]:
-        s_values.append(s_values[-1] * _S_RATIO)
-        values.append(log_bound(s_values[-1]))
-    if min(values) >= 0:
-        try:
-            slope = sign * (lam * _radial_integral(h, float, d) - a)
-        except ArithmeticError:  # a failed quadrature gives no slope: vacuous
-            slope = 0.0
-        while values[1] >= 0 and slope * s_values[1] < -_GOLDEN_RTOL:
-            s_values.insert(1, s_values[1] / _S_RATIO)
-            values.insert(1, log_bound(s_values[1]))
-    best = int(np.argmin(values))
-    log_min = values[best]
-    if best > 0 and values[best] < values[best + 1]:
+    try:
+        slope = sign * (lam * _radial_integral(h, float, d) - a)
+    except ArithmeticError:  # a failed quadrature gives no slope: vacuous
+        return 1.0
+    if slope >= 0:
+        return 1.0
+    s, value = 1.0, log_bound(1.0)
+    while value >= 0:
+        if slope * s >= -_GOLDEN_RTOL:
+            return 1.0
+        s /= _S_RATIO
+        value = log_bound(s)
+    lower, upper = 0.0, log_bound(s * _S_RATIO)
+    while upper < value:
+        lower, s, value = s, s * _S_RATIO, upper
+        upper = log_bound(s * _S_RATIO)
+    if value < upper:
         from scipy import optimize
 
         result = optimize.minimize_scalar(
             log_bound,
-            bracket=tuple(s_values[best - 1 : best + 2]),
+            bracket=(lower, s, s * _S_RATIO),
             method="golden",
             options={"xtol": _GOLDEN_RTOL},
         )
-        log_min = min(float(result.fun), log_min)
-    if log_min >= 0:
-        return 1.0
-    return min(1.0, math.exp(log_min))
+        value = min(float(result.fun), value)
+    return math.exp(value)
 
 
 # ---------------------------------------------------------------------------

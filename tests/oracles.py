@@ -387,6 +387,77 @@ def chernoff_grid_bound(lam, h, a, d, s_values):
     return math.exp(best)
 
 
+def grid_level_exceedance_bound(lam, h, a, direction="min_above", d=2):
+    """The retired Chernoff search of ``shotnoise.level_exceedance_bound``:
+    the log-bound at 0 and over a fixed log grid of s, 2^-10 to 2^6 in
+    ratio sqrt(2), extended upward while it falls; when no value is below 0,
+    s walks down from the grid's bottom using the slope at 0; then one
+    golden-section refinement around the grid minimum."""
+    import numpy as np
+
+    from ppclust.core import check_number
+    from ppclust.shotnoise import (
+        _GOLDEN_RTOL,
+        _exponential_moment_integral,
+        _radial_integral,
+    )
+
+    _S_GRID = 2.0 ** np.arange(-10.0, 6.5, 0.5)
+    _S_RATIO = math.sqrt(2.0)
+
+    if direction not in ("min_above", "max_below"):
+        raise ValueError("direction must be 'min_above' or 'max_below'")
+    check_number("the level a", a, "pos")
+    check_number("intensity", lam, "nonneg")
+    check_number("dimension", d, 1)
+    h.check_integrable(d)
+    if lam == 0:
+        # exp(-s a) for min_above (infimum 0 as s grows); for max_below the
+        # empty process has V = 0 <= a always, and the bound degenerates to 1.
+        return 0.0 if direction == "min_above" else 1.0
+    sign = 1 if direction == "min_above" else -1
+
+    def log_bound(s: float) -> float:
+        if s <= 0:
+            return 0.0
+        try:
+            value = -sign * s * a + lam * _exponential_moment_integral(h, s, sign, d)
+        except ArithmeticError:
+            return math.inf
+        return value if math.isfinite(value) else math.inf
+
+    # The log-bound is 0 at s = 0, below the grid; past a minimum at the
+    # grid's top, the grid extends by its ratio until the log-bound rises
+    # (it is convex in s).  So a grid minimum at either end is bracketed.
+    s_values = [0.0, *_S_GRID.tolist()]
+    values = [0.0, *(log_bound(s) for s in s_values[1:])]
+    while values[-1] < values[-2]:
+        s_values.append(s_values[-1] * _S_RATIO)
+        values.append(log_bound(s_values[-1]))
+    if min(values) >= 0:
+        try:
+            slope = sign * (lam * _radial_integral(h, float, d) - a)
+        except ArithmeticError:  # a failed quadrature gives no slope: vacuous
+            slope = 0.0
+        while values[1] >= 0 and slope * s_values[1] < -_GOLDEN_RTOL:
+            s_values.insert(1, s_values[1] / _S_RATIO)
+            values.insert(1, log_bound(s_values[1]))
+    best = int(np.argmin(values))
+    log_min = values[best]
+    if best > 0 and values[best] < values[best + 1]:
+        from scipy import optimize
+
+        result = optimize.minimize_scalar(
+            log_bound,
+            bracket=tuple(s_values[best - 1 : best + 2]),
+            method="golden",
+            options={"xtol": _GOLDEN_RTOL},
+        )
+        log_min = min(float(result.fun), log_min)
+    if log_min >= 0:
+        return 1.0
+    return min(1.0, math.exp(log_min))
+
 def dense_counts_in_regions(centers, points, lower, upper, metric, kind, size):
     """Points inside the ball of radius size (kind "ball") or the box of
     side size (kind "box") placed at each centre, from the dense offsets."""

@@ -410,6 +410,25 @@ class TestPercolationExperiment:
         assert "runtime error" in err
         assert "Euclidean" in err
 
+    def test_a_runtime_error_without_text_names_its_type(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._RUNNERS, "percolation", out_of_memory)
+        cfg = write_config(tmp_path / "p.ini", PERC_ONE)
+        assert run_cli("percolation", "--config", cfg, "--out", tmp_path / "a") == 3
+        assert capsys.readouterr().err == "ppclust: runtime error: MemoryError()\n"
+
+    def test_a_tiny_r_step_is_refused_before_its_grid_exists(self, tmp_path, capsys):
+        # 0.3..0.5 in steps of 1e-12 would be 2e11 radii.
+        cfg = write_config(
+            tmp_path / "p.ini", PERC_ONE.replace("r_step = 0.1", "r_step = 1e-12")
+        )
+        out = tmp_path / "a"
+        assert run_cli("percolation", "--config", cfg, "--out", out) == 2
+        assert "[percolation] r_step: gives more than 10000 radii" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["crossing", "critical"])
     def test_generator_b_rejected_outside_sweep_mode(self, tmp_path, capsys, mode):
         cfg = write_config(tmp_path / "p.ini", PERC_SWEEP)
@@ -443,6 +462,40 @@ CURVE_RUNS = [
         "k_covered_volume",
     ),
 ]
+
+
+class TestRadiusGridLimit:
+    @pytest.mark.parametrize(
+        "section, keys",
+        [
+            ("percolation", {"r_min": 0.0, "r_max": cli.MAX_RADII - 1.0, "r_step": 1.0}),
+            ("coverage", {"r_min": 0.0, "r_max": 1.0, "r_count": cli.MAX_RADII}),
+        ],
+    )
+    def test_the_limit_is_inclusive(self, section, keys):
+        assert len(cli._radii({section: keys}, section)) == cli.MAX_RADII
+
+    @pytest.mark.parametrize(
+        "section, keys, key",
+        [
+            ("percolation", {"r_min": 0.0, "r_max": float(cli.MAX_RADII), "r_step": 1.0},
+             "r_step"),
+            ("percolation", {"r_min": 0.0, "r_max": 1e300, "r_step": 1e-300}, "r_step"),
+            ("coverage", {"r_min": 0.0, "r_max": 1.0, "r_count": cli.MAX_RADII + 1}, "r_count"),
+            ("summary", {"r_min": 0.1, "r_max": 1.0, "r_count": 10**15}, "r_count"),
+        ],
+    )
+    def test_a_longer_grid_names_its_key(self, section, keys, key):
+        with pytest.raises(cli.ConfigError, match=rf"\[{section}\] {key}: gives more than"):
+            cli._radii({section: keys}, section)
+
+    def test_r_count_over_the_limit_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.ini",
+            POISSON_SAMPLE + "[coverage]\nr_min = 0.2\nr_max = 0.4\nr_count = 10001\n",
+        )
+        assert run_cli("coverage", "--config", cfg, "--out", tmp_path / "a") == 2
+        assert "[coverage] r_count: gives more than 10000 radii" in capsys.readouterr().err
 
 
 class TestOneCallPerCurve:

@@ -8,7 +8,12 @@ import pytest
 
 import ppclust.core as core
 import ppclust.shotnoise as shotnoise
-from oracles import chernoff_grid_bound, dense_coverage_counts, dense_field
+from oracles import (
+    chernoff_grid_bound,
+    dense_coverage_counts,
+    dense_field,
+    grid_level_exceedance_bound,
+)
 from ppclust.core import PointPattern, RandomStream, box as window_box, cube, grid_centers
 from ppclust.dists import deterministic, geometric
 from ppclust.procgen import (
@@ -46,6 +51,9 @@ def periodic(side):
 def _no_sampling(*args, **kwargs):
     raise AssertionError("sampled a pattern")
 
+
+# The coarse log grid of s that the Chernoff search once minimised over.
+S_GRID = 2.0 ** np.arange(-10.0, 6.5, 0.5)
 
 # Ball of unit area in the plane: kappa_2 rho^2 = 1.
 UNIT_AREA_RADIUS = 1.0 / math.sqrt(math.pi)
@@ -553,14 +561,14 @@ class TestLevelExceedanceOverflow:
         assert 0.0 <= bound <= 1.0
         # The golden-section refinement only lowers the grid's minimum; the
         # log-bound is convex in s, so a fine grid finds the same infimum.
-        finite_grid = chernoff_grid_bound(lam, h, a, 2, shotnoise._S_GRID)
+        finite_grid = chernoff_grid_bound(lam, h, a, 2, S_GRID)
         assert bound <= finite_grid * (1 + 1e-9)
         fine = chernoff_grid_bound(lam, h, a, 2, 2.0 ** np.linspace(-10.0, 6.0, 1281))
         assert bound == pytest.approx(fine, rel=1e-3)
 
     def test_vacuous_when_no_finite_s_bounds(self):
         h = power_law_response(3.0, 0.1)
-        assert chernoff_grid_bound(1.0, h, 20.0, 2, shotnoise._S_GRID) == 1.0
+        assert chernoff_grid_bound(1.0, h, 20.0, 2, S_GRID) == 1.0
         assert level_exceedance_bound(1.0, h, 20.0, "min_above", 2) == 1.0
 
     # A narrow power law (h(0) = eps^-3) makes quad report failure at some s
@@ -573,23 +581,22 @@ class TestLevelExceedanceOverflow:
         h = power_law_response(3.0, eps)
         bound = level_exceedance_bound(1.0, h, a, "min_above", 2)
         assert 0.0 <= bound <= 1.0
-        assert bound <= chernoff_grid_bound(1.0, h, a, 2, shotnoise._S_GRID) * (1 + 1e-9)
+        assert bound <= chernoff_grid_bound(1.0, h, a, 2, S_GRID) * (1 + 1e-9)
 
     def test_a_failed_quadrature_raises_instead_of_warning(self):
         h = power_law_response(3.0, 0.05)
-        assert 0.0625 in shotnoise._S_GRID
         with pytest.raises(ArithmeticError, match="does not converge"):
             shotnoise._exponential_moment_integral(h, 0.0625, 1, 2)
 
 
 class TestLevelExceedanceGridEnds:
-    # A grid minimum at either end of _S_GRID is refined like one inside it.
+    # A grid minimum at either end of S_GRID is refined like one inside it.
     def test_a_minimum_at_the_bottom_of_the_grid_is_refined(self):
         # The log-bound is -1.74 at the grid's smallest s, 2^-10, and rises
         # from there; its minimum lies between 0 (where it is 0) and 2^-9.5.
         h = power_law_response(3.0, 0.05)
         bound = level_exceedance_bound(1.0, h, 2000.0, "min_above", 2)
-        assert bound < 0.99 * chernoff_grid_bound(1.0, h, 2000.0, 2, shotnoise._S_GRID)
+        assert bound < 0.99 * chernoff_grid_bound(1.0, h, 2000.0, 2, S_GRID)
         fine = chernoff_grid_bound(1.0, h, 2000.0, 2, np.linspace(0.0, 2**-9.5, 4001)[1:])
         assert bound == pytest.approx(fine, rel=shotnoise._GOLDEN_RTOL)
 
@@ -598,7 +605,7 @@ class TestLevelExceedanceGridEnds:
         # 0 across the grid, but its slope at 0, lam * (integral of h) - a,
         # is 25 pi - 500 < 0: it dips to -0.121 at 2^-11.
         h = power_law_response(3.0, 0.04)
-        assert chernoff_grid_bound(1.0, h, 500.0, 2, shotnoise._S_GRID) == 1.0
+        assert chernoff_grid_bound(1.0, h, 500.0, 2, S_GRID) == 1.0
         bound = level_exceedance_bound(1.0, h, 500.0, "min_above", 2)
         fine = chernoff_grid_bound(1.0, h, 500.0, 2, np.linspace(0.0, 2**-9.5, 4001)[1:])
         assert fine == pytest.approx(0.874, abs=1e-3)
@@ -608,10 +615,62 @@ class TestLevelExceedanceGridEnds:
         # A response this weak keeps the log-bound falling past s = 2^6.
         h = tabulated_response([0.0, 0.5, 1.0], [0.001, 0.0005, 0.0])
         bound = level_exceedance_bound(1.0, h, 0.01, "min_above", 2)
-        assert bound < 1e-9 * chernoff_grid_bound(1.0, h, 0.01, 2, shotnoise._S_GRID)
+        assert bound < 1e-9 * chernoff_grid_bound(1.0, h, 0.01, 2, S_GRID)
         fine = chernoff_grid_bound(1.0, h, 0.01, 2, np.geomspace(2**6, 2**16, 8001))
         assert bound == pytest.approx(fine, rel=shotnoise._GOLDEN_RTOL)
 
+
+# Two responses per kind.  Among them the narrow power law and the tall
+# table overflow e^{s h} or fail quadrature inside the old grid, and the weak
+# table's minimum lies past its top.  Power laws decay with beta = 4 so that
+# they are integrable up to d = 3.
+ORACLE_RESPONSES = [
+    indicator_ball(UNIT_AREA_RADIUS),
+    indicator_ball(0.3),
+    exponential_response(1.0),
+    exponential_response(5.0),
+    power_law_response(4.0, 0.5),
+    power_law_response(4.0, 0.03),
+    tabulated_response([0.0, 0.5, 1.0], [50.0, 10.0, 0.0]),
+    tabulated_response([0.0, 0.5, 1.0], [0.001, 0.0005, 0.0]),
+]
+# Levels as multiples of the mean field lam * (integral of h): each
+# direction gets one vacuous level and two that it bounds.
+ORACLE_LEVELS = {"min_above": (0.5, 2.0, 50.0), "max_below": (0.05, 0.5, 2.0)}
+
+
+class TestLevelExceedanceOracle:
+    # The walk from convexity against the retired grid-and-refine search.
+    @pytest.mark.parametrize("direction", ["min_above", "max_below"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "h", ORACLE_RESPONSES, ids=lambda h: f"{h.kind}{h.params or h.table[1]}"
+    )
+    def test_matches_the_grid_search(self, h, d, direction):
+        mean = shotnoise._radial_integral(h, float, d)
+        for level in ORACLE_LEVELS[direction]:
+            bound = level_exceedance_bound(1.0, h, level * mean, direction, d)
+            oracle = grid_level_exceedance_bound(1.0, h, level * mean, direction, d)
+            assert bound == pytest.approx(oracle, rel=1e-9, abs=0.0), level
+
+    # The overflow, failed-quadrature and grid-end cases of the classes above.
+    @pytest.mark.parametrize("direction", ["min_above", "max_below"])
+    @pytest.mark.parametrize(
+        "h, a",
+        [
+            (power_law_response(3.0, 0.1), 20.0),
+            (tabulated_response([0.0, 0.5, 1.0], [50.0, 10.0, 0.0]), 200.0),
+            (power_law_response(3.0, 0.05), 20.0),
+            (power_law_response(3.0, 0.05), 2000.0),
+            (power_law_response(3.0, 0.05), 20000.0),
+            (power_law_response(3.0, 0.04), 500.0),
+            (tabulated_response([0.0, 0.5, 1.0], [0.001, 0.0005, 0.0]), 0.01),
+        ],
+    )
+    def test_matches_the_grid_search_at_its_edge_cases(self, h, a, direction):
+        bound = level_exceedance_bound(1.0, h, a, direction, 2)
+        oracle = grid_level_exceedance_bound(1.0, h, a, direction, 2)
+        assert bound == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 class TestSerialization:
     def test_coverage_csv(self):

@@ -101,6 +101,8 @@ RULES = [
      lambda n: isinstance(n, ast.BinOp) and re.search(r"lower \+ 2|upper - 2", ast.unparse(n)), 0),
     ("one prepared sampler", {"compare", "complexes", "graphs", "percolation", "shotnoise",
                               "summaries"}, lambda n: str(name(n)).endswith("sample"), 0),
+    ("one Chernoff search", {"shotnoise"}, named("_S_GRID", "argmin"), 0),
+    ("one Chernoff search", {"shotnoise"}, calls("minimize_scalar"), 1),
     # Both uses, the import and the call, sit in core.replicate.
     ("one thread pool", ALL, named("ThreadPoolExecutor", "Thread", "threading", "run_indexed"), 2),
     ("one thread pool", {"core.replicate"}, named("ThreadPoolExecutor"), 2),
