@@ -324,15 +324,19 @@ def level_exceedance_bound(
         # empty process has V = 0 <= a always, and the bound degenerates to 1.
         return 0.0 if direction == "min_above" else 1.0
     sign = 1 if direction == "min_above" else -1
+    # Each s is integrated once: golden section evaluates its bracket again.
+    known = {}
 
     def log_bound(s: float) -> float:
         if s <= 0:
             return 0.0
-        try:
-            value = -sign * s * a + lam * _exponential_moment_integral(h, s, sign, d)
-        except ArithmeticError:
-            return math.inf
-        return value if math.isfinite(value) else math.inf
+        if s not in known:
+            try:
+                value = -sign * s * a + lam * _exponential_moment_integral(h, s, sign, d)
+            except ArithmeticError:
+                value = math.inf
+            known[s] = value if math.isfinite(value) else math.inf
+        return known[s]
 
     try:
         slope = sign * (lam * _radial_integral(h, float, d) - a)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import signal
 import tracemalloc
@@ -875,12 +876,14 @@ class TestCrossingThreshold:
         points = np.array([[0.4, 0.5], [1.2, 0.5], [2.0, 0.5], [2.8, 0.5]])
         assert _assert_threshold_is_exact(PointPattern(w, points)) == (4.0 - 2.8) / 2
 
-    def test_sparse_crossing_doubles_the_query_radius(self, monkeypatch):
-        # A tight cluster sets a small Poisson bound rho (about 0.55), but
-        # the chain joins only at 1.25 > 2 rho: three pair queries.
+    def test_sparse_crossing_grows_the_query_radius(self, monkeypatch):
+        # A tight cluster sets a small start rho: the Poisson start is about
+        # 0.70 and half the largest gap along x 0.75.  The zigzag chain
+        # (steps of 1.5 along x and 2 along y) joins only at 1.25 > sqrt(2)
+        # rho: three pair queries.
         w = euclid(10.0)
         cluster = 0.01 * np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2)
-        chain = np.array([[0.0, 2.0], [2.5, 2.0], [5.0, 2.0], [7.5, 2.0], [9.5, 2.0]])
+        chain = np.array([[1.5 * k, 1.0 + 2.0 * (k % 2)] for k in range(7)])
         pattern = PointPattern(w, np.concatenate([cluster + [5.0, 9.0], chain]))
         queries = []
 
@@ -946,24 +949,134 @@ class TestCrossingThreshold:
         assert not np.any(v <= 2 * np.nextafter(e, -np.inf))
 
 
+# Crossing-threshold schedules (_START, _GROWTH, _CRITICAL_DEGREE,
+# _REGULAR): the (lam kappa_d)^(-1/d) start doubling in every dimension, that
+# start for every pattern as if it were regular, a start far below the
+# threshold with slow growth, and a start far above it.
+SCHEDULES = {
+    "bound_doubling": dict(_CRITICAL_DEGREE={}, _GROWTH=2.0),
+    "all_regular": dict(_REGULAR=math.inf),
+    "undershoot": dict(_START=0.25, _GROWTH=1.1),
+    "overshoot": dict(_START=4.0, _GROWTH=2.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_thresholds(case, reps):
+    """Per replication of STREAM.derive(43), the bisected threshold of the
+    case's pattern at caps r_max and r_max / 6."""
+    spec, w = ORACLE_CASES[case]
+    r_max = float(np.linalg.norm(w.sides)) / 4.0
+    patterns = _patterns(spec, w, STREAM.derive(43), reps)
+    return {cap: [bisected_crossing_threshold(p, cap) for p in patterns]
+            for cap in (r_max, r_max / 6)}
+
+
+class TestThresholdSchedule:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("side", ["grouped", "pool"])
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_thresholds_do_not_depend_on_the_schedule(
+        self, monkeypatch, schedule, side, threads
+    ):
+        # Every round that crosses gives the exact threshold, so any start and
+        # growth give the bisected threshold, whether a pattern is answered
+        # in its replication (_POOL_POINTS 100) or in a group.
+        for attr, value in SCHEDULES[schedule].items():
+            monkeypatch.setattr(percolation, attr, value)
+        if side == "pool":
+            monkeypatch.setattr(percolation, "_POOL_POINTS", 100)
+        for case in sorted(ORACLE_CASES):
+            spec, w = ORACLE_CASES[case]
+            for cap, expected in _oracle_thresholds(case, 4).items():
+                got = percolation._replicate_crossings(
+                    pg.prepare(spec, w), 4, STREAM.derive(43), threads,
+                    lambda ps: percolation._crossing_thresholds(ps, cap),
+                )
+                assert got == expected, (case, cap)
+
+    def test_most_patterns_take_one_pair_query(self, monkeypatch):
+        # The critical_poisson input (16 replications at seeds 1-5) made 1.78
+        # pair queries a pattern when every query started at the Poisson
+        # bound (lam kappa_2)^(-1/2), about 0.525, below r_c of about 0.558.
+        spec = pg.homogeneous_poisson(1.1547005383792515)
+        queries = []
+
+        def counted(*args):
+            queries.append(args[2])
+            return core.neighbor_pairs(*args)
+
+        monkeypatch.setattr(percolation, "_candidate_pairs", counted)
+        for seed in range(1, 6):
+            critical_radius(spec, euclid(20.0), 16, 0.02, RandomStream(seed))
+        assert len(queries) <= 1.2 * 5 * 16, len(queries)
+
+    def test_one_dimension_takes_one_pair_query(self, monkeypatch):
+        # Half the largest gap along the axis is the threshold in one
+        # dimension (about 2.7 here); (lam kappa_1)^(-1) doubling took 4.17
+        # queries a pattern.
+        w = cube(400.0, 1, metric="euclidean")
+        patterns = _patterns(pg.homogeneous_poisson(1.1547005383792515), w, STREAM.derive(44), 8)
+        queries = []
+
+        def counted(*args):
+            queries.append(args[2])
+            return core.neighbor_pairs(*args)
+
+        monkeypatch.setattr(percolation, "_candidate_pairs", counted)
+        got = percolation._crossing_thresholds(patterns, 100.0)
+        assert len(queries) == len(patterns)
+        assert got == [bisected_crossing_threshold(p, 100.0) for p in patterns]
+
+    @pytest.mark.parametrize(
+        "case, regular",
+        [("jittered_lattice", True), ("unit_lattice", True), ("poisson", False), ("thomas", False)],
+    )
+    def test_regular_patterns_keep_the_bound_start(self, monkeypatch, case, regular):
+        # A lattice crosses below the Poisson start: it starts at
+        # (lam kappa_2)^(-1/2), a Poisson or Thomas pattern above it.
+        spec, w = ORACLE_CASES[case]
+        pattern = _patterns(spec, w, STREAM.derive(45), 1)[0]
+        queries = []
+
+        def counted(*args):
+            queries.append(args[2])
+            return core.neighbor_pairs(*args)
+
+        monkeypatch.setattr(percolation, "_candidate_pairs", counted)
+        percolation._crossing_thresholds([pattern], 100.0)
+        bound = (pattern.points.shape[0] / 400.0 * math.pi) ** -0.5
+        assert (percolation._dispersion(pattern) < percolation._REGULAR) == regular
+        assert (queries[0] / 2 == pytest.approx(bound)) == regular
+
+
 class TestPercolationBounds:
+    # The lower end is the radius of mean degree lam kappa_d (2r)^d = 1.
     def test_unit_intensity_bracket(self):
         bounds = check_percolation_bounds(0.6, 1.0, 2)
-        assert bounds.lower == pytest.approx(1.0 / math.sqrt(math.pi))
+        assert bounds.lower == pytest.approx(0.5 / math.sqrt(math.pi))
         assert bounds.upper == pytest.approx(math.sqrt(2.0) * math.sqrt(math.log(7.0)))
         assert bounds.verdict == "in"
 
     def test_verdicts(self):
-        assert check_percolation_bounds(0.3, 1.0, 2).verdict == "below"
+        assert check_percolation_bounds(0.25, 1.0, 2).verdict == "below"
         assert check_percolation_bounds(2.5, 1.0, 2).verdict == "above"
 
     def test_three_dimensional_bracket(self):
         bounds = check_percolation_bounds(0.5, 1.0, 3)
         kappa3 = 4.0 * math.pi / 3.0
-        assert bounds.lower == pytest.approx(kappa3 ** (-1.0 / 3.0))
+        assert bounds.lower == pytest.approx(0.5 * kappa3 ** (-1.0 / 3.0))
         assert bounds.upper == pytest.approx(
             math.sqrt(3.0) * math.log(25.0) ** (1.0 / 3.0)
         )
+
+    def test_three_dimensional_poisson_estimate_lies_in_the_bracket(self):
+        # r_c is about 0.434 at unit intensity in space, below the old lower
+        # end kappa_3^(-1/3) = 0.620.
+        w = cube(10.0, 3, metric="euclidean")
+        est = critical_radius(pg.homogeneous_poisson(1.0), w, 16, 0.02, STREAM.derive(60))
+        assert est.value == pytest.approx(0.434, abs=0.05)
+        assert check_percolation_bounds(est.value, 1.0, 3).verdict == "in"
 
     def test_intensity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -672,6 +672,32 @@ class TestLevelExceedanceOracle:
         oracle = grid_level_exceedance_bound(1.0, h, a, direction, 2)
         assert bound == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
+
+class TestLevelExceedanceWork:
+    # Golden section evaluates its bracket (lower, s, s * _S_RATIO) again,
+    # then the middle point once more; each s is integrated once.
+    @pytest.mark.parametrize(
+        "h, a",
+        [
+            (exponential_response(1.0), 10.0),
+            (power_law_response(3.0, 0.05), 2000.0),
+            (tabulated_response([0.0, 0.5, 1.0], [0.001, 0.0005, 0.0]), 0.01),
+            (indicator_ball(UNIT_AREA_RADIUS), 3.0),
+        ],
+    )
+    def test_no_exponent_is_integrated_twice(self, monkeypatch, h, a):
+        expected = level_exceedance_bound(1.0, h, a, "min_above", 2)
+        seen, integral = [], shotnoise._exponential_moment_integral
+
+        def recorded(h, s, sign, d):
+            seen.append(s)
+            return integral(h, s, sign, d)
+
+        monkeypatch.setattr(shotnoise, "_exponential_moment_integral", recorded)
+        assert level_exceedance_bound(1.0, h, a, "min_above", 2) == expected < 1.0
+        assert len(seen) == len(set(seen)) > 10
+
+
 class TestSerialization:
     def test_coverage_csv(self):
         curve = CurveEstimate((0.5,), (EstimateWithError(54.5, 0.25, 60),))

@@ -96,6 +96,10 @@ RULES = [
     ("one crossing kernel", {"percolation"}, calls("_gilbert_labels"), 1),
     ("one crossing kernel answers every pattern of a group", ALL,
      named("_source_sink_rank", "_crossing_threshold"), 0),
+    # The table's definition and its one reader.
+    ("one crossing-threshold schedule", ALL, named("_CRITICAL_DEGREE"), 2),
+    ("one crossing-threshold schedule", {"percolation._crossing_thresholds"},
+     named("_CRITICAL_DEGREE"), 1),
     ("one crossing edge rule", ALL, named("_entry_radii"), 0),
     ("one crossing edge rule", {"percolation"},
      lambda n: isinstance(n, ast.BinOp) and re.search(r"lower \+ 2|upper - 2", ast.unparse(n)), 0),

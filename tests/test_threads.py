@@ -59,6 +59,13 @@ ESTIMATORS = {
     "critical_radius": (
         critical_radius, (POISSON, BOX), dict(reps=6, tol=0.1, stream=STREAM.derive(2))
     ),
+    # Patterns of about 1,230 points, above _POOL_POINTS: each replication
+    # answers its own in the pool.
+    "critical_radius_pool": (
+        critical_radius,
+        (POISSON, cube(32.0, 2, metric="euclidean")),
+        dict(reps=4, tol=0.1, stream=STREAM.derive(21)),
+    ),
     "ripley_k": (ripley_k, (THOMAS, TORUS, GRID), dict(reps=8, stream=STREAM.derive(3))),
     "pair_correlation": (
         pair_correlation, (THOMAS, TORUS, GRID), dict(reps=8, stream=STREAM.derive(4))
