@@ -17,10 +17,11 @@ is the number of Gilbert components, and beta_1 = beta_0 - chi, with the
 Euler characteristic chi counted on the alpha complex of one Delaunay
 triangulation.  Each replication makes only its pair query and its one
 Delaunay call (_planar_parts); the labelling and the alpha-complex counts
-run once per row of replications on the stacked patterns
-(_planar_betti_row).  Where the two slack rules could disagree (a Delaunay
-edge or triangle value within a small band of r), or qhull cannot
-triangulate the points, the Cech path decides instead.
+run once per chunk of a row's replications, on the calling thread, on the
+stacked patterns (_planar_betti_row, core.replicate's finish stage).
+Where the two slack rules could disagree (a Delaunay edge or triangle
+value within a small band of r), or qhull cannot triangulate the points,
+the Cech path decides instead.
 """
 
 from __future__ import annotations
@@ -430,11 +431,11 @@ def betti_scaling_experiment(
     own).  In the plane with k <= 1, beta_k comes from the Gilbert
     components and the alpha complex's Euler characteristic: each
     replication samples its pattern and takes its _planar_parts (the pair
-    query and the one Delaunay call), and one _planar_betti_row pass per
-    entry of n_list then counts every pattern of the row at once.  Every
+    query and the one Delaunay call); the calling thread counts each of
+    core.replicate's chunks with one _planar_betti_row pass, and builds the
+    Cech complex where the pass leaves a pattern to the Cech path.  Every
     other (d, k) builds the Cech complex to dimension k+1 inside its
-    replication (_cech_betti); a planar pattern the row pass leaves to the
-    Cech path builds it after the pass, on the calling thread.
+    replication (_cech_betti).  The rows do not depend on the chunking.
     """
     if check_number("k", k, 0) > 2:
         raise ValueError("k must be 0, 1, or 2")
@@ -445,15 +446,17 @@ def betti_scaling_experiment(
 
         def one(rep: RandomStream):
             pattern = sampler.draw(rep)
-            return _planar_parts(pattern, r, k) if planar else _cech_betti(pattern, r, k)
+            if planar:
+                return len(pattern.points), _planar_parts(pattern, r, k)
+            return _cech_betti(pattern, r, k)
 
-        results = replicate(reps, level, threads, one)
-        if planar:
-            w = sampler.window
-            results = [
-                _cech_betti(PointPattern(w, parts[0]), r, k) if betti is None else betti
-                for parts, betti in zip(results, _planar_betti_row(results, r, k))
+        def finish(row: list) -> list:
+            return [
+                _cech_betti(PointPattern(sampler.window, pts), r, k) if betti is None else betti
+                for (pts, _, _), betti in zip(row, _planar_betti_row(row, r, k))
             ]
+
+        results = replicate(reps, level, threads, one, finish if planar else None)
         values = np.array([float(betti[k]) for betti in results])
         est = _estimate(values)
         rows.append(

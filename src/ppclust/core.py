@@ -10,12 +10,14 @@ artifacts (crossing probabilities, complexes).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,6 +33,11 @@ MAX_DENSE_ENTRIES = 1 << 24
 # Offset entries the dense kernel holds at once: one row block of
 # max(1, _DENSE_BLOCK_ENTRIES // (m * d)) rows.
 _DENSE_BLOCK_ENTRIES = 1 << 14
+# replicate's chunk bound: on crossing patterns of about 460 points, 2**10
+# points was slower and 2**12 raised the peak memory with no gain.
+FINISH_POINTS = 1 << 11
+# Submitted replications per worker that may wait for replicate's caller.
+_AHEAD = 4
 
 METRICS = ("euclidean", "periodic")
 
@@ -474,38 +481,60 @@ def check_replications(reps: int, stream: RandomStream):
     check_number("reps", reps, 1)
 
 
-def replicate(reps: int, stream: RandomStream, threads: int, one) -> list:
-    """Run one Monte Carlo replication per index and collect the results.
+def replicate(reps: int, stream: RandomStream, threads: int, one, finish=None) -> list:
+    """Run replication i as one(stream.derive(i)) for i < reps and return
+    the results in index order, so runs are reproducible and independent
+    of the thread count.  Curve-valued statistics read every abscissa from
+    the same replications, so neighbouring estimates share noise but each
+    is unbiased.
 
-    Every estimator follows the same protocol: draw ``reps`` independent
-    patterns from a generator specification, compute a per-replication
-    statistic, and report the across-replication mean with its standard
-    error.  Replication ``i`` is ``one(stream.derive(i))``, so runs are
-    reproducible and independent of the thread count; results come back
-    in index order.  Curve-valued statistics evaluate all abscissa values
-    on the same replications, so neighbouring estimates share noise but
-    each is individually unbiased.
+    With ``finish``, ``one`` returns ``(points, item)`` and the calling
+    thread hands the items, in index order, to ``finish(items)`` in
+    consecutive chunks of at most FINISH_POINTS points, which returns one
+    result per item.  An item of 0 points never closes a chunk, and the
+    results must not depend on the chunking.
 
-    This is the library's one thread pool.  ``threads`` must be an integer
-    >= 1; the pool has min(threads, reps, os.cpu_count()) workers, since a
-    thread beyond the replications or the cores adds no overlap, and one
-    worker runs the replications serially on the calling thread.
+    This is the library's one thread pool: ``threads``, an integer >= 1,
+    gives min(threads, reps, os.cpu_count()) workers, since a thread beyond
+    the replications or the cores adds no overlap, and one worker runs
+    serially on the calling thread.  At most _AHEAD x workers submitted
+    replications wait for the calling thread (and are cancelled if it
+    raises), so a call holds that many results besides ``finish``'s chunk.
 
-    A replication that returns None is empty (a pattern with no points,
-    say) and is dropped; more than half empty raises ValueError, since the
+    A None result is an empty replication (a pattern with no points, say)
+    and is dropped; more than half empty raises ValueError, since the
     estimate would then rest on a minority of the replications.
     """
     check_replications(reps, stream)
     check_number("threads", threads, 1)
     workers = min(threads, reps, os.cpu_count() or 1)
-    if workers <= 1:
-        results = [one(stream.derive(i)) for i in range(reps)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    streams = map(stream.derive, range(reps))
+    with contextlib.ExitStack() as stack:
+        results = map(one, streams)
+        if workers > 1:
+            from collections import deque
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, map(stream.derive, range(reps))))
-    kept = [r for r in results if r is not None]
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            ahead = deque(pool.submit(one, rep) for rep in islice(streams, _AHEAD * workers))
+            stack.callback(lambda: [future.cancel() for future in ahead])
+
+            def ordered():
+                while ahead:
+                    yield ahead.popleft().result()
+                    ahead.extend(pool.submit(one, rep) for rep in islice(streams, 1))
+
+            results = ordered()
+        if finish is not None:
+            chunk, size, finished = [], 0, []
+            for points, item in results:
+                if points and size and size + points > FINISH_POINTS:
+                    finished += finish(chunk)
+                    chunk, size = [], 0
+                chunk.append(item)
+                size += points
+            results = finished + finish(chunk)
+        kept = [r for r in results if r is not None]
     empties = reps - len(kept)
     if empties * 2 > reps:
         raise ValueError(

@@ -14,8 +14,8 @@ rule: an edge of value v, a pair's distance or a point's offset from a
 face, is kept at radius r when v <= 2r, so its event radius is v / 2 (one ulp
 more where halving a value below 2**-1021 rounds down).  Its scipy calls
 hold the GIL, so both estimators draw their patterns in the thread pool and
-answer them on the calling thread, a group of patterns per spanning forest
-(_replicate_crossings).
+answer the small ones on the calling thread, in core.replicate's finish
+stage, one spanning forest per chunk (_crossing_stages).
 
 Every kernel here gets its point pairs from one periodic KD-tree query
 (core.neighbor_pairs) and its components from scipy's connected_components
@@ -327,16 +327,12 @@ def _crossing_indicator(pattern: PointPattern, r: float) -> bool:
     return _crossings([pattern], [r])[0][0]
 
 
-# The pattern size from which _replicate_crossings answers a pattern in its
+# The pattern size from which _crossing_stages answers a pattern in its
 # replication.  On a 2-vCPU host at two threads the grouped path was faster
 # up to about 900 points, and the pool from 1,024 points on (critical radius
 # 18% at 1,024, 39% at 4,150).  These are in-process timings: the benchmark's
 # crossing patterns have about 460 points, so no workload runs the pool side.
 _POOL_POINTS = 2**10
-
-# The most points of one group on the calling thread: 2**10 was slower on
-# patterns of about 460 points, and 2**12 raised the peak memory with no gain.
-_GROUP_POINTS = 2**11
 
 # The Poisson critical mean degree lam kappa_d (2 r_c)^d by dimension: 4.5124
 # in the plane (Mertens & Moore, PRE 2012) and 2.7351 in space (Lorenz & Ziff,
@@ -365,34 +361,23 @@ _CELL_POINTS = 4
 _REGULAR = 0.5
 
 
-def _replicate_crossings(sampler, reps: int, stream: RandomStream, threads: int, answer) -> list:
-    """answer(patterns) per replication's pattern, in index order.
-
-    The pool draws the patterns.  One of at least _POOL_POINTS points is
-    answered in its replication, where its pair query releases the GIL.
-    The others come back as they are, and the calling thread answers them
-    in consecutive groups of at most _GROUP_POINTS points, one call per
-    group, since the spanning forest holds the GIL.
-    """
+def _crossing_stages(sampler, answer) -> tuple:
+    """core.replicate's (one, finish) for answer(patterns): a pattern of at
+    least _POOL_POINTS points is answered in the pool, where its pair query
+    releases the GIL, and comes back as 0 points; the calling thread answers
+    the rest, one call per chunk, since the spanning forest holds the GIL."""
 
     def one(rep: RandomStream):
         pattern = sampler.draw(rep)
-        return pattern if pattern.points.shape[0] < _POOL_POINTS else answer([pattern])[0]
+        n = pattern.points.shape[0]
+        return (n, pattern) if n < _POOL_POINTS else (0, answer([pattern])[0])
 
-    results = replicate(reps, stream, threads, one)
-    groups, size = [], 0
-    for i, pattern in enumerate(results):
-        if isinstance(pattern, PointPattern):
-            n = pattern.points.shape[0]
-            if not groups or size + n > _GROUP_POINTS:
-                groups.append([])
-                size = 0
-            groups[-1].append(i)
-            size += n
-    for group in groups:
-        for i, value in zip(group, answer([results[i] for i in group])):
-            results[i] = value
-    return results
+    def finish(items: list) -> list:
+        patterns = [item for item in items if isinstance(item, PointPattern)]
+        answers = iter(answer(patterns) if patterns else ())
+        return [next(answers) if isinstance(item, PointPattern) else item for item in items]
+
+    return one, finish
 
 
 def _hit_curve(radii: np.ndarray, hits: list) -> CurveEstimate:
@@ -411,17 +396,15 @@ def crossing_probability(
     (_crossings): each estimate equals the one-radius call, bit for bit.
 
     The pool draws the patterns and answers those of at least _POOL_POINTS
-    points; the calling thread answers the rest in consecutive groups of at
-    most _GROUP_POINTS points, one spanning forest per group
-    (_replicate_crossings).  The outcomes do not depend on the grouping.
+    points; the calling thread answers the rest in core.replicate's chunks
+    of at most FINISH_POINTS points, one spanning forest per chunk
+    (_crossing_stages).  The outcomes do not depend on the chunking.
     """
     check_window("crossing_probability", w, "euclidean")
     radii = check_radii("radii", radii)
     sampler = prepare(spec, w)
-    return _hit_curve(
-        radii,
-        _replicate_crossings(sampler, reps, stream, threads, lambda ps: _crossings(ps, radii)),
-    )
+    stages = _crossing_stages(sampler, lambda ps: _crossings(ps, radii))
+    return _hit_curve(radii, replicate(reps, stream, threads, *stages))
 
 
 def _event_radii(values: np.ndarray) -> np.ndarray:
@@ -436,11 +419,12 @@ def _dispersion(pattern: PointPattern) -> float:
     cells of about _CELL_POINTS points each: with n points in K cells, the
     mean is n / K and the variance sum(counts**2) / K - (n / K)**2.  Only
     the occupied cells are counted, so a long thin window, whose rounded
-    grid can hold far more cells than points, allocates nothing per cell."""
+    grid can hold far more cells than points, allocates nothing per cell
+    (and K fits int64: an axis has at most 2**(62 // d) cells)."""
     points, w = pattern.points, pattern.window
     n = points.shape[0]
     per_side = (n / (_CELL_POINTS * volume(w))) ** (1.0 / w.dim)
-    cells = np.maximum(1, np.round(w.sides * per_side)).astype(np.int64)
+    cells = np.clip(np.round(w.sides * per_side), 1, 2 ** (62 // w.dim)).astype(np.int64)
     index = ((points - w.lower) * (cells / w.sides)).astype(np.int64)
     np.minimum(index, cells - 1, out=index)
     counts = np.unique(np.ravel_multi_index(index.T, cells), return_counts=True)[1]
@@ -519,8 +503,8 @@ def critical_radius(
 
     The pool draws the patterns and answers those of at least
     _POOL_POINTS points; the calling thread answers the rest in
-    consecutive groups of at most _GROUP_POINTS points, one spanning forest
-    per group and query round (_replicate_crossings).  A pattern's first
+    core.replicate's chunks of at most FINISH_POINTS points, one spanning
+    forest per chunk and query round (_crossing_stages).  A pattern's first
     query starts just above the Poisson critical radius at its intensity,
     or lower for a pattern more regular than Poisson, so most patterns
     take one round (_crossing_thresholds).
@@ -530,9 +514,8 @@ def critical_radius(
     check_window("critical_radius", w, "euclidean")
     sampler = prepare(spec, w)
     r_max = float(np.linalg.norm(w.sides)) / 4.0
-    thresholds = _replicate_crossings(
-        sampler, reps, stream.derive(0), threads, lambda ps: _crossing_thresholds(ps, r_max)
-    )
+    stages = _crossing_stages(sampler, lambda ps: _crossing_thresholds(ps, r_max))
+    thresholds = replicate(reps, stream.derive(0), threads, *stages)
 
     def p_hat(r: float) -> EstimateWithError:
         return _proportion([float(t <= r) for t in thresholds])

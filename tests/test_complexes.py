@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 import ppclust.complexes as cx
+import ppclust.core as core
 import ppclust.percolation as perc
 import ppclust.procgen as pg
 from oracles import (
@@ -521,6 +523,41 @@ class TestPlanarBetti:
 
 
 class TestBettiScaling:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_rows_do_not_depend_on_the_chunking(self, monkeypatch, k, threads):
+        # FINISH_POINTS 1 gives each pattern a row pass of its own, and 10**6
+        # one pass a row.
+        real, passes, rows = cx._planar_betti_row, [], {}
+
+        def counted(parts, r, k):
+            passes.append(len(parts))
+            return real(parts, r, k)
+
+        monkeypatch.setattr(cx, "_planar_betti_row", counted)
+        args = dict(k=k, reps=12, stream=STREAM.derive(47), threads=threads)
+        for bound in (1, 10**6):
+            monkeypatch.setattr(core, "FINISH_POINTS", bound)
+            rows[bound] = betti_scaling_experiment(
+                pg.thomas_cluster(0.3, 4.0, 0.4), lambda n: 0.55, [30, 80], **args
+            )
+        assert rows[1] == rows[10**6]
+        assert passes == [1] * 24 + [12, 12]
+
+    def test_memory_does_not_grow_with_replications(self):
+        # The calling thread holds one chunk of _planar_parts, not the row.
+        peaks = []
+        for reps in (500, 4000):
+            tracemalloc.start()
+            try:
+                betti_scaling_experiment(
+                    pg.homogeneous_poisson(1.0), lambda n: 0.5, [20], 1, reps, RandomStream(1)
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
     def test_sparse_regime_kills_cycles(self):
         rows = betti_scaling_experiment(
             pg.homogeneous_poisson(1.0),

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -244,8 +245,13 @@ class TestReplicatePool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         return made
@@ -292,6 +298,122 @@ class TestReplicatePool:
         got = core.replicate(reps, self.STREAM, threads, lambda rep: rep.path[-1] ** 2)
         assert got == [i * i for i in range(reps)]
         assert caps == ([] if workers is None else [workers])
+
+    @staticmethod
+    def sized(points):
+        """A one stage whose replication i has points[i] points, and a
+        finish stage that records each chunk of indices it is given."""
+        chunks = []
+
+        def finish(items):
+            chunks.append(items)
+            return [10 * i for i in items]
+
+        return (lambda rep: (points[rep.path[-1]], rep.path[-1])), finish, chunks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            # Chunks that fill FINISH_POINTS exactly, one item past it, and
+            # one item alone above it.
+            ([4, 6, 1, 9, 1, 11, 3, 7], [[0, 1], [2, 3], [4], [5], [6, 7]]),
+            # Items of 0 points join the chunk they meet, even a full one or
+            # one above the bound, and never close it.
+            ([0, 0, 20, 0, 5], [[0, 1, 2, 3], [4]]),
+            ([3, 7, 0, 0, 1, 0], [[0, 1, 2, 3], [4, 5]]),
+            ([0, 0, 0], [[0, 1, 2]]),
+        ],
+    )
+    def test_chunks_close_by_points(self, monkeypatch, caps, threads, points, expected):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(core, "FINISH_POINTS", 10)
+        one, finish, chunks = self.sized(points)
+        got = core.replicate(len(points), self.STREAM, threads, one, finish)
+        assert got == [10 * i for i in range(len(points))]
+        assert chunks == expected
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_empty_rule_holds_on_the_finish_results(self, monkeypatch, caps, threads):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        one = lambda rep: (1, rep.path[-1])  # noqa: E731
+        assert core.replicate(8, self.STREAM, threads, one, lambda items: [
+            None if i < 4 else i for i in items]) == [4, 5, 6, 7]
+        with pytest.raises(ValueError, match="5 of 8 replications were empty"):
+            core.replicate(8, self.STREAM, threads, one, lambda items: [
+                None if i < 5 else i for i in items])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("stage", ["one", "finish"])
+    def test_first_failing_index_raises_from_either_stage(self, monkeypatch, caps, threads,
+                                                          stage):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(core, "FINISH_POINTS", 2)
+        chunks = []
+
+        def one(rep):
+            i = rep.path[-1]
+            if stage == "one" and i in (3, 5):
+                raise ValueError(f"index {i}")
+            return 1, i
+
+        def finish(items):
+            chunks.append(items)
+            bad = [i for i in items if stage == "finish" and i in (3, 5)]
+            if bad:
+                raise ValueError(f"index {bad[0]}")
+            return items
+
+        with pytest.raises(ValueError, match="index 3"):
+            core.replicate(8, self.STREAM, threads, one, finish)
+        assert chunks == ([[0, 1]] if stage == "one" else [[0, 1], [2, 3]])
+
+
+class TestReplicateWindow:
+    # A real pool: the calling thread takes results in index order, and at
+    # most _AHEAD x workers submitted replications wait for it.  With one
+    # item per chunk, chunk [i] is finished once item i + 1 has closed it,
+    # so serially exactly i + 2 replications have started by then.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_pool_runs_a_bounded_window_ahead_of_finish(self, monkeypatch, threads):
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(core, "FINISH_POINTS", 1)
+        started, seen = [], []
+
+        def one(rep):
+            started.append(rep.path[-1])
+            return 1, rep.path[-1]
+
+        def finish(items):
+            seen.append(len(started))
+            return items
+
+        got = core.replicate(200, core.RandomStream(38), threads, one, finish)
+        assert got == list(range(200))
+        if threads == 1:
+            assert seen == [i + 2 for i in range(199)] + [200]
+        else:
+            window = core._AHEAD * threads
+            assert seen[0] <= window + threads
+            assert max(s - i for i, s in enumerate(seen)) <= window + threads
+
+    def test_an_error_cancels_the_replications_not_yet_started(self, monkeypatch):
+        # Replications 4 and 5 hold both workers while the calling thread
+        # meets the error of replication 3, so none after them starts.
+        monkeypatch.setattr(core.os, "cpu_count", lambda: 8)
+        started = []
+
+        def one(rep):
+            started.append(rep.path[-1])
+            if rep.path[-1] == 3:
+                raise ValueError("index 3")
+            if rep.path[-1] >= 4:
+                time.sleep(0.5)
+            return rep.path[-1]
+
+        with pytest.raises(ValueError, match="index 3"):
+            core.replicate(40, core.RandomStream(39), 2, one)
+        assert sorted(started) == [0, 1, 2, 3, 4, 5]
 
 
 def test_sort_points_lexicographic():

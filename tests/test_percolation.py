@@ -3,6 +3,7 @@ import functools
 import math
 import signal
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -595,9 +596,9 @@ class TestSourceSinkRanks:
 
 
 # A clustered process whose pattern sizes range from 20 to 135 points on an
-# 8 x 8 window: with _POOL_POINTS and _GROUP_POINTS patched to 100, one call
-# answers some patterns in their replications and groups the rest, some
-# alone and some two together.
+# 8 x 8 window: with _POOL_POINTS and core.FINISH_POINTS patched to 100, one
+# call answers some patterns in their replications and groups the rest in
+# the finish chunks, some alone and some two together.
 GROUPED_SPEC = pg.thomas_cluster(0.05, 20.0, 1.0)
 GROUPED_RADII = [0.3, 0.55, 0.8, 1.2, 0.55]
 
@@ -609,11 +610,11 @@ def _patterns(spec, w, stream, reps):
 
 class TestGroupedReplications:
     def _calls(self, monkeypatch, name):
-        """Patch _POOL_POINTS and _GROUP_POINTS to 100 and record the number
-        of patterns in each call of the named batch function."""
+        """Patch _POOL_POINTS and core.FINISH_POINTS to 100 and record the
+        number of patterns in each call of the named batch function."""
         sizes, real = [], getattr(percolation, name)
         monkeypatch.setattr(percolation, "_POOL_POINTS", 100)
-        monkeypatch.setattr(percolation, "_GROUP_POINTS", 100)
+        monkeypatch.setattr(core, "FINISH_POINTS", 100)
 
         def counted(patterns, *args):
             sizes.append(len(patterns))
@@ -628,9 +629,10 @@ class TestGroupedReplications:
         default = crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, threads)
         sizes = self._calls(monkeypatch, "_crossings")
         sampler = pg.prepare(GROUPED_SPEC, w)
-        got = percolation._replicate_crossings(
-            sampler, 24, stream, threads, lambda ps: percolation._crossings(ps, GROUPED_RADII)
+        stages = percolation._crossing_stages(
+            sampler, lambda ps: percolation._crossings(ps, GROUPED_RADII)
         )
+        got = core.replicate(24, stream, threads, *stages)
         patterns = _patterns(GROUPED_SPEC, w, stream, 24)
         assert got == [[crossing_indicator(p, r) for r in GROUPED_RADII] for p in patterns]
         assert sorted(set(sizes)) == [1, 2]
@@ -646,10 +648,10 @@ class TestGroupedReplications:
         r_max = float(np.linalg.norm(w.sides)) / 4.0
         for cap in (r_max, r_max / 6):
             sampler = pg.prepare(GROUPED_SPEC, w)
-            got = percolation._replicate_crossings(
-                sampler, 24, stream.derive(0), threads,
-                lambda ps: percolation._crossing_thresholds(ps, cap),
+            stages = percolation._crossing_stages(
+                sampler, lambda ps: percolation._crossing_thresholds(ps, cap)
             )
+            got = core.replicate(24, stream.derive(0), threads, *stages)
             patterns = _patterns(GROUPED_SPEC, w, stream.derive(0), 24)
             assert got == [bisected_crossing_threshold(p, cap) for p in patterns]
         assert sorted(set(sizes)) == [1, 2]
@@ -661,7 +663,7 @@ class TestGroupedReplications:
         w, stream = euclid(8.0), STREAM.derive(50)
         default = crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, 2)
         sizes = self._calls(monkeypatch, "_crossings")
-        monkeypatch.setattr(percolation, "_GROUP_POINTS", 10**6)
+        monkeypatch.setattr(core, "FINISH_POINTS", 10**6)
         assert crossing_probability(GROUPED_SPEC, w, GROUPED_RADII, 24, stream, 2) == default
         small = sum(len(p) < 100 for p in _patterns(GROUPED_SPEC, w, stream, 24))
         assert sorted(sizes) == [1] * (24 - small) + [small]
@@ -680,6 +682,21 @@ class TestGroupedReplications:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20, peak
+
+    def test_memory_does_not_grow_with_replications(self):
+        # The calling thread holds one chunk of small patterns, not every
+        # replication's.  At a radius of 1, the chunk's pairs outweigh the
+        # replications' outcomes.
+        spec, w = pg.homogeneous_poisson(1.1547005383792515), euclid(10.0)
+        peaks = []
+        for reps in (500, 4000):
+            tracemalloc.start()
+            try:
+                crossing_probability(spec, w, [1.0], reps, RandomStream(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestCriticalRadius:
@@ -989,11 +1006,27 @@ class TestThresholdSchedule:
         for case in sorted(ORACLE_CASES):
             spec, w = ORACLE_CASES[case]
             for cap, expected in _oracle_thresholds(case, 4).items():
-                got = percolation._replicate_crossings(
-                    pg.prepare(spec, w), 4, STREAM.derive(43), threads,
-                    lambda ps: percolation._crossing_thresholds(ps, cap),
+                stages = percolation._crossing_stages(
+                    pg.prepare(spec, w), lambda ps: percolation._crossing_thresholds(ps, cap)
                 )
+                got = core.replicate(4, STREAM.derive(43), threads, *stages)
                 assert got == expected, (case, cap)
+
+    def test_a_long_thin_window_keeps_its_grid_of_cells_in_int64(self):
+        # About 50 points in 1e20 x 1e-17: the rounded dispersion grid once
+        # had about 1.1e19 cells along the long side, and the cast overflowed.
+        spec = pg.homogeneous_poisson(50 / (1e20 * 1e-17))
+        w, stream = box((0, 1e20), (0, 1e-17), metric="euclidean"), RandomStream(1)
+        r_max = float(np.linalg.norm(w.sides)) / 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stages = percolation._crossing_stages(
+                pg.prepare(spec, w), lambda ps: percolation._crossing_thresholds(ps, r_max)
+            )
+            got = core.replicate(4, stream.derive(0), 1, *stages)
+            critical_radius(spec, w, 4, 2e18, stream)
+        patterns = _patterns(spec, w, stream.derive(0), 4)
+        assert got == [bisected_crossing_threshold(p, r_max) for p in patterns]
 
     def test_most_patterns_take_one_pair_query(self, monkeypatch):
         # The critical_poisson input (16 replications at seeds 1-5) made 1.78

@@ -110,6 +110,10 @@ RULES = [
     # Both uses, the import and the call, sit in core.replicate.
     ("one thread pool", ALL, named("ThreadPoolExecutor", "Thread", "threading", "run_indexed"), 2),
     ("one thread pool", {"core.replicate"}, named("ThreadPoolExecutor"), 2),
+    # The window's import, its deque and its two submits.
+    ("one thread pool", ALL, named("submit", "deque"), 4),
+    ("one thread pool", {"core.replicate"}, named("submit", "deque"), 4),
+    ("one replication driver", ALL, named("_GROUP_POINTS", "_replicate_crossings"), 0),
 ]
 
 # (rule, text, the one "module.function" that may hold it, or None).

@@ -86,6 +86,13 @@ ESTIMATORS = {
         (POISSON, lambda n: 0.4, [25, 49]),
         dict(reps=6, stream=STREAM.derive(6)),
     ),
+    # 16 patterns of about 400 points: a planar beta_1 row of several
+    # finish chunks.
+    "betti_scaling_chunks": (
+        betti_scaling_experiment,
+        (UNIT_POISSON, lambda n: 0.4, [400]),
+        dict(reps=16, stream=STREAM.derive(22)),
+    ),
     # Each LGCP replication draws its own field from its own stream.
     "weak_poisson_test": (
         weak_poisson_test,
